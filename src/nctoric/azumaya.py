@@ -12,11 +12,11 @@ from fractions import Fraction
 from . import clauses
 from .errors import (BadFactorization, MorphismInvalid, NotIdempotent,
                      PatternIncomplete)
-from .exactmath import (GaussRational, minimal_polynomial, poly_squarefree,
-                        qi_nullspace, qi_poly_roots, qim_add, qim_eq,
-                        qim_flatten, qim_identity, qim_is_idempotent,
+from .exactmath import (Echelon, GaussRational, minimal_polynomial,
+                        poly_squarefree, qi_nullspace, qi_poly_roots, qim_add,
+                        qim_eq, qim_flatten, qim_identity, qim_is_idempotent,
                         qim_is_zero, qim_mul, qim_rank, qim_scale, qim_sub,
-                        qim_zero, solve_corner_inverse)
+                        qim_zero, solve_corner_inverse, sparse_vector)
 from .freeword import format_word, identity_word, is_unit_in, word_inv, word_mul
 from .ncalgebra import AlgElem, BoundedIdeal
 from .reports import Finding, Report
@@ -88,15 +88,6 @@ def eval_word(chart, word, factorization):
             f"factorization multiplies to {format_word(prod)}, not {format_word(word)}")
     if not factorization:
         return [row[:] for row in chart.identity_image]
-    return acc
-
-
-def eval_elem(chart, elem, factorizations):
-    """Q(i)-linear extension of eval_word over an algebra element."""
-    r = len(chart.identity_image)
-    acc = qim_zero(r)
-    for w, c in elem.monomials():
-        acc = qim_add(acc, qim_scale(c, eval_word(chart, w, factorizations[w])))
     return acc
 
 
@@ -301,10 +292,9 @@ def verify_morphism(morphism, search_bound=12, rel_bound=4):
                                    "corner inverse"))
                     else:
                         chart.witnesses[g] = w
-        if not fan.is_maximal(cone):
-            _, rel_findings = check_relations(system, chart, rel_bound)
-            for f in rel_findings:
-                report.add(f)
+        _, rel_findings = check_relations(system, chart, rel_bound)
+        for f in rel_findings:
+            report.add(f)
     charts_ok = report.ok
     try:
         idem = idem_classify(fan, morphism.idempotents())
@@ -338,19 +328,12 @@ def surrogate_basis(morphism):
         mats.append(chart.identity_image)
         mats.extend(chart.images.values())
         mats.extend(chart.witnesses.values())
-    basis = []        # list of (flat echelon vector, matrix)
+    span = Echelon()
     out = []
 
     def try_add(m):
-        vec = qim_flatten(m)
-        for (piv, evec) in basis:
-            if vec[piv]:
-                f = vec[piv] / evec[piv]
-                vec = [x - f * y for x, y in zip(vec, evec)]
-        piv = next((i for i, x in enumerate(vec) if x), None)
-        if piv is None:
+        if not span.add(sparse_vector(qim_flatten(m)))[0]:
             return False
-        basis.append((piv, vec))
         out.append(m)
         return True
 

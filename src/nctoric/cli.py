@@ -7,7 +7,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import clauses
 from .azumaya import (a1_probe, image_kernel_bounded, sample_matrix_model,
@@ -47,23 +46,6 @@ _ERROR_CLAUSES = {
     NoPositivityFunctional: clauses.ADMISSIBLE_SURJECTIVE,
     MismatchedSystems: clauses.SUBSCHEME,
 }
-
-
-def worker_count():
-    raw = os.environ.get("NCTORIC_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ParseError(f"NCTORIC_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
-
-
-def _pmap():
-    n = worker_count()
-    if n == 1:
-        return map
-    pool = ThreadPoolExecutor(max_workers=n)
-    return lambda fn, items: list(pool.map(fn, items))
 
 
 def _emit(report, args, payload=None):
@@ -141,7 +123,7 @@ def cmd_system_build(args):
         system, recipe = _load_system_or_fan(args.file)
     except NctoricError as exc:
         return _emit(_exception_report(exc), args)
-    report = check_admissible(system, pmap=_pmap())
+    report = check_admissible(system)
     if args.out:
         serialize.dump_json(serialize.system_to_obj(
             recipe["fan"], recipe["lifts"], recipe["stages"]), args.out)
@@ -156,7 +138,7 @@ def cmd_system_check(args):
         system, _ = _load_system_or_fan(args.file)
     except NctoricError as exc:
         return _emit(_exception_report(exc), args)
-    return _emit(check_admissible(system, pmap=_pmap()), args)
+    return _emit(check_admissible(system), args)
 
 
 def _load_extras(path, rank):
@@ -184,7 +166,7 @@ def cmd_system_augment(args, softening=False):
     if args.out:
         serialize.dump_json(serialize.system_to_obj(
             recipe["fan"], recipe["lifts"], recipe["stages"]), args.out)
-    report = check_admissible(system, pmap=_pmap())
+    report = check_admissible(system)
     payload = None
     if record is not None:
         payload = {"added": [f"{list(c)}: " + ", ".join(format_word(w) for w in ws)

@@ -24,12 +24,6 @@ class ChartSystem:
     charts: dict            # cone -> Submonoid
     provenance: dict = field(default_factory=dict)  # cone -> [(tag, word)]
 
-    def chart(self, cone):
-        return self.charts[cone]
-
-    def generator_lists(self):
-        return {cone: list(sm.generators) for cone, sm in self.charts.items()}
-
     def equal_charts(self, other):
         if set(self.charts) != set(other.charts):
             return False
@@ -100,7 +94,6 @@ def build_system(fan, lifts=None):
     """
     lifts = dict(lifts or {})
     rank = fan.rank
-    charts = {}
     provenance = {}
     gen_words = {}
     for sigma in fan.max_cones:
@@ -118,6 +111,13 @@ def build_system(fan, lifts=None):
             prov.append(("maximal-lift", w))
         gen_words[sigma] = words
         provenance[sigma] = prov
+    return _system_from_maximal(fan, gen_words, provenance)
+
+
+def _system_from_maximal(fan, gen_words, provenance):
+    """Compile the chart system whose maximal charts are given: each lower
+    chart is the union over its covering maximal cones, closed under unit
+    inverses. Fills gen_words and provenance for the lower cones."""
     for tau in fan.faces:
         if fan.is_maximal(tau):
             continue
@@ -128,11 +128,10 @@ def build_system(fan, lifts=None):
                 if w not in base:
                     base.append(w)
                     prov.append(("union", w))
-        words = _close_lower_chart(fan, tau, base, prov, "unit-inverse")
-        gen_words[tau] = words
+        gen_words[tau] = _close_lower_chart(fan, tau, base, prov, "unit-inverse")
         provenance[tau] = prov
-    for cone, words in gen_words.items():
-        charts[cone] = compile_submonoid(words, rank)
+    charts = {cone: compile_submonoid(words, fan.rank)
+              for cone, words in gen_words.items()}
     system = ChartSystem(fan=fan, charts=charts, provenance=provenance)
     _assert_inverse_system(system)
     return system
@@ -194,13 +193,11 @@ def admissible_cone_findings(system, cone):
     return findings
 
 
-def check_admissible(system, pmap=map):
-    """Per-cone admissibility report; pmap may be a parallel map since all
-    inputs are immutable and the per-cone work is independent."""
+def check_admissible(system):
+    """Per-cone admissibility report."""
     findings = []
-    for cone_findings in pmap(lambda c: admissible_cone_findings(system, c),
-                              system.fan.faces):
-        findings.extend(cone_findings)
+    for cone in system.fan.faces:
+        findings.extend(admissible_cone_findings(system, cone))
     findings.extend(inverse_system_findings(system))
     return Report(findings)
 
@@ -234,25 +231,7 @@ def complete_system(fan, partial):
                     f"cone {list(sigma)}: generator {format_word(w)} must be a unit")
         gen_words[sigma] = words
         provenance[sigma] = [("supplied", w) for w in words]
-    charts = {}
-    for tau in fan.faces:
-        if fan.is_maximal(tau):
-            continue
-        base = []
-        prov = []
-        for sigma in fan.covering_max_cones(tau):
-            for w in gen_words[sigma]:
-                if w not in base:
-                    base.append(w)
-                    prov.append(("union", w))
-        words = _close_lower_chart(fan, tau, base, prov, "unit-inverse")
-        gen_words[tau] = words
-        provenance[tau] = prov
-    for cone, words in gen_words.items():
-        charts[cone] = compile_submonoid(words, rank)
-    system = ChartSystem(fan=fan, charts=charts, provenance=provenance)
-    _assert_inverse_system(system)
-    return system
+    return _system_from_maximal(fan, gen_words, provenance)
 
 
 def augment_system(system, extra):

@@ -1,5 +1,6 @@
 """Exact arithmetic kernel: Gaussian rationals, integer lattice algebra,
-rational inequality feasibility, and minimal polynomials of Q(i)-matrices.
+rational inequality feasibility, one incremental echelon for all linear
+algebra over Q(i), and minimal polynomials of Q(i)-matrices.
 
 Scalars are Fraction-backed so every comparison in the rest of the package
 is an exact algebraic identity; nothing here ever rounds.
@@ -295,23 +296,10 @@ def lattice_solve(basis_rows, target):
 
 def int_inverse_unimodular(m):
     """Inverse of an integer matrix with det +-1, as an integer matrix."""
-    n = len(m)
-    a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if a[i][c] != 0)
-        a[c], a[piv] = a[piv], a[c]
-        f = a[c][c]
-        a[c] = [v / f for v in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                g = a[i][c]
-                a[i] = [v - g * w for v, w in zip(a[i], a[c])]
-    inv = [[a[i][n + j] for j in range(n)] for i in range(n)]
-    out = [[int(v) for v in row] for row in inv]
-    if any(Fraction(out[i][j]) != inv[i][j] for i in range(n) for j in range(n)):
+    inv = qim_inverse(qim_from_rows(m))
+    if inv is None or any(v.im or v.re.denominator != 1 for row in inv for v in row):
         raise ValueError("matrix is not unimodular")
-    return out
+    return [[int(v.re) for v in row] for row in inv]
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +415,90 @@ def fm_interval(ineqs, nvars, var):
 
 
 # ---------------------------------------------------------------------------
+# Incremental echelon over Q(i): the one elimination behind every exact
+# rank, solve, nullspace, inverse, minimal polynomial and ideal certificate
+# ---------------------------------------------------------------------------
+
+def sparse_vector(values):
+    """{index: entry} of the nonzero entries of a dense vector."""
+    return {k: v for k, v in enumerate(values) if v}
+
+
+class Echelon:
+    """Row echelon form over Q(i), built one vector at a time.
+
+    Vectors are sparse dicts {key: nonzero GaussRational} with mutually
+    comparable keys. Rows keep their insertion order; each is reduced
+    against every earlier row, scaled to entry ONE at its pivot, the
+    smallest key of its residual. One pass over the rows in insertion order
+    therefore reduces any vector.
+
+    A row added with a tag also records its combination over the tags of
+    the rows before it. Such a combination is unique, because the vectors
+    that joined are independent, so it depends only on the order in which
+    vectors were added, never on the pivot rule. Combinations, and hence
+    solve(), need every row to carry a tag.
+    """
+
+    def __init__(self):
+        self.rows = []   # (pivot, entries off the pivot, combination or None)
+
+    def reduce(self, vec, track=False):
+        """(residual, combination): vec reduced against every row, and, when
+        track, vec minus that residual as {tag: coefficient}."""
+        vec = dict(vec)
+        combo = {} if track else None
+        for piv, rest, rcombo in self.rows:
+            f = vec.pop(piv, None)
+            if f is None:
+                continue
+            g = -f
+            for k, v in rest.items():
+                x = vec.get(k)
+                if x is None:
+                    vec[k] = g * v
+                else:
+                    x = x + g * v
+                    if x:
+                        vec[k] = x
+                    else:
+                        del vec[k]
+            if track:
+                for t, v in rcombo.items():
+                    x = combo.get(t, ZERO) + f * v
+                    if x:
+                        combo[t] = x
+                    else:
+                        combo.pop(t, None)
+        return vec, combo
+
+    def add(self, vec, tag=None):
+        """Adjoin vec. Returns (joined, combination): joined is False when
+        vec already lies in the span, and then, for a tagged vec, the
+        combination gives vec as {earlier tag: coefficient}; otherwise the
+        combination is None."""
+        track = tag is not None
+        residual, combo = self.reduce(vec, track)
+        if not residual:
+            return False, combo
+        piv = min(residual)
+        s = ONE / residual.pop(piv)
+        rest = {k: s * v for k, v in residual.items()}
+        rcombo = None
+        if track:
+            rcombo = {t: -s * v for t, v in combo.items()}
+            rcombo[tag] = s
+        self.rows.append((piv, rest, rcombo))
+        return True, None
+
+    def solve(self, vec):
+        """{tag: x} with vec = sum x * (vector added with that tag), zero
+        coefficients omitted, or None when vec is outside the span."""
+        residual, combo = self.reduce(vec, track=True)
+        return None if residual else combo
+
+
+# ---------------------------------------------------------------------------
 # Matrices over Q(i)
 # ---------------------------------------------------------------------------
 
@@ -484,22 +556,10 @@ def qim_flatten(a):
 
 
 def qim_rank(a):
-    rows = [list(r) for r in a]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        f = rows[rank][c]
-        rows[rank] = [v / f for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                g = rows[i][c]
-                rows[i] = [v - g * w for v, w in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    ech = Echelon()
+    for row in a:
+        ech.add(sparse_vector(row))
+    return len(ech.rows)
 
 
 def qim_is_idempotent(a):
@@ -510,109 +570,66 @@ def qi_solve(columns, target):
     """Coefficients x with sum x_j columns[j] = target over Q(i), or None."""
     if not columns:
         return [] if all(not v for v in target) else None
-    dim = len(target)
-    # echelon rows: (pivot, vector); combos[i] expresses echelon vector i
-    # as a combination of the original columns
-    echelon = []
-    combos = []
+    ech = Echelon()
     for j, col in enumerate(columns):
-        vec = list(col)
-        combo = {j: ONE}
-        for idx in range(len(echelon)):
-            piv, evec = echelon[idx]
-            if vec[piv]:
-                f = vec[piv] / evec[piv]
-                vec = [v - f * w for v, w in zip(vec, evec)]
-                for k, c in combos[idx].items():
-                    combo[k] = combo.get(k, ZERO) - f * c
-        piv = next((i for i in range(dim) if vec[i]), None)
-        if piv is not None:
-            echelon.append((piv, vec))
-            combos.append(combo)
-    # reduce target
-    vec = list(target)
-    combo = {}
-    for idx in range(len(echelon)):
-        piv, evec = echelon[idx]
-        if vec[piv]:
-            f = vec[piv] / evec[piv]
-            vec = [v - f * w for v, w in zip(vec, evec)]
-            for k, c in combos[idx].items():
-                combo[k] = combo.get(k, ZERO) + f * c
-    if any(v for v in vec):
+        ech.add(sparse_vector(col), j)
+    sol = ech.solve(sparse_vector(target))
+    if sol is None:
         return None
-    return [combo.get(j, ZERO) for j in range(len(columns))]
+    return [sol.get(j, ZERO) for j in range(len(columns))]
 
 
 def qi_nullspace(columns, dim):
-    """Basis of {x : sum x_j columns[j] = 0} over Q(i)."""
+    """Basis of {x : sum x_j columns[j] = 0} over Q(i).
+
+    One vector per column in the span of the earlier ones, in column order:
+    that column minus its combination of them, which is the reduced
+    row-echelon null vector of the column.
+    """
     ncols = len(columns)
-    # row reduce the dim x ncols matrix
-    rows = [[columns[j][i] for j in range(ncols)] for i in range(dim)]
-    pivots = []
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, dim) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        f = rows[rank][c]
-        rows[rank] = [v / f for v in rows[rank]]
-        for i in range(dim):
-            if i != rank and rows[i][c]:
-                g = rows[i][c]
-                rows[i] = [v - g * w for v, w in zip(rows[i], rows[rank])]
-        pivots.append(c)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    ech = Echelon()
     basis = []
-    for fcol in free:
-        x = [ZERO] * ncols
-        x[fcol] = ONE
-        for i, pcol in enumerate(pivots):
-            x[pcol] = -rows[i][fcol]
-        basis.append(x)
+    for j, col in enumerate(columns):
+        joined, combo = ech.add(sparse_vector(col), j)
+        if not joined:
+            x = [ZERO] * ncols
+            x[j] = ONE
+            for k, c in combo.items():
+                x[k] = -c
+            basis.append(x)
     return basis
 
 
+def qim_inverse(a):
+    """Inverse of a square Q(i)-matrix, or None when it is singular."""
+    n = len(a)
+    ech = Echelon()
+    for i, row in enumerate(a):
+        if not ech.add(sparse_vector(row), i)[0]:
+            return None
+    # row j of the inverse combines the rows of a into the unit vector e_j
+    out = []
+    for j in range(n):
+        x = ech.solve({j: ONE})
+        out.append([x.get(i, ZERO) for i in range(n)])
+    return out
+
+
 def solve_corner_inverse(e, a):
-    """X with X a = a X = e and e X e = X, or None if no such X exists."""
-    r = len(e)
-    n = r * r
-    rows = []
-    rhs = []
+    """X with X a = a X = e and e X e = X, or None if no such X exists.
 
-    def unknown(i, j):
-        return i * r + j
-
-    # X a = e and a X = e
-    for i in range(r):
-        for j in range(r):
-            row = [ZERO] * n
-            for k in range(r):
-                row[unknown(i, k)] = row[unknown(i, k)] + a[k][j]
-            rows.append(row)
-            rhs.append(e[i][j])
-            row = [ZERO] * n
-            for k in range(r):
-                row[unknown(k, j)] = row[unknown(k, j)] + a[i][k]
-            rows.append(row)
-            rhs.append(e[i][j])
-    # X = e X e
-    for i in range(r):
-        for j in range(r):
-            row = [ZERO] * n
-            row[unknown(i, j)] = ONE
-            for k in range(r):
-                for l in range(r):
-                    row[unknown(k, l)] = row[unknown(k, l)] - e[i][k] * e[l][j]
-            rows.append(row)
-            rhs.append(ZERO)
-    columns = [[rows[m][v] for m in range(len(rows))] for v in range(n)]
-    sol = qi_solve(columns, rhs)
-    if sol is None:
+    Such an X is unique, and when it exists X + (I - e) inverts the
+    compression e a e + (I - e); every identity is re-checked exactly.
+    """
+    f = qim_sub(qim_identity(len(e)), e)
+    inv = qim_inverse(qim_add(qim_mul(qim_mul(e, a), e), f))
+    if inv is None:
         return None
-    return [[sol[unknown(i, j)] for j in range(r)] for i in range(r)]
+    x = qim_sub(inv, f)
+    if (qim_eq(qim_mul(x, a), e) and qim_eq(qim_mul(a, x), e)
+            and qim_eq(qim_mul(qim_mul(e, x), e), x)):
+        return x
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -624,31 +641,16 @@ def minimal_polynomial(a):
 
     Coefficients are returned low degree first, with a trailing ONE.
     """
-    r = len(a)
-    dim = r * r
-    echelon = []  # (pivot, flat vector, poly coeffs low->high)
-    power = qim_identity(r)
+    ech = Echelon()
+    power = qim_identity(len(a))
     k = 0
     while True:
-        vec = qim_flatten(power)
-        poly = [ZERO] * k + [ONE]
-        for (piv, evec, epoly) in echelon:
-            if vec[piv]:
-                f = vec[piv] / evec[piv]
-                vec = [v - f * w for v, w in zip(vec, evec)]
-                poly = [p - f * q for p, q in
-                        zip(poly + [ZERO] * (len(epoly) - len(poly)),
-                            epoly + [ZERO] * (len(poly) - len(epoly)))]
-        piv = next((i for i in range(dim) if vec[i]), None)
-        if piv is None:
-            while poly and not poly[-1]:
-                poly.pop()
-            return poly
-        echelon.append((piv, vec, poly))
+        joined, combo = ech.add(sparse_vector(qim_flatten(power)), k)
+        if not joined:
+            # a^k = sum combo[j] a^j over the independent lower powers
+            return [-combo.get(j, ZERO) for j in range(k)] + [ONE]
         power = qim_mul(power, a)
         k += 1
-        if k > dim + 1:  # unreachable; Cayley-Hamilton bounds the degree
-            raise RuntimeError("minimal polynomial search failed to terminate")
 
 
 def poly_eval_matrix(poly, a):
@@ -719,7 +721,8 @@ def poly_squarefree(p):
         lead = p[-1]
         return [c / lead for c in p]
     q, r = poly_divmod(p, g)
-    assert not r
+    if r:
+        raise AssertionError("gcd(p, p') does not divide p")
     lead = q[-1]
     return [c / lead for c in q]
 
@@ -778,7 +781,8 @@ def gauss_int_divisors(z):
             seen_inert[p] = seen_inert.get(p, 0) + 1
             if seen_inert[p] == 2:
                 q = _gauss_int_divide(cur, (p, 0))
-                assert q is not None
+                if q is None:
+                    raise AssertionError(f"inert prime {p} does not divide {cur}")
                 cur = q
                 gfactors.append((p, 0))
                 seen_inert[p] = 0
@@ -788,7 +792,8 @@ def gauss_int_divisors(z):
             if q is None:
                 pi = (pi[0], -pi[1])
                 q = _gauss_int_divide(cur, pi)
-            assert q is not None
+            if q is None:
+                raise AssertionError(f"no Gaussian prime over {p} divides {cur}")
             cur = q
             gfactors.append(pi)
     divisors = {(1, 0)}
@@ -846,7 +851,8 @@ def qi_poly_roots(poly):
             break
         roots.append(found)
         p, r = poly_divmod(p, [-found, ONE])
-        assert not r
+        if r:
+            raise AssertionError(f"root {found} leaves a remainder")
     if len(p) > 1:
         lead = p[-1]
         p = [c / lead for c in p]

@@ -296,16 +296,6 @@ def compile_submonoid(generators, rank):
     return Submonoid(generators, rank)
 
 
-def member(submonoid, word, factorize=False, max_factors=12):
-    """Membership flag, optionally with a bounded-search factorization."""
-    ok = submonoid.member(word)
-    if not factorize:
-        return ok
-    if not ok:
-        return ok, None
-    return ok, submonoid.factorization(word, max_factors=max_factors)
-
-
 def is_unit_in(submonoid, word):
     """True iff both the word and its inverse belong to the submonoid."""
     return submonoid.member(word) and submonoid.member(word_inv(word))

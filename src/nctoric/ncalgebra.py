@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError, RankMismatch, TargetExceedsBound
-from .exactmath import GaussRational, ONE, ZERO, format_gauss, parse_gauss
+from .exactmath import Echelon, GaussRational, ONE, ZERO, format_gauss, parse_gauss
 from .freeword import (ReducedWord, abelianize, format_word, identity_word,
                        parse_word, word_mul, words_up_to)
 
@@ -108,18 +108,6 @@ class AlgElem:
 
     def __repr__(self):
         return f"AlgElem({format_alg(self)!r}, rank={self.rank})"
-
-
-def alg_add(a, b):
-    return a + b
-
-
-def alg_scale(c, a):
-    return a.scale(c)
-
-
-def alg_mul(a, b):
-    return a * b
 
 
 def abelianize_elem(a):
@@ -268,52 +256,27 @@ def bounded_ideal_member(ideal, target):
     if target.max_word_len() > d:
         raise TargetExceedsBound(
             f"target has words of length {target.max_word_len()} > bound {d}")
-    columns = []
+    ech = Echelon()
     keys = []
     for gi, g in enumerate(ideal.generators):
         glen = g.max_word_len()
         for x, y in _pair_words(rank, d - glen):
             col = AlgElem.from_word(x) * g * AlgElem.from_word(y)
-            columns.append(col)
+            ech.add(_word_vector(col), len(keys))
             keys.append((x, gi, y))
-    # sparse elimination over the word basis
-    echelon = []  # (pivot word, terms dict, combo dict over column indices)
-    def reduce_vec(terms, combo, record):
-        for (piv, evec, ecombo) in echelon:
-            c = terms.get(piv)
-            if c:
-                f = c / evec[piv]
-                for w, v in evec.items():
-                    nv = terms.get(w, ZERO) - f * v
-                    if nv:
-                        terms[w] = nv
-                    elif w in terms:
-                        del terms[w]
-                for k, v in ecombo.items():
-                    nv = combo.get(k, ZERO) + record * f * v
-                    if nv:
-                        combo[k] = nv
-                    elif k in combo:
-                        del combo[k]
-        return terms, combo
-
-    for j, col in enumerate(columns):
-        terms = dict(col.terms)
-        combo = {j: ONE}
-        terms, combo = reduce_vec(terms, combo, GaussRational(-1))
-        if terms:
-            piv = max(terms, key=lambda w: w.sort_key())
-            echelon.append((piv, terms, combo))
-    terms = dict(target.terms)
-    combo = {}
-    terms, combo = reduce_vec(terms, combo, ONE)
-    if terms:
+    combo = ech.solve(_word_vector(target))
+    if combo is None:
         return None
-    items = tuple((c, keys[j][0], keys[j][1], keys[j][2])
-                  for j, c in sorted(combo.items()) if c)
-    cert = MemberCertificate(items)
-    assert cert.reconstruct(ideal, rank) == target
+    cert = MemberCertificate(tuple((c, *keys[j]) for j, c in sorted(combo.items())))
+    if cert.reconstruct(ideal, rank) != target:
+        raise AssertionError("membership certificate does not rebuild the target")
     return cert
+
+
+def _word_vector(elem):
+    """Word-basis vector keyed so that a longest word is the smallest key,
+    and so the echelon pivot."""
+    return {(-len(w), w.letters): c for w, c in elem.terms.items()}
 
 
 def l_commutative_gens(rank, level, degree_bound):

@@ -45,9 +45,6 @@ class GluingData:
     scalars: dict           # (upper, lower) -> GaussRational
     words: dict             # (upper, lower) -> ReducedWord
 
-    def pairs(self):
-        return list(self.words)
-
 
 @dataclass
 class TwistedSectionData:

@@ -37,9 +37,6 @@ class Fan:
     faces: tuple
     pair_certificates: dict = field(compare=False, hash=False)
 
-    def face_list(self):
-        return list(self.faces)
-
     def is_maximal(self, cone):
         return cone in self.max_cones
 
@@ -49,9 +46,6 @@ class Fan:
     def covering_max_cones(self, cone):
         s = set(cone)
         return [c for c in self.max_cones if s <= set(c)]
-
-    def dim(self, cone):
-        return len(cone)
 
     def incidence_pairs(self):
         """All (upper, lower) pairs with lower a proper face of upper."""

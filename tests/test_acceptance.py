@@ -11,7 +11,7 @@ from itertools import product as iproduct
 from nctoric.azumaya import (MorphismData, QuasiHomChart, a1_probe,
                              idem_classify, sample_matrix_model,
                              surrogate_basis, verify_morphism)
-from nctoric.deltasystem import build_system, check_admissible
+from nctoric.deltasystem import augment_system, build_system, check_admissible
 from nctoric.exactmath import (GaussRational, ONE, ZERO, format_gauss,
                                qim_add, qim_eq, qim_from_rows, qim_identity,
                                qim_is_idempotent, qim_is_zero, qim_mul,
@@ -380,4 +380,13 @@ def test_criterion_12_tamper_suite():
             _json.dump({"rank": 2, "rays": [[1, 0], [1, 2], [-1, -1]],
                         "max_cones": [[0, 1], [1, 2], [0, 2]]}, fh)
         assert main(["fan", "check", path, "--json"]) == 1
-    report_line(12, "all four corruptions detected with the right clauses")
+
+    # (e) one generator relation on a maximal chart
+    fan = validate_fan(2, [(1, 0), (0, 1)], [(0, 1)])
+    system = augment_system(build_system(fan), {(0, 1): [W("z1 z2")]})
+    morphism = sample_matrix_model(fan, system, 2, "trivial", 0)
+    morphism.charts[(0, 1)].images[W("z1 z2")] = qim_identity(2)
+    report = verify_morphism(morphism)
+    assert not report.ok
+    assert {f.clause for f in report.failures()} == {"Def 4.2.9(i)"}
+    report_line(12, "all five corruptions detected with the right clauses")

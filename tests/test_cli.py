@@ -64,6 +64,11 @@ class TestSystem:
         code, out, _ = run(capsys, "system", "check", sys_path)
         assert code == 0
 
+    def test_check_fan_file(self, tmp_path, capsys):
+        path = write(tmp_path, "p2.fan", P2)
+        code, _, _ = run(capsys, "system", "check", path)
+        assert code == 0
+
     def test_fan_by_path_reference(self, tmp_path, capsys):
         write(tmp_path, "p2.fan", P2)
         recipe_path = write(tmp_path, "sys.json", {"fan": "p2.fan"})
@@ -301,17 +306,3 @@ class TestRoundTrips:
         mor_obj = load_json(mor_path)
         morphism, recipe = serialize.morphism_from_obj(mor_obj)
         assert serialize.morphism_to_obj(recipe, morphism) == mor_obj
-
-
-class TestThreads:
-    def test_env_cap(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("NCTORIC_THREADS", "2")
-        path = write(tmp_path, "p2.fan", P2)
-        code, _, _ = run(capsys, "system", "check", path)
-        assert code == 0
-
-    def test_env_invalid(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("NCTORIC_THREADS", "lots")
-        path = write(tmp_path, "p2.fan", P2)
-        code, _, err = run(capsys, "system", "check", path)
-        assert code == 2

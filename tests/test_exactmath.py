@@ -3,12 +3,17 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from sympy import QQ, QQ_I, Matrix, linsolve, symbols
+from sympy.polys.matrices import DomainMatrix
 
 from nctoric.exactmath import (GaussRational, ONE, ZERO, format_gauss, hnf,
-                               int_det, int_matmul, kernel_basis, lattice_solve,
-                               linear_feasible, minimal_polynomial, parse_gauss,
-                               poly_eval_matrix, qi_poly_roots, qim_from_rows,
-                               qim_identity, qim_is_zero)
+                               int_det, int_inverse_unimodular, int_matmul,
+                               kernel_basis, lattice_solve, linear_feasible,
+                               minimal_polynomial, parse_gauss, poly_eval_matrix,
+                               qi_nullspace, qi_poly_roots, qi_solve, qim_add,
+                               qim_eq, qim_from_rows, qim_identity, qim_inverse,
+                               qim_is_zero, qim_mul, qim_rank, qim_zero,
+                               solve_corner_inverse)
 from nctoric.errors import ParseError
 
 gauss = st.builds(GaussRational,
@@ -205,3 +210,176 @@ class TestRoots:
         roots, rem = qi_poly_roots(inert)
         assert [format_gauss(r) for r in roots] == ["2"]
         assert len(rem) == 3
+
+
+# ---------------------------------------------------------------------------
+# Exact linear algebra against sympy's QQ_I domain matrices
+# ---------------------------------------------------------------------------
+
+def _qqi(v):
+    return QQ_I(QQ(v.re.numerator, v.re.denominator),
+                QQ(v.im.numerator, v.im.denominator))
+
+
+def _to_sympy(m):
+    return DomainMatrix([[_qqi(v) for v in row] for row in m],
+                        (len(m), len(m[0]) if m else 0), QQ_I)
+
+
+def _to_sympy_matrix(m):
+    return _to_sympy(m).to_Matrix()
+
+
+def _random_gauss(rng):
+    return GaussRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                         Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+
+
+def _random_qim(rng, nrows, ncols, rank=None):
+    """Random matrix; with rank given, a product through that inner size,
+    so its rank is at most that."""
+    if rank is None:
+        return [[_random_gauss(rng) for _ in range(ncols)] for _ in range(nrows)]
+    if rank == 0:
+        return [[ZERO] * ncols for _ in range(nrows)]
+    return qim_mul(_random_qim(rng, nrows, rank), _random_qim(rng, rank, ncols))
+
+
+def _random_cases(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        rank = rng.choice([None, rng.randint(0, min(nrows, ncols))])
+        yield rng, _random_qim(rng, nrows, ncols, rank)
+
+
+def _columns(m):
+    return [list(col) for col in zip(*m)]
+
+
+class TestLinearAlgebraAgainstSympy:
+    def test_rank(self):
+        for _, a in _random_cases(11, 60):
+            assert qim_rank(a) == _to_sympy(a).rank()
+
+    def test_nullspace(self):
+        for _, a in _random_cases(12, 60):
+            basis = qi_nullspace(_columns(a), len(a))
+            ncols = len(a[0])
+            assert len(basis) == ncols - _to_sympy(a).rank()
+            if basis:
+                b = _to_sympy(basis)
+                assert b.rank() == len(basis)
+                assert (_to_sympy(a) * b.transpose()).is_zero_matrix
+
+    def test_solve(self):
+        solvable = unsolvable = 0
+        for rng, a in _random_cases(13, 80):
+            if rng.random() < 0.5:
+                x = _random_qim(rng, len(a[0]), 1)
+                target = [row[0] for row in qim_mul(a, x)]
+            else:
+                target = [_random_gauss(rng) for _ in a]
+            sa = _to_sympy(a)
+            expect = sa.hstack(_to_sympy([[t] for t in target])).rank() == sa.rank()
+            sol = qi_solve(_columns(a), target)
+            assert (sol is not None) == expect
+            if sol is None:
+                unsolvable += 1
+                continue
+            solvable += 1
+            residual = sa * _to_sympy([[v] for v in sol]) - _to_sympy([[t] for t in target])
+            assert residual.is_zero_matrix
+        assert solvable and unsolvable
+
+    def test_minimal_polynomial(self):
+        rng = random.Random(14)
+        for _ in range(30):
+            r = rng.randint(1, 4)
+            a = _random_qim(rng, r, r, rng.choice([None, rng.randint(0, r)]))
+            if rng.random() < 0.3:
+                # eigenvalue 1 repeats when a is rank-deficient
+                a = qim_add(qim_mul(a, a), qim_identity(r))
+            p = minimal_polynomial(a)
+            sa = _to_sympy(a)
+            acc = _to_sympy(qim_zero(r))
+            power = _to_sympy(qim_identity(r))
+            for c in p:
+                acc = acc + power.mul(_qqi(c))
+                power = power * sa
+            assert p[-1] == ONE and acc.is_zero_matrix
+            # the degree is the dimension of the span of the powers of a
+            powers = []
+            power = _to_sympy(qim_identity(r))
+            for _ in range(r * r + 1):
+                powers.append(sum(power.to_list(), []))
+                power = power * sa
+            span = DomainMatrix(powers, (len(powers), r * r), QQ_I).rank()
+            assert len(p) - 1 == span
+
+    def test_int_inverse_unimodular(self):
+        m = [[2, 1, 0], [1, 1, 0], [0, 3, 1]]
+        inv = int_inverse_unimodular(m)
+        assert int_matmul(m, inv) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        with pytest.raises(ValueError):
+            int_inverse_unimodular([[2, 0], [0, 1]])
+        with pytest.raises(ValueError):
+            int_inverse_unimodular([[1, 2], [2, 4]])
+
+
+def _random_idempotent(rng, r, rank):
+    """P D P^-1 with D the diagonal of `rank` ones."""
+    while True:
+        p = _random_qim(rng, r, r)
+        pinv = qim_inverse(p)
+        if pinv is not None:
+            d = [[ONE if i == j < rank else ZERO for j in range(r)] for i in range(r)]
+            return qim_mul(qim_mul(p, d), pinv)
+
+
+def _corner_inverse_oracle(e, a):
+    """The unique X with X a = a X = e and e X e = X, from sympy's solver
+    over the r^2 unknowns, or None when that system has no solution."""
+    r = len(e)
+    xs = symbols(f"x0:{r * r}")
+    x, sa, se = Matrix(r, r, xs), _to_sympy_matrix(a), _to_sympy_matrix(e)
+    eqs = list(x * sa - se) + list(sa * x - se) + list(se * x * se - x)
+    sols = list(linsolve(eqs, xs))
+    if not sols:
+        return None
+    assert not any(s.free_symbols for s in sols[0])
+    return Matrix(r, r, list(sols[0]))
+
+
+class TestCornerInverse:
+    def test_random_compressions(self):
+        rng = random.Random(15)
+        for _ in range(12):
+            r = rng.randint(1, 3)
+            e = _random_idempotent(rng, r, rng.randint(1, r))
+            a = qim_mul(qim_mul(e, _random_qim(rng, r, r)), e)
+            x = solve_corner_inverse(e, a)
+            assert x is not None
+            assert qim_eq(qim_mul(x, a), e) and qim_eq(qim_mul(a, x), e)
+            assert qim_eq(qim_mul(qim_mul(e, x), e), x)
+            assert _corner_inverse_oracle(e, a) == _to_sympy_matrix(x)
+
+    def test_singular_compression(self):
+        rng = random.Random(16)
+        for _ in range(5):
+            e = _random_idempotent(rng, 3, 2)
+            a = qim_mul(qim_mul(e, _random_qim(rng, 3, 3, rank=1)), e)
+            assert solve_corner_inverse(e, a) is None
+            assert _corner_inverse_oracle(e, a) is None
+
+    def test_noncommuting(self):
+        e = qim_from_rows([[1, 0], [0, 0]])
+        a = qim_from_rows([[1, 1], [0, 1]])
+        assert solve_corner_inverse(e, a) is None
+        rng = random.Random(17)
+        for _ in range(5):
+            e = _random_idempotent(rng, 3, 2)
+            a = _random_qim(rng, 3, 3)
+            assert not qim_eq(qim_mul(e, a), qim_mul(a, e))
+            assert solve_corner_inverse(e, a) is None
+            assert _corner_inverse_oracle(e, a) is None

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 from nctoric.errors import ParseError, RankMismatch
 from nctoric.freeword import (ReducedWord, abelianize, canonical_lift,
                               compile_submonoid, format_word, identity_word,
-                              is_unit_in, member, parse_word, word_inv,
-                              word_mul, words_up_to)
+                              is_unit_in, parse_word, word_inv, word_mul,
+                              words_up_to)
 from oracles import dyck_membership, enumerate_products, random_reduced_word
 
 
@@ -127,10 +127,10 @@ class TestSubmonoids:
         s = compile_submonoid([W("z1 z2"), W("z2^-1")], 2)
         assert s.member(W("z1"))
 
-    def test_member_wrapper(self):
+    def test_member_factorization(self):
         s = compile_submonoid([W("z1 z2")], 2)
-        ok, fact = member(s, W("z1 z2 z1 z2"), factorize=True)
-        assert ok and fact == [0, 0]
+        assert s.member(W("z1 z2 z1 z2"))
+        assert s.factorization(W("z1 z2 z1 z2")) == [0, 0]
 
     def test_oracle_agreement(self):
         rng = random.Random(97)
