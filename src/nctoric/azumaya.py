@@ -259,10 +259,23 @@ def check_relations(system, chart, rel_bound=4):
     return values, findings
 
 
+def missing_corner_inverses(system, chart):
+    """{unit generator: corner inverse, or None when there is none} for the
+    chart's unit generators that have an image but no recorded witness, in
+    generator order. A chart on a cone outside the system has none."""
+    sub = system.charts.get(chart.cone)
+    if sub is None:
+        return {}
+    return {g: solve_corner_inverse(chart.identity_image, chart.images[g])
+            for g in sub.generators
+            if g in chart.images and g not in chart.witnesses and is_unit_in(sub, g)}
+
+
 def verify_morphism(morphism, search_bound=12, rel_bound=4):
     """Aggregate verdict: every chart is a quasi-homomorphism, every
     incidence glues, generator relations are consistent to the stated bound,
-    and the idempotent family is a complete strong system."""
+    and the idempotent family is a complete strong system. The morphism is
+    left unchanged."""
     system = morphism.system
     fan = system.fan
     report = Report([])
@@ -280,18 +293,13 @@ def verify_morphism(morphism, search_bound=12, rel_bound=4):
                 clause=clauses.MORPHISM_GLUING, locus=f"cone {list(cone)}",
                 ok=False, detail=f"no image for generator {format_word(g)}"))
         report.extend(check_quasi_hom(chart))
-        for g in system.charts[cone].generators:
-            if g in chart.images and is_unit_in(system.charts[cone], g):
-                if g not in chart.witnesses:
-                    w = solve_corner_inverse(chart.identity_image, chart.images[g])
-                    if w is None:
-                        report.add(Finding(
-                            clause=clauses.QUASI_HOM, locus=f"cone {list(cone)}",
-                            ok=False,
-                            detail=f"unit generator {format_word(g)} has no "
-                                   "corner inverse"))
-                    else:
-                        chart.witnesses[g] = w
+        for g, w in missing_corner_inverses(system, chart).items():
+            if w is None:
+                report.add(Finding(
+                    clause=clauses.QUASI_HOM, locus=f"cone {list(cone)}",
+                    ok=False,
+                    detail=f"unit generator {format_word(g)} has no "
+                           "corner inverse"))
         _, rel_findings = check_relations(system, chart, rel_bound)
         for f in rel_findings:
             report.add(f)
@@ -316,8 +324,9 @@ def verify_morphism(morphism, search_bound=12, rel_bound=4):
 
 
 def surrogate_basis(morphism):
-    """Basis of the unital subalgebra generated by all chart images, by
-    span closure inside the matrix algebra."""
+    """Basis of the unital subalgebra generated by all chart images and the
+    corner inverses of unit generators, recorded or computed, by span
+    closure inside the matrix algebra."""
     report = verify_morphism(morphism)
     if not report.ok:
         raise MorphismInvalid("surrogate requested for an invalid morphism:\n"
@@ -328,6 +337,7 @@ def surrogate_basis(morphism):
         mats.append(chart.identity_image)
         mats.extend(chart.images.values())
         mats.extend(chart.witnesses.values())
+        mats.extend(missing_corner_inverses(morphism.system, chart).values())
     span = Echelon()
     out = []
 

@@ -2,13 +2,17 @@
 rational inequality feasibility, one incremental echelon for all linear
 algebra over Q(i), and minimal polynomials of Q(i)-matrices.
 
-Scalars are Fraction-backed so every comparison in the rest of the package
-is an exact algebraic identity; nothing here ever rounds.
+A scalar is a Z[i] numerator over one positive integer denominator, kept
+in lowest terms, so every comparison in the rest of the package is an exact
+algebraic identity; nothing here ever rounds. A matrix product clears each
+operand to integer matrices over one common denominator and normalizes each
+output entry once.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 
 # ---------------------------------------------------------------------------
@@ -16,79 +20,97 @@ from math import gcd
 # ---------------------------------------------------------------------------
 
 class GaussRational:
-    """An element of Q(i), kept as a pair of Fractions."""
+    """An element (a + b i) / d of Q(i), kept as three ints with d > 0 and
+    gcd(a, b, d) = 1, so equal values have equal fields."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        # the lcm of two reduced denominators leaves gcd(a, b, d) = 1
+        _set_a(self, re.numerator * (d // re.denominator))
+        _set_b(self, im.numerator * (d // im.denominator))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
 
+    @property
+    def re(self):
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self):
+        return Fraction(self._b, self._d)
+
     # arithmetic ------------------------------------------------------------
     def __add__(self, other):
         other = _coerce(other)
-        return GaussRational(self.re + other.re, self.im + other.im)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _make(self._a + other._a, self._b + other._b, d1)
+        return _make(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1,
+                     d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _coerce(other)
-        return GaussRational(self.re - other.re, self.im - other.im)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _make(self._a - other._a, self._b - other._b, d1)
+        return _make(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1,
+                     d1 * d2)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __mul__(self, other):
         other = _coerce(other)
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _coerce(other)
-        n = other.re * other.re + other.im * other.im
+        a1, b1, a2, b2, d2 = self._a, self._b, other._a, other._b, other._d
+        n = a2 * a2 + b2 * b2
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        # (a1 + b1 i)/d1 * d2 (a2 - b2 i) / (a2^2 + b2^2)
+        return _make((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * n)
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
 
     def __neg__(self):
-        return GaussRational(-self.re, -self.im)
+        return _new(-self._a, -self._b, self._d)
 
     def conjugate(self):
-        return GaussRational(self.re, -self.im)
+        return _new(self._a, -self._b, self._d)
 
     def inverse(self):
         return ONE / self
 
     def norm(self):
         """re^2 + im^2 as a Fraction."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     # comparisons -------------------------------------------------------------
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = GaussRational(other)
+            other = _coerce(other)
         if not isinstance(other, GaussRational):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._a != 0 or self._b != 0
 
     def __repr__(self):
         return f"GaussRational({self.re!r}, {self.im!r})"
@@ -97,11 +119,35 @@ class GaussRational:
         return format_gauss(self)
 
 
+_set_a = GaussRational._a.__set__
+_set_b = GaussRational._b.__set__
+_set_d = GaussRational._d.__set__
+
+
+def _new(a, b, d):
+    """(a + b i) / d from ints already normalized: d > 0, gcd(a, b, d) = 1."""
+    g = object.__new__(GaussRational)
+    _set_a(g, a)
+    _set_b(g, b)
+    _set_d(g, d)
+    return g
+
+
+def _make(a, b, d):
+    """(a + b i) / d from ints with d > 0, normalized by one three-way gcd."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _new(a, b, d)
+
+
 def _coerce(x):
     if isinstance(x, GaussRational):
         return x
-    if isinstance(x, (int, Fraction)):
-        return GaussRational(x)
+    if isinstance(x, int):
+        return _new(x, 0, 1)
+    if isinstance(x, Fraction):
+        return _new(x.numerator, 0, x.denominator)
     raise TypeError(f"cannot coerce {x!r} to GaussRational")
 
 
@@ -134,6 +180,8 @@ def parse_gauss(text):
     """
     from .errors import ParseError
 
+    if not isinstance(text, str):
+        raise ParseError(f"Gaussian-rational literal must be a string, got {text!r}")
     s = text.strip().replace(" ", "")
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1]
@@ -297,9 +345,9 @@ def lattice_solve(basis_rows, target):
 def int_inverse_unimodular(m):
     """Inverse of an integer matrix with det +-1, as an integer matrix."""
     inv = qim_inverse(qim_from_rows(m))
-    if inv is None or any(v.im or v.re.denominator != 1 for row in inv for v in row):
+    if inv is None or any(v._b or v._d != 1 for row in inv for v in row):
         raise ValueError("matrix is not unimodular")
-    return [[int(v.re) for v in row] for row in inv]
+    return [[v._a for v in row] for row in inv]
 
 
 # ---------------------------------------------------------------------------
@@ -527,19 +575,27 @@ def qim_scale(c, a):
     return [[c * x for x in row] for row in a]
 
 
+def _cleared(a):
+    """(re, im, den): integer matrices with a = (re + i im) / den, den the lcm
+    of the entry denominators."""
+    den = lcm(*(v._d for row in a for v in row))
+    re = [[v._a * (den // v._d) for v in row] for row in a]
+    im = [[v._b * (den // v._d) for v in row] for row in a]
+    return re, im, den
+
+
 def qim_mul(a, b):
-    r = len(a)
-    n = len(b)
-    m = len(b[0]) if n else 0
+    """a b, as integer dot products over the product of the operands' common
+    denominators, each output entry normalized once."""
+    are, aim, da = _cleared(a)
+    bre, bim, db = _cleared(b)
+    d = da * db
+    cols = list(zip(zip(*bre), zip(*bim)))
     out = []
-    for i in range(r):
-        row = []
-        for j in range(m):
-            acc = ZERO
-            for k in range(n):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
+    for xr, xi in zip(are, aim):
+        out.append([_make(sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)),
+                          sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)), d)
+                    for yr, yi in cols])
     return out
 
 
@@ -824,24 +880,15 @@ def qi_poly_roots(poly):
             p = p[1:]
             continue
         # clear denominators -> Z[i] coefficients
-        denom = 1
-        for c in p:
-            denom = denom * (c.re.denominator * c.im.denominator) // gcd(
-                denom, c.re.denominator * c.im.denominator)
-        ints = [((c.re * denom), (c.im * denom)) for c in p]
-        ints = [(int(a), int(b)) for a, b in ints]
-        lead = ints[-1]
-        const = ints[0]
+        denom = lcm(*(c._d for c in p))
+        lead, const = ((c._a * (denom // c._d), c._b * (denom // c._d))
+                       for c in (p[-1], p[0]))
         found = None
         for u in gauss_int_divisors(const):
             for w in gauss_int_divisors(lead):
-                cand = GaussRational(Fraction(0), Fraction(0))
                 wx, wy = w
-                nw = wx * wx + wy * wy
-                cand = GaussRational(
-                    Fraction(u[0] * wx + u[1] * wy, nw),
-                    Fraction(u[1] * wx - u[0] * wy, nw),
-                )
+                cand = _make(u[0] * wx + u[1] * wy, u[1] * wx - u[0] * wy,
+                             wx * wx + wy * wy)
                 if not poly_eval(p, cand):
                     found = cand
                     break

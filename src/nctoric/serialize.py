@@ -42,6 +42,17 @@ def _require(obj, key, where):
     return obj[key]
 
 
+def _integer(value, what):
+    """An exact integer from a JSON integer or an integer string; a float is
+    refused rather than truncated."""
+    if not isinstance(value, float):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ParseError(f"{what} must be an integer, got {value!r}")
+
+
 # --- fans -------------------------------------------------------------------
 
 def fan_to_obj(fan):
@@ -116,12 +127,14 @@ def divisor_to_obj(divisor):
 
 def divisor_from_obj(obj, fan, where="divisor"):
     coeff_map = _require(obj, "coefficients", where)
+    if not isinstance(coeff_map, dict):
+        raise ParseError(f"{where}: coefficients must be a map from ray index to integer")
     coeffs = [0] * len(fan.rays)
     for key, val in coeff_map.items():
-        idx = int(key)
+        idx = _integer(key, f"{where}: ray index")
         if idx < 0 or idx >= len(fan.rays):
             raise ParseError(f"{where}: ray index {idx} out of range")
-        coeffs[idx] = int(val)
+        coeffs[idx] = _integer(val, f"{where}: coefficient of ray {idx}")
     return DivisorData(tuple(coeffs))
 
 
@@ -200,6 +213,8 @@ def matrix_to_entries(m):
 
 
 def matrix_from_entries(entries, size, where="matrix"):
+    if not isinstance(entries, list):
+        raise ParseError(f"{where}: entries must be a list of literals")
     if len(entries) != size * size:
         raise ParseError(f"{where}: expected {size * size} entries, got {len(entries)}")
     vals = [parse_gauss(e) for e in entries]

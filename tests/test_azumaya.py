@@ -315,6 +315,66 @@ class TestSurrogate:
         assert len(surrogate_basis(morphism)) == 4
 
 
+def p1_block_pattern(r):
+    """Idempotents on P^1: an (r-2)-dimensional block on the zero cone and
+    one more dimension on each ray."""
+    def diag(ones):
+        return M([[int(i == j and i in ones) for j in range(r)] for i in range(r)])
+    zero = set(range(r - 2))
+    return {(): diag(zero), (0,): diag(zero | {r - 2}), (1,): diag(zero | {r - 1})}
+
+
+def chart_contents(morphism):
+    """Every chart's fields in fresh containers; words and scalars are
+    immutable, so this is a deep snapshot."""
+    def mat(m):
+        return [list(row) for row in m]
+    return {cone: (c.cone, mat(c.identity_image),
+                   {w: mat(m) for w, m in c.images.items()},
+                   {w: mat(m) for w, m in c.witnesses.items()})
+            for cone, c in morphism.charts.items()}
+
+
+def without_witnesses(morphism):
+    charts = {cone: QuasiHomChart(cone=cone, identity_image=c.identity_image,
+                                  images=dict(c.images))
+              for cone, c in morphism.charts.items()}
+    return MorphismData(rank_r=morphism.rank_r, system=morphism.system, charts=charts)
+
+
+class TestVerifyIsPure:
+    def test_missing_witnesses_stay_missing(self):
+        morphism, _ = p1_brane()
+        before = chart_contents(morphism)
+        assert verify_morphism(morphism).ok
+        assert chart_contents(morphism) == before
+        assert len(surrogate_basis(morphism)) == 2
+        assert chart_contents(morphism) == before
+
+    def test_sampled_morphism_unchanged(self):
+        fan = fan_p1()
+        system = build_system(fan)
+        morphism = without_witnesses(
+            sample_matrix_model(fan, system, 2, p1_block_pattern(2), 3))
+        before = chart_contents(morphism)
+        assert verify_morphism(morphism).ok
+        assert chart_contents(morphism) == before
+
+    @pytest.mark.parametrize("model, dim", [("one-cone", 16), ("p1-block", 4)])
+    def test_surrogate_dimension_r4(self, model, dim):
+        # the surrogate spans the same algebra whether corner inverses are
+        # recorded in the file or computed during verification
+        fan = fan_single() if model == "one-cone" else fan_p1()
+        pattern = "trivial" if model == "one-cone" else p1_block_pattern(4)
+        system = build_system(fan)
+        morphism = sample_matrix_model(fan, system, 4, pattern, 0)
+        basis = surrogate_basis(morphism)
+        assert len(basis) == dim
+        stripped = without_witnesses(morphism)
+        assert surrogate_basis(stripped) == basis
+        assert all(not c.witnesses for c in stripped.charts.values())
+
+
 class TestKernel:
     def test_zero_chart_kernel_contains_letters(self):
         morphism, system = p1_brane()

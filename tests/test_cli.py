@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import nctoric
 from nctoric.cli import main
 from nctoric.serialize import load_json
 
@@ -19,6 +23,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_process(*argv):
+    """The CLI in a fresh interpreter, so an uncaught exception shows up as a
+    traceback on stderr."""
+    src = os.path.dirname(os.path.dirname(nctoric.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "nctoric.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestFan:
@@ -268,12 +283,37 @@ class TestMorphismCli:
         assert code == 2
         assert "1/0" in err
 
+    def test_number_matrix_entry(self, tmp_path, capsys):
+        fan_path = write(tmp_path, "cone.fan",
+                         {"rank": 2, "rays": [[1, 0], [0, 1]],
+                          "max_cones": [[0, 1]]})
+        mor_path = str(tmp_path / "mor.json")
+        run(capsys, "morphism", "sample", fan_path, "--r", "2",
+            "--pattern", "trivial", "--seed", "3", "--out", mor_path)
+        obj = load_json(mor_path)
+        obj["charts"][0]["e"][0] = 0.5
+        bad_path = write(tmp_path, "bad_mor.json", obj)
+        code, _, err = run_process("morphism", "check", bad_path)
+        assert code == 2
+        assert "Traceback" not in err and "0.5" in err
+
     def test_probe(self, tmp_path, capsys):
         path = write(tmp_path, "probe.json",
                      {"size": 2, "entries": ["1", "0", "0", "0"]})
         code, out, _ = run(capsys, "probe", "a1", str(path))
         assert code == 0
         assert "fiber dimension 2" in out
+
+
+class TestMalformedDivisor:
+    @pytest.mark.parametrize("coefficients", [{"x": 1}, {"2": 0.5}, [1, 2]])
+    def test_exit_2_without_traceback(self, tmp_path, coefficients):
+        fan_path = write(tmp_path, "p2.fan", P2)
+        div_path = write(tmp_path, "bad.div", {"coefficients": coefficients})
+        code, _, err = run_process("sheaf", "from-divisor", fan_path,
+                                   "--divisor", div_path)
+        assert code == 2
+        assert "Traceback" not in err and "error:" in err
 
 
 class TestRoundTrips:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -47,6 +48,106 @@ class TestGaussRational:
             parse_gauss("1/0")
         with pytest.raises(ParseError):
             parse_gauss("")
+
+
+# ---------------------------------------------------------------------------
+# The (a + b i) / d scalar against a plain (Fraction, Fraction) reference
+# ---------------------------------------------------------------------------
+
+fractions = st.fractions(max_denominator=40)
+pairs = st.tuples(fractions, fractions)
+
+
+def _normalized(g):
+    """g's fields are ints in lowest terms: d > 0 and gcd(a, b, d) = 1."""
+    a, b, d = g._a, g._b, g._d
+    return (all(type(v) is int for v in (a, b, d)) and d > 0
+            and gcd(a, b, d) == 1)
+
+
+def _agrees(g, pair):
+    return _normalized(g) and (g.re, g.im) == pair
+
+
+def _format_pair(re, im):
+    if im == 0:
+        return str(re)
+    imtxt = {1: "i", -1: "-i"}.get(im, f"{im}i")
+    if re == 0:
+        return imtxt
+    return f"{re}{imtxt}" if imtxt.startswith("-") else f"{re}+{imtxt}"
+
+
+class TestScalarAgainstPairs:
+    @given(pairs)
+    def test_construction(self, x):
+        assert _agrees(GaussRational(*x), x)
+        assert _agrees(GaussRational(str(x[0]), str(x[1])), x)
+
+    @given(pairs, pairs)
+    def test_ring_operations(self, x, y):
+        (r1, i1), (r2, i2) = x, y
+        g, h = GaussRational(*x), GaussRational(*y)
+        assert _agrees(g + h, (r1 + r2, i1 + i2))
+        assert _agrees(g - h, (r1 - r2, i1 - i2))
+        assert _agrees(g * h, (r1 * r2 - i1 * i2, r1 * i2 + i1 * r2))
+        assert _agrees(-g, (-r1, -i1))
+        assert _agrees(g.conjugate(), (r1, -i1))
+        assert g.norm() == r1 * r1 + i1 * i1
+        n = r2 * r2 + i2 * i2
+        if n:
+            assert _agrees(g / h, ((r1 * r2 + i1 * i2) / n, (i1 * r2 - r1 * i2) / n))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                g / h
+
+    @given(pairs, fractions, st.integers(-50, 50))
+    def test_mixed_operands(self, x, f, k):
+        r, i = x
+        g = GaussRational(*x)
+        for c in (f, k):
+            assert _agrees(g + c, (r + c, i)) and _agrees(c + g, (r + c, i))
+            assert _agrees(g - c, (r - c, i)) and _agrees(c - g, (c - r, -i))
+            assert _agrees(g * c, (r * c, i * c)) and _agrees(c * g, (r * c, i * c))
+            if c:
+                assert _agrees(g / c, (r / c, i / c))
+            if g:
+                n = r * r + i * i
+                assert _agrees(c / g, (c * r / n, -c * i / n))
+
+    @given(pairs, pairs)
+    def test_equality_and_hash(self, x, y):
+        g, h = GaussRational(*x), GaussRational(*y)
+        assert (g == h) == (x == y)
+        assert (g != h) == (x != y)
+        assert g == GaussRational(*x) and hash(g) == hash(GaussRational(*x))
+        assert bool(g) == (x != (0, 0))
+        if x[1] == 0:
+            assert g == x[0]
+            if x[0].denominator == 1:
+                assert g == int(x[0])
+        else:
+            assert g != x[0]
+
+    @given(pairs)
+    def test_literals_round_trip(self, x):
+        g = GaussRational(*x)
+        text = format_gauss(g)
+        assert text == _format_pair(*x) == str(g)
+        assert _agrees(parse_gauss(text), x)
+        assert _agrees(parse_gauss(f" ({text}) "), x)
+
+    def test_immutable(self):
+        g = GaussRational(1, 2)
+        for name in ("re", "im", "_a", "_d", "other"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, 0)
+        assert _agrees(g, (1, 2))
+
+    def test_non_string_literal(self):
+        for value in (0.5, 1, None, ["1"]):
+            with pytest.raises(ParseError):
+                parse_gauss(value)
 
 
 class TestHnf:
@@ -221,9 +322,11 @@ def _qqi(v):
                 QQ(v.im.numerator, v.im.denominator))
 
 
-def _to_sympy(m):
-    return DomainMatrix([[_qqi(v) for v in row] for row in m],
-                        (len(m), len(m[0]) if m else 0), QQ_I)
+def _to_sympy(m, nrows=None, ncols=None):
+    """m as a QQ_I DomainMatrix; give the shape when m has no rows or columns."""
+    if nrows is None:
+        nrows, ncols = len(m), len(m[0]) if m else 0
+    return DomainMatrix([[_qqi(v) for v in row] for row in m], (nrows, ncols), QQ_I)
 
 
 def _to_sympy_matrix(m):
@@ -255,6 +358,36 @@ def _random_cases(seed, count):
 
 def _columns(m):
     return [list(col) for col in zip(*m)]
+
+
+class TestQimMulAgainstSympy:
+    def test_random_shapes(self):
+        rng = random.Random(21)
+        shapes = [(r, n, m) for r in range(4) for n in range(4) for m in range(4)]
+        for r, n, m in shapes * 3:
+            # a list with no rows cannot carry a column count, so a product
+            # through an empty inner dimension has no columns
+            if n == 0:
+                m = 0
+            a = _random_qim(rng, r, n)
+            b = _random_qim(rng, n, m)
+            if rng.random() < 0.3 and r and n:
+                a[rng.randrange(r)] = [ZERO] * n
+            prod = qim_mul(a, b)
+            expect = (_to_sympy(a, r, n) * _to_sympy(b, n, m)).to_list()
+            assert len(prod) == r and all(len(row) == m for row in prod)
+            assert [[_qqi(v) for v in row] for row in prod] == expect
+            assert all(_normalized(v) for row in prod for v in row)
+
+    def test_large_denominators(self):
+        rng = random.Random(22)
+        for _ in range(20):
+            a = [[GaussRational(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)),
+                                Fraction(rng.randint(-9, 9), rng.randint(1, 97)))
+                  for _ in range(3)] for _ in range(2)]
+            b = _random_qim(rng, 3, 4)
+            expect = (_to_sympy(a) * _to_sympy(b)).to_list()
+            assert [[_qqi(v) for v in row] for row in qim_mul(a, b)] == expect
 
 
 class TestLinearAlgebraAgainstSympy:
