@@ -456,6 +456,8 @@ def sample_matrix_model(fan, system, r, pattern, seed):
     """
     if pattern == "trivial":
         pattern = trivial_pattern(fan, r)
+    if not set(fan.faces) <= set(pattern):
+        raise PatternIncomplete("idempotent pattern must give a matrix on every cone")
     idem = idem_classify(fan, pattern)
     if not (idem.strong and idem.complete):
         raise PatternIncomplete(

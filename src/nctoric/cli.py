@@ -1,51 +1,29 @@
 """Command-line surface: parse artifact files, dispatch to the library, and
-emit pass/fail reports with exact exit codes (0 pass, 1 fail, 2 bad input).
+emit pass/fail reports. Exit codes: 0 every check passes, 1 a check fails or
+is undecided at the stated bound, 2 malformed input, 3 internal error (a
+fault in nctoric, printed with its traceback). `main` is the only place
+that catches; a library error is reported under its class's clause.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+import traceback
 
 from . import clauses
 from .azumaya import (a1_probe, image_kernel_bounded, sample_matrix_model,
                       surrogate_basis, verify_morphism)
-from .deltasystem import check_admissible, soften
-from .errors import (NctoricError, ParseError, RankMismatch, TargetExceedsBound)
-from .errors import (BadLift, CandidateNotUnit, ExtraOutsideDualCone,
-                     MaximalChartTouched, MismatchedSystems,
-                     MissingReferenceCone, MorphismInvalid,
-                     NoPositivityFunctional, NonPrimitiveRay, NotAFan,
-                     NotASection, NotAdmissibleInput, NotIdempotent,
-                     NotIndexOne, PatternIncomplete, UnboundedPolytope)
-from .exactmath import format_gauss, parse_gauss
-from .freeword import format_word, parse_word
+from .deltasystem import augment_system, check_admissible, soften
+from .errors import MismatchedSystems, NctoricError, ParseError, RankMismatch
+from .exactmath import format_gauss
+from .freeword import format_word
 from .ncalgebra import BoundedIdeal, bounded_ideal_member, format_alg, parse_alg
 from .reports import Finding, Report
 from . import serialize
-from .sheaves import (check_gluing, check_twisted_section, extend_section,
-                      polytope_sections, sheaf_from_divisor, sheaves_isomorphic,
-                      subscheme_from_sections)
-
-_ERROR_CLAUSES = {
-    NonPrimitiveRay: clauses.FAN_PRIMITIVE,
-    NotIndexOne: clauses.FAN_INDEX_ONE,
-    MissingReferenceCone: clauses.FAN_REFERENCE,
-    NotAFan: clauses.FAN_SEPARATION,
-    BadLift: clauses.BUILD_SYSTEM,
-    NotAdmissibleInput: clauses.COMPLETION,
-    ExtraOutsideDualCone: clauses.AUGMENTATION,
-    MaximalChartTouched: clauses.SOFTENING,
-    UnboundedPolytope: clauses.POLYTOPE,
-    NotASection: clauses.SECTION_EXTEND,
-    CandidateNotUnit: clauses.GLUING_ISOM,
-    NotIdempotent: clauses.IDEM_STRONG,
-    PatternIncomplete: clauses.MATRIX_MODEL,
-    MorphismInvalid: clauses.MORPHISM_GLUING,
-    NoPositivityFunctional: clauses.ADMISSIBLE_SURJECTIVE,
-    MismatchedSystems: clauses.SUBSCHEME,
-}
+from .sheaves import (check_gluing, check_twisted_section, divisor_vertices,
+                      extend_section, polytope_sections, sheaf_from_divisor,
+                      sheaves_isomorphic, subscheme_from_sections)
 
 
 def _emit(report, args, payload=None):
@@ -74,39 +52,26 @@ def _payload_lines(payload):
     return lines
 
 
-def _parse_cone(text):
+def _int_list(text, option):
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise ParseError(f"{option} must be comma-separated integers, got {text!r}") from None
+
+
+def _cone_arg(text, present, kind):
+    """The cone named by --cone, which must be one of the file's cones."""
     text = text.strip()
-    if text in ("", "0", "()"):
-        return ()
-    return tuple(sorted(int(t) for t in text.split(",")))
-
-
-def _load_system_or_fan(path):
-    obj = serialize.load_json(path)
-    if "rays" in obj:
-        fan = serialize.fan_from_obj(obj, where=path)
-        from .deltasystem import build_system
-        system = build_system(fan)
-        return system, {"fan": fan, "lifts": {}, "stages": []}
-    return serialize.system_from_obj(obj, where=path,
-                                     base_dir=os.path.dirname(path) or ".")
-
-
-def _exception_report(exc):
-    clause = _ERROR_CLAUSES.get(type(exc))
-    if clause is None:
-        raise exc
-    return Report([Finding(clause=clause, locus="input", ok=False, detail=str(exc))])
+    cone = () if text in ("", "0", "()") else tuple(sorted(_int_list(text, "--cone")))
+    if cone not in present:
+        raise ParseError(f"cone {list(cone)} not present in {kind} file")
+    return cone
 
 
 # --- fan ---------------------------------------------------------------------
 
 def cmd_fan_check(args):
-    obj = serialize.load_json(args.file)
-    try:
-        fan = serialize.fan_from_obj(obj, where=args.file)
-    except NctoricError as exc:
-        return _emit(_exception_report(exc), args)
+    fan = serialize.load(args.file, serialize.fan_from_obj)
     report = Report([Finding(clause=clauses.FAN_INDEX_ONE, locus="fan", ok=True,
                              detail=f"{len(fan.rays)} rays, "
                                     f"{len(fan.max_cones)} maximal cones, "
@@ -119,10 +84,7 @@ def cmd_fan_check(args):
 # --- system ------------------------------------------------------------------
 
 def cmd_system_build(args):
-    try:
-        system, recipe = _load_system_or_fan(args.file)
-    except NctoricError as exc:
-        return _emit(_exception_report(exc), args)
+    system, recipe = serialize.load_system(args.file)
     report = check_admissible(system)
     if args.out:
         serialize.dump_json(serialize.system_to_obj(
@@ -134,34 +96,18 @@ def cmd_system_build(args):
 
 
 def cmd_system_check(args):
-    try:
-        system, _ = _load_system_or_fan(args.file)
-    except NctoricError as exc:
-        return _emit(_exception_report(exc), args)
+    system, _ = serialize.load_system(args.file)
     return _emit(check_admissible(system), args)
 
 
-def _load_extras(path, rank):
-    obj = serialize.load_json(path)
-    stage = {}
-    for item in obj:
-        cone = tuple(sorted(item["cone"]))
-        stage[cone] = [parse_word(w, rank) for w in item["words"]]
-    return stage
-
-
 def cmd_system_augment(args, softening=False):
-    try:
-        system, recipe = _load_system_or_fan(args.file)
-        stage = _load_extras(args.extras, system.fan.rank)
-        if softening:
-            system, record = soften(system, stage)
-        else:
-            from .deltasystem import augment_system
-            system = augment_system(system, stage)
-            record = None
-    except NctoricError as exc:
-        return _emit(_exception_report(exc), args)
+    system, recipe = serialize.load_system(args.file)
+    stage = serialize.load(args.extras, serialize.stage_from_obj, system.fan)
+    if softening:
+        system, record = soften(system, stage)
+    else:
+        system = augment_system(system, stage)
+        record = None
     recipe["stages"].append(stage)
     if args.out:
         serialize.dump_json(serialize.system_to_obj(
@@ -181,13 +127,9 @@ def cmd_system_soften(args):
 # --- sheaf -------------------------------------------------------------------
 
 def cmd_sheaf_from_divisor(args):
-    try:
-        system, recipe = _load_system_or_fan(args.file)
-        divisor = serialize.divisor_from_obj(
-            serialize.load_json(args.divisor), system.fan, where=args.divisor)
-        softened, record, gluing, cartier = sheaf_from_divisor(system, divisor)
-    except NctoricError as exc:
-        return _emit(_exception_report(exc), args)
+    system, recipe = serialize.load_system(args.file)
+    divisor = serialize.load(args.divisor, serialize.divisor_from_obj, system.fan)
+    softened, record, gluing, cartier = sheaf_from_divisor(system, divisor)
     added = {c: ws for c, ws in record.added.items() if ws}
     if added:
         recipe["stages"].append(added)
@@ -198,29 +140,15 @@ def cmd_sheaf_from_divisor(args):
 
 
 def cmd_sheaf_check(args):
-    try:
-        gluing, _ = serialize.sheaf_from_obj(serialize.load_json(args.file),
-                                             where=args.file)
-    except NctoricError as exc:
-        return _emit(_exception_report(exc), args)
+    gluing, _ = serialize.load(args.file, serialize.sheaf_from_obj)
     return _emit(check_gluing(gluing.system, gluing), args)
 
 
 def cmd_sheaf_isom(args):
-    try:
-        g1, _ = serialize.sheaf_from_obj(serialize.load_json(args.first),
-                                         where=args.first)
-        g2, _ = serialize.sheaf_from_obj(serialize.load_json(args.second),
-                                         where=args.second)
-        cand_obj = serialize.load_json(args.candidate)
-        candidate = {}
-        for item in cand_obj:
-            cone = tuple(sorted(item["cone"]))
-            candidate[cone] = (parse_gauss(item["scalar"]),
-                               parse_word(item["word"], g1.system.fan.rank))
-        ok = sheaves_isomorphic(g1, g2, candidate)
-    except NctoricError as exc:
-        return _emit(_exception_report(exc), args)
+    g1, _ = serialize.load(args.first, serialize.sheaf_from_obj)
+    g2, _ = serialize.load(args.second, serialize.sheaf_from_obj)
+    candidate = serialize.load(args.candidate, serialize.candidate_from_obj, g1.system.fan)
+    ok = sheaves_isomorphic(g1, g2, candidate)
     report = Report([Finding(clause=clauses.GLUING_ISOM, locus="candidate",
                              ok=ok, detail="candidate units identify the gluing data")])
     return _emit(report, args)
@@ -229,35 +157,21 @@ def cmd_sheaf_isom(args):
 # --- sections ------------------------------------------------------------------
 
 def cmd_section_list(args):
-    try:
-        system, _ = _load_system_or_fan(args.file)
-        divisor = serialize.divisor_from_obj(
-            serialize.load_json(args.divisor), system.fan, where=args.divisor)
-        points = polytope_sections(system.fan, divisor)
-    except NctoricError as exc:
-        return _emit(_exception_report(exc), args)
+    system, _ = serialize.load_system(args.file)
+    divisor = serialize.load(args.divisor, serialize.divisor_from_obj, system.fan)
+    points = polytope_sections(system.fan, divisor)
     report = Report([Finding(clause=clauses.POLYTOPE, locus="divisor polytope",
                              ok=True, detail=f"{len(points)} lattice points")])
     return _emit(report, args, {"points": [list(p) for p in points]})
 
 
 def cmd_section_extend(args):
-    try:
-        obj = serialize.load_json(args.file)
-        if "locals" in obj:
-            prior, recipe = serialize.section_from_obj(obj, where=args.file)
-            gluing = prior.gluing
-        else:
-            gluing, recipe = serialize.sheaf_from_obj(obj, where=args.file)
-        divisor = serialize.divisor_from_obj(
-            serialize.load_json(args.divisor), gluing.system.fan, where=args.divisor)
-        from .sheaves import divisor_vertices
-        cartier = divisor_vertices(gluing.system.fan, divisor)
-        point = tuple(int(t) for t in args.point.split(","))
-        softened, record, section = extend_section(gluing.system, gluing,
-                                                   cartier, point)
-    except NctoricError as exc:
-        return _emit(_exception_report(exc), args)
+    gluing, recipe = serialize.load_sheaf(args.file)
+    fan = gluing.system.fan
+    divisor = serialize.load(args.divisor, serialize.divisor_from_obj, fan)
+    cartier = divisor_vertices(fan, divisor)
+    point = _int_list(args.point, "--point")
+    softened, record, section = extend_section(gluing.system, gluing, cartier, point)
     added = {c: ws for c, ws in record.added.items() if ws}
     if added:
         recipe["stages"].append(added)
@@ -268,41 +182,33 @@ def cmd_section_extend(args):
 
 
 def cmd_section_check(args):
-    try:
-        section, _ = serialize.section_from_obj(serialize.load_json(args.file),
-                                                where=args.file)
-    except NctoricError as exc:
-        return _emit(_exception_report(exc), args)
+    section, _ = serialize.load(args.file, serialize.section_from_obj)
     return _emit(check_twisted_section(section.system, section.gluing, section), args)
 
 
 # --- subschemes -----------------------------------------------------------------
 
 def cmd_subscheme_build(args):
-    try:
-        loaded = [serialize.section_from_obj(serialize.load_json(path), where=path)
-                  for path in args.sections]
-        # carrier: the largest system among the inputs; every presentation
-        # must live inside its charts (softenings only ever grow charts)
-        carrier_idx = max(
-            range(len(loaded)),
-            key=lambda i: sum(len(sm.generators)
-                              for sm in loaded[i][0].system.charts.values()))
-        carrier, recipe = loaded[carrier_idx]
-        sections = []
-        for (section, _), path in zip(loaded, args.sections):
-            for cone, elem in section.locals.items():
-                chart = carrier.system.charts[cone]
-                for w in elem.terms:
-                    if not chart.member(w):
-                        raise MismatchedSystems(
-                            f"section {path}: word {format_word(w)} is not in "
-                            f"the carrier chart of cone {list(cone)}")
-            sections.append(type(section)(gluing=carrier.gluing,
-                                          locals=section.locals))
-        charts = subscheme_from_sections(sections)
-    except NctoricError as exc:
-        return _emit(_exception_report(exc), args)
+    loaded = [serialize.load(path, serialize.section_from_obj) for path in args.sections]
+    # carrier: the largest system among the inputs; every presentation
+    # must live inside its charts (softenings only ever grow charts)
+    carrier_idx = max(
+        range(len(loaded)),
+        key=lambda i: sum(len(sm.generators)
+                          for sm in loaded[i][0].system.charts.values()))
+    carrier, recipe = loaded[carrier_idx]
+    sections = []
+    for (section, _), path in zip(loaded, args.sections):
+        for cone, elem in section.locals.items():
+            chart = carrier.system.charts.get(cone)
+            for w in elem.terms:
+                if chart is None or not chart.member(w):
+                    raise MismatchedSystems(
+                        f"section {path}: word {format_word(w)} is not in "
+                        f"the carrier chart of cone {list(cone)}")
+        sections.append(type(section)(gluing=carrier.gluing,
+                                      locals=section.locals))
+    charts = subscheme_from_sections(sections)
     if args.out:
         serialize.dump_json(serialize.subscheme_to_obj(recipe, charts), args.out)
     report = Report([Finding(clause=clauses.SUBSCHEME, locus="charts", ok=True,
@@ -313,20 +219,10 @@ def cmd_subscheme_build(args):
 
 
 def cmd_subscheme_member(args):
-    try:
-        system, charts, _ = serialize.subscheme_from_obj(
-            serialize.load_json(args.file), where=args.file)
-        cone = _parse_cone(args.cone)
-        if cone not in charts:
-            raise ParseError(f"cone {list(cone)} not present in subscheme file")
-        target = parse_alg(args.element, system.fan.rank)
-        ideal = BoundedIdeal(tuple(charts[cone]), args.bound)
-        cert = bounded_ideal_member(ideal, target)
-    except TargetExceedsBound as exc:
-        return _emit(Report([Finding(clause=clauses.SUBSCHEME, locus="target",
-                                     ok=False, detail=str(exc))]), args)
-    except NctoricError as exc:
-        return _emit(_exception_report(exc), args)
+    system, charts, _ = serialize.load(args.file, serialize.subscheme_from_obj)
+    cone = _cone_arg(args.cone, charts, "subscheme")
+    target = parse_alg(args.element, system.fan.rank)
+    cert = bounded_ideal_member(BoundedIdeal(tuple(charts[cone]), args.bound), target)
     if cert is None:
         report = Report([Finding(clause=clauses.SUBSCHEME, locus=f"cone {list(cone)}",
                                  ok=False, bound_relative=True,
@@ -345,26 +241,17 @@ def cmd_subscheme_member(args):
 # --- morphisms --------------------------------------------------------------------
 
 def cmd_morphism_check(args):
-    try:
-        morphism, _ = serialize.morphism_from_obj(serialize.load_json(args.file),
-                                                  where=args.file)
-    except NctoricError as exc:
-        return _emit(_exception_report(exc), args)
+    morphism, _ = serialize.load(args.file, serialize.morphism_from_obj)
     return _emit(verify_morphism(morphism, rel_bound=args.bound), args)
 
 
 def cmd_morphism_sample(args):
-    try:
-        system, recipe = _load_system_or_fan(args.file)
-        if args.pattern == "trivial":
-            pattern = "trivial"
-        else:
-            pattern = serialize.pattern_from_obj(
-                serialize.load_json(args.pattern), args.r, where=args.pattern)
-        morphism = sample_matrix_model(system.fan, system, args.r, pattern,
-                                       args.seed)
-    except NctoricError as exc:
-        return _emit(_exception_report(exc), args)
+    system, recipe = serialize.load_system(args.file)
+    if args.pattern == "trivial":
+        pattern = "trivial"
+    else:
+        pattern = serialize.load(args.pattern, serialize.pattern_from_obj, system.fan, args.r)
+    morphism = sample_matrix_model(system.fan, system, args.r, pattern, args.seed)
     if args.out:
         serialize.dump_json(serialize.morphism_to_obj(recipe, morphism), args.out)
     report = Report([Finding(clause=clauses.MATRIX_MODEL, locus="sample", ok=True,
@@ -373,12 +260,8 @@ def cmd_morphism_sample(args):
 
 
 def cmd_morphism_surrogate(args):
-    try:
-        morphism, _ = serialize.morphism_from_obj(serialize.load_json(args.file),
-                                                  where=args.file)
-        basis = surrogate_basis(morphism)
-    except NctoricError as exc:
-        return _emit(_exception_report(exc), args)
+    morphism, _ = serialize.load(args.file, serialize.morphism_from_obj)
+    basis = surrogate_basis(morphism)
     report = Report([Finding(clause=clauses.SURROGATE, locus="surrogate", ok=True,
                              detail=f"dimension {len(basis)}")])
     payload = {"basis": [" ".join(serialize.matrix_to_entries(m)) for m in basis]}
@@ -386,12 +269,9 @@ def cmd_morphism_surrogate(args):
 
 
 def cmd_morphism_kernel(args):
-    try:
-        morphism, _ = serialize.morphism_from_obj(serialize.load_json(args.file),
-                                                  where=args.file)
-        ideal = image_kernel_bounded(morphism, _parse_cone(args.cone), args.bound)
-    except NctoricError as exc:
-        return _emit(_exception_report(exc), args)
+    morphism, _ = serialize.load(args.file, serialize.morphism_from_obj)
+    cone = _cone_arg(args.cone, morphism.charts, "morphism")
+    ideal = image_kernel_bounded(morphism, cone, args.bound)
     report = Report([Finding(clause=clauses.MORPHISM_IMAGE,
                              locus=f"cone {args.cone}", ok=True,
                              detail=f"{len(ideal.generators)} kernel generators "
@@ -403,13 +283,7 @@ def cmd_morphism_kernel(args):
 # --- probes ----------------------------------------------------------------------
 
 def cmd_probe_a1(args):
-    try:
-        obj = serialize.load_json(args.file)
-        size = int(obj["size"])
-        matrix = serialize.matrix_from_entries(obj["entries"], size, where=args.file)
-        result = a1_probe(matrix)
-    except NctoricError as exc:
-        return _emit(_exception_report(exc), args)
+    result = a1_probe(serialize.load(args.file, serialize.matrix_from_obj))
     minpoly = " + ".join(f"({format_gauss(c)})*t^{k}"
                          for k, c in enumerate(result.minpoly) if c)
     payload = {
@@ -544,16 +418,19 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, RankMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RankMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except NctoricError as exc:
+        return _emit(Report([Finding(clause=exc.clause, locus=exc.locus, ok=False,
+                                     detail=str(exc))]), args)
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,8 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. Each library error declares
+the `clauses` label of the statement its check enforces and the `locus` it
+reports; the input errors `ParseError` and `RankMismatch` carry no clause.
+"""
+from . import clauses
 
 
 class NctoricError(Exception):
     """Base class for all library errors."""
+
+    clause = None
+    locus = "input"
 
 
 class ParseError(NctoricError):
@@ -18,80 +25,84 @@ class ParseError(NctoricError):
 
 
 class RankMismatch(NctoricError):
-    pass
+    """Words or elements of different ranks were combined."""
 
 
 class NonPrimitiveRay(NctoricError):
-    pass
+    clause = clauses.FAN_PRIMITIVE
 
 
 class NotIndexOne(NctoricError):
-    pass
+    clause = clauses.FAN_INDEX_ONE
 
 
 class MissingReferenceCone(NctoricError):
-    pass
+    clause = clauses.FAN_REFERENCE
 
 
 class NotAFan(NctoricError):
-    pass
+    clause = clauses.FAN_SEPARATION
 
 
 class NotMaximal(NctoricError):
-    pass
+    # raised by the dual basis of a maximal cone, which seeds its chart
+    clause = clauses.BUILD_SYSTEM
 
 
 class NoPositivityFunctional(NctoricError):
-    pass
+    clause = clauses.ADMISSIBLE_SURJECTIVE
 
 
 class BadLift(NctoricError):
-    pass
+    clause = clauses.BUILD_SYSTEM
 
 
 class NotAdmissibleInput(NctoricError):
-    pass
+    clause = clauses.COMPLETION
 
 
 class ExtraOutsideDualCone(NctoricError):
-    pass
+    clause = clauses.AUGMENTATION
 
 
 class MaximalChartTouched(NctoricError):
-    pass
+    clause = clauses.SOFTENING
 
 
 class UnboundedPolytope(NctoricError):
-    pass
+    clause = clauses.POLYTOPE
 
 
 class NotASection(NctoricError):
-    pass
+    clause = clauses.SECTION_EXTEND
 
 
 class MismatchedSystems(NctoricError):
-    pass
+    clause = clauses.SUBSCHEME
 
 
 class TargetExceedsBound(NctoricError):
-    pass
+    clause = clauses.SUBSCHEME
+    locus = "target"
 
 
 class BadFactorization(NctoricError):
-    pass
+    # a word evaluated through a quasi-homomorphism chart needs an image or
+    # inverse witness for every generator of its factorization
+    clause = clauses.QUASI_HOM
 
 
 class NotIdempotent(NctoricError):
-    pass
+    clause = clauses.IDEM_STRONG
 
 
 class CandidateNotUnit(NctoricError):
-    pass
+    clause = clauses.GLUING_ISOM
 
 
 class MorphismInvalid(NctoricError):
-    pass
+    clause = clauses.MORPHISM_GLUING
 
 
 class PatternIncomplete(NctoricError):
-    pass
+    clause = clauses.MATRIX_MODEL

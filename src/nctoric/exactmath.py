@@ -36,6 +36,10 @@ class GaussRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor: __setattr__ is blocked
+        return GaussRational, (self.re, self.im)
+
     @property
     def re(self):
         return Fraction(self._a, self._d)

@@ -31,6 +31,9 @@ class ReducedWord:
     def __setattr__(self, name, value):
         raise AttributeError("ReducedWord is immutable")
 
+    def __reduce__(self):
+        return ReducedWord, (self.letters, self.rank)
+
     def __len__(self):
         return len(self.letters)
 
@@ -114,6 +117,8 @@ def canonical_lift(vec, rank=None):
 
 def parse_word(text, rank):
     """Parse literals like "z1 z2^-1 z1^3"; "e", "1" and "" denote identity."""
+    if not isinstance(text, str):
+        raise ParseError(f"word literal must be a string, got {text!r}")
     s = text.strip()
     if s in ("", "e", "1"):
         return identity_word(rank)

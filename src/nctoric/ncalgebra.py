@@ -34,6 +34,9 @@ class AlgElem:
     def __setattr__(self, name, value):
         raise AttributeError("AlgElem is immutable")
 
+    def __reduce__(self):
+        return AlgElem, (self.rank, self.terms)
+
     @staticmethod
     def zero(rank):
         return AlgElem(rank)
@@ -178,6 +181,8 @@ def _split_top_level(s, seps="+-"):
 
 def parse_alg(text, rank):
     """Parse literals like "(3/2+1/2i)*z1 z2^-1 + 1" into an AlgElem."""
+    if not isinstance(text, str):
+        raise ParseError(f"algebra-element literal must be a string, got {text!r}")
     s = text.strip()
     if s in ("", "0"):
         return AlgElem.zero(rank)

@@ -30,16 +30,36 @@ def load_json(path):
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
+def load(path, from_obj, *args):
+    """The artifact in the file at path, read by from_obj(obj, *args, where=path)."""
+    return from_obj(load_json(path), *args, where=path)
+
+
 def dump_json(obj, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=False)
         fh.write("\n")
 
 
-def _require(obj, key, where):
+_ABSENT = object()
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _field(obj, key, where, kind=object, default=_ABSENT):
+    """obj[key] from a JSON object, checked to be of type `kind`; `default`
+    stands in for an absent key when given."""
+    _of(obj, dict, where)
     if key not in obj:
-        raise ParseError(f"{where}: missing field {key!r}")
-    return obj[key]
+        if default is _ABSENT:
+            raise ParseError(f"{where}: missing field {key!r}")
+        return default
+    return _of(obj[key], kind, f"{where}: field {key!r}")
+
+
+def _of(value, kind, what):
+    if not isinstance(value, kind):
+        raise ParseError(f"{what} must be {_KINDS[kind]}, got {type(value).__name__}")
+    return value
 
 
 def _integer(value, what):
@@ -53,6 +73,20 @@ def _integer(value, what):
     raise ParseError(f"{what} must be an integer, got {value!r}")
 
 
+def _ints(value, what):
+    """A tuple of exact integers from a JSON list."""
+    return tuple(_integer(x, what) for x in _of(value, list, what))
+
+
+def _cone(item, fan, where, key="cone"):
+    """The cone item[key] as a sorted tuple of ray indices; it must be a
+    cone of fan."""
+    cone = tuple(sorted(_ints(_field(item, key, where), f"{where}: {key}")))
+    if cone not in fan.faces:
+        raise ParseError(f"{where}: {list(cone)} is not a cone of the fan")
+    return cone
+
+
 # --- fans -------------------------------------------------------------------
 
 def fan_to_obj(fan):
@@ -60,13 +94,18 @@ def fan_to_obj(fan):
 
 
 def fan_from_obj(obj, where="fan"):
-    rank = int(_require(obj, "rank", where))
-    rays = _require(obj, "rays", where)
-    cones = _require(obj, "max_cones", where)
+    rank = _integer(_field(obj, "rank", where), f"{where}: rank")
+    rays = [_ints(r, f"{where}: ray") for r in _field(obj, "rays", where, list)]
+    cones = [_ints(c, f"{where}: maximal cone")
+             for c in _field(obj, "max_cones", where, list)]
     certificates = {}
-    for item in obj.get("certificates", []):
-        a, b = item["pair"]
-        certificates[(tuple(sorted(a)), tuple(sorted(b)))] = tuple(item["functional"])
+    at = f"{where}.certificates"
+    for item in _field(obj, "certificates", where, list, default=[]):
+        pair = _field(item, "pair", at, list)
+        if len(pair) != 2:
+            raise ParseError(f"{at}: a pair lists two cones, got {len(pair)}")
+        a, b = (tuple(sorted(_ints(c, f"{at}: pair"))) for c in pair)
+        certificates[(a, b)] = _ints(_field(item, "functional", at), f"{at}: functional")
     return validate_fan(rank, rays, cones, certificates or None)
 
 
@@ -94,29 +133,42 @@ def system_from_obj(obj, where="system", base_dir=None):
 
     The fan may be inline or a path to a fan file, resolved against base_dir.
     """
-    fan_obj = _require(obj, "fan", where)
+    fan_obj = _field(obj, "fan", where)
     if isinstance(fan_obj, str):
         path = fan_obj if base_dir is None else os.path.join(base_dir, fan_obj)
         fan_obj = load_json(path)
     fan = fan_from_obj(fan_obj, where=f"{where}.fan")
     lifts = {}
-    for item in obj.get("lifts", []):
-        cone = tuple(sorted(item["cone"]))
-        gen = tuple(item["generator"])
-        lifts[(cone, gen)] = parse_word(item["word"], fan.rank)
+    at = f"{where}.lifts"
+    for item in _field(obj, "lifts", where, list, default=[]):
+        gen = _ints(_field(item, "generator", at), f"{at}: generator")
+        lifts[(_cone(item, fan, at), gen)] = parse_word(_field(item, "word", at), fan.rank)
     system = build_system(fan, lifts)
     stages = []
-    for stage_obj in obj.get("extras", []):
-        stage = {}
-        for item in stage_obj:
-            cone = tuple(sorted(item["cone"]))
-            stage[cone] = [parse_word(w, fan.rank) for w in item["words"]]
+    for stage_obj in _field(obj, "extras", where, list, default=[]):
+        stage = stage_from_obj(stage_obj, fan, f"{where}.extras")
         stages.append(stage)
         if any(fan.is_maximal(c) for c in stage):
             system = augment_system(system, stage)
         else:
             system, _ = soften(system, stage)
     return system, {"fan": fan, "lifts": lifts, "stages": stages}
+
+
+def load_system(path):
+    """(system, recipe) from a system recipe file or a bare fan file."""
+    obj = load_json(path)
+    if isinstance(obj, dict) and "rays" in obj:
+        fan = fan_from_obj(obj, where=path)
+        return build_system(fan), {"fan": fan, "lifts": {}, "stages": []}
+    return system_from_obj(obj, where=path, base_dir=os.path.dirname(path) or ".")
+
+
+def stage_from_obj(obj, fan, where="extras"):
+    """One enlargement stage: the words adjoined to each listed cone's chart."""
+    return {_cone(item, fan, where): [parse_word(w, fan.rank)
+                                 for w in _field(item, "words", where, list)]
+            for item in _of(obj, list, where)}
 
 
 # --- divisors ----------------------------------------------------------------
@@ -126,7 +178,7 @@ def divisor_to_obj(divisor):
 
 
 def divisor_from_obj(obj, fan, where="divisor"):
-    coeff_map = _require(obj, "coefficients", where)
+    coeff_map = _field(obj, "coefficients", where)
     if not isinstance(coeff_map, dict):
         raise ParseError(f"{where}: coefficients must be a map from ray index to integer")
     coeffs = [0] * len(fan.rays)
@@ -153,14 +205,32 @@ def sheaf_to_obj(recipe, gluing):
 
 
 def sheaf_from_obj(obj, where="sheaf"):
-    system, recipe = system_from_obj(_require(obj, "system", where), f"{where}.system")
+    system, recipe = system_from_obj(_field(obj, "system", where), f"{where}.system")
+    fan = system.fan
     scalars = {}
     words = {}
-    for item in _require(obj, "gluing", where):
-        key = (tuple(sorted(item["upper"])), tuple(sorted(item["lower"])))
-        scalars[key] = parse_gauss(item["scalar"])
-        words[key] = parse_word(item["word"], system.fan.rank)
+    at = f"{where}.gluing"
+    for item in _field(obj, "gluing", where, list):
+        key = (_cone(item, fan, at, "upper"), _cone(item, fan, at, "lower"))
+        scalars[key] = parse_gauss(_field(item, "scalar", at))
+        words[key] = parse_word(_field(item, "word", at), fan.rank)
     return GluingData(system=system, scalars=scalars, words=words), recipe
+
+
+def load_sheaf(path):
+    """(gluing, recipe) from a sheaf file, or of the sheaf under a section file."""
+    obj = load_json(path)
+    if isinstance(obj, dict) and "locals" in obj:
+        section, recipe = section_from_obj(obj, where=path)
+        return section.gluing, recipe
+    return sheaf_from_obj(obj, where=path)
+
+
+def candidate_from_obj(obj, fan, where="candidate"):
+    """Candidate per-cone units (scalar, word) for a sheaf isomorphism."""
+    return {_cone(item, fan, where): (parse_gauss(_field(item, "scalar", where)),
+                                      parse_word(_field(item, "word", where), fan.rank))
+            for item in _of(obj, list, where)}
 
 
 # --- twisted sections ---------------------------------------------------------
@@ -177,11 +247,12 @@ def section_to_obj(recipe, section):
 
 
 def section_from_obj(obj, where="section"):
-    gluing, recipe = sheaf_from_obj(_require(obj, "sheaf", where), f"{where}.sheaf")
-    rank = gluing.system.fan.rank
+    gluing, recipe = sheaf_from_obj(_field(obj, "sheaf", where), f"{where}.sheaf")
+    fan = gluing.system.fan
     locals_ = {}
-    for item in _require(obj, "locals", where):
-        locals_[tuple(sorted(item["cone"]))] = parse_alg(item["element"], rank)
+    at = f"{where}.locals"
+    for item in _field(obj, "locals", where, list):
+        locals_[_cone(item, fan, at)] = parse_alg(_field(item, "element", at), fan.rank)
     return TwistedSectionData(gluing=gluing, locals=locals_), recipe
 
 
@@ -198,11 +269,13 @@ def subscheme_to_obj(recipe, chart_gens):
 
 
 def subscheme_from_obj(obj, where="subscheme"):
-    system, recipe = system_from_obj(_require(obj, "system", where), f"{where}.system")
+    system, recipe = system_from_obj(_field(obj, "system", where), f"{where}.system")
+    fan = system.fan
     charts = {}
-    for item in _require(obj, "charts", where):
-        cone = tuple(sorted(item["cone"]))
-        charts[cone] = [parse_alg(t, system.fan.rank) for t in item["generators"]]
+    at = f"{where}.charts"
+    for item in _field(obj, "charts", where, list):
+        charts[_cone(item, fan, at)] = [parse_alg(t, fan.rank)
+                                        for t in _field(item, "generators", at, list)]
     return system, charts, recipe
 
 
@@ -213,6 +286,8 @@ def matrix_to_entries(m):
 
 
 def matrix_from_entries(entries, size, where="matrix"):
+    if size < 0:
+        raise ParseError(f"{where}: matrix size {size} is negative")
     if not isinstance(entries, list):
         raise ParseError(f"{where}: entries must be a list of literals")
     if len(entries) != size * size:
@@ -243,30 +318,36 @@ def morphism_to_obj(recipe, morphism):
     }
 
 
+def matrix_from_obj(obj, where="matrix"):
+    """A square matrix file: `size` and row-major `entries`."""
+    size = _integer(_field(obj, "size", where), f"{where}: size")
+    return matrix_from_entries(_field(obj, "entries", where), size, where=where)
+
+
 def morphism_from_obj(obj, where="morphism"):
-    r = int(_require(obj, "rank_r", where))
-    system, recipe = system_from_obj(_require(obj, "system", where), f"{where}.system")
-    rank = system.fan.rank
+    r = _integer(_field(obj, "rank_r", where), f"{where}: rank_r")
+    system, recipe = system_from_obj(_field(obj, "system", where), f"{where}.system")
+
+    def word_matrices(item, key, at):
+        return {parse_word(_field(im, "word", at), system.fan.rank):
+                matrix_from_entries(_field(im, "matrix", at), r, at)
+                for im in _field(item, key, at, list, default=[])}
+
     charts = {}
-    for item in _require(obj, "charts", where):
-        cone = tuple(sorted(item["cone"]))
-        e = matrix_from_entries(item["e"], r, f"{where} e on {cone}")
-        images = {}
-        for im in item.get("images", []):
-            images[parse_word(im["word"], rank)] = matrix_from_entries(
-                im["matrix"], r, f"{where} image on {cone}")
-        witnesses = {}
-        for im in item.get("witnesses", []):
-            witnesses[parse_word(im["word"], rank)] = matrix_from_entries(
-                im["matrix"], r, f"{where} witness on {cone}")
-        charts[cone] = QuasiHomChart(cone=cone, identity_image=e, images=images,
-                                     witnesses=witnesses)
+    at = f"{where}.charts"
+    for item in _field(obj, "charts", where, list):
+        cone = _cone(item, system.fan, at)
+        e = matrix_from_entries(_field(item, "e", at), r, f"{where} e on {cone}")
+        charts[cone] = QuasiHomChart(
+            cone=cone, identity_image=e,
+            images=word_matrices(item, "images", f"{where} image on {cone}"),
+            witnesses=word_matrices(item, "witnesses", f"{where} witness on {cone}"))
     return MorphismData(rank_r=r, system=system, charts=charts), recipe
 
 
-def pattern_from_obj(obj, r, where="pattern"):
+def pattern_from_obj(obj, fan, r, where="pattern"):
     out = {}
-    for item in _require(obj, "idempotents", where):
-        cone = tuple(sorted(item["cone"]))
-        out[cone] = matrix_from_entries(item["matrix"], r, f"{where} on {cone}")
+    for item in _field(obj, "idempotents", where, list):
+        cone = _cone(item, fan, where)
+        out[cone] = matrix_from_entries(_field(item, "matrix", where), r, f"{where} on {cone}")
     return out

@@ -254,6 +254,9 @@ def extend_section(system, gluing, cartier, point):
         locals_[cone] = AlgElem.from_word(word)
     extras = {}
     for (upper, lower) in fan.incidence_pairs():
+        if (upper, lower) not in gluing.words:
+            raise NotASection(
+                f"gluing data has no entry for {list(upper)} > {list(lower)}")
         r_upper = next(iter(locals_[upper].terms))
         r_lower = next(iter(locals_[lower].terms))
         q = word_mul(word_mul(r_upper, gluing.words[(upper, lower)]),
@@ -285,6 +288,11 @@ def check_twisted_section(system, gluing, section):
             findings.append(Finding(
                 clause=clauses.TWISTED_SECTION, locus=locus, ok=False,
                 detail="missing local presentation"))
+            continue
+        if (upper, lower) not in gluing.words:
+            findings.append(Finding(
+                clause=clauses.TWISTED_SECTION, locus=locus, ok=False,
+                detail="incidence pair missing from gluing data"))
             continue
         transported = (s_upper * gluing.words[(upper, lower)]).scale(
             gluing.scalars[(upper, lower)])
@@ -345,6 +353,9 @@ def subscheme_from_sections(sections):
             raise MismatchedSystems("sections live on different systems")
     out = {}
     for cone in base.system.fan.faces:
+        if any(cone not in s.locals for s in sections):
+            raise MismatchedSystems(
+                f"a section has no local presentation on cone {list(cone)}")
         gens = [s.locals[cone] for s in sections if not s.locals[cone].is_zero()]
         out[cone] = gens
     return out

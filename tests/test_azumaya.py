@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -373,6 +375,28 @@ class TestVerifyIsPure:
         stripped = without_witnesses(morphism)
         assert surrogate_basis(stripped) == basis
         assert all(not c.witnesses for c in stripped.charts.values())
+
+
+class TestCopy:
+    COPIES = [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))]
+
+    @pytest.mark.parametrize("duplicate", COPIES, ids=["copy", "deepcopy", "pickle"])
+    def test_values_round_trip(self, duplicate):
+        values = [GaussRational(Fraction(3, 2), Fraction(-1, 3)), W("z1 z2^-1", 2),
+                  AlgElem(2, {W("z1 z2", 2): GaussRational(1, 1), W("e", 2): ONE})]
+        for value in values:
+            twin = duplicate(value)
+            assert twin == value and hash(twin) == hash(value)
+
+    @pytest.mark.parametrize("duplicate", COPIES, ids=["copy", "deepcopy", "pickle"])
+    def test_morphism_round_trips(self, duplicate):
+        fan = fan_single()
+        morphism = sample_matrix_model(fan, build_system(fan), 2, "trivial", 3)
+        twin = duplicate(morphism)
+        assert twin.rank_r == morphism.rank_r
+        assert chart_contents(twin) == chart_contents(morphism)
+        assert twin.system.fan == morphism.system.fan
+        assert twin.system.equal_charts(morphism.system)
 
 
 class TestKernel:

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import nctoric
+from nctoric import cli
 from nctoric.cli import main
 from nctoric.serialize import load_json
 
@@ -314,6 +315,66 @@ class TestMalformedDivisor:
                                    "--divisor", div_path)
         assert code == 2
         assert "Traceback" not in err and "error:" in err
+
+
+P2_BAD_CERT = dict(P2, certificates=[{"functional": [1, 0]}])
+P2_TEXT_RANK = dict(P2, rank="two")
+CONE_FAN = {"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]}
+
+
+class TestMalformedInput:
+    """Malformed files and arguments exit 2 with an `error:` line and no
+    traceback."""
+
+    @pytest.mark.parametrize("files, argv", [
+        ({"probe.json": {"size": "x", "entries": ["1", "0", "0", "0"]}},
+         ["probe", "a1", "probe.json"]),
+        ({"bad.fan": P2_BAD_CERT}, ["fan", "check", "bad.fan"]),
+        ({"bad.fan": P2_TEXT_RANK}, ["fan", "check", "bad.fan"]),
+        ({"p2.fan": P2, "sys.json": {"fan": "p2.fan", "lifts": [{"cone": [0, 1],
+                                                                  "word": "z1"}]}},
+         ["system", "check", "sys.json"]),
+        ({"p2.fan": P2, "extras.json": [{"words": ["z1 z2^2"]}]},
+         ["system", "soften", "p2.fan", "--extras", "extras.json"]),
+        ({"p2.fan": P2, "extras.json": [{"cone": [7], "words": ["z1"]}]},
+         ["system", "soften", "p2.fan", "--extras", "extras.json"]),
+        ({"sys.json": 7}, ["system", "check", "sys.json"]),
+    ], ids=["probe-size", "certificate-pair", "fan-rank", "lift-generator",
+            "extras-cone", "extras-cone-outside-fan", "system-not-object"])
+    def test_exit_2_without_traceback(self, tmp_path, monkeypatch, files, argv):
+        for name, obj in files.items():
+            write(tmp_path, name, obj)
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_process(*argv)
+        assert code == 2
+        assert "Traceback" not in err and "error:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["morphism", "kernel", "mor.json", "--cone", "0,5"],
+        ["morphism", "kernel", "mor.json", "--cone", "x"],
+        ["subscheme", "member", "mor.json", "--cone", "0,1", "--element", "z1"],
+    ], ids=["kernel-missing-cone", "kernel-bad-cone", "member-on-morphism"])
+    def test_cone_arguments(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "cone.fan", CONE_FAN)
+        run(capsys, "morphism", "sample", "cone.fan", "--r", "2", "--seed", "1",
+            "--out", "mor.json")
+        code, _, err = run_process(*argv)
+        assert code == 2
+        assert "Traceback" not in err and "error:" in err
+
+
+class TestInternalError:
+    def test_exit_3_with_traceback(self, tmp_path, capsys, monkeypatch):
+        def fault(system):
+            raise AssertionError("exact re-check failed")
+
+        monkeypatch.setattr(cli, "check_admissible", fault)
+        path = write(tmp_path, "p2.fan", P2)
+        code, out, err = run(capsys, "system", "check", path)
+        assert code == 3 and out == ""
+        assert "internal error:" in err and "Traceback" in err
+        assert "exact re-check failed" in err
 
 
 class TestRoundTrips:

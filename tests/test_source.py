@@ -13,3 +13,16 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert SRC.is_dir() and found == []
+
+
+def test_every_library_error_names_a_clause():
+    # main reports a library error under the clause declared on its class;
+    # only the input errors, which exit 2, may carry none
+    from nctoric import clauses, errors
+
+    labels = {v for k, v in vars(clauses).items() if k.isupper()}
+    library = [cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.NctoricError)
+               and cls not in (errors.NctoricError, errors.ParseError, errors.RankMismatch)]
+    unnamed = [cls.__name__ for cls in library if getattr(cls, "clause", None) not in labels]
+    assert len(library) >= 19 and unnamed == []
