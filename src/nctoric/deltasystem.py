@@ -8,12 +8,12 @@ from dataclasses import dataclass, field
 
 from . import clauses
 from .errors import (BadLift, ExtraOutsideDualCone, MaximalChartTouched,
-                     NotAdmissibleInput)
+                     NoPositivityFunctional, NotAdmissibleInput)
 from .freeword import (ReducedWord, abelianize, canonical_lift,
                        compile_submonoid, format_word, is_unit_in, word_inv)
 from .reports import Finding, Report
 from .toricfan import (Fan, comm_monoid_member, cone_monoid_generators,
-                       dual_generators, pairing)
+                       dual_generators, pairing, ray_sum)
 
 
 @dataclass
@@ -172,16 +172,24 @@ def admissible_cone_findings(system, cone):
         ok=True,
         detail=f"{len(chart.generators)} generators")]
     abel = [abelianize(g) for g in chart.generators]
+    functional = ray_sum(fan, cone)
     targets, perp_flags = cone_monoid_generators(fan, cone)
-    for t, perp in zip(targets, perp_flags):
-        need = [t, tuple(-x for x in t)] if perp else [t]
-        for vec in need:
-            got = comm_monoid_member(abel, vec)
-            findings.append(Finding(
-                clause=clauses.ADMISSIBLE_SURJECTIVE,
-                locus=f"cone {list(cone)}",
-                ok=got is not None,
-                detail=f"dual-monoid generator {vec}"))
+    try:
+        for t, perp in zip(targets, perp_flags):
+            need = [t, tuple(-x for x in t)] if perp else [t]
+            for vec in need:
+                got = comm_monoid_member(abel, vec, functional)
+                findings.append(Finding(
+                    clause=clauses.ADMISSIBLE_SURJECTIVE,
+                    locus=f"cone {list(cone)}",
+                    ok=got is not None,
+                    detail=f"dual-monoid generator {vec}"))
+    except NoPositivityFunctional as exc:
+        # a perpendicular generator without its inverse: no chart built by
+        # this package has one, and the search cannot be bounded
+        findings.append(Finding(
+            clause=clauses.ADMISSIBLE_SURJECTIVE, locus=f"cone {list(cone)}",
+            ok=False, detail=str(exc)))
     for g in chart.generators:
         if _in_perp(abelianize(g), fan, cone):
             ok = is_unit_in(chart, g)
@@ -221,8 +229,9 @@ def complete_system(fan, partial):
             if not _in_dual(v, fan, sigma):
                 raise NotAdmissibleInput(
                     f"generator {format_word(w)} of cone {list(sigma)} leaves the dual cone")
+        functional = ray_sum(fan, sigma)
         for u in dual_generators(fan, sigma):
-            if comm_monoid_member(abel, u) is None:
+            if comm_monoid_member(abel, u, functional) is None:
                 raise NotAdmissibleInput(
                     f"cone {list(sigma)}: dual-monoid generator {u} is not reached")
         for w, v in zip(words, abel):

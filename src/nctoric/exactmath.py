@@ -1,6 +1,7 @@
-"""Exact arithmetic kernel: Gaussian rationals, integer lattice algebra,
-rational inequality feasibility, one incremental echelon for all linear
-algebra over Q(i), and minimal polynomials of Q(i)-matrices.
+"""Exact arithmetic kernel: Gaussian rationals, integer lattice algebra by
+Hermite normal form, one Fourier-Motzkin elimination for rational
+feasibility and polytope lattice points, one incremental echelon for all
+linear algebra over Q(i), and minimal polynomials of Q(i)-matrices.
 
 A scalar is a Z[i] numerator over one positive integer denominator, kept
 in lowest terms, so every comparison in the rest of the package is an exact
@@ -11,8 +12,10 @@ output entry once.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 from operator import mul
+
+from .errors import ParseError, UnboundedPolytope
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +185,6 @@ def parse_gauss(text):
 
     Accepts optional surrounding parentheses and whitespace.
     """
-    from .errors import ParseError
-
     if not isinstance(text, str):
         raise ParseError(f"Gaussian-rational literal must be a string, got {text!r}")
     s = text.strip().replace(" ", "")
@@ -236,31 +237,6 @@ def int_transpose(a, ncols=None):
     if not a:
         return [[] for _ in range(ncols)] if ncols else []
     return [list(col) for col in zip(*a)]
-
-
-def int_det(m):
-    """Exact determinant by fraction-free Bareiss elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def _row_op(a, u, i, j, q):
@@ -347,15 +323,17 @@ def lattice_solve(basis_rows, target):
 
 
 def int_inverse_unimodular(m):
-    """Inverse of an integer matrix with det +-1, as an integer matrix."""
-    inv = qim_inverse(qim_from_rows(m))
-    if inv is None or any(v._b or v._d != 1 for row in inv for v in row):
+    """Inverse of an integer matrix with det +-1, as an integer matrix: the
+    Hermite normal form of a unimodular matrix is the identity, and its
+    transform is then the inverse."""
+    h, u = hnf(m)
+    if h != int_identity(len(m)):
         raise ValueError("matrix is not unimodular")
-    return [[v._a for v in row] for row in inv]
+    return u
 
 
 # ---------------------------------------------------------------------------
-# Rational linear feasibility (Fourier-Motzkin)
+# Fourier-Motzkin: rational feasibility and polytope lattice points
 # ---------------------------------------------------------------------------
 
 def _normalize_constraint(coeffs, bound, strict):
@@ -399,31 +377,48 @@ def fm_eliminate(system, nvars, k):
     return out, lowers, uppers
 
 
-def linear_feasible(ineqs, nvars):
-    """Exact witness for the system {coeffs . x >= bound (strict: >)}.
+def _fm_layers(ineqs, nvars):
+    """Eliminate x_{n-1}, ..., x_0 in turn.
 
-    Returns a list of Fractions or None when the system is infeasible.
+    Returns (layers, feasible): layers[k] = (lowers, uppers) holds the
+    constraints that bound x_k from below and from above in terms of
+    x_0, ..., x_{k-1}; feasible says whether the constraints left with no
+    variable all hold.
     """
     system = [(tuple(Fraction(v) for v in c), Fraction(b), bool(s)) for (c, b, s) in ineqs]
     layers = []
     for k in range(nvars - 1, -1, -1):
         system, lowers, uppers = fm_eliminate(system, nvars, k)
-        layers.append((k, lowers, uppers))
-    for (c, b, s) in system:
-        if b > 0 or (s and b == 0):
-            return None
-    x = [Fraction(0)] * nvars
-    for (k, lowers, uppers) in reversed(layers):
+        layers.append((lowers, uppers))
+    layers.reverse()
+    return layers, all(b < 0 or (b == 0 and not s) for (_, b, s) in system)
+
+
+def _bound(c, b, x, k):
+    # the value of x_k at which c . x = b, given x_0, ..., x_{k-1}
+    return (b - sum(c[j] * x[j] for j in range(k))) / c[k]
+
+
+def linear_feasible(ineqs, nvars):
+    """Exact witness for the system {coeffs . x >= bound (strict: >)}.
+
+    Returns a list of Fractions or None when the system is infeasible.
+    """
+    layers, feasible = _fm_layers(ineqs, nvars)
+    if not feasible:
+        return None
+    x = []
+    for k, (lowers, uppers) in enumerate(layers):
         lo = hi = None
         lo_strict = hi_strict = False
         for (c, b, s) in lowers:
-            val = (b - sum(c[j] * x[j] for j in range(nvars) if j != k)) / c[k]
+            val = _bound(c, b, x, k)
             if lo is None or val > lo:
                 lo, lo_strict = val, s
             elif val == lo:
                 lo_strict = lo_strict or s
         for (c, b, s) in uppers:
-            val = (b - sum(c[j] * x[j] for j in range(nvars) if j != k)) / c[k]
+            val = _bound(c, b, x, k)
             if hi is None or val < hi:
                 hi, hi_strict = val, s
             elif val == hi:
@@ -438,32 +433,40 @@ def linear_feasible(ineqs, nvars):
             v = lo
         else:
             v = (lo + hi) / 2
-        x[k] = v
+        x.append(v)
     return x
 
 
-def fm_interval(ineqs, nvars, var):
-    """Exact projection of the solution set onto one coordinate.
+def lattice_points(ineqs, nvars):
+    """All integer points of the polytope {coeffs . x >= bound}, sorted.
 
-    Returns (lo, hi) where either end is None when unbounded in that
-    direction.  Assumes the system is feasible.
+    ineqs are (coeffs, bound) pairs. Walks the elimination layers with x_0
+    outermost, so each x_k ranges over the integers between the bounds its
+    layer gives once x_0, ..., x_{k-1} are fixed. Raises UnboundedPolytope
+    naming the first coordinate whose layer lacks a lower or an upper bound;
+    that is the first coordinate on which a nonempty polytope is unbounded.
     """
-    system = [(tuple(Fraction(v) for v in c), Fraction(b), bool(s)) for (c, b, s) in ineqs]
-    for k in range(nvars):
-        if k != var:
-            system, _, _ = fm_eliminate(system, nvars, k)
-    lo = hi = None
-    for (c, b, s) in system:
-        ck = c[var]
-        if ck > 0:
-            val = b / ck
-            if lo is None or val > lo:
-                lo = val
-        elif ck < 0:
-            val = b / ck
-            if hi is None or val < hi:
-                hi = val
-    return lo, hi
+    layers, feasible = _fm_layers([(c, b, False) for (c, b) in ineqs], nvars)
+    if not feasible:
+        return []
+    for k, (lowers, uppers) in enumerate(layers):
+        if not lowers or not uppers:
+            raise UnboundedPolytope(f"divisor polytope is unbounded in coordinate {k + 1}")
+    out = []
+
+    def walk(x):
+        k = len(x)
+        if k == nvars:
+            out.append(tuple(x))
+            return
+        lowers, uppers = layers[k]
+        lo = max(ceil(_bound(c, b, x, k)) for (c, b, _) in lowers)
+        hi = min(floor(_bound(c, b, x, k)) for (c, b, _) in uppers)
+        for v in range(lo, hi + 1):
+            walk(x + [v])
+
+    walk([])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,12 @@ def load(path, from_obj, *args):
 
 
 def dump_json(obj, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=False)
+            fh.write("\n")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
 
 
 _ABSENT = object()
@@ -172,10 +175,6 @@ def stage_from_obj(obj, fan, where="extras"):
 
 
 # --- divisors ----------------------------------------------------------------
-
-def divisor_to_obj(divisor):
-    return {"coefficients": {str(i): a for i, a in enumerate(divisor.coefficients)}}
-
 
 def divisor_from_obj(obj, fan, where="divisor"):
     coeff_map = _field(obj, "coefficients", where)

@@ -4,20 +4,17 @@ ideal data of the subschemes they cut out.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import clauses
 from .deltasystem import abelianized_chart, soften
-from .errors import (CandidateNotUnit, MismatchedSystems, NotASection,
-                     UnboundedPolytope)
-from .exactmath import ONE, fm_interval, linear_feasible
+from .errors import CandidateNotUnit, MismatchedSystems, NotASection, RankMismatch
+from .exactmath import ONE, lattice_points
 from .freeword import (abelianize, canonical_lift, format_word, identity_word,
                        is_unit_in, word_inv, word_mul)
 from .ncalgebra import AlgElem
 from .reports import Finding, Report
-from .toricfan import comm_monoid_member, dual_generators, pairing
+from .toricfan import comm_monoid_member, dual_generators, pairing, ray_sum
 
 
 @dataclass(frozen=True)
@@ -186,36 +183,10 @@ def sheaf_from_divisor(system, divisor):
 
 
 def polytope_sections(fan, divisor):
-    """All lattice points of the divisor polytope, by exact projection
-    bounds and exhaustive filtering; raises when the polytope is unbounded."""
-    n = fan.rank
-    ineqs = []
-    for ri, ray in enumerate(fan.rays):
-        ineqs.append((tuple(Fraction(x) for x in ray),
-                      Fraction(-divisor.coefficient(ri)), False))
-    if linear_feasible(ineqs, n) is None:
-        return []
-    boxes = []
-    for i in range(n):
-        lo, hi = fm_interval(ineqs, n, i)
-        if lo is None or hi is None:
-            raise UnboundedPolytope(
-                f"divisor polytope is unbounded in coordinate {i + 1}")
-        boxes.append(range(math.ceil(lo), math.floor(hi) + 1))
-    out = []
-
-    def walk(prefix, rest):
-        if not rest:
-            point = tuple(prefix)
-            if all(sum(c * x for c, x in zip(coeffs, point)) >= b
-                   for (coeffs, b, _) in ineqs):
-                out.append(point)
-            return
-        for v in rest[0]:
-            walk(prefix + [v], rest[1:])
-
-    walk([], boxes)
-    return sorted(out)
+    """All lattice points of the divisor polytope {m : <m, v_i> >= -a_i},
+    sorted; raises when the polytope is unbounded."""
+    ineqs = [(ray, -divisor.coefficient(ri)) for ri, ray in enumerate(fan.rays)]
+    return lattice_points(ineqs, fan.rank)
 
 
 def _in_polytope(fan, cartier, point):
@@ -235,6 +206,8 @@ def extend_section(system, gluing, cartier, point):
     Returns (softened system, record, section over the softened system).
     """
     fan = system.fan
+    if len(point) != fan.rank:
+        raise RankMismatch(f"lattice point {list(point)} does not have {fan.rank} coordinates")
     if not _in_polytope(fan, cartier, point):
         raise NotASection(
             f"lattice point {list(point)} lies outside the divisor polytope")
@@ -242,7 +215,8 @@ def extend_section(system, gluing, cartier, point):
     for cone in fan.faces:
         target = tuple(p - q for p, q in zip(point, cartier.vertex[cone]))
         gens = list(system.charts[cone].generators)
-        coeffs = comm_monoid_member(abelianized_chart(system, cone), target)
+        coeffs = comm_monoid_member(abelianized_chart(system, cone), target,
+                                    ray_sum(fan, cone))
         if coeffs is None:
             raise NotASection(
                 f"vertex difference {target} is not reachable in the chart "

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .errors import (MissingReferenceCone, NoPositivityFunctional, NonPrimitiveRay,
                      NotAFan, NotIndexOne, NotMaximal)
-from .exactmath import (int_det, int_inverse_unimodular, kernel_basis,
-                        lattice_solve, linear_feasible)
+from .exactmath import (hnf, int_inverse_unimodular, kernel_basis, lattice_solve,
+                        linear_feasible)
 
 
 def pairing(m, v):
@@ -152,9 +152,12 @@ def validate_fan(rank, rays, max_cones, certificates=None):
             raise NotIndexOne(f"maximal cone {list(cone)} does not have {rank} distinct rays")
         if any(i < 0 or i >= len(rays) for i in cone):
             raise NotAFan(f"maximal cone {list(cone)} references a missing ray")
-        d = int_det([list(rays[i]) for i in cone])
-        if abs(d) != 1:
-            raise NotIndexOne(f"maximal cone {list(cone)} has index |det| = {abs(d)}")
+        # |det| is the product of the Hermite normal form's diagonal, 0 when
+        # the rays are dependent
+        h, _ = hnf([list(rays[i]) for i in cone])
+        index = prod(h[i][i] for i in range(rank))
+        if index != 1:
+            raise NotIndexOne(f"maximal cone {list(cone)} has index |det| = {index}")
     basis_indices = []
     for i in range(rank):
         e = tuple(int(j == i) for j in range(rank))
@@ -240,37 +243,37 @@ def _unit_pair_indices(gens):
     return sorted(idx)
 
 
-def comm_monoid_member(gens, target, functional=None):
+def ray_sum(fan, cone):
+    """The sum of the cone's rays (the zero vector for the zero cone).
+
+    It lies in the relative interior of the cone, so it is positive on every
+    vector of the dual cone outside the cone's perpendicular lattice and zero
+    on that lattice: a positivity functional for any chart of the cone whose
+    perpendicular generators come with their inverses.
+    """
+    return tuple(sum(fan.rays[i][j] for i in cone) for j in range(fan.rank))
+
+
+def comm_monoid_member(gens, target, functional):
     """Nonnegative integer coefficients expressing the target over gens.
 
     Generators occurring together with their exact negatives are treated as
     a group part (solved by lattice algebra); the remaining generators are
-    searched exhaustively under a strictly positive functional that bounds
-    every coefficient.  Returns the coefficient list or None.
+    searched exhaustively under the integer functional, which must be
+    positive on each of them and zero on the group part, so it bounds every
+    coefficient.  Returns the coefficient list or None.
     """
-    n = len(target)
     gens = [tuple(g) for g in gens]
     target = tuple(target)
     unit_idx = _unit_pair_indices(gens)
     unit_gens = [gens[i] for i in unit_idx]
     other_idx = [i for i in range(len(gens)) if i not in unit_idx]
     other = [gens[i] for i in other_idx]
-    if other:
-        if functional is None:
-            ineqs = [(tuple(Fraction(x) for x in g), Fraction(1), False) for g in other]
-            for b in unit_gens:
-                ineqs.append((tuple(Fraction(x) for x in b), Fraction(0), False))
-                ineqs.append((tuple(Fraction(-x) for x in b), Fraction(0), False))
-            functional = linear_feasible(ineqs, n)
-            if functional is None:
-                raise NoPositivityFunctional(
-                    "no functional is positive on the non-invertible generators")
-        else:
-            ok = (all(sum(Fraction(f) * x for f, x in zip(functional, g)) > 0 for g in other)
-                  and all(sum(Fraction(f) * x for f, x in zip(functional, b)) == 0
-                          for b in unit_gens))
-            if not ok:
-                raise NoPositivityFunctional("supplied functional does not bound the search")
+    if not (all(pairing(functional, g) > 0 for g in other)
+            and all(pairing(functional, b) == 0 for b in unit_gens)):
+        raise NoPositivityFunctional(
+            f"functional {tuple(functional)} does not bound the search: it must be "
+            f"positive on the non-invertible generators and zero on the invertible ones")
     coeffs = [0] * len(gens)
 
     def lattice_part(residual):
@@ -295,8 +298,8 @@ def comm_monoid_member(gens, target, functional=None):
     if not other:
         return finish(coeffs, target)
 
-    budget = sum(Fraction(f) * t for f, t in zip(functional, target))
-    values = [sum(Fraction(f) * g for f, g in zip(functional, go)) for go in other]
+    budget = pairing(functional, target)
+    values = [pairing(functional, go) for go in other]
 
     def dfs(pos, residual, remaining):
         if pos == len(other):
@@ -304,7 +307,7 @@ def comm_monoid_member(gens, target, functional=None):
                 return None
             return finish(coeffs, residual)
         val = values[pos]
-        max_c = int(remaining / val)
+        max_c = remaining // val
         for c in range(max_c + 1):
             coeffs[other_idx[pos]] = c
             new_res = tuple(r - c * g for r, g in zip(residual, other[pos]))

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -339,8 +341,10 @@ class TestMalformedInput:
         ({"p2.fan": P2, "extras.json": [{"cone": [7], "words": ["z1"]}]},
          ["system", "soften", "p2.fan", "--extras", "extras.json"]),
         ({"sys.json": 7}, ["system", "check", "sys.json"]),
+        ({"p2.fan": P2}, ["fan", "check", "p2.fan", "--out", "missing/x.fan"]),
     ], ids=["probe-size", "certificate-pair", "fan-rank", "lift-generator",
-            "extras-cone", "extras-cone-outside-fan", "system-not-object"])
+            "extras-cone", "extras-cone-outside-fan", "system-not-object",
+            "out-in-missing-directory"])
     def test_exit_2_without_traceback(self, tmp_path, monkeypatch, files, argv):
         for name, obj in files.items():
             write(tmp_path, name, obj)
@@ -360,6 +364,19 @@ class TestMalformedInput:
         run(capsys, "morphism", "sample", "cone.fan", "--r", "2", "--seed", "1",
             "--out", "mor.json")
         code, _, err = run_process(*argv)
+        assert code == 2
+        assert "Traceback" not in err and "error:" in err
+
+    @pytest.mark.parametrize("point", ["1,0,0", "1"],
+                             ids=["point-too-long", "point-too-short"])
+    def test_point_of_wrong_length(self, tmp_path, monkeypatch, capsys, point):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "p2.fan", P2)
+        write(tmp_path, "o1.div", {"coefficients": {"2": 1}})
+        run(capsys, "sheaf", "from-divisor", "p2.fan", "--divisor", "o1.div",
+            "--out", "sheaf.json")
+        code, _, err = run_process("section", "extend", "sheaf.json", "--divisor", "o1.div",
+                                   "--point", point)
         assert code == 2
         assert "Traceback" not in err and "error:" in err
 
@@ -407,3 +424,29 @@ class TestRoundTrips:
         mor_obj = load_json(mor_path)
         morphism, recipe = serialize.morphism_from_obj(mor_obj)
         assert serialize.morphism_to_obj(recipe, morphism) == mor_obj
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
+
+
+class TestReadmeWalkthrough:
+    def test_every_command_exits_0(self, tmp_path, monkeypatch, capsys):
+        """The README's shell walkthrough: each heredoc becomes a file and
+        each `nctoric` line runs through cli.main, in order."""
+        with open(README, encoding="utf-8") as fh:
+            blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+        block = next(b for b in blocks if "\nnctoric " in b)
+        monkeypatch.chdir(tmp_path)
+        lines = iter(block.splitlines())
+        commands = 0
+        for line in lines:
+            heredoc = re.fullmatch(r"cat > (\S+) <<'EOF'", line)
+            if heredoc:
+                body = list(iter(lines.__next__, "EOF"))
+                (tmp_path / heredoc.group(1)).write_text("\n".join(body) + "\n")
+            elif line.startswith("nctoric "):
+                code, out, err = run(capsys, *shlex.split(line, comments=True)[1:])
+                assert code == 0, (line, out, err)
+                commands += 1
+        assert commands

@@ -226,11 +226,12 @@ class TestAbelianizedChart:
         assert {(1, 0), (0, 1), (-1, 0), (0, -1)} <= vecs
 
     def test_ray_chart_matches_cone_monoid(self):
-        from nctoric.toricfan import comm_monoid_member, cone_monoid_generators
+        from nctoric.toricfan import comm_monoid_member, cone_monoid_generators, ray_sum
         system = build_system(fan_p2())
         vecs = abelianized_chart(system, (1,))
         targets, flags = cone_monoid_generators(system.fan, (1,))
+        f = ray_sum(system.fan, (1,))
         for t, flag in zip(targets, flags):
-            assert comm_monoid_member(vecs, t) is not None
+            assert comm_monoid_member(vecs, t, f) is not None
             if flag:
-                assert comm_monoid_member(vecs, tuple(-x for x in t)) is not None
+                assert comm_monoid_member(vecs, tuple(-x for x in t), f) is not None

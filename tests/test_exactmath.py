@@ -8,7 +8,7 @@ from sympy import QQ, QQ_I, Matrix, linsolve, symbols
 from sympy.polys.matrices import DomainMatrix
 
 from nctoric.exactmath import (GaussRational, ONE, ZERO, format_gauss, hnf,
-                               int_det, int_inverse_unimodular, int_matmul,
+                               int_inverse_unimodular, int_matmul,
                                kernel_basis, lattice_solve, linear_feasible,
                                minimal_polynomial, parse_gauss, poly_eval_matrix,
                                qi_nullspace, qi_poly_roots, qi_solve, qim_add,
@@ -165,7 +165,7 @@ class TestHnf:
         h, u = hnf(m)
         assert h[0][0] == 1
         assert int_matmul(u, m) == h
-        assert abs(int_det(u)) == 1
+        assert abs(Matrix(u).det()) == 1
 
     def test_random_property(self):
         rng = random.Random(11)
@@ -175,7 +175,60 @@ class TestHnf:
             m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
             h, u = hnf(m)
             assert int_matmul(u, m) == h
-            assert abs(int_det(u)) == 1
+            assert abs(Matrix(u).det()) == 1
+
+
+class TestHnfAgainstSympy:
+    """The two square-matrix answers read off the Hermite normal form: |det|
+    as the product of h's diagonal (how validate_fan reads a cone's index)
+    and the inverse of a unimodular matrix as the transform u."""
+
+    @staticmethod
+    def _random_square(rng):
+        n = rng.randint(1, 4)
+        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:
+            # a dependent row makes the matrix singular
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i != j:
+                m[i] = [rng.randint(-2, 2) * x for x in m[j]]
+        return m
+
+    def test_diagonal_product_is_abs_det(self):
+        rng = random.Random(41)
+        singular = 0
+        for _ in range(200):
+            m = self._random_square(rng)
+            h, _ = hnf(m)
+            index = 1
+            for i in range(len(m)):
+                index *= h[i][i]
+            det = Matrix(m).det()
+            singular += det == 0
+            assert index == abs(det)
+        assert singular >= 20
+
+    def test_unimodular_inverse(self):
+        rng = random.Random(43)
+        unimodular = 0
+        for _ in range(200):
+            m = self._random_square(rng)
+            # half of the matrices are made unimodular: a random product of
+            # elementary row operations applied to the identity
+            if rng.random() < 0.5:
+                n = len(m)
+                m = [[int(i == j) for j in range(n)] for i in range(n)]
+                for _ in range(6):
+                    i, j = rng.randrange(n), rng.randrange(n)
+                    if i != j:
+                        m[i] = [x + rng.randint(-2, 2) * y for x, y in zip(m[i], m[j])]
+            if abs(Matrix(m).det()) == 1:
+                unimodular += 1
+                assert Matrix(int_inverse_unimodular(m)) == Matrix(m).inv()
+            else:
+                with pytest.raises(ValueError):
+                    int_inverse_unimodular(m)
+        assert unimodular >= 60
 
 
 class TestKernel:

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from nctoric.deltasystem import build_system, check_admissible
 from nctoric.errors import CandidateNotUnit, NotASection, UnboundedPolytope
-from nctoric.exactmath import GaussRational, I, ONE
+from nctoric.exactmath import GaussRational, I, ONE, lattice_points
 from nctoric.freeword import abelianize, identity_word, parse_word
 from nctoric.ncalgebra import (AlgElem, BoundedIdeal, abelianize_elem,
                                bounded_ideal_member)
@@ -179,6 +181,34 @@ class TestPolytope:
 
     def test_p1(self):
         assert len(polytope_sections(fan_p1(), DivisorData((0, 1)))) == 2
+
+    def test_random_divisors_against_brute_force(self):
+        rng = random.Random(29)
+        fans = [  # rays, maximal cones, brute-force radius, divisors
+            ([(1,), (-1,)], [(0,), (1,)], 8, 15),
+            ([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)], 8, 25),
+            ([(1, 0), (0, 1), (-1, 3), (0, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)], 16, 25),
+            ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+             [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], 10, 12),
+        ]
+        empty = 0
+        for rays, cones, radius, count in fans:
+            fan = validate_fan(len(rays[0]), rays, cones)
+            for _ in range(count):
+                coeffs = tuple(rng.randint(-3, 3) for _ in rays)
+                brute = brute_lattice_points(fan.rays, coeffs, radius)
+                ineqs = [(ray, -a) for ray, a in zip(fan.rays, coeffs)]
+                assert lattice_points(ineqs, fan.rank) == brute
+                assert polytope_sections(fan, DivisorData(coeffs)) == brute
+                empty += not brute
+        assert empty >= 5
+
+    def test_unbounded_names_first_unbounded_coordinate(self):
+        # the upper half plane: coordinate 1 is bounded, coordinate 2 is not
+        fan = validate_fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)])
+        with pytest.raises(UnboundedPolytope, match="unbounded in coordinate 2"):
+            polytope_sections(fan, DivisorData((1, 0, 1)))
+        assert polytope_sections(fan, DivisorData((-1, 0, -1))) == []
 
 
 class TestExtendSection:

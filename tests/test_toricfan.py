@@ -1,12 +1,17 @@
 import random
+from math import lcm
 
 import pytest
 
+from nctoric.deltasystem import (abelianized_chart, augment_system, build_system,
+                                 complete_system, soften)
 from nctoric.errors import (MissingReferenceCone, NoPositivityFunctional,
                             NonPrimitiveRay, NotAFan, NotIndexOne, NotMaximal)
 from nctoric.toricfan import (check_certificate, comm_monoid_member,
                               cone_monoid_generators, dual_generators, pairing,
-                              perp_lattice_basis, validate_fan)
+                              perp_lattice_basis, ray_sum, validate_fan)
+from nctoric.exactmath import linear_feasible
+from nctoric.freeword import canonical_lift, identity_word, word_mul
 
 P2 = dict(rank=2, rays=[(1, 0), (0, 1), (-1, -1)],
           max_cones=[(0, 1), (1, 2), (0, 2)])
@@ -104,7 +109,7 @@ class TestConeMonoid:
         gens, flags = cone_monoid_generators(fan, ())
         assert all(flags)
         for target in [(1, 0), (-1, 0), (0, 1), (0, -1)]:
-            assert comm_monoid_member(gens, target) is not None
+            assert comm_monoid_member(gens, target, ray_sum(fan, ())) is not None
 
     def test_dual_cone_membership(self):
         fan = p2()
@@ -136,17 +141,17 @@ class TestPerp:
 
 class TestCommMonoidMember:
     def test_basis(self):
-        assert comm_monoid_member([(1, 0), (0, 1)], (2, 3)) == [2, 3]
+        assert comm_monoid_member([(1, 0), (0, 1)], (2, 3), (1, 1)) == [2, 3]
 
     def test_unreachable(self):
-        assert comm_monoid_member([(1, 0), (0, 1)], (-1, 0)) is None
+        assert comm_monoid_member([(1, 0), (0, 1)], (-1, 0), (1, 1)) is None
 
     def test_skew(self):
-        assert comm_monoid_member([(-1, 1), (-1, 0)], (-2, 1)) == [1, 1]
+        assert comm_monoid_member([(-1, 1), (-1, 0)], (-2, 1), (-1, 0)) == [1, 1]
 
     def test_with_units(self):
         gens = [(1, 0), (-1, 0), (0, 1)]
-        coeffs = comm_monoid_member(gens, (-4, 2))
+        coeffs = comm_monoid_member(gens, (-4, 2), (0, 1))
         assert coeffs is not None and all(c >= 0 for c in coeffs)
         total = [0, 0]
         for c, g in zip(coeffs, gens):
@@ -160,11 +165,89 @@ class TestCommMonoidMember:
             coeffs = [rng.randint(0, 4) for _ in gens]
             target = tuple(sum(c * g[j] for c, g in zip(coeffs, gens))
                            for j in range(2))
-            got = comm_monoid_member(gens, target)
+            got = comm_monoid_member(gens, target, (1, 1))
             assert got is not None
             total = tuple(sum(c * g[j] for c, g in zip(got, gens)) for j in range(2))
             assert total == target
 
     def test_no_positivity_functional(self):
         with pytest.raises(NoPositivityFunctional):
-            comm_monoid_member([(1, 0), (-2, 0)], (3, 0))
+            comm_monoid_member([(1, 0), (-2, 0)], (3, 0), (1, 0))
+
+
+def _searched_functional(gens):
+    """An integer functional found by Fourier-Motzkin search: positive on
+    the generators without an exact negative among gens and zero on those
+    with one (the search comm_monoid_member made before it took the cone's
+    ray sum)."""
+    gens = [tuple(g) for g in gens]
+    units = [g for g in gens if tuple(-x for x in g) in gens]
+    ineqs = [(g, 1, False) for g in gens if g not in units]
+    for b in units:
+        ineqs += [(b, 0, False), (tuple(-x for x in b), 0, False)]
+    witness = linear_feasible(ineqs, len(gens[0]))
+    denom = 1
+    for w in witness:
+        denom = lcm(denom, w.denominator)
+    return tuple(int(w * denom) for w in witness)
+
+
+def _dual_word(rng, fan, tau):
+    """A random word whose exponent vector lies in the dual cone of tau: a
+    product, in random order, of lifts of dual-monoid generators, the
+    perpendicular ones with either sign."""
+    gens, flags = cone_monoid_generators(fan, tau)
+    pieces = []
+    for g, perp in zip(gens, flags):
+        c = rng.randint(-1, 2) if perp else rng.randint(0, 2)
+        if c:
+            pieces.append(canonical_lift(tuple(c * x for x in g), fan.rank))
+    rng.shuffle(pieces)
+    word = identity_word(fan.rank)
+    for piece in pieces:
+        word = word_mul(word, piece)
+    return word
+
+
+class TestRaySumFunctional:
+    """On every chart system the package builds, the cone's ray sum gives
+    the same membership answers as a functional found by search."""
+
+    FANS = {
+        "p2": (2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)]),
+        "p3": (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+               [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]),
+        "f3": (2, [(1, 0), (0, 1), (-1, 3), (0, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    }
+
+    @staticmethod
+    def _systems(fan, rng):
+        base = build_system(fan)
+        yield base
+        cones = rng.sample(list(fan.faces), 2)
+        yield augment_system(base, {c: [_dual_word(rng, fan, c)] for c in cones})
+        lower = [c for c in fan.faces if not fan.is_maximal(c)]
+        yield soften(base, {c: [_dual_word(rng, fan, c)] for c in rng.sample(lower, 2)})[0]
+        partial = {s: list(base.charts[s].generators) + [_dual_word(rng, fan, s)]
+                   for s in fan.max_cones}
+        yield complete_system(fan, partial)
+
+    @pytest.mark.parametrize("name", sorted(FANS))
+    def test_same_answers_as_searched_functional(self, name):
+        rank, rays, cones = self.FANS[name]
+        fan = validate_fan(rank, rays, cones)
+        rng = random.Random(name)
+        calls = 0
+        for _ in range(2):
+            for system in self._systems(fan, rng):
+                for tau in fan.faces:
+                    abel = abelianized_chart(system, tau)
+                    searched = _searched_functional(abel)
+                    targets, flags = cone_monoid_generators(fan, tau)
+                    for t, perp in zip(targets, flags):
+                        for vec in ([t, tuple(-x for x in t)] if perp else [t]):
+                            got = comm_monoid_member(abel, vec, ray_sum(fan, tau))
+                            assert got is not None
+                            assert got == comm_monoid_member(abel, vec, searched)
+                            calls += 1
+        assert calls > 100
