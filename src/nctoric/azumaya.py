@@ -385,18 +385,6 @@ def image_kernel_bounded(morphism, cone, bound):
     return BoundedIdeal(tuple(gens), degree)
 
 
-def graph_of_morphism(morphism, bound):
-    """Per-cone word-to-matrix action maps: the module structure carried by
-    the fundamental column space, truncated at the bound."""
-    out = {}
-    for cone, chart in morphism.charts.items():
-        values, findings = check_relations(morphism.system, chart, bound)
-        if findings:
-            raise MorphismInvalid("generator relations are inconsistent on the chart")
-        out[cone] = values
-    return out
-
-
 @dataclass(frozen=True)
 class LineProbeResult:
     minpoly: tuple

@@ -225,14 +225,6 @@ def int_identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def int_matmul(a, b):
-    if not a:
-        return []
-    nb = len(b[0]) if b else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(nb)]
-            for i in range(len(a))]
-
-
 def int_transpose(a, ncols=None):
     if not a:
         return [[] for _ in range(ncols)] if ncols else []
@@ -295,31 +287,35 @@ def kernel_basis(rows, ncols):
     return [list(u[i]) for i, row in enumerate(h) if all(v == 0 for v in row)]
 
 
-def lattice_solve(basis_rows, target):
-    """Integer x with x . basis_rows = target, or None.
+def lattice_solver(basis_rows):
+    """Solver for integer x with x . basis_rows = target.
 
-    basis_rows need not be in any normal form.
+    The Hermite normal form of basis_rows (which need not be in any normal
+    form) is computed once; the returned function forward-substitutes a
+    target against it and gives x, or None when the target lies outside the
+    row lattice.
     """
-    if not basis_rows:
-        return [] if all(v == 0 for v in target) else None
-    h, u = hnf(basis_rows)
-    n = len(target)
-    # forward-substitute target against the HNF rows
-    y = [0] * len(h)
-    residual = list(target)
-    for i, row in enumerate(h):
-        piv = next((j for j, v in enumerate(row) if v != 0), None)
-        if piv is None:
-            continue
-        if residual[piv] % row[piv] != 0:
+    h, u = hnf(basis_rows) if basis_rows else ([], [])
+    pivots = [(i, next(j for j, v in enumerate(row) if v != 0))
+              for i, row in enumerate(h) if any(v != 0 for v in row)]
+    nbasis = len(basis_rows)
+
+    def solve(target):
+        y = {}
+        residual = list(target)
+        for i, piv in pivots:
+            row = h[i]
+            q, rem = divmod(residual[piv], row[piv])
+            if rem:
+                return None
+            y[i] = q
+            residual = [r - q * v for r, v in zip(residual, row)]
+        if any(v != 0 for v in residual):
             return None
-        q = residual[piv] // row[piv]
-        y[i] = q
-        residual = [residual[j] - q * row[j] for j in range(n)]
-    if any(v != 0 for v in residual):
-        return None
-    # x . basis = y . h = (y . u) . basis
-    return [sum(y[i] * u[i][k] for i in range(len(h))) for k in range(len(basis_rows))]
+        # x . basis = y . h = (y . u) . basis
+        return [sum(q * u[i][k] for i, q in y.items()) for k in range(nbasis)]
+
+    return solve
 
 
 def int_inverse_unimodular(m):
@@ -714,16 +710,6 @@ def minimal_polynomial(a):
             return [-combo.get(j, ZERO) for j in range(k)] + [ONE]
         power = qim_mul(power, a)
         k += 1
-
-
-def poly_eval_matrix(poly, a):
-    r = len(a)
-    acc = qim_zero(r)
-    power = qim_identity(r)
-    for c in poly:
-        acc = qim_add(acc, qim_scale(c, power))
-        power = qim_mul(power, a)
-    return acc
 
 
 def poly_eval(poly, x):

@@ -4,6 +4,14 @@ membership in finitely generated submonoids via automaton saturation.
 A word is a tuple of nonzero signed indices: +k is the k-th letter, -k its
 inverse.  The whole module treats words as elements of the free group on n
 letters, viewed as a monoid.
+
+A submonoid compiles to its flower automaton saturated under cancellation
+(Benois's construction for rational subsets of free groups), computed as
+Dyck reachability with a worklist: silent closures are Python-int bitsets,
+and a closure that grows is matched against its state's incoming letter
+transitions for the new states only.  Membership reads a word through the
+letter transitions, ORing target closures, and accepts on bit 0.
+compile_submonoid memoizes one immutable Submonoid per generator tuple.
 """
 from __future__ import annotations
 
@@ -171,12 +179,21 @@ def format_word(w):
 class Submonoid:
     """Submonoid of the free group generated by finitely many words.
 
-    Membership of a reduced word is decided by a flower automaton saturated
-    under cancellation (every p ->x r ~~> s ->x^-1 q pattern contributes a
-    silent edge p -> q), then run without silent moves via closures.
+    Membership is decided on the flower automaton of (g1|...|gk)*, saturated
+    under cancellation: every p -x-> r ~~> s -x^-1-> q pattern contributes a
+    silent edge p -> q.  The silent closure of each state is a Python-int
+    bitset (bit q set when q is silently reachable).  Saturation runs a
+    worklist over closure growth, so each (state, closure member) pair is
+    matched against the incoming transitions once.  A reduced word is read
+    letter by letter without silent moves, taking the union of the target
+    closures with `|` after each letter; it is a member iff bit 0 (the
+    initial and accepting state) is set at the end.
+
+    Instances are immutable, so compile_submonoid shares one per generator
+    tuple.
     """
 
-    __slots__ = ("generators", "rank", "_trans", "_closure", "_start")
+    __slots__ = ("generators", "rank", "_closure", "_moves")
 
     def __init__(self, generators, rank):
         gens = []
@@ -185,12 +202,24 @@ class Submonoid:
                 raise RankMismatch("generator rank differs from submonoid rank")
             if g not in gens:
                 gens.append(g)
-        self.generators = tuple(gens)
-        self.rank = rank
-        trans, closure = _saturate(self.generators, rank)
-        self._trans = trans
-        self._closure = closure
-        self._start = closure[0]
+        trans, nstates = _flower(gens)
+        closure = _saturated_closures(trans, nstates)
+        moves = defaultdict(list)
+        for (s, letter), targets in trans.items():
+            reach = 0
+            for t in targets:
+                reach |= closure[t]
+            moves[letter].append((s, reach))
+        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "_closure", tuple(closure))
+        object.__setattr__(self, "_moves", {k: tuple(v) for k, v in moves.items()})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Submonoid is immutable")
+
+    def __reduce__(self):
+        return Submonoid, (self.generators, self.rank)
 
     def __contains__(self, word):
         return self.member(word)
@@ -199,16 +228,16 @@ class Submonoid:
         """Exact membership of a reduced word."""
         if word.rank != self.rank:
             raise RankMismatch("word rank differs from submonoid rank")
-        current = self._start
+        current = self._closure[0]
         for letter in word.letters:
-            nxt = set()
-            for s in current:
-                for t in self._trans.get((s, letter), ()):
-                    nxt |= self._closure[t]
+            nxt = 0
+            for s, reach in self._moves.get(letter, ()):
+                if current >> s & 1:
+                    nxt |= reach
             if not nxt:
                 return False
-            current = frozenset(nxt)
-        return 0 in current
+            current = nxt
+        return bool(current & 1)
 
     def factorization(self, word, max_factors=12, max_len=None):
         """A generator-index sequence multiplying to the word, by bounded
@@ -243,12 +272,10 @@ class Submonoid:
         return f"Submonoid([{gens}], rank={self.rank})"
 
 
-def _saturate(generators, rank):
-    """Build the saturated flower automaton for (g1|...|gk)*.
-
-    Returns (trans, closure): letter transitions and the silent-move closure
-    of every state.  State 0 is both initial and accepting.
-    """
+def _flower(generators):
+    """Letter transitions {(p, letter): targets} of the flower automaton of
+    (g1|...|gk)*, and its number of states.  State 0 is both initial and
+    accepting; every nonempty generator is a loop through it."""
     trans = defaultdict(set)
     next_state = 1
     for g in generators:
@@ -264,41 +291,79 @@ def _saturate(generators, rank):
                 next_state += 1
             trans[(prev, letter)].add(nxt)
             prev = nxt
-    nstates = next_state
-    eps = defaultdict(set)
+    return {key: frozenset(targets) for key, targets in trans.items()}, next_state
 
-    def closures():
-        out = []
-        for s in range(nstates):
-            seen = {s}
-            stack = [s]
-            while stack:
-                p = stack.pop()
-                for q in eps[p]:
-                    if q not in seen:
-                        seen.add(q)
-                        stack.append(q)
-            out.append(frozenset(seen))
-        return out
 
-    while True:
-        cl = closures()
-        added = False
-        for (p, letter), targets in list(trans.items()):
-            for r in targets:
-                for s in cl[r]:
-                    for q in trans.get((s, -letter), ()):
-                        if q not in eps[p] and q != p:
-                            eps[p].add(q)
-                            added = True
-        if not added:
-            break
-    cl = closures()
-    return dict(trans), cl
+def _bits(mask):
+    """Indices of the set bits of a nonnegative int, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _saturated_closures(trans, nstates):
+    """Silent closures of the flower automaton saturated under cancellation,
+    as bitsets: bit q of closure[p] is set iff p reaches q by silent edges.
+
+    Benois's saturation read as Dyck reachability, solved with a worklist.
+    pending[r] holds the states that joined closure[r] but were not yet
+    matched: for each incoming p -x-> r and each such s, every s -x^-1-> q
+    gives a silent edge p -> q.  The new edges out of p OR the closures of
+    their targets into every closure that contains p; each closure that
+    grows goes back on the worklist.  Closures stay transitively closed
+    (q in closure[u] implies closure[q] within closure[u]), so an edge whose
+    target is already in closure[p] changes nothing, and the closures that
+    contain p are the same before and after its new edges.
+    """
+    incoming = [[] for _ in range(nstates)]
+    sources = defaultdict(int)      # letter -> states with a transition on it
+    targets = {}                    # (state, letter) -> bitset of targets
+    for (p, x), qs in trans.items():
+        mask = 0
+        for r in qs:
+            incoming[r].append((p, x))
+            mask |= 1 << r
+        sources[x] |= 1 << p
+        targets[(p, x)] = mask
+    closure = [1 << s for s in range(nstates)]
+    pending = list(closure)
+    work = list(range(nstates))
+    while work:
+        r = work.pop()
+        gained = pending[r]
+        pending[r] = 0
+        for p, x in incoming[r]:
+            hit = 0
+            for s in _bits(gained & sources[-x]):
+                hit |= targets[(s, -x)]
+            add = 0
+            for q in _bits(hit & ~closure[p]):
+                add |= closure[q]
+            if not add:
+                continue
+            for u, cu in enumerate(closure):
+                if cu >> p & 1 and add & ~cu:
+                    if not pending[u]:
+                        work.append(u)
+                    closure[u] = cu | add
+                    pending[u] |= add & ~cu
+    return closure
+
+
+_COMPILED = {}
 
 
 def compile_submonoid(generators, rank):
-    return Submonoid(generators, rank)
+    """The Submonoid of the generators, shared between equal generator
+    tuples.  The key keeps generator order, since factorization indices
+    depend on it."""
+    generators = tuple(generators)
+    key = (tuple(g.letters for g in generators), rank)
+    sub = _COMPILED.get(key)
+    if sub is None:
+        sub = _COMPILED[key] = Submonoid(generators, rank)
+    return sub
 
 
 def is_unit_in(submonoid, word):

@@ -127,11 +127,6 @@ def abelianize_elem(a):
     return out
 
 
-def is_homogeneous(a):
-    degrees = {abelianize(w) for w in a.terms}
-    return len(degrees) <= 1
-
-
 # ---------------------------------------------------------------------------
 # Literals
 # ---------------------------------------------------------------------------

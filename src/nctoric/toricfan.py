@@ -13,7 +13,7 @@ from math import gcd, prod
 
 from .errors import (MissingReferenceCone, NoPositivityFunctional, NonPrimitiveRay,
                      NotAFan, NotIndexOne, NotMaximal)
-from .exactmath import (hnf, int_inverse_unimodular, kernel_basis, lattice_solve,
+from .exactmath import (hnf, int_inverse_unimodular, kernel_basis, lattice_solver,
                         linear_feasible)
 
 
@@ -275,11 +275,7 @@ def comm_monoid_member(gens, target, functional):
             f"functional {tuple(functional)} does not bound the search: it must be "
             f"positive on the non-invertible generators and zero on the invertible ones")
     coeffs = [0] * len(gens)
-
-    def lattice_part(residual):
-        if not unit_gens:
-            return [] if all(v == 0 for v in residual) else None
-        return lattice_solve([list(g) for g in unit_gens], list(residual))
+    lattice_part = lattice_solver([list(g) for g in unit_gens])
 
     def finish(partial, residual):
         sol = lattice_part(residual)

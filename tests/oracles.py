@@ -2,14 +2,18 @@
 
 Everything here is deliberately written against the problem statement, not
 against the library internals: a different decision procedure for submonoid
-membership, exhaustive enumerations, and brute-force lattice scans.
+membership, the round-based saturation the library's worklist replaced,
+exhaustive enumerations, brute-force lattice scans, and small helpers that
+only the tests need.
 """
 from collections import defaultdict
 from fractions import Fraction
 from itertools import product as iproduct
 
-from nctoric.exactmath import GaussRational
-from nctoric.freeword import ReducedWord, identity_word, word_mul
+from nctoric.azumaya import check_relations
+from nctoric.errors import MorphismInvalid
+from nctoric.exactmath import GaussRational, qim_add, qim_identity, qim_mul, qim_scale, qim_zero
+from nctoric.freeword import ReducedWord, abelianize, identity_word, word_mul
 
 
 def dyck_membership(generators, rank):
@@ -69,6 +73,78 @@ def dyck_membership(generators, rank):
     return accepts
 
 
+def saturate_by_rounds(generators, rank):
+    """The flower automaton of (g1|...|gk)* saturated under cancellation by
+    rounds: every round rebuilds every silent closure and adds a silent edge
+    p -> q for each p ->x r ~~> s ->x^-1 q pattern, until a round adds none.
+
+    Returns (trans, closure): letter transitions {(p, letter): set of
+    targets} and the silent-move closure of every state as a frozenset.
+    State 0 is both initial and accepting.
+    """
+    trans = defaultdict(set)
+    next_state = 1
+    for g in generators:
+        letters = g.letters
+        if not letters:
+            continue
+        prev = 0
+        for i, letter in enumerate(letters):
+            if i == len(letters) - 1:
+                nxt = 0
+            else:
+                nxt = next_state
+                next_state += 1
+            trans[(prev, letter)].add(nxt)
+            prev = nxt
+    nstates = next_state
+    eps = defaultdict(set)
+
+    def closures():
+        out = []
+        for s in range(nstates):
+            seen = {s}
+            stack = [s]
+            while stack:
+                p = stack.pop()
+                for q in eps[p]:
+                    if q not in seen:
+                        seen.add(q)
+                        stack.append(q)
+            out.append(frozenset(seen))
+        return out
+
+    while True:
+        cl = closures()
+        added = False
+        for (p, letter), targets in list(trans.items()):
+            for r in targets:
+                for s in cl[r]:
+                    for q in trans.get((s, -letter), ()):
+                        if q not in eps[p] and q != p:
+                            eps[p].add(q)
+                            added = True
+        if not added:
+            break
+    cl = closures()
+    return dict(trans), cl
+
+
+def run_saturated(trans, closure, word):
+    """Run a saturated automaton on a reduced word with set-valued closures;
+    accept iff the initial state is reached."""
+    current = closure[0]
+    for letter in word.letters:
+        nxt = set()
+        for s in current:
+            for t in trans.get((s, letter), ()):
+                nxt |= closure[t]
+        if not nxt:
+            return False
+        current = frozenset(nxt)
+    return 0 in current
+
+
 def enumerate_products(generators, rank, max_factors):
     """Reduced forms of every product of at most max_factors generators."""
     out = {identity_word(rank)}
@@ -115,3 +191,40 @@ def random_gauss(rng, span=5):
 
 def random_matrix(rng, r, span=5):
     return [[random_gauss(rng, span) for _ in range(r)] for _ in range(r)]
+
+
+def int_matmul(a, b):
+    """Product of integer matrices given as lists of rows."""
+    if not a:
+        return []
+    nb = len(b[0]) if b else 0
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(nb)]
+            for i in range(len(a))]
+
+
+def poly_eval_matrix(poly, a):
+    """p(a) for a coefficient list p, lowest degree first."""
+    r = len(a)
+    acc = qim_zero(r)
+    power = qim_identity(r)
+    for c in poly:
+        acc = qim_add(acc, qim_scale(c, power))
+        power = qim_mul(power, a)
+    return acc
+
+
+def is_homogeneous(a):
+    """True iff every word of the algebra element has the same abelianization."""
+    return len({abelianize(w) for w in a.terms}) <= 1
+
+
+def graph_of_morphism(morphism, bound):
+    """Per-cone word-to-matrix action maps: the module structure carried by
+    the fundamental column space, truncated at the bound."""
+    out = {}
+    for cone, chart in morphism.charts.items():
+        values, findings = check_relations(morphism.system, chart, bound)
+        if findings:
+            raise MorphismInvalid("generator relations are inconsistent on the chart")
+        out[cone] = values
+    return out

@@ -7,7 +7,7 @@ import pytest
 
 from nctoric.azumaya import (MorphismData, QuasiHomChart, a1_probe,
                              check_gluing_pair, check_quasi_hom, eval_word,
-                             graph_of_morphism, idem_classify,
+                             idem_classify,
                              image_kernel_bounded, sample_matrix_model,
                              surrogate_basis, verify_morphism)
 from nctoric.deltasystem import build_system
@@ -20,7 +20,7 @@ from nctoric.exactmath import (GaussRational, ONE, ZERO, format_gauss,
 from nctoric.freeword import identity_word, parse_word, word_mul
 from nctoric.ncalgebra import AlgElem
 from nctoric.toricfan import validate_fan
-from oracles import random_matrix
+from oracles import graph_of_morphism, random_matrix
 
 M = qim_from_rows
 

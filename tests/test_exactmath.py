@@ -8,14 +8,15 @@ from sympy import QQ, QQ_I, Matrix, linsolve, symbols
 from sympy.polys.matrices import DomainMatrix
 
 from nctoric.exactmath import (GaussRational, ONE, ZERO, format_gauss, hnf,
-                               int_inverse_unimodular, int_matmul,
-                               kernel_basis, lattice_solve, linear_feasible,
-                               minimal_polynomial, parse_gauss, poly_eval_matrix,
+                               int_inverse_unimodular,
+                               kernel_basis, lattice_solver, linear_feasible,
+                               minimal_polynomial, parse_gauss,
                                qi_nullspace, qi_poly_roots, qi_solve, qim_add,
                                qim_eq, qim_from_rows, qim_identity, qim_inverse,
                                qim_is_zero, qim_mul, qim_rank, qim_zero,
                                solve_corner_inverse)
 from nctoric.errors import ParseError
+from oracles import int_matmul, poly_eval_matrix
 
 gauss = st.builds(GaussRational,
                   st.fractions(max_denominator=12),
@@ -259,7 +260,7 @@ class TestKernel:
             if basis:
                 combo = [sum(c * k[j] for c, k in zip(range(1, len(basis) + 1), basis))
                          for j in range(cols)]
-                assert lattice_solve(basis, combo) is not None
+                assert lattice_solver(basis)(combo) is not None
 
 
 class TestFeasibility:

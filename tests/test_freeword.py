@@ -1,14 +1,17 @@
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from nctoric.errors import ParseError, RankMismatch
-from nctoric.freeword import (ReducedWord, abelianize, canonical_lift,
-                              compile_submonoid, format_word, identity_word,
-                              is_unit_in, parse_word, word_inv, word_mul,
-                              words_up_to)
-from oracles import dyck_membership, enumerate_products, random_reduced_word
+from nctoric.freeword import (ReducedWord, Submonoid, _flower, abelianize,
+                              canonical_lift, compile_submonoid, format_word,
+                              identity_word, is_unit_in, parse_word, word_inv,
+                              word_mul, words_up_to)
+from oracles import (dyck_membership, enumerate_products, random_reduced_word,
+                     run_saturated, saturate_by_rounds)
 
 
 def W(text, rank=2):
@@ -23,6 +26,29 @@ def words(draw, rank=2, max_len=6):
         choices = [a for a in alphabet if not letters or a != -letters[-1]]
         letters.append(draw(st.sampled_from(choices)))
     return ReducedWord(letters, rank)
+
+
+@st.composite
+def generator_sets(draw):
+    """Rank 1-3, 1-5 generators of length 1-6, and probe words: products of
+    generators followed by one arbitrary word."""
+    rank = draw(st.integers(1, 3))
+    gens = draw(st.lists(words(rank, 6).filter(lambda w: len(w) > 0),
+                         min_size=1, max_size=5))
+    probes = []
+    for _ in range(8):
+        w = identity_word(rank)
+        for gi in draw(st.lists(st.integers(0, len(gens) - 1), max_size=4)):
+            w = word_mul(w, gens[gi])
+        probes.append(w)
+        probes.append(word_mul(w, draw(words(rank, 3))))
+    return rank, gens, probes
+
+
+def closure_sets(sub):
+    """The bitset closures of a Submonoid as sets of states."""
+    return [frozenset(q for q in range(c.bit_length()) if c >> q & 1)
+            for c in sub._closure]
 
 
 class TestWords:
@@ -148,3 +174,51 @@ class TestSubmonoids:
             s = compile_submonoid(gens, 2)
             for p in enumerate_products(gens, 2, 5):
                 assert s.member(p)
+
+
+class TestSaturation:
+    @given(generator_sets())
+    def test_matches_round_saturation(self, case):
+        rank, gens, probes = case
+        sub = Submonoid(gens, rank)
+        trans, closure = saturate_by_rounds(sub.generators, rank)
+        assert {k: set(v) for k, v in _flower(sub.generators)[0].items()} == trans
+        assert closure_sets(sub) == closure
+        for w in probes + words_up_to(rank, 2):
+            assert sub.member(w) == run_saturated(trans, closure, w), (gens, w)
+
+    def test_memo_shares_equal_tuples(self):
+        gens = [W("z1 z2"), W("z2^-1")]
+        a = compile_submonoid(gens, 2)
+        assert compile_submonoid(list(gens), 2) is a
+        assert compile_submonoid(iter(gens), 2) is a
+
+    def test_memo_keeps_generator_order(self):
+        gens = [W("z1 z2"), W("z2^-1"), W("z1^-1")]
+        a = compile_submonoid(gens, 2)
+        b = compile_submonoid(gens[::-1], 2)
+        assert b is not a
+        assert a.generators == tuple(gens)
+        assert b.generators == tuple(gens[::-1])
+        target = W("z1 z2 z2^-1")
+        assert a.factorization(target) == [0, 1]
+        assert b.factorization(target) == [2, 1]
+
+
+class TestImmutable:
+    COPIES = [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))]
+
+    def test_mutation_raises(self):
+        s = compile_submonoid([W("z1 z2")], 2)
+        for name in ("generators", "rank", "_closure", "other"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, None)
+        assert s.generators == (W("z1 z2"),)
+
+    @pytest.mark.parametrize("duplicate", COPIES, ids=["copy", "deepcopy", "pickle"])
+    def test_round_trip_keeps_membership(self, duplicate):
+        s = compile_submonoid([W("z1"), W("z1^-1 z2"), W("z2^-2")], 2)
+        d = duplicate(s)
+        assert d.generators == s.generators and d.rank == s.rank
+        for w in words_up_to(2, 4):
+            assert d.member(w) == s.member(w)

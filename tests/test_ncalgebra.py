@@ -6,9 +6,9 @@ from nctoric.errors import ParseError, TargetExceedsBound
 from nctoric.exactmath import GaussRational, ONE, ZERO
 from nctoric.freeword import ReducedWord, abelianize, parse_word
 from nctoric.ncalgebra import (AlgElem, BoundedIdeal, abelianize_elem,
-                               bounded_ideal_member, format_alg, is_homogeneous,
+                               bounded_ideal_member, format_alg,
                                l_commutative_gens, parse_alg)
-from oracles import random_reduced_word
+from oracles import is_homogeneous, random_reduced_word
 
 
 def A(text, rank=2):

@@ -10,6 +10,7 @@ from nctoric.errors import (MissingReferenceCone, NoPositivityFunctional,
 from nctoric.toricfan import (check_certificate, comm_monoid_member,
                               cone_monoid_generators, dual_generators, pairing,
                               perp_lattice_basis, ray_sum, validate_fan)
+from nctoric import exactmath
 from nctoric.exactmath import linear_feasible
 from nctoric.freeword import canonical_lift, identity_word, word_mul
 
@@ -169,6 +170,15 @@ class TestCommMonoidMember:
             assert got is not None
             total = tuple(sum(c * g[j] for c, g in zip(got, gens)) for j in range(2))
             assert total == target
+
+    def test_one_hnf_per_search(self, monkeypatch):
+        # two leaves reach the unit lattice: (1,0,0) is outside 2Z, then (0,0,0)
+        calls = []
+        real = exactmath.hnf
+        monkeypatch.setattr(exactmath, "hnf", lambda m: calls.append(m) or real(m))
+        gens = [(2, 0, 0), (-2, 0, 0), (1, 1, 0), (0, 1, 0)]
+        assert comm_monoid_member(gens, (1, 1, 0), (0, 1, 0)) == [0, 0, 1, 0]
+        assert len(calls) == 1
 
     def test_no_positivity_functional(self):
         with pytest.raises(NoPositivityFunctional):
