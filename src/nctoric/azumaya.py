@@ -342,21 +342,21 @@ def surrogate_basis(morphism):
     out = []
 
     def try_add(m):
-        if not span.add(sparse_vector(qim_flatten(m)))[0]:
-            return False
-        out.append(m)
-        return True
+        if span.add(sparse_vector(qim_flatten(m)))[0]:
+            out.append(m)
 
     for m in mats:
         try_add(m)
-    changed = True
-    while changed:
-        changed = False
+    # each round multiplies the pairs with an element the previous round
+    # added, in the order a full round would; older pairs already lie in
+    # the span, which only grows
+    old = 0
+    while old < len(out):
         snapshot = list(out)
-        for a in snapshot:
-            for b in snapshot:
-                if try_add(qim_mul(a, b)):
-                    changed = True
+        for i, a in enumerate(snapshot):
+            for b in snapshot[old if i < old else 0:]:
+                try_add(qim_mul(a, b))
+        old = len(snapshot)
     return out
 
 

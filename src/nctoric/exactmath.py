@@ -12,6 +12,7 @@ output entry once.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import ceil, floor, gcd, lcm
 from operator import mul
 
@@ -479,35 +480,45 @@ class Echelon:
     """Row echelon form over Q(i), built one vector at a time.
 
     Vectors are sparse dicts {key: nonzero GaussRational} with mutually
-    comparable keys. Rows keep their insertion order; each is reduced
-    against every earlier row, scaled to entry ONE at its pivot, the
-    smallest key of its residual. One pass over the rows in insertion order
-    therefore reduces any vector.
+    comparable keys. Each row is stored under its pivot, the smallest key of
+    the residual it joined with, scaled to entry ONE there; every other key
+    of a row is larger than its pivot. The smallest key of a nonzero
+    combination of rows is therefore a pivot, so the residual of a vector,
+    the part no row can cancel, is unique. reduce() finds it by eliminating
+    the vector's pivot keys in increasing order, and each elimination
+    creates only keys larger than the pivot it removes.
 
     A row added with a tag also records its combination over the tags of
     the rows before it. Such a combination is unique, because the vectors
     that joined are independent, so it depends only on the order in which
-    vectors were added, never on the pivot rule. Combinations, and hence
-    solve(), need every row to carry a tag.
+    vectors were added, never on the order of elimination. Combinations,
+    and hence solve(), need every row to carry a tag.
     """
 
     def __init__(self):
-        self.rows = []   # (pivot, entries off the pivot, combination or None)
+        self.rows = {}   # pivot -> (entries off the pivot, combination or None)
 
     def reduce(self, vec, track=False):
         """(residual, combination): vec reduced against every row, and, when
         track, vec minus that residual as {tag: coefficient}."""
         vec = dict(vec)
         combo = {} if track else None
-        for piv, rest, rcombo in self.rows:
+        rows = self.rows
+        heap = [k for k in vec if k in rows]
+        heapify(heap)
+        while heap:
+            piv = heappop(heap)
             f = vec.pop(piv, None)
             if f is None:
                 continue
+            rest, rcombo = rows[piv]
             g = -f
             for k, v in rest.items():
                 x = vec.get(k)
                 if x is None:
                     vec[k] = g * v
+                    if k in rows:
+                        heappush(heap, k)
                 else:
                     x = x + g * v
                     if x:
@@ -539,7 +550,7 @@ class Echelon:
         if track:
             rcombo = {t: -s * v for t, v in combo.items()}
             rcombo[tag] = s
-        self.rows.append((piv, rest, rcombo))
+        self.rows[piv] = (rest, rcombo)
         return True, None
 
     def solve(self, vec):

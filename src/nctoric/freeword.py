@@ -83,16 +83,19 @@ def reduce_letters(seq, rank):
     return ReducedWord(out, rank)
 
 
+def letters_mul(a, b):
+    """Letters of the reduced product of two reduced letter tuples."""
+    n = len(a)
+    j = 0
+    while j < n and j < len(b) and a[n - 1 - j] == -b[j]:
+        j += 1
+    return a[:n - j] + b[j:]
+
+
 def word_mul(a, b):
     if a.rank != b.rank:
         raise RankMismatch(f"ranks {a.rank} and {b.rank} differ")
-    la = list(a.letters)
-    lb = b.letters
-    j = 0
-    while la and j < len(lb) and la[-1] == -lb[j]:
-        la.pop()
-        j += 1
-    return ReducedWord(tuple(la) + lb[j:], a.rank)
+    return ReducedWord(letters_mul(a.letters, b.letters), a.rank)
 
 
 def word_inv(a):

@@ -7,11 +7,12 @@ negative answer here is explicitly relative to the degree bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import ParseError, RankMismatch, TargetExceedsBound
 from .exactmath import Echelon, GaussRational, ONE, ZERO, format_gauss, parse_gauss
 from .freeword import (ReducedWord, abelianize, format_word, identity_word,
-                       parse_word, word_mul, words_up_to)
+                       letters_mul, parse_word, word_mul, words_up_to)
 
 
 class AlgElem:
@@ -234,14 +235,32 @@ class MemberCertificate:
 
 
 def _pair_words(rank, budget):
-    """(x, y) reduced-word pairs with len(x) + len(y) <= budget."""
+    """(x, y) reduced-word pairs with len(x) + len(y) <= budget: x runs over
+    the words up to the budget shortest first, and y, for each x, over the
+    words up to the length left, shortest first."""
     if budget < 0:
         return
     words = words_up_to(rank, budget)
+    counts = [0] * (budget + 1)
+    for w in words:
+        counts[len(w)] += 1
+    ends = list(accumulate(counts))   # ends[k]: how many words have length <= k
     for x in words:
-        for y in words:
-            if len(x) + len(y) <= budget:
-                yield x, y
+        for y in words[:ends[budget - len(x)]]:
+            yield x, y
+
+
+def _ideal_columns(rank, g, budget):
+    """((x, y), _word_vector(x * g * y)) for each pair of _pair_words(rank,
+    budget), built from letter tuples. Distinct words of g stay distinct
+    after multiplying by x and y, so no coefficients collect."""
+    terms = [(w.letters, c) for w, c in g.terms.items()]
+    for x, y in _pair_words(rank, budget):
+        col = {}
+        for letters, c in terms:
+            w = letters_mul(letters_mul(x.letters, letters), y.letters)
+            col[(-len(w), w)] = c
+        yield (x, y), col
 
 
 def bounded_ideal_member(ideal, target):
@@ -256,13 +275,14 @@ def bounded_ideal_member(ideal, target):
     if target.max_word_len() > d:
         raise TargetExceedsBound(
             f"target has words of length {target.max_word_len()} > bound {d}")
+    for g in ideal.generators:
+        if g.rank != rank:
+            raise RankMismatch(f"generator of rank {g.rank} against a target of rank {rank}")
     ech = Echelon()
     keys = []
     for gi, g in enumerate(ideal.generators):
-        glen = g.max_word_len()
-        for x, y in _pair_words(rank, d - glen):
-            col = AlgElem.from_word(x) * g * AlgElem.from_word(y)
-            ech.add(_word_vector(col), len(keys))
+        for (x, y), col in _ideal_columns(rank, g, d - g.max_word_len()):
+            ech.add(col, len(keys))
             keys.append((x, gi, y))
     combo = ech.solve(_word_vector(target))
     if combo is None:

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written against the problem statement, not
 against the library internals: a different decision procedure for submonoid
-membership, the round-based saturation the library's worklist replaced,
+membership, the round-based saturation the library's worklist replaced, the
+insertion-order echelon its pivot-indexed one replaced, the round-based
+span closure of the surrogate, free-algebra arithmetic on letter tuples,
 exhaustive enumerations, brute-force lattice scans, and small helpers that
 only the tests need.
 """
@@ -10,10 +12,11 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import product as iproduct
 
-from nctoric.azumaya import check_relations
+from nctoric.azumaya import check_relations, missing_corner_inverses
 from nctoric.errors import MorphismInvalid
-from nctoric.exactmath import GaussRational, qim_add, qim_identity, qim_mul, qim_scale, qim_zero
-from nctoric.freeword import ReducedWord, abelianize, identity_word, word_mul
+from nctoric.exactmath import (ONE, ZERO, GaussRational, qim_add, qim_flatten, qim_identity,
+                               qim_mul, qim_scale, qim_zero, sparse_vector)
+from nctoric.freeword import ReducedWord, abelianize, identity_word, word_mul, words_up_to
 
 
 def dyck_membership(generators, rank):
@@ -228,3 +231,146 @@ def graph_of_morphism(morphism, bound):
             raise MorphismInvalid("generator relations are inconsistent on the chart")
         out[cone] = values
     return out
+
+
+class InsertionEchelon:
+    """Row echelon form over Q(i) that reduces a vector against its rows in
+    insertion order: each row is reduced against every earlier row and
+    scaled to ONE at its pivot, the smallest key of its residual, so one
+    pass over the rows reduces any vector. Same interface as
+    nctoric.exactmath.Echelon, with rows a list of (pivot, entries off the
+    pivot, combination or None)."""
+
+    def __init__(self):
+        self.rows = []
+
+    def reduce(self, vec, track=False):
+        vec = dict(vec)
+        combo = {} if track else None
+        for piv, rest, rcombo in self.rows:
+            f = vec.pop(piv, None)
+            if f is None:
+                continue
+            for k, v in rest.items():
+                x = vec.get(k, ZERO) - f * v
+                if x:
+                    vec[k] = x
+                else:
+                    vec.pop(k, None)
+            if track:
+                for t, v in rcombo.items():
+                    x = combo.get(t, ZERO) + f * v
+                    if x:
+                        combo[t] = x
+                    else:
+                        combo.pop(t, None)
+        return vec, combo
+
+    def add(self, vec, tag=None):
+        track = tag is not None
+        residual, combo = self.reduce(vec, track)
+        if not residual:
+            return False, combo
+        piv = min(residual)
+        s = ONE / residual.pop(piv)
+        rest = {k: s * v for k, v in residual.items()}
+        rcombo = None
+        if track:
+            rcombo = {t: -s * v for t, v in combo.items()}
+            rcombo[tag] = s
+        self.rows.append((piv, rest, rcombo))
+        return True, None
+
+    def solve(self, vec):
+        residual, combo = self.reduce(vec, track=True)
+        return None if residual else combo
+
+
+def surrogate_by_rounds(morphism):
+    """The surrogate span closure by full rounds: every round multiplies
+    every pair of the basis so far, until a round adds nothing; spans are
+    kept in an InsertionEchelon. The input morphism must be valid."""
+    r = morphism.rank_r
+    mats = [qim_identity(r)]
+    for chart in morphism.charts.values():
+        mats.append(chart.identity_image)
+        mats.extend(chart.images.values())
+        mats.extend(chart.witnesses.values())
+        mats.extend(missing_corner_inverses(morphism.system, chart).values())
+    span = InsertionEchelon()
+    out = []
+
+    def try_add(m):
+        if not span.add(sparse_vector(qim_flatten(m)))[0]:
+            return False
+        out.append(m)
+        return True
+
+    for m in mats:
+        try_add(m)
+    changed = True
+    while changed:
+        changed = False
+        snapshot = list(out)
+        for a in snapshot:
+            for b in snapshot:
+                if try_add(qim_mul(a, b)):
+                    changed = True
+    return out
+
+
+def pair_words_by_filter(rank, budget):
+    """Every pair of words up to the budget, shortest first, filtered to
+    total length within the budget."""
+    if budget < 0:
+        return []
+    words = words_up_to(rank, budget)
+    return [(x, y) for x in words for y in words if len(x) + len(y) <= budget]
+
+
+# Free-algebra arithmetic over Q(i) on {letter tuple: coefficient} dicts
+
+def free_reduce(letters):
+    """Free reduction of any letter sequence, by a stack."""
+    out = []
+    for k in letters:
+        if out and out[-1] == -k:
+            out.pop()
+        else:
+            out.append(k)
+    return tuple(out)
+
+
+def letter_dict(elem):
+    """An AlgElem as {letter tuple: coefficient}."""
+    return {w.letters: c for w, c in elem.terms.items()}
+
+
+def alg_combine(pairs):
+    """Sum of coefficient * product of letter dicts, over (coefficient,
+    [dict, ...]) pairs, zero terms dropped."""
+    out = {}
+    for coeff, factors in pairs:
+        terms = {(): coeff}
+        for f in factors:
+            nxt = {}
+            for wa, ca in terms.items():
+                for wb, cb in f.items():
+                    w = free_reduce(wa + wb)
+                    nxt[w] = nxt.get(w, ZERO) + ca * cb
+            terms = nxt
+        for w, c in terms.items():
+            out[w] = out.get(w, ZERO) + c
+    return {w: c for w, c in out.items() if c}
+
+
+def shadow(terms, rank):
+    """Commutative shadow of a letter dict: {exponent vector: coefficient},
+    zero terms dropped."""
+    out = {}
+    for letters, c in terms.items():
+        v = [0] * rank
+        for k in letters:
+            v[abs(k) - 1] += 1 if k > 0 else -1
+        out[tuple(v)] = out.get(tuple(v), ZERO) + c
+    return {v: c for v, c in out.items() if c}

@@ -20,7 +20,7 @@ from nctoric.exactmath import (GaussRational, ONE, ZERO, format_gauss,
 from nctoric.freeword import identity_word, parse_word, word_mul
 from nctoric.ncalgebra import AlgElem
 from nctoric.toricfan import validate_fan
-from oracles import graph_of_morphism, random_matrix
+from oracles import graph_of_morphism, random_matrix, surrogate_by_rounds
 
 M = qim_from_rows
 
@@ -316,6 +316,24 @@ class TestSurrogate:
         morphism = MorphismData(rank_r=2, system=system, charts=charts)
         assert len(surrogate_basis(morphism)) == 4
 
+    def test_closure_keeps_products_of_older_with_newer(self):
+        # the order of this basis depends on products a * b with a from an
+        # earlier round and b from the last one; the full-rounds closure
+        # is the oracle for both the basis and its order
+        fan = fan_single()
+        system = build_system(fan)
+        a = M([[0, 0, 1, 1], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+        b = M([[0, 0, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [1, 1, 0, 1]])
+        charts = {cone: QuasiHomChart(cone=cone, identity_image=qim_zero(4),
+                                      images={g: qim_zero(4)
+                                              for g in system.charts[cone].generators})
+                  for cone in fan.faces}
+        gens = list(system.charts[(0, 1)].generators)
+        charts[(0, 1)] = QuasiHomChart(cone=(0, 1), identity_image=qim_identity(4),
+                                       images={gens[0]: a, gens[1]: b})
+        morphism = MorphismData(rank_r=4, system=system, charts=charts)
+        assert surrogate_basis(morphism) == surrogate_by_rounds(morphism)
+
 
 def p1_block_pattern(r):
     """Idempotents on P^1: an (r-2)-dimensional block on the zero cone and
@@ -372,6 +390,8 @@ class TestVerifyIsPure:
         morphism = sample_matrix_model(fan, system, 4, pattern, 0)
         basis = surrogate_basis(morphism)
         assert len(basis) == dim
+        # multiplying only pairs with a new element keeps the basis and its order
+        assert basis == surrogate_by_rounds(morphism)
         stripped = without_witnesses(morphism)
         assert surrogate_basis(stripped) == basis
         assert all(not c.witnesses for c in stripped.charts.values())

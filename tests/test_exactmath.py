@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from sympy import QQ, QQ_I, Matrix, linsolve, symbols
 from sympy.polys.matrices import DomainMatrix
 
-from nctoric.exactmath import (GaussRational, ONE, ZERO, format_gauss, hnf,
+from nctoric.exactmath import (Echelon, GaussRational, ONE, ZERO, format_gauss, hnf,
                                int_inverse_unimodular,
                                kernel_basis, lattice_solver, linear_feasible,
                                minimal_polynomial, parse_gauss,
@@ -16,7 +16,7 @@ from nctoric.exactmath import (GaussRational, ONE, ZERO, format_gauss, hnf,
                                qim_is_zero, qim_mul, qim_rank, qim_zero,
                                solve_corner_inverse)
 from nctoric.errors import ParseError
-from oracles import int_matmul, poly_eval_matrix
+from oracles import InsertionEchelon, int_matmul, poly_eval_matrix
 
 gauss = st.builds(GaussRational,
                   st.fractions(max_denominator=12),
@@ -442,6 +442,59 @@ class TestQimMulAgainstSympy:
             b = _random_qim(rng, 3, 4)
             expect = (_to_sympy(a) * _to_sympy(b)).to_list()
             assert [[_qqi(v) for v in row] for row in qim_mul(a, b)] == expect
+
+
+# ---------------------------------------------------------------------------
+# The pivot-order echelon against the insertion-order one it replaced
+# ---------------------------------------------------------------------------
+
+nonzero_gauss = st.sampled_from([GaussRational(Fraction(a, d), b) for a in range(-2, 3)
+                                  for b in range(-1, 2) for d in (1, 3) if a or b])
+int_keys = st.integers(0, 7)
+word_keys = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=3).map(
+    lambda letters: (-len(letters), tuple(letters)))
+
+
+@st.composite
+def echelon_inputs(draw, keys):
+    """(vectors to add, vectors to reduce): sparse Q(i) vectors, some of
+    them combinations of earlier ones, so that some do not join."""
+    sparse = st.dictionaries(keys, nonzero_gauss, max_size=5)
+    vectors = []
+    for _ in range(draw(st.integers(0, 8))):
+        if vectors and draw(st.booleans()):
+            vec = {}
+            for j, c in draw(st.lists(st.tuples(st.integers(0, len(vectors) - 1),
+                                                nonzero_gauss), min_size=1, max_size=3)):
+                for k, v in vectors[j].items():
+                    vec[k] = vec.get(k, ZERO) + c * v
+            vec = {k: v for k, v in vec.items() if v}
+        else:
+            vec = draw(sparse)
+        vectors.append(vec)
+    return vectors, draw(st.lists(sparse, max_size=3))
+
+
+def _echelon_answers(cls, vectors, probes, tagged):
+    ech = cls()
+    added = [ech.add(v, j if tagged else None) for j, v in enumerate(vectors)]
+    reduced = [ech.reduce(v, track=tagged) for v in probes + vectors]
+    solved = [ech.solve(v) for v in probes + vectors] if tagged else None
+    return ech, (added, reduced, solved)
+
+
+class TestEchelonAgainstInsertionOrder:
+    @pytest.mark.parametrize("keys", [int_keys, word_keys], ids=["int", "word"])
+    @given(data=st.data())
+    def test_same_answers(self, keys, data):
+        # add flags, combinations of dependent vectors, residuals, solutions
+        # and the rows themselves, with and without tags
+        vectors, probes = data.draw(echelon_inputs(keys))
+        for tagged in (True, False):
+            new, answers = _echelon_answers(Echelon, vectors, probes, tagged)
+            old, expect = _echelon_answers(InsertionEchelon, vectors, probes, tagged)
+            assert answers == expect
+            assert new.rows == {piv: (rest, combo) for piv, rest, combo in old.rows}
 
 
 class TestLinearAlgebraAgainstSympy:

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from nctoric.errors import ParseError, TargetExceedsBound
+from nctoric.errors import ParseError, RankMismatch, TargetExceedsBound
 from nctoric.exactmath import GaussRational, ONE, ZERO
 from nctoric.freeword import ReducedWord, abelianize, parse_word
-from nctoric.ncalgebra import (AlgElem, BoundedIdeal, abelianize_elem,
-                               bounded_ideal_member, format_alg,
-                               l_commutative_gens, parse_alg)
-from oracles import is_homogeneous, random_reduced_word
+from nctoric.ncalgebra import (AlgElem, BoundedIdeal, _ideal_columns, _pair_words,
+                               _word_vector, abelianize_elem, bounded_ideal_member,
+                               format_alg, l_commutative_gens, parse_alg)
+from oracles import (alg_combine, is_homogeneous, letter_dict, pair_words_by_filter,
+                     random_reduced_word, shadow)
 
 
 def A(text, rank=2):
@@ -160,6 +161,82 @@ class TestBoundedIdeal:
                 cert = bounded_ideal_member(ideal, target)
                 assert cert is not None
                 assert cert.reconstruct(ideal, 2) == target
+
+
+class TestIdealColumns:
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_pair_order_matches_filter(self, rank):
+        for budget in range(-1, 5 if rank < 3 else 4):
+            assert list(_pair_words(rank, budget)) == pair_words_by_filter(rank, budget)
+
+    def test_direct_columns_match_products(self):
+        rng = random.Random(23)
+        gens = [g for rank, level in ((2, 1), (2, 2), (3, 1))
+                for g in l_commutative_gens(rank, level, level + 1).generators]
+        gens += [g for g in (random_elem(rng, max_len=2) for _ in range(8)) if g]
+        for g in gens:
+            pairs = list(_pair_words(g.rank, 2))
+            cols = list(_ideal_columns(g.rank, g, 2))
+            assert [xy for xy, _ in cols] == pairs
+            for (x, y), col in cols:
+                assert col == _word_vector(AlgElem.from_word(x) * g * AlgElem.from_word(y))
+
+    def test_generator_rank_must_match_target(self):
+        gens = (A("z1"), A("z1 z3 + -1*z3 z1", 3))
+        # at bound 1 the rank-3 commutator is longer than the bound and
+        # builds no column, yet it is refused
+        for target, bound in ((A("z1"), 1), (A("z2 z1 z2"), 4)):
+            with pytest.raises(RankMismatch):
+                bounded_ideal_member(BoundedIdeal(gens, bound), target)
+
+
+def random_member(rng, ideal, terms=3):
+    """A random sum of c * x * g * y with len(x) + len(g) + len(y) within
+    the ideal's bound, as a letter dict."""
+    rank = ideal.generators[0].rank
+    pairs = []
+    for _ in range(terms):
+        g = rng.choice(ideal.generators)
+        room = ideal.degree_bound - g.max_word_len()
+        x = random_reduced_word(rng, rank, rng.randint(0, room))
+        y = random_reduced_word(rng, rank, room - len(x))
+        c = GaussRational(rng.randint(-4, 4) or 1, rng.randint(-2, 2))
+        pairs.append((c, [{x.letters: ONE}, letter_dict(g), {y.letters: ONE}]))
+    return alg_combine(pairs)
+
+
+def elem_of(terms, rank):
+    return AlgElem(rank, {ReducedWord(w, rank): c for w, c in terms.items()})
+
+
+class TestLargeBounds:
+    """L(2,1) at bound 8 and L(3,1) at bound 6: 11665 and 14907 columns."""
+
+    @pytest.mark.parametrize("rank, bound, seed", [(2, 8, 5), (3, 6, 6)])
+    def test_random_member_certified(self, rank, bound, seed):
+        rng = random.Random(seed)
+        ideal = l_commutative_gens(rank, 1, bound)
+        terms = {}
+        while not terms:
+            terms = random_member(rng, ideal)
+        cert = bounded_ideal_member(ideal, elem_of(terms, rank))
+        assert cert is not None
+        rebuilt = alg_combine((c, [{x.letters: ONE}, letter_dict(ideal.generators[gi]),
+                                   {y.letters: ONE}])
+                              for c, x, gi, y in cert.combination)
+        assert rebuilt == terms
+
+    @pytest.mark.parametrize("rank, bound, seed", [(2, 8, 7), (3, 6, 8)])
+    def test_nonzero_shadow_not_found(self, rank, bound, seed):
+        # a commutator ideal lies in the kernel of the commutative shadow
+        rng = random.Random(seed)
+        terms = {}
+        while not shadow(terms, rank):
+            terms = alg_combine((GaussRational(rng.randint(1, 4), rng.randint(-2, 2)),
+                                 [{random_reduced_word(rng, rank, bound).letters: ONE}])
+                                for _ in range(2))
+        ideal = l_commutative_gens(rank, 1, bound)
+        assert bounded_ideal_member(ideal, elem_of(terms, rank)) is None
 
 
 class TestLCommutative:

@@ -26,3 +26,21 @@ def test_every_library_error_names_a_clause():
                and cls not in (errors.NctoricError, errors.ParseError, errors.RankMismatch)]
     unnamed = [cls.__name__ for cls in library if getattr(cls, "clause", None) not in labels]
     assert len(library) >= 19 and unnamed == []
+
+
+def test_no_test_only_imports():
+    # sympy, hypothesis and pytest are test dependencies, never runtime ones
+    banned = {"sympy", "hypothesis", "pytest"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] in banned]
+    assert SRC.is_dir() and found == []
