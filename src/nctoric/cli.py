@@ -59,6 +59,17 @@ def _int_list(text, option):
         raise ParseError(f"{option} must be comma-separated integers, got {text!r}") from None
 
 
+def _nonnegative_int(text):
+    """argparse type of --r and --bound: a matrix size or a search bound."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
 def _cone_arg(text, present, kind):
     """The cone named by --cone, which must be one of the file's cones."""
     text = text.strip()
@@ -312,7 +323,7 @@ def build_parser():
         if out:
             p.add_argument("--out", help="write the resulting artifact here")
         if bound is not None:
-            p.add_argument("--bound", type=int, default=bound)
+            p.add_argument("--bound", type=_nonnegative_int, default=bound)
         if seed:
             p.add_argument("--seed", type=int, default=0)
 
@@ -393,7 +404,7 @@ def build_parser():
     p.set_defaults(func=cmd_morphism_check)
     p = morphism.add_parser("sample")
     p.add_argument("file")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_nonnegative_int, required=True)
     p.add_argument("--pattern", default="trivial",
                    help="'trivial' or a pattern file path")
     common(p, out=True, seed=True)

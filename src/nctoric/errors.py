@@ -86,12 +86,6 @@ class TargetExceedsBound(NctoricError):
     locus = "target"
 
 
-class BadFactorization(NctoricError):
-    # a word evaluated through a quasi-homomorphism chart needs an image or
-    # inverse witness for every generator of its factorization
-    clause = clauses.QUASI_HOM
-
-
 class NotIdempotent(NctoricError):
     clause = clauses.IDEM_STRONG
 

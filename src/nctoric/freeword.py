@@ -15,7 +15,7 @@ compile_submonoid memoizes one immutable Submonoid per generator tuple.
 """
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 
 from .errors import ParseError, RankMismatch
 
@@ -242,34 +242,6 @@ class Submonoid:
             current = nxt
         return bool(current & 1)
 
-    def factorization(self, word, max_factors=12, max_len=None):
-        """A generator-index sequence multiplying to the word, by bounded
-        breadth-first search; None when not found within the bounds.
-
-        A None answer is bound-relative, not a proof of non-membership.
-        """
-        if word.is_identity():
-            return []
-        if max_len is None:
-            gmax = max((len(g) for g in self.generators), default=0)
-            max_len = len(word) + 2 * gmax + 4
-        start = identity_word(self.rank)
-        seen = {start}
-        frontier = deque([(start, [])])
-        while frontier:
-            cur, path = frontier.popleft()
-            if len(path) >= max_factors:
-                continue
-            for gi, g in enumerate(self.generators):
-                nxt = word_mul(cur, g)
-                if nxt == word:
-                    return path + [gi]
-                if len(nxt) > max_len or nxt in seen:
-                    continue
-                seen.add(nxt)
-                frontier.append((nxt, path + [gi]))
-        return None
-
     def __repr__(self):
         gens = ", ".join(format_word(g) for g in self.generators)
         return f"Submonoid([{gens}], rank={self.rank})"
@@ -359,8 +331,8 @@ _COMPILED = {}
 
 def compile_submonoid(generators, rank):
     """The Submonoid of the generators, shared between equal generator
-    tuples.  The key keeps generator order, since factorization indices
-    depend on it."""
+    tuples.  The key keeps generator order, since `comm_monoid_member`
+    coefficients, and so section presentations, follow it."""
     generators = tuple(generators)
     key = (tuple(g.letters for g in generators), rank)
     sub = _COMPILED.get(key)
@@ -374,12 +346,12 @@ def is_unit_in(submonoid, word):
     return submonoid.member(word) and submonoid.member(word_inv(word))
 
 
-def words_up_to(rank, max_len):
-    """All reduced words of length at most max_len, shortest first."""
+def words_up_to(rank, longest):
+    """All reduced words of length at most `longest`, shortest first."""
     out = [identity_word(rank)]
     layer = [()]
     alphabet = [k for i in range(1, rank + 1) for k in (i, -i)]
-    for _ in range(max_len):
+    for _ in range(longest):
         nxt = []
         for letters in layer:
             for a in alphabet:

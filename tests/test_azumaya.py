@@ -6,13 +6,11 @@ from fractions import Fraction
 import pytest
 
 from nctoric.azumaya import (MorphismData, QuasiHomChart, a1_probe,
-                             check_gluing_pair, check_quasi_hom, eval_word,
-                             idem_classify,
+                             check_gluing_pair, check_quasi_hom, idem_classify,
                              image_kernel_bounded, sample_matrix_model,
                              surrogate_basis, verify_morphism)
 from nctoric.deltasystem import build_system
-from nctoric.errors import (BadFactorization, NotIdempotent,
-                            PatternIncomplete)
+from nctoric.errors import NotIdempotent, PatternIncomplete
 from nctoric.exactmath import (GaussRational, ONE, ZERO, format_gauss,
                                qim_from_rows, qim_identity, qim_is_zero, qim_mul,
                                qim_eq, qim_rank, qim_scale, qim_sub, qim_zero,
@@ -74,16 +72,6 @@ class TestQuasiHom:
         report = check_quasi_hom(chart)
         assert not report.ok
         assert report.failures()[0].clause == "Def 4.2.1"
-
-    def test_eval_word(self):
-        a = M([[2, 1], [0, 1]])
-        chart = QuasiHomChart(cone=(0, 1), identity_image=qim_identity(2),
-                              images={W("z1", 2): a})
-        w = W("z1 z1", 2)
-        assert qim_eq(eval_word(chart, w, [(W("z1", 2), False)] * 2), qim_mul(a, a))
-        assert qim_eq(eval_word(chart, identity_word(2), []), qim_identity(2))
-        with pytest.raises(BadFactorization):
-            eval_word(chart, w, [(W("z1", 2), False)])
 
 
 class TestGluingPair:
@@ -272,8 +260,8 @@ class TestVerifyMorphism:
         morphism, system = p1_brane()
         chart = morphism.charts[(0,)]
         e_lo = morphism.charts[()].identity_image
-        z = W("z1", 1)
-        val = eval_word(chart, W("z1^3", 1), [(z, False)] * 3)
+        a = chart.images[W("z1", 1)]
+        val = qim_mul(qim_mul(a, a), a)
         assert qim_eq(qim_mul(val, e_lo), qim_mul(e_lo, val))
 
 

@@ -367,6 +367,25 @@ class TestMalformedInput:
         assert code == 2
         assert "Traceback" not in err and "error:" in err
 
+    @pytest.mark.parametrize("argv, option", [
+        (["morphism", "sample", "cone.fan", "--r", "-1", "--out", "new.json"], "--r"),
+        (["morphism", "check", "mor.json", "--bound", "-3"], "--bound"),
+        (["morphism", "kernel", "mor.json", "--cone", "", "--bound", "-1"], "--bound"),
+        (["subscheme", "member", "mor.json", "--cone", "", "--element", "z1",
+          "--bound", "-1"], "--bound"),
+    ], ids=["sample-r", "check-bound", "kernel-bound", "member-bound"])
+    def test_negative_sizes_refused_at_parse_time(self, tmp_path, monkeypatch, capsys,
+                                                  argv, option):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "cone.fan", CONE_FAN)
+        run(capsys, "morphism", "sample", "cone.fan", "--r", "2", "--seed", "1",
+            "--out", "mor.json")
+        code, out, err = run_process(*argv)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+        assert f"argument {option}: must be a nonnegative integer" in err
+        assert not (tmp_path / "new.json").exists()
+
     @pytest.mark.parametrize("point", ["1,0,0", "1"],
                              ids=["point-too-long", "point-too-short"])
     def test_point_of_wrong_length(self, tmp_path, monkeypatch, capsys, point):

@@ -1,13 +1,15 @@
 import pytest
 
-from nctoric.deltasystem import (ChartSystem, abelianized_chart, augment_system,
-                                 build_system, check_admissible, complete_system,
-                                 soften)
+from nctoric.azumaya import QuasiHomChart, check_gluing_pair
+from nctoric.deltasystem import (ChartSystem, _assert_inverse_system,
+                                 abelianized_chart, augment_system, build_system,
+                                 check_admissible, complete_system, soften)
 from nctoric.errors import (BadLift, ExtraOutsideDualCone, MaximalChartTouched,
                             NotAdmissibleInput)
-from nctoric.freeword import (compile_submonoid, format_word, parse_word,
-                              word_inv)
-from nctoric.toricfan import validate_fan
+from nctoric.exactmath import qim_identity
+from nctoric.freeword import (ReducedWord, canonical_lift, compile_submonoid,
+                              format_word, parse_word, word_inv)
+from nctoric.toricfan import dual_generators, validate_fan
 
 
 def W(text, rank=2):
@@ -24,6 +26,35 @@ def fan_single():
 
 def fan_p1():
     return validate_fan(1, [(1,), (-1,)], [(0,), (1,)])
+
+
+def fan_p3():
+    return validate_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+                        [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
+def constructed_systems(fan):
+    """Systems from every constructor on the fan: build_system with the
+    canonical lifts and with one lift conjugated by the last letter,
+    complete_system with a redundant maximal generator, augment_system with
+    extras on the zero and a maximal cone, and soften with a cubed generator
+    on every non-maximal cone."""
+    rank = fan.rank
+    z, zi = ReducedWord((rank,), rank), ReducedWord((-rank,), rank)
+    sigma = fan.max_cones[0]
+    u = dual_generators(fan, sigma)[0]
+    built = build_system(fan)
+    exotic = build_system(fan, {(sigma, u): z * canonical_lift(u, rank) * zi})
+    partial = {s: list(exotic.charts[s].generators) for s in fan.max_cones}
+    partial[sigma].append(partial[sigma][0] * partial[sigma][-1])
+    completed = complete_system(fan, partial)
+    gens = built.charts[sigma].generators
+    augmented = augment_system(exotic, {sigma: [gens[-1] * gens[0]],
+                                        (): [z * z]})
+    lower = {c: [g * g * g for g in built.charts[c].generators[:1]]
+             for c in fan.faces if not fan.is_maximal(c)}
+    softened, _ = soften(augmented, lower)
+    return built, exotic, completed, augmented, softened
 
 
 def words(system, cone):
@@ -69,10 +100,35 @@ class TestBuild:
         assert check_admissible(system).ok
 
     def test_inverse_system_property(self):
-        system = build_system(fan_p2())
-        for (upper, lower) in system.fan.incidence_pairs():
-            for g in system.charts[upper].generators:
-                assert system.charts[lower].member(g)
+        # every constructor lists each upper generator among the lower
+        # chart's generators, which check_gluing_pair reads images by
+        for fan in (fan_p2(), fan_single(), fan_p1(), fan_p3()):
+            for system in constructed_systems(fan):
+                for (upper, lower) in system.fan.incidence_pairs():
+                    lower_chart = system.charts[lower]
+                    for g in system.charts[upper].generators:
+                        assert g in lower_chart.generators
+                        assert lower_chart.member(g)
+
+    def test_lower_chart_without_upper_generator(self):
+        # z2 is a member of the lower chart but not one of its generators:
+        # only a hand-assembled system has this, and (c) fails, decided
+        system = build_system(fan_single())
+        charts = dict(system.charts)
+        charts[(0,)] = compile_submonoid([W("z1"), W("z2^2"), W("z2^-1")], 2)
+        charts[()] = compile_submonoid(charts[()].generators + (W("z2^2"),), 2)
+        hand = ChartSystem(fan=system.fan, charts=charts)
+        assert hand.charts[(0,)].member(W("z2"))
+        with pytest.raises(AssertionError, match=r"z2 from cone \[0, 1\]"):
+            _assert_inverse_system(hand)
+        e = qim_identity(2)
+        upper = QuasiHomChart(cone=(0, 1), identity_image=e,
+                              images={g: e for g in charts[(0, 1)].generators})
+        lower = QuasiHomChart(cone=(0,), identity_image=e,
+                              images={g: e for g in charts[(0,)].generators})
+        failures = check_gluing_pair(hand, upper, lower).failures()
+        assert [(f.clause, f.detail, f.bound_relative) for f in failures] == [
+            ("Def 4.2.3(c)", "z2 is not a lower generator with an image", False)]
 
 
 class TestCheckAdmissible:
@@ -183,8 +239,7 @@ class TestSoftening:
 
 class TestRankThree:
     def _fan(self):
-        return validate_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
-                            [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+        return fan_p3()
 
     def test_build_and_admissibility(self):
         fan = self._fan()
