@@ -194,7 +194,6 @@ def check_relations(system, chart, rel_bound=4):
 
     Returns (word -> matrix map, findings)."""
     sub = system.charts[chart.cone]
-    r = len(chart.identity_image)
     values = {identity_word(system.fan.rank): [row[:] for row in chart.identity_image]}
     findings = []
     frontier = [identity_word(system.fan.rank)]

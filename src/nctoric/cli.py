@@ -127,7 +127,7 @@ def cmd_system_augment(args, softening=False):
     payload = None
     if record is not None:
         payload = {"added": [f"{list(c)}: " + ", ".join(format_word(w) for w in ws)
-                             for c, ws in sorted(record.added.items()) if ws]}
+                             for c, ws in sorted(record.added.items())]}
     return _emit(report, args, payload)
 
 
@@ -141,9 +141,8 @@ def cmd_sheaf_from_divisor(args):
     system, recipe = serialize.load_system(args.file)
     divisor = serialize.load(args.divisor, serialize.divisor_from_obj, system.fan)
     softened, record, gluing, cartier = sheaf_from_divisor(system, divisor)
-    added = {c: ws for c, ws in record.added.items() if ws}
-    if added:
-        recipe["stages"].append(added)
+    if record.added:
+        recipe["stages"].append(record.added)
     if args.out:
         serialize.dump_json(serialize.sheaf_to_obj(recipe, gluing), args.out)
     report = check_gluing(softened, gluing)
@@ -183,9 +182,8 @@ def cmd_section_extend(args):
     cartier = divisor_vertices(fan, divisor)
     point = _int_list(args.point, "--point")
     softened, record, section = extend_section(gluing.system, gluing, cartier, point)
-    added = {c: ws for c, ws in record.added.items() if ws}
-    if added:
-        recipe["stages"].append(added)
+    if record.added:
+        recipe["stages"].append(record.added)
     if args.out:
         serialize.dump_json(serialize.section_to_obj(recipe, section), args.out)
     report = check_twisted_section(softened, section.gluing, section)

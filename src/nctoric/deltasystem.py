@@ -4,7 +4,7 @@ per-cone admissibility verdicts with witnesses.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import clauses
 from .errors import (BadLift, ExtraOutsideDualCone, MaximalChartTouched,
@@ -22,7 +22,6 @@ class ChartSystem:
 
     fan: Fan
     charts: dict            # cone -> Submonoid
-    provenance: dict = field(default_factory=dict)  # cone -> [(tag, word)]
 
     def equal_charts(self, other):
         if set(self.charts) != set(other.charts):
@@ -33,11 +32,10 @@ class ChartSystem:
 
 @dataclass(frozen=True)
 class SofteningRecord:
-    added: dict             # cone -> list of words newly adjoined
-    invariant_charts: tuple  # the maximal cones, untouched by construction
+    added: dict             # touched cone -> words newly adjoined
 
     def touched_cones(self):
-        return [c for c, ws in self.added.items() if ws]
+        return list(self.added)
 
 
 def _letters(rank):
@@ -57,32 +55,37 @@ def _in_dual(vec, fan, cone):
 
 
 def _dedup(words):
-    out = []
-    for w in words:
-        if w not in out:
-            out.append(w)
-    return out
+    return list(dict.fromkeys(words))
 
 
-def _close_lower_chart(fan, cone, base_words, provenance, tag_inv):
-    """Adjoin inverses of every word whose exponent vector kills the cone,
-    plus the letter generators when the cone is the zero cone."""
-    words = _dedup(base_words)
-    inverses = []
-    for w in words:
-        if _in_perp(abelianize(w), fan, cone):
-            iw = word_inv(w)
-            if iw not in words and iw not in inverses:
-                inverses.append(iw)
-    for iw in inverses:
-        provenance.append((tag_inv, iw))
-    words = words + inverses
-    if not cone:
-        for l in _letters(fan.rank):
-            if l not in words:
-                words.append(l)
-                provenance.append(("base-letter", l))
-    return words
+def _system_from_seeds(fan, seeds):
+    """Compile the chart system grown from per-cone seed words.
+
+    A maximal chart is its own seed. A lower chart lists, each word once:
+    its own seed; the seeds of the faces above it, the lower faces in
+    fan.faces order and then the maximal cones in fan.max_cones order; the
+    inverses of those words that kill the cone; and, on the zero cone, the
+    letters. Build, completion, augmentation and softening all give a lower
+    chart this one chart.
+    """
+    above = [c for c in fan.faces if not fan.is_maximal(c)] + list(fan.max_cones)
+    gen_words = {}
+    for tau in fan.faces:
+        words = list(seeds.get(tau, ()))
+        if not fan.is_maximal(tau):
+            for upper in above:
+                if set(tau) < set(upper):
+                    words += seeds.get(upper, ())
+            words = _dedup(words)
+            words += [word_inv(w) for w in words if _in_perp(abelianize(w), fan, tau)]
+            if not tau:
+                words += _letters(fan.rank)
+        gen_words[tau] = _dedup(words)
+    charts = {cone: compile_submonoid(words, fan.rank)
+              for cone, words in gen_words.items()}
+    system = ChartSystem(fan=fan, charts=charts)
+    _assert_inverse_system(system)
+    return system
 
 
 def build_system(fan, lifts=None):
@@ -93,53 +96,25 @@ def build_system(fan, lifts=None):
     canonical lift.
     """
     lifts = dict(lifts or {})
-    rank = fan.rank
-    provenance = {}
-    gen_words = {}
+    seeds = {}
     for sigma in fan.max_cones:
         words = []
-        prov = []
         for u in dual_generators(fan, sigma):
             w = lifts.get((sigma, u))
             if w is None:
-                w = canonical_lift(u, rank)
+                w = canonical_lift(u, fan.rank)
             elif abelianize(w) != u:
                 raise BadLift(
                     f"lift {format_word(w)} abelianizes to {abelianize(w)}, "
                     f"expected {u} on cone {list(sigma)}")
             words.append(w)
-            prov.append(("maximal-lift", w))
-        gen_words[sigma] = words
-        provenance[sigma] = prov
-    return _system_from_maximal(fan, gen_words, provenance)
-
-
-def _system_from_maximal(fan, gen_words, provenance):
-    """Compile the chart system whose maximal charts are given: each lower
-    chart is the union over its covering maximal cones, closed under unit
-    inverses. Fills gen_words and provenance for the lower cones."""
-    for tau in fan.faces:
-        if fan.is_maximal(tau):
-            continue
-        base = []
-        prov = []
-        for sigma in fan.covering_max_cones(tau):
-            for w in gen_words[sigma]:
-                if w not in base:
-                    base.append(w)
-                    prov.append(("union", w))
-        gen_words[tau] = _close_lower_chart(fan, tau, base, prov, "unit-inverse")
-        provenance[tau] = prov
-    charts = {cone: compile_submonoid(words, fan.rank)
-              for cone, words in gen_words.items()}
-    system = ChartSystem(fan=fan, charts=charts, provenance=provenance)
-    _assert_inverse_system(system)
-    return system
+        seeds[sigma] = words
+    return _system_from_seeds(fan, seeds)
 
 
 def _assert_inverse_system(system):
     """Every generator of an upper chart is a generator of each lower chart,
-    as the lower charts are built from their covers' generators;
+    as each lower chart lists the seeds of the cones above it;
     azumaya.check_gluing_pair reads the lower image of each upper generator
     by it."""
     for (upper, lower) in system.fan.incidence_pairs():
@@ -220,38 +195,28 @@ def complete_system(fan, partial):
     partial maps every maximal cone to its generating words; the maximal
     charts are kept verbatim.
     """
-    rank = fan.rank
-    gen_words = {}
-    provenance = {}
+    seeds = {}
     for sigma in fan.max_cones:
         if sigma not in partial:
             raise NotAdmissibleInput(f"no chart supplied for maximal cone {list(sigma)}")
-        words = _dedup(list(partial[sigma]))
-        chart = compile_submonoid(words, rank)
-        abel = [abelianize(w) for w in words]
-        for w, v in zip(words, abel):
-            if not _in_dual(v, fan, sigma):
+        words = _dedup(partial[sigma])
+        for w in words:
+            if not _in_dual(abelianize(w), fan, sigma):
                 raise NotAdmissibleInput(
                     f"generator {format_word(w)} of cone {list(sigma)} leaves the dual cone")
-        functional = ray_sum(fan, sigma)
-        for u in dual_generators(fan, sigma):
-            if comm_monoid_member(abel, u, functional) is None:
-                raise NotAdmissibleInput(
-                    f"cone {list(sigma)}: dual-monoid generator {u} is not reached")
-        for w, v in zip(words, abel):
-            if _in_perp(v, fan, sigma) and not is_unit_in(chart, w):
-                raise NotAdmissibleInput(
-                    f"cone {list(sigma)}: generator {format_word(w)} must be a unit")
-        gen_words[sigma] = words
-        provenance[sigma] = [("supplied", w) for w in words]
-    return _system_from_maximal(fan, gen_words, provenance)
+        supplied = ChartSystem(fan=fan, charts={sigma: compile_submonoid(words, fan.rank)})
+        for f in admissible_cone_findings(supplied, sigma):
+            if not f.ok:
+                raise NotAdmissibleInput(f"{f.locus}: {f.clause} fails for {f.detail}")
+        seeds[sigma] = words
+    return _system_from_seeds(fan, seeds)
 
 
 def augment_system(system, extra):
-    """Enlarge charts so each cone's chart contains the given extra words,
-    restoring admissibility by descending induction on dimension."""
+    """Enlarge charts so each cone's chart contains the given extra words:
+    every chart is reseeded with its generators and extras, and each lower
+    chart regrows from the seeds above it."""
     fan = system.fan
-    rank = fan.rank
     extra = {tuple(c): list(ws) for c, ws in (extra or {}).items()}
     for cone, words in extra.items():
         for w in words:
@@ -259,47 +224,16 @@ def augment_system(system, extra):
                 raise ExtraOutsideDualCone(
                     f"extra word {format_word(w)} does not map into the dual "
                     f"cone of {list(cone)}")
-    new_words = {}
-    provenance = {}
-    for sigma in fan.max_cones:
-        words = list(system.charts[sigma].generators)
-        prov = list(system.provenance.get(sigma, [("existing", w) for w in words]))
-        for w in extra.get(sigma, []):
-            if w not in words and not w.is_identity():
-                words.append(w)
-                prov.append(("extra", w))
-        new_words[sigma] = words
-        provenance[sigma] = prov
-    for dim in range(fan.rank - 1, -1, -1):
-        for tau in fan.faces:
-            if len(tau) != dim or fan.is_maximal(tau):
-                continue
-            words = list(system.charts[tau].generators)
-            prov = list(system.provenance.get(tau, [("existing", w) for w in words]))
-            for w in extra.get(tau, []):
-                if w not in words and not w.is_identity():
-                    words.append(w)
-                    prov.append(("extra", w))
-            covers = [c for c in fan.faces
-                      if len(c) == dim + 1 and set(tau) < set(c)]
-            for cover in covers:
-                for w in new_words[cover]:
-                    if w not in words:
-                        words.append(w)
-                        prov.append(("upper", w))
-            words = _close_lower_chart(fan, tau, words, prov, "unit-inverse")
-            new_words[tau] = words
-            provenance[tau] = prov
-    charts = {cone: compile_submonoid(words, rank) for cone, words in new_words.items()}
-    out = ChartSystem(fan=fan, charts=charts, provenance=provenance)
-    _assert_inverse_system(out)
-    return out
+    seeds = {cone: _dedup([*system.charts[cone].generators,
+                           *(w for w in extra.get(cone, ()) if not w.is_identity())])
+             for cone in fan.faces}
+    return _system_from_seeds(fan, seeds)
 
 
 def soften(system, extra):
     """Augment with extras on non-maximal cones only; maximal charts keep
     their exact generator lists.  Returns the new system and a record of
-    what was adjoined where."""
+    the words adjoined to each touched cone."""
     extra = {tuple(c): [w for w in ws if not w.is_identity()]
              for c, ws in (extra or {}).items()}
     extra = {c: ws for c, ws in extra.items() if ws}
@@ -310,14 +244,11 @@ def soften(system, extra):
     out = augment_system(system, extra)
     added = {}
     for cone in system.fan.faces:
-        old = list(system.charts[cone].generators)
-        new = list(out.charts[cone].generators)
-        added[cone] = [w for w in new if w not in old]
-    for sigma in system.fan.max_cones:
-        if out.charts[sigma].generators != system.charts[sigma].generators:
-            raise AssertionError("softening changed a maximal chart")
-    record = SofteningRecord(added=added, invariant_charts=system.fan.max_cones)
-    return out, record
+        old = set(system.charts[cone].generators)
+        new = [w for w in out.charts[cone].generators if w not in old]
+        if new:
+            added[cone] = new
+    return out, SofteningRecord(added=added)
 
 
 def abelianized_chart(system, cone):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, gcd, isqrt, lcm
 from operator import mul
 
 from .errors import ParseError, UnboundedPolytope
@@ -802,16 +802,10 @@ def _gauss_int_divide(a, b):
 
 def _gauss_prime_above(p):
     """A Gaussian prime over the rational prime p (p = 2 or p % 4 == 1)."""
-    if p == 2:
-        return (1, 1)
-    for a in range(1, int(p ** 0.5) + 2):
-        b2 = p - a * a
-        if b2 < 0:
-            break
-        b = int(b2 ** 0.5)
-        for bb in (b - 1, b, b + 1):
-            if bb >= 0 and a * a + bb * bb == p:
-                return (a, bb)
+    for a in range(1, isqrt(p) + 1):
+        b = isqrt(p - a * a)
+        if a * a + b * b == p:
+            return (a, b)
     raise ValueError(f"no two-square decomposition for {p}")
 
 

@@ -11,7 +11,7 @@ import json
 import os
 
 from .azumaya import MorphismData, QuasiHomChart
-from .deltasystem import augment_system, build_system, soften
+from .deltasystem import augment_system, build_system
 from .errors import ParseError
 from .exactmath import format_gauss, parse_gauss
 from .freeword import format_word, parse_word
@@ -151,10 +151,7 @@ def system_from_obj(obj, where="system", base_dir=None):
     for stage_obj in _field(obj, "extras", where, list, default=[]):
         stage = stage_from_obj(stage_obj, fan, f"{where}.extras")
         stages.append(stage)
-        if any(fan.is_maximal(c) for c in stage):
-            system = augment_system(system, stage)
-        else:
-            system, _ = soften(system, stage)
+        system = augment_system(system, stage)
     return system, {"fan": fan, "lifts": lifts, "stages": stages}
 
 
@@ -210,7 +207,11 @@ def sheaf_from_obj(obj, where="sheaf"):
     words = {}
     at = f"{where}.gluing"
     for item in _field(obj, "gluing", where, list):
-        key = (_cone(item, fan, at, "upper"), _cone(item, fan, at, "lower"))
+        upper, lower = key = (_cone(item, fan, at, "upper"), _cone(item, fan, at, "lower"))
+        if not set(lower) < set(upper):
+            raise ParseError(f"{at}: {list(lower)} is not a proper face of {list(upper)}")
+        if key in words:
+            raise ParseError(f"{at}: a second entry for {list(upper)} > {list(lower)}")
         scalars[key] = parse_gauss(_field(item, "scalar", at))
         words[key] = parse_word(_field(item, "word", at), fan.rank)
     return GluingData(system=system, scalars=scalars, words=words), recipe

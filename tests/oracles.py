@@ -3,8 +3,9 @@
 Everything here is deliberately written against the problem statement, not
 against the library internals: a different decision procedure for submonoid
 membership, the round-based saturation the library's worklist replaced, the
-insertion-order echelon its pivot-indexed one replaced, the round-based
-span closure of the surrogate, free-algebra arithmetic on letter tuples,
+insertion-order echelon its pivot-indexed one replaced, the two lower-chart
+constructions its one lower-chart rule replaced, the round-based span
+closure of the surrogate, free-algebra arithmetic on letter tuples,
 exhaustive enumerations, brute-force lattice scans, and small helpers that
 only the tests need.
 """
@@ -374,3 +375,62 @@ def shadow(terms, rank):
             v[abs(k) - 1] += 1 if k > 0 else -1
         out[tuple(v)] = out.get(tuple(v), ZERO) + c
     return {v: c for v, c in out.items() if c}
+
+
+def _closed_chart(fan, cone, words):
+    """The words, each once, then the inverses of those whose exponent
+    vector pairs to zero with every ray of the cone, then, on the zero cone,
+    the letters."""
+    out = []
+    for w in words:
+        if w not in out:
+            out.append(w)
+    for w in list(out):
+        vec = abelianize(w)
+        kills = all(sum(a * b for a, b in zip(vec, fan.rays[i])) == 0 for i in cone)
+        if kills and w.inverse() not in out:
+            out.append(w.inverse())
+    if not cone:
+        for i in range(1, fan.rank + 1):
+            for letter in (ReducedWord((i,), fan.rank), ReducedWord((-i,), fan.rank)):
+                if letter not in out:
+                    out.append(letter)
+    return out
+
+
+def union_of_maximal_charts(fan, maximal):
+    """Build from lifts and completion (Thm 2.2.5, Prop 2.2.9) read
+    directly: each lower chart is the union of the maximal charts that
+    contain the cone, in fan.max_cones order, closed. maximal maps each
+    maximal cone to its generator list; returns cone -> word list."""
+    charts = {}
+    for tau in fan.faces:
+        if tau in fan.max_cones:
+            charts[tau] = list(dict.fromkeys(maximal[tau]))
+        else:
+            charts[tau] = _closed_chart(fan, tau, [
+                w for sigma in fan.max_cones if set(tau) <= set(sigma) for w in maximal[sigma]])
+    return charts
+
+
+def immediate_cover_descent(fan, charts, extra):
+    """Augmentation (Prop 2.2.10) by descending dimension: each maximal
+    chart gains its extras; then, from the top dimension down, each lower
+    chart takes its words, its extras and the words of the faces one
+    dimension above it (in fan.faces order), closed. charts maps every cone
+    to its word list; returns the new map."""
+    def grown(cone):
+        out = list(charts[cone])
+        for w in extra.get(cone, ()):
+            if w not in out and not w.is_identity():
+                out.append(w)
+        return out
+
+    new = {sigma: grown(sigma) for sigma in fan.max_cones}
+    for dim in range(fan.rank - 1, -1, -1):
+        for tau in fan.faces:
+            if len(tau) == dim and tau not in new:
+                covers = [c for c in fan.faces if len(c) == dim + 1 and set(tau) < set(c)]
+                new[tau] = _closed_chart(fan, tau, grown(tau) + [
+                    w for c in covers for w in new[c]])
+    return new

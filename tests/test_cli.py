@@ -399,6 +399,31 @@ class TestMalformedInput:
         assert code == 2
         assert "Traceback" not in err and "error:" in err
 
+    @pytest.mark.parametrize("entry, named", [
+        ({"upper": [0], "lower": [1], "scalar": "1", "word": "z1"},
+         "[1] is not a proper face of [0]"),
+        (None, "a second entry for [0, 1] > []"),
+    ], ids=["lower-not-a-face", "duplicate-pair"])
+    def test_impossible_gluing_entry(self, tmp_path, monkeypatch, capsys, entry, named):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "p2.fan", P2)
+        write(tmp_path, "o1.div", {"coefficients": {"2": 1}})
+        run(capsys, "sheaf", "from-divisor", "p2.fan", "--divisor", "o1.div",
+            "--out", "sheaf.json")
+        sheaf = load_json(str(tmp_path / "sheaf.json"))
+        if entry is None:
+            entry = next(e for e in sheaf["gluing"]
+                         if e["upper"] == [0, 1] and e["lower"] == [])
+        sheaf["gluing"].append(dict(entry))
+        write(tmp_path, "sheaf.json", sheaf)
+        for argv in (["sheaf", "check", "sheaf.json"],
+                     ["section", "extend", "sheaf.json", "--divisor", "o1.div",
+                      "--point", "1,0", "--out", "s1.json"]):
+            code, out, err = run_process(*argv)
+            assert code == 2 and out == ""
+            assert "Traceback" not in err and named in err
+        assert not (tmp_path / "s1.json").exists()
+
 
 class TestInternalError:
     def test_exit_3_with_traceback(self, tmp_path, capsys, monkeypatch):

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nctoric.azumaya import QuasiHomChart, check_gluing_pair
 from nctoric.deltasystem import (ChartSystem, _assert_inverse_system,
@@ -9,7 +13,8 @@ from nctoric.errors import (BadLift, ExtraOutsideDualCone, MaximalChartTouched,
 from nctoric.exactmath import qim_identity
 from nctoric.freeword import (ReducedWord, canonical_lift, compile_submonoid,
                               format_word, parse_word, word_inv)
-from nctoric.toricfan import dual_generators, validate_fan
+from nctoric.toricfan import cone_monoid_generators, dual_generators, validate_fan
+from oracles import immediate_cover_descent, union_of_maximal_charts
 
 
 def W(text, rank=2):
@@ -134,8 +139,7 @@ class TestBuild:
 class TestCheckAdmissible:
     def test_tampered_ray_chart(self):
         system = build_system(fan_single())
-        bad = ChartSystem(fan=system.fan, charts=dict(system.charts),
-                          provenance=dict(system.provenance))
+        bad = ChartSystem(fan=system.fan, charts=dict(system.charts))
         bad.charts[(0,)] = compile_submonoid([W("z1"), W("z2")], 2)
         report = check_admissible(bad)
         assert not report.ok
@@ -290,3 +294,104 @@ class TestAbelianizedChart:
             assert comm_monoid_member(vecs, t, f) is not None
             if flag:
                 assert comm_monoid_member(vecs, tuple(-x for x in t), f) is not None
+
+
+RULE_FANS = {
+    "p1": (1, [(1,), (-1,)], [(0,), (1,)]),
+    "one-cone": (2, [(1, 0), (0, 1)], [(0, 1)]),
+    "p2": (2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)]),
+    "p2-sorted": (2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (0, 2), (1, 2)]),
+    "f3": (2, [(1, 0), (0, 1), (-1, 3), (0, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    "p1xp1": (2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    "p3": (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+           [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]),
+}
+
+
+def word_lists(system):
+    return {c: list(chart.generators) for c, chart in system.charts.items()}
+
+
+def random_dual_word(rng, fan, tau, perp=False):
+    """A random word whose exponent vector lies in the dual cone of tau (in
+    its perpendicular lattice when perp): a product, in random order, of
+    lifts of dual-monoid generators, the perpendicular ones with either
+    sign, conjugated by a random letter."""
+    gens, flags = cone_monoid_generators(fan, tau)
+    pieces = []
+    for g, is_perp in zip(gens, flags):
+        if perp and not is_perp:
+            continue
+        c = rng.randint(-1, 2) if is_perp else rng.randint(0, 2)
+        if c:
+            pieces.append(canonical_lift(tuple(c * x for x in g), fan.rank))
+    rng.shuffle(pieces)
+    word = ReducedWord((), fan.rank)
+    for piece in pieces:
+        word = word * piece
+    letter = ReducedWord((rng.choice([1, -1]) * rng.randint(1, fan.rank),), fan.rank)
+    return letter * word * word_inv(letter)
+
+
+class TestOneLowerChartRule:
+    """Every constructor gives a lower chart the one chart of the rule:
+    build and completion list exactly the union of the covering maximal
+    charts, closed; augmentation and softening give the generator set of
+    the descent through immediate covers."""
+
+    @pytest.mark.parametrize("name", sorted(RULE_FANS))
+    def test_build_and_completion_list_the_union_in_order(self, name):
+        fan = validate_fan(*RULE_FANS[name])
+        rank = fan.rank
+        z = ReducedWord((rank,), rank)
+        sigma = fan.max_cones[-1]
+        u = dual_generators(fan, sigma)[0]
+        for lifts in ({}, {(sigma, u): z * canonical_lift(u, rank) * word_inv(z)}):
+            built = build_system(fan, lifts)
+            maximal = {s: list(built.charts[s].generators) for s in fan.max_cones}
+            assert word_lists(built) == union_of_maximal_charts(fan, maximal)
+            partial = {s: ws + [ws[-1] * ws[0], ws[0]] for s, ws in maximal.items()}
+            completed = complete_system(fan, partial)
+            assert word_lists(completed) == union_of_maximal_charts(fan, partial)
+
+    @given(name=st.sampled_from(sorted(RULE_FANS)), seed=st.integers(0, 2 ** 32 - 1))
+    def test_augment_and_soften_give_the_descent_sets(self, name, seed):
+        fan = validate_fan(*RULE_FANS[name])
+        rng = random.Random(seed)
+        lower = [c for c in fan.faces if not fan.is_maximal(c)]
+        system = build_system(fan)
+        reference = word_lists(system)
+        for _ in range(3):
+            if rng.randint(0, 1):
+                cones = rng.sample(fan.faces, 2)
+                extra = {c: [random_dual_word(rng, fan, c)] for c in cones}
+                out = augment_system(system, extra)
+            else:
+                cones = rng.sample(lower, min(2, len(lower)))
+                extra = {c: [random_dual_word(rng, fan, c)] for c in cones}
+                out, record = soften(system, extra)
+                added = {c: [w for w in out.charts[c].generators
+                             if w not in system.charts[c].generators] for c in fan.faces}
+                assert record.added == {c: ws for c, ws in added.items() if ws}
+            system = out
+            reference = immediate_cover_descent(fan, reference, extra)
+            assert ({c: set(ws) for c, ws in word_lists(system).items()}
+                    == {c: set(ws) for c, ws in reference.items()})
+
+    @pytest.mark.parametrize("name", sorted(n for n in RULE_FANS if RULE_FANS[n][0] <= 2))
+    def test_paired_softenings_give_the_descent_in_order(self, name):
+        # sheaf and section softenings adjoin each word with its inverse
+        fan = validate_fan(*RULE_FANS[name])
+        lower = [c for c in fan.faces if not fan.is_maximal(c)]
+        for seed in range(20):
+            rng = random.Random(seed)
+            system = build_system(fan)
+            reference = word_lists(system)
+            for _ in range(3):
+                extra = {}
+                for c in rng.sample(lower, min(2, len(lower))):
+                    w = random_dual_word(rng, fan, c, perp=True)
+                    extra[c] = [w, word_inv(w)]
+                system, _ = soften(system, extra)
+                reference = immediate_cover_descent(fan, reference, extra)
+                assert word_lists(system) == reference

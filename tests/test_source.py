@@ -44,3 +44,48 @@ def test_no_test_only_imports():
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name.split(".")[0] in banned]
     assert SRC.is_dir() and found == []
+
+
+def test_no_float_constants():
+    # exact arithmetic throughout: a float literal would be a float operand
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, (float, complex))]
+    assert SRC.is_dir() and found == []
+
+
+def _loaded_names(node):
+    return {n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def test_no_unused_names():
+    # no linter ships with the test dependencies: every import is used (or
+    # listed in __all__) and every plain local assignment is read
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = _loaded_names(tree)
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"]):
+                used |= {e.value for e in node.value.elts}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                    getattr(node, "module", None) != "__future__"):
+                found |= {f"{path.name}:{node.lineno} import {alias.name}"
+                          for alias in node.names
+                          if (alias.asname or alias.name).split(".")[0] not in used}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            read = _loaded_names(fn)
+            read |= {name for n in ast.walk(fn)
+                     if isinstance(n, (ast.Global, ast.Nonlocal)) for name in n.names}
+            found |= {f"{path.name}:{n.lineno} {t.id}" for n in ast.walk(fn)
+                      if isinstance(n, ast.Assign) for t in n.targets
+                      if isinstance(t, ast.Name) and t.id != "_" and t.id not in read}
+    assert SRC.is_dir() and sorted(found) == []
