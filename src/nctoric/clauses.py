@@ -22,7 +22,6 @@ GLUING_UNIT = "Lemma 3.4(i)"
 GLUING_PERP = "Lemma 3.4(ii)"
 GLUING_COCYCLE = "Lemma 3.4(iii)"
 GLUING_ISOM = "Lemma 3.4 (isomorphism)"
-SHEAF_FROM_DIVISOR = "Prop 3.5"
 POLYTOPE = "§3 (polytope sections)"
 SECTION_EXTEND = "Prop 3.8"
 TWISTED_SECTION = "Def 3.6"
@@ -35,11 +34,9 @@ GLUE_COMPATIBLE = "Def 4.2.3(c)"
 IDEM_WEAK = "Def 4.2.2"
 IDEM_STRONG = "Def 4.2.6"
 IDEM_REDUCED = "Lemma-Def 4.2.7"
-IDEM_COMPLETE = "Def 4.2.8"
 MORPHISM_GLUING = "Def 4.2.9(i)"
 MORPHISM_COMPLETE = "Def 4.2.9(ii)"
 SURROGATE = "Def 4.2.12"
 MORPHISM_IMAGE = "Def 4.2.13"
 A1_PROBE = "Example 2.1.9"
 MATRIX_MODEL = "Question 4.2.14"
-L_COMMUTATIVE = "Def 2.1.6"

@@ -95,11 +95,10 @@ def cmd_fan_check(args):
 # --- system ------------------------------------------------------------------
 
 def cmd_system_build(args):
-    system, recipe = serialize.load_system(args.file)
+    system = serialize.load_system(args.file)
     report = check_admissible(system)
     if args.out:
-        serialize.dump_json(serialize.system_to_obj(
-            recipe["fan"], recipe["lifts"], recipe["stages"]), args.out)
+        serialize.dump_json(serialize.system_to_obj(system), args.out)
     payload = {"charts": [f"{list(c)}: "
                           + ", ".join(format_word(g) for g in system.charts[c].generators)
                           for c in system.fan.faces]}
@@ -107,27 +106,25 @@ def cmd_system_build(args):
 
 
 def cmd_system_check(args):
-    system, _ = serialize.load_system(args.file)
+    system = serialize.load_system(args.file)
     return _emit(check_admissible(system), args)
 
 
 def cmd_system_augment(args, softening=False):
-    system, recipe = serialize.load_system(args.file)
+    system = serialize.load_system(args.file)
     stage = serialize.load(args.extras, serialize.stage_from_obj, system.fan)
     if softening:
-        system, record = soften(system, stage)
+        system, added = soften(system, stage)
     else:
         system = augment_system(system, stage)
-        record = None
-    recipe["stages"].append(stage)
+        added = None
     if args.out:
-        serialize.dump_json(serialize.system_to_obj(
-            recipe["fan"], recipe["lifts"], recipe["stages"]), args.out)
+        serialize.dump_json(serialize.system_to_obj(system), args.out)
     report = check_admissible(system)
     payload = None
-    if record is not None:
+    if added is not None:
         payload = {"added": [f"{list(c)}: " + ", ".join(format_word(w) for w in ws)
-                             for c, ws in sorted(record.added.items())]}
+                             for c, ws in sorted(added.items())]}
     return _emit(report, args, payload)
 
 
@@ -138,25 +135,23 @@ def cmd_system_soften(args):
 # --- sheaf -------------------------------------------------------------------
 
 def cmd_sheaf_from_divisor(args):
-    system, recipe = serialize.load_system(args.file)
+    system = serialize.load_system(args.file)
     divisor = serialize.load(args.divisor, serialize.divisor_from_obj, system.fan)
-    softened, record, gluing, cartier = sheaf_from_divisor(system, divisor)
-    if record.added:
-        recipe["stages"].append(record.added)
+    gluing, _ = sheaf_from_divisor(system, divisor)
     if args.out:
-        serialize.dump_json(serialize.sheaf_to_obj(recipe, gluing), args.out)
-    report = check_gluing(softened, gluing)
+        serialize.dump_json(serialize.sheaf_to_obj(gluing), args.out)
+    report = check_gluing(gluing.system, gluing)
     return _emit(report, args)
 
 
 def cmd_sheaf_check(args):
-    gluing, _ = serialize.load(args.file, serialize.sheaf_from_obj)
+    gluing = serialize.load(args.file, serialize.sheaf_from_obj)
     return _emit(check_gluing(gluing.system, gluing), args)
 
 
 def cmd_sheaf_isom(args):
-    g1, _ = serialize.load(args.first, serialize.sheaf_from_obj)
-    g2, _ = serialize.load(args.second, serialize.sheaf_from_obj)
+    g1 = serialize.load(args.first, serialize.sheaf_from_obj)
+    g2 = serialize.load(args.second, serialize.sheaf_from_obj)
     candidate = serialize.load(args.candidate, serialize.candidate_from_obj, g1.system.fan)
     ok = sheaves_isomorphic(g1, g2, candidate)
     report = Report([Finding(clause=clauses.GLUING_ISOM, locus="candidate",
@@ -167,7 +162,7 @@ def cmd_sheaf_isom(args):
 # --- sections ------------------------------------------------------------------
 
 def cmd_section_list(args):
-    system, _ = serialize.load_system(args.file)
+    system = serialize.load_system(args.file)
     divisor = serialize.load(args.divisor, serialize.divisor_from_obj, system.fan)
     points = polytope_sections(system.fan, divisor)
     report = Report([Finding(clause=clauses.POLYTOPE, locus="divisor polytope",
@@ -176,22 +171,20 @@ def cmd_section_list(args):
 
 
 def cmd_section_extend(args):
-    gluing, recipe = serialize.load_sheaf(args.file)
+    gluing = serialize.load_sheaf(args.file)
     fan = gluing.system.fan
     divisor = serialize.load(args.divisor, serialize.divisor_from_obj, fan)
     cartier = divisor_vertices(fan, divisor)
     point = _int_list(args.point, "--point")
-    softened, record, section = extend_section(gluing.system, gluing, cartier, point)
-    if record.added:
-        recipe["stages"].append(record.added)
+    section = extend_section(gluing.system, gluing, cartier, point)
     if args.out:
-        serialize.dump_json(serialize.section_to_obj(recipe, section), args.out)
-    report = check_twisted_section(softened, section.gluing, section)
+        serialize.dump_json(serialize.section_to_obj(section), args.out)
+    report = check_twisted_section(section.system, section.gluing, section)
     return _emit(report, args)
 
 
 def cmd_section_check(args):
-    section, _ = serialize.load(args.file, serialize.section_from_obj)
+    section = serialize.load(args.file, serialize.section_from_obj)
     return _emit(check_twisted_section(section.system, section.gluing, section), args)
 
 
@@ -204,10 +197,10 @@ def cmd_subscheme_build(args):
     carrier_idx = max(
         range(len(loaded)),
         key=lambda i: sum(len(sm.generators)
-                          for sm in loaded[i][0].system.charts.values()))
-    carrier, recipe = loaded[carrier_idx]
+                          for sm in loaded[i].system.charts.values()))
+    carrier = loaded[carrier_idx]
     sections = []
-    for (section, _), path in zip(loaded, args.sections):
+    for section, path in zip(loaded, args.sections):
         for cone, elem in section.locals.items():
             chart = carrier.system.charts.get(cone)
             for w in elem.terms:
@@ -219,7 +212,7 @@ def cmd_subscheme_build(args):
                                       locals=section.locals))
     charts = subscheme_from_sections(sections)
     if args.out:
-        serialize.dump_json(serialize.subscheme_to_obj(recipe, charts), args.out)
+        serialize.dump_json(serialize.subscheme_to_obj(carrier.system, charts), args.out)
     report = Report([Finding(clause=clauses.SUBSCHEME, locus="charts", ok=True,
                              detail=f"{len(sections)} sections over {len(charts)} cones")])
     payload = {"charts": [f"{list(c)}: " + "; ".join(format_alg(g) for g in gens)
@@ -228,7 +221,7 @@ def cmd_subscheme_build(args):
 
 
 def cmd_subscheme_member(args):
-    system, charts, _ = serialize.load(args.file, serialize.subscheme_from_obj)
+    system, charts = serialize.load(args.file, serialize.subscheme_from_obj)
     cone = _cone_arg(args.cone, charts, "subscheme")
     target = parse_alg(args.element, system.fan.rank)
     cert = bounded_ideal_member(BoundedIdeal(tuple(charts[cone]), args.bound), target)
@@ -250,26 +243,26 @@ def cmd_subscheme_member(args):
 # --- morphisms --------------------------------------------------------------------
 
 def cmd_morphism_check(args):
-    morphism, _ = serialize.load(args.file, serialize.morphism_from_obj)
+    morphism = serialize.load(args.file, serialize.morphism_from_obj)
     return _emit(verify_morphism(morphism, rel_bound=args.bound), args)
 
 
 def cmd_morphism_sample(args):
-    system, recipe = serialize.load_system(args.file)
+    system = serialize.load_system(args.file)
     if args.pattern == "trivial":
         pattern = "trivial"
     else:
         pattern = serialize.load(args.pattern, serialize.pattern_from_obj, system.fan, args.r)
     morphism = sample_matrix_model(system.fan, system, args.r, pattern, args.seed)
     if args.out:
-        serialize.dump_json(serialize.morphism_to_obj(recipe, morphism), args.out)
+        serialize.dump_json(serialize.morphism_to_obj(morphism), args.out)
     report = Report([Finding(clause=clauses.MATRIX_MODEL, locus="sample", ok=True,
                              detail=f"rank {args.r}, seed {args.seed}")])
     return _emit(report, args)
 
 
 def cmd_morphism_surrogate(args):
-    morphism, _ = serialize.load(args.file, serialize.morphism_from_obj)
+    morphism = serialize.load(args.file, serialize.morphism_from_obj)
     basis = surrogate_basis(morphism)
     report = Report([Finding(clause=clauses.SURROGATE, locus="surrogate", ok=True,
                              detail=f"dimension {len(basis)}")])
@@ -278,7 +271,7 @@ def cmd_morphism_surrogate(args):
 
 
 def cmd_morphism_kernel(args):
-    morphism, _ = serialize.load(args.file, serialize.morphism_from_obj)
+    morphism = serialize.load(args.file, serialize.morphism_from_obj)
     cone = _cone_arg(args.cone, morphism.charts, "morphism")
     ideal = image_kernel_bounded(morphism, cone, args.bound)
     report = Report([Finding(clause=clauses.MORPHISM_IMAGE,
@@ -375,7 +368,9 @@ def build_parser():
     p = section.add_parser("extend")
     p.add_argument("file")
     p.add_argument("--divisor", required=True)
-    p.add_argument("--point", required=True, help="comma-separated lattice point")
+    p.add_argument("--point", required=True,
+                   help="comma-separated lattice point; write --point=-1,0 when "
+                        "the first coordinate is negative")
     common(p, out=True)
     p.set_defaults(func=cmd_section_extend)
     p = section.add_parser("check")

@@ -1,6 +1,10 @@
 """Inverse systems of admissible submonoid charts over a fan: construction
 from lifts, completion from maximal charts, augmentation, softening, and the
 per-cone admissibility verdicts with witnesses.
+
+A system built from lifts carries its recipe: the lifts it was built from and
+the extras of every augmentation since, in order. Replaying build_system and
+then augment_system on those arguments rebuilds the identical charts.
 """
 from __future__ import annotations
 
@@ -22,20 +26,14 @@ class ChartSystem:
 
     fan: Fan
     charts: dict            # cone -> Submonoid
+    lifts: dict | None = None   # build_system's lifts; None when not built from lifts
+    stages: tuple = ()      # the extras of each augment_system call, in order
 
     def equal_charts(self, other):
         if set(self.charts) != set(other.charts):
             return False
         return all(self.charts[c].generators == other.charts[c].generators
                    for c in self.charts)
-
-
-@dataclass(frozen=True)
-class SofteningRecord:
-    added: dict             # touched cone -> words newly adjoined
-
-    def touched_cones(self):
-        return list(self.added)
 
 
 def _letters(rank):
@@ -58,7 +56,7 @@ def _dedup(words):
     return list(dict.fromkeys(words))
 
 
-def _system_from_seeds(fan, seeds):
+def _system_from_seeds(fan, seeds, lifts=None, stages=()):
     """Compile the chart system grown from per-cone seed words.
 
     A maximal chart is its own seed. A lower chart lists, each word once:
@@ -83,7 +81,7 @@ def _system_from_seeds(fan, seeds):
         gen_words[tau] = _dedup(words)
     charts = {cone: compile_submonoid(words, fan.rank)
               for cone, words in gen_words.items()}
-    system = ChartSystem(fan=fan, charts=charts)
+    system = ChartSystem(fan=fan, charts=charts, lifts=lifts, stages=stages)
     _assert_inverse_system(system)
     return system
 
@@ -109,7 +107,7 @@ def build_system(fan, lifts=None):
                     f"expected {u} on cone {list(sigma)}")
             words.append(w)
         seeds[sigma] = words
-    return _system_from_seeds(fan, seeds)
+    return _system_from_seeds(fan, seeds, lifts=lifts)
 
 
 def _assert_inverse_system(system):
@@ -215,7 +213,8 @@ def complete_system(fan, partial):
 def augment_system(system, extra):
     """Enlarge charts so each cone's chart contains the given extra words:
     every chart is reseeded with its generators and extras, and each lower
-    chart regrows from the seeds above it."""
+    chart regrows from the seeds above it. Nonempty extras become the
+    result's last stage."""
     fan = system.fan
     extra = {tuple(c): list(ws) for c, ws in (extra or {}).items()}
     for cone, words in extra.items():
@@ -227,13 +226,16 @@ def augment_system(system, extra):
     seeds = {cone: _dedup([*system.charts[cone].generators,
                            *(w for w in extra.get(cone, ()) if not w.is_identity())])
              for cone in fan.faces}
-    return _system_from_seeds(fan, seeds)
+    stages = system.stages + (extra,) if extra else system.stages
+    return _system_from_seeds(fan, seeds, lifts=system.lifts, stages=stages)
 
 
 def soften(system, extra):
     """Augment with extras on non-maximal cones only; maximal charts keep
-    their exact generator lists.  Returns the new system and a record of
-    the words adjoined to each touched cone."""
+    their exact generator lists.  Identity words and empty word lists are
+    dropped; the rest go to one augment_system call and so form one stage.
+    Returns the new system and a dict from each touched cone to the words
+    newly adjoined to its chart."""
     extra = {tuple(c): [w for w in ws if not w.is_identity()]
              for c, ws in (extra or {}).items()}
     extra = {c: ws for c, ws in extra.items() if ws}
@@ -248,7 +250,7 @@ def soften(system, extra):
         new = [w for w in out.charts[cone].generators if w not in old]
         if new:
             added[cone] = new
-    return out, SofteningRecord(added=added)
+    return out, added
 
 
 def abelianized_chart(system, cone):

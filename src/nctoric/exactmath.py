@@ -333,7 +333,7 @@ def int_inverse_unimodular(m):
 # Fourier-Motzkin: rational feasibility and polytope lattice points
 # ---------------------------------------------------------------------------
 
-def _normalize_constraint(coeffs, bound, strict):
+def _normalize_constraint(coeffs, bound):
     scale = None
     for v in coeffs:
         if v != 0:
@@ -341,19 +341,21 @@ def _normalize_constraint(coeffs, bound, strict):
             break
     if scale is None:
         scale = abs(bound) if bound != 0 else Fraction(1)
-    return (tuple(v / scale for v in coeffs), bound / scale, strict)
+    return (tuple(v / scale for v in coeffs), bound / scale)
 
 
 def fm_eliminate(system, nvars, k):
-    """Remove variable k from the system, returning the projected system."""
+    """Remove variable k from the system of (coeffs, bound) pairs, each
+    read as coeffs . x >= bound; returns (projected system, the pairs that
+    bound x_k from below, the pairs that bound it from above)."""
     lowers, uppers, rest = [], [], []
-    for (c, b, s) in system:
+    for (c, b) in system:
         if c[k] > 0:
-            lowers.append((c, b, s))
+            lowers.append((c, b))
         elif c[k] < 0:
-            uppers.append((c, b, s))
+            uppers.append((c, b))
         else:
-            rest.append((c, b, s))
+            rest.append((c, b))
     seen = set()
     out = []
     for item in rest:
@@ -361,12 +363,12 @@ def fm_eliminate(system, nvars, k):
         if key not in seen:
             seen.add(key)
             out.append(item)
-    for (cl, bl, sl) in lowers:
-        for (cu, bu, su) in uppers:
+    for (cl, bl) in lowers:
+        for (cu, bu) in uppers:
             lam, mu = -cu[k], cl[k]
             cc = tuple(lam * cl[j] + mu * cu[j] for j in range(nvars))
             bb = lam * bl + mu * bu
-            item = (cc, bb, sl or su)
+            item = (cc, bb)
             key = _normalize_constraint(*item)
             if key not in seen:
                 seen.add(key)
@@ -382,13 +384,13 @@ def _fm_layers(ineqs, nvars):
     x_0, ..., x_{k-1}; feasible says whether the constraints left with no
     variable all hold.
     """
-    system = [(tuple(Fraction(v) for v in c), Fraction(b), bool(s)) for (c, b, s) in ineqs]
+    system = [(tuple(Fraction(v) for v in c), Fraction(b)) for (c, b) in ineqs]
     layers = []
     for k in range(nvars - 1, -1, -1):
         system, lowers, uppers = fm_eliminate(system, nvars, k)
         layers.append((lowers, uppers))
     layers.reverse()
-    return layers, all(b < 0 or (b == 0 and not s) for (_, b, s) in system)
+    return layers, all(b <= 0 for (_, b) in system)
 
 
 def _bound(c, b, x, k):
@@ -397,7 +399,8 @@ def _bound(c, b, x, k):
 
 
 def linear_feasible(ineqs, nvars):
-    """Exact witness for the system {coeffs . x >= bound (strict: >)}.
+    """Exact witness for the system {coeffs . x >= bound} of (coeffs, bound)
+    pairs.
 
     Returns a list of Fractions or None when the system is infeasible.
     """
@@ -406,28 +409,12 @@ def linear_feasible(ineqs, nvars):
         return None
     x = []
     for k, (lowers, uppers) in enumerate(layers):
-        lo = hi = None
-        lo_strict = hi_strict = False
-        for (c, b, s) in lowers:
-            val = _bound(c, b, x, k)
-            if lo is None or val > lo:
-                lo, lo_strict = val, s
-            elif val == lo:
-                lo_strict = lo_strict or s
-        for (c, b, s) in uppers:
-            val = _bound(c, b, x, k)
-            if hi is None or val < hi:
-                hi, hi_strict = val, s
-            elif val == hi:
-                hi_strict = hi_strict or s
+        lo = max((_bound(c, b, x, k) for (c, b) in lowers), default=None)
+        hi = min((_bound(c, b, x, k) for (c, b) in uppers), default=None)
         if lo is None and hi is None:
             v = Fraction(0)
-        elif hi is None:
-            v = lo + 1 if lo_strict else lo
-        elif lo is None:
-            v = hi - 1 if hi_strict else hi
-        elif lo == hi:
-            v = lo
+        elif lo is None or hi is None:
+            v = hi if lo is None else lo
         else:
             v = (lo + hi) / 2
         x.append(v)
@@ -443,7 +430,7 @@ def lattice_points(ineqs, nvars):
     naming the first coordinate whose layer lacks a lower or an upper bound;
     that is the first coordinate on which a nonempty polytope is unbounded.
     """
-    layers, feasible = _fm_layers([(c, b, False) for (c, b) in ineqs], nvars)
+    layers, feasible = _fm_layers(ineqs, nvars)
     if not feasible:
         return []
     for k, (lowers, uppers) in enumerate(layers):
@@ -457,8 +444,8 @@ def lattice_points(ineqs, nvars):
             out.append(tuple(x))
             return
         lowers, uppers = layers[k]
-        lo = max(ceil(_bound(c, b, x, k)) for (c, b, _) in lowers)
-        hi = min(floor(_bound(c, b, x, k)) for (c, b, _) in uppers)
+        lo = max(ceil(_bound(c, b, x, k)) for (c, b) in lowers)
+        hi = min(floor(_bound(c, b, x, k)) for (c, b) in uppers)
         for v in range(lo, hi + 1):
             walk(x + [v])
 

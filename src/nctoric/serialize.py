@@ -1,9 +1,11 @@
 """JSON file formats for every artifact: exact integers everywhere, words
 and Gaussian rationals as literals, never a float.
 
-System files store the construction recipe (fan, lifts, softening stages)
-rather than computed charts, so loading rebuilds deterministically and a
-written file always round-trips to an equal value.
+System files store the recipe a chart system carries (its fan, its lifts and
+the extras of each augmentation stage) rather than computed charts. Loading
+repeats build_system and augment_system on the same arguments, so a written
+file rebuilds the identical charts and writes back the identical object.
+Every reader returns the artifact alone; every writer takes it alone.
 """
 from __future__ import annotations
 
@@ -114,25 +116,28 @@ def fan_from_obj(obj, where="fan"):
 
 # --- chart systems (recipes) ------------------------------------------------
 
-def system_to_obj(fan, lifts=None, extra_stages=None):
-    obj = {"fan": fan_to_obj(fan)}
-    if lifts:
+def system_to_obj(system):
+    """The recipe of a system built from lifts: fan, lifts, and one list of
+    extras per augmentation stage."""
+    if system.lifts is None:
+        raise ValueError("a chart system not built from lifts has no recipe to write")
+    obj = {"fan": fan_to_obj(system.fan)}
+    if system.lifts:
         obj["lifts"] = [
             {"cone": list(cone), "generator": list(gen), "word": format_word(w)}
-            for (cone, gen), w in sorted(lifts.items())
+            for (cone, gen), w in sorted(system.lifts.items())
         ]
-    if extra_stages:
+    if system.stages:
         obj["extras"] = [
             [{"cone": list(cone), "words": [format_word(w) for w in ws]}
              for cone, ws in sorted(stage.items())]
-            for stage in extra_stages
+            for stage in system.stages
         ]
     return obj
 
 
 def system_from_obj(obj, where="system", base_dir=None):
-    """Rebuild (system, recipe) from a recipe object; recipe is the parsed
-    (fan, lifts, stages) triple used to re-emit the file.
+    """Rebuild a system from its recipe object.
 
     The fan may be inline or a path to a fan file, resolved against base_dir.
     """
@@ -147,25 +152,21 @@ def system_from_obj(obj, where="system", base_dir=None):
         gen = _ints(_field(item, "generator", at), f"{at}: generator")
         lifts[(_cone(item, fan, at), gen)] = parse_word(_field(item, "word", at), fan.rank)
     system = build_system(fan, lifts)
-    stages = []
     for stage_obj in _field(obj, "extras", where, list, default=[]):
-        stage = stage_from_obj(stage_obj, fan, f"{where}.extras")
-        stages.append(stage)
-        system = augment_system(system, stage)
-    return system, {"fan": fan, "lifts": lifts, "stages": stages}
+        system = augment_system(system, stage_from_obj(stage_obj, fan, f"{where}.extras"))
+    return system
 
 
 def load_system(path):
-    """(system, recipe) from a system recipe file or a bare fan file."""
+    """The system of a system recipe file, or built from a bare fan file."""
     obj = load_json(path)
     if isinstance(obj, dict) and "rays" in obj:
-        fan = fan_from_obj(obj, where=path)
-        return build_system(fan), {"fan": fan, "lifts": {}, "stages": []}
+        return build_system(fan_from_obj(obj, where=path))
     return system_from_obj(obj, where=path, base_dir=os.path.dirname(path) or ".")
 
 
 def stage_from_obj(obj, fan, where="extras"):
-    """One enlargement stage: the words adjoined to each listed cone's chart."""
+    """One augmentation stage: the extra words for each listed cone."""
     return {_cone(item, fan, where): [parse_word(w, fan.rank)
                                  for w in _field(item, "words", where, list)]
             for item in _of(obj, list, where)}
@@ -188,9 +189,9 @@ def divisor_from_obj(obj, fan, where="divisor"):
 
 # --- sheaves -----------------------------------------------------------------
 
-def sheaf_to_obj(recipe, gluing):
+def sheaf_to_obj(gluing):
     return {
-        "system": system_to_obj(recipe["fan"], recipe["lifts"], recipe["stages"]),
+        "system": system_to_obj(gluing.system),
         "gluing": [
             {"upper": list(u), "lower": list(l),
              "scalar": format_gauss(gluing.scalars[(u, l)]),
@@ -201,7 +202,7 @@ def sheaf_to_obj(recipe, gluing):
 
 
 def sheaf_from_obj(obj, where="sheaf"):
-    system, recipe = system_from_obj(_field(obj, "system", where), f"{where}.system")
+    system = system_from_obj(_field(obj, "system", where), f"{where}.system")
     fan = system.fan
     scalars = {}
     words = {}
@@ -214,15 +215,14 @@ def sheaf_from_obj(obj, where="sheaf"):
             raise ParseError(f"{at}: a second entry for {list(upper)} > {list(lower)}")
         scalars[key] = parse_gauss(_field(item, "scalar", at))
         words[key] = parse_word(_field(item, "word", at), fan.rank)
-    return GluingData(system=system, scalars=scalars, words=words), recipe
+    return GluingData(system=system, scalars=scalars, words=words)
 
 
 def load_sheaf(path):
-    """(gluing, recipe) from a sheaf file, or of the sheaf under a section file."""
+    """The gluing of a sheaf file, or of the sheaf under a section file."""
     obj = load_json(path)
     if isinstance(obj, dict) and "locals" in obj:
-        section, recipe = section_from_obj(obj, where=path)
-        return section.gluing, recipe
+        return section_from_obj(obj, where=path).gluing
     return sheaf_from_obj(obj, where=path)
 
 
@@ -235,10 +235,9 @@ def candidate_from_obj(obj, fan, where="candidate"):
 
 # --- twisted sections ---------------------------------------------------------
 
-def section_to_obj(recipe, section):
-    obj = sheaf_to_obj(recipe, section.gluing)
+def section_to_obj(section):
     return {
-        "sheaf": obj,
+        "sheaf": sheaf_to_obj(section.gluing),
         "locals": [
             {"cone": list(cone), "element": format_alg(elem)}
             for cone, elem in sorted(section.locals.items())
@@ -247,20 +246,20 @@ def section_to_obj(recipe, section):
 
 
 def section_from_obj(obj, where="section"):
-    gluing, recipe = sheaf_from_obj(_field(obj, "sheaf", where), f"{where}.sheaf")
+    gluing = sheaf_from_obj(_field(obj, "sheaf", where), f"{where}.sheaf")
     fan = gluing.system.fan
     locals_ = {}
     at = f"{where}.locals"
     for item in _field(obj, "locals", where, list):
         locals_[_cone(item, fan, at)] = parse_alg(_field(item, "element", at), fan.rank)
-    return TwistedSectionData(gluing=gluing, locals=locals_), recipe
+    return TwistedSectionData(gluing=gluing, locals=locals_)
 
 
 # --- subschemes ----------------------------------------------------------------
 
-def subscheme_to_obj(recipe, chart_gens):
+def subscheme_to_obj(system, chart_gens):
     return {
-        "system": system_to_obj(recipe["fan"], recipe["lifts"], recipe["stages"]),
+        "system": system_to_obj(system),
         "charts": [
             {"cone": list(cone), "generators": [format_alg(g) for g in gens]}
             for cone, gens in sorted(chart_gens.items())
@@ -269,14 +268,14 @@ def subscheme_to_obj(recipe, chart_gens):
 
 
 def subscheme_from_obj(obj, where="subscheme"):
-    system, recipe = system_from_obj(_field(obj, "system", where), f"{where}.system")
+    system = system_from_obj(_field(obj, "system", where), f"{where}.system")
     fan = system.fan
     charts = {}
     at = f"{where}.charts"
     for item in _field(obj, "charts", where, list):
         charts[_cone(item, fan, at)] = [parse_alg(t, fan.rank)
                                         for t in _field(item, "generators", at, list)]
-    return system, charts, recipe
+    return system, charts
 
 
 # --- matrices and morphisms ----------------------------------------------------
@@ -296,7 +295,7 @@ def matrix_from_entries(entries, size, where="matrix"):
     return [vals[i * size:(i + 1) * size] for i in range(size)]
 
 
-def morphism_to_obj(recipe, morphism):
+def morphism_to_obj(morphism):
     charts = []
     for cone, chart in sorted(morphism.charts.items()):
         charts.append({
@@ -313,7 +312,7 @@ def morphism_to_obj(recipe, morphism):
         })
     return {
         "rank_r": morphism.rank_r,
-        "system": system_to_obj(recipe["fan"], recipe["lifts"], recipe["stages"]),
+        "system": system_to_obj(morphism.system),
         "charts": charts,
     }
 
@@ -326,7 +325,7 @@ def matrix_from_obj(obj, where="matrix"):
 
 def morphism_from_obj(obj, where="morphism"):
     r = _integer(_field(obj, "rank_r", where), f"{where}: rank_r")
-    system, recipe = system_from_obj(_field(obj, "system", where), f"{where}.system")
+    system = system_from_obj(_field(obj, "system", where), f"{where}.system")
 
     def word_matrices(item, key, at):
         return {parse_word(_field(im, "word", at), system.fan.rank):
@@ -342,7 +341,7 @@ def morphism_from_obj(obj, where="morphism"):
             cone=cone, identity_image=e,
             images=word_matrices(item, "images", f"{where} image on {cone}"),
             witnesses=word_matrices(item, "witnesses", f"{where} witness on {cone}"))
-    return MorphismData(rank_r=r, system=system, charts=charts), recipe
+    return MorphismData(rank_r=r, system=system, charts=charts)
 
 
 def pattern_from_obj(obj, fan, r, where="pattern"):

@@ -151,7 +151,8 @@ def sheaf_from_divisor(system, divisor):
     """Invertible-sheaf gluing data for a divisor, constructed by canonical
     word lifts of the vertex differences and absorbed by a softening.
 
-    Returns (softened system, softening record, gluing data, vertex data).
+    Returns (gluing data, vertex data); the gluing's system is the softened
+    system.
     """
     fan = system.fan
     cartier = divisor_vertices(fan, divisor)
@@ -173,13 +174,13 @@ def sheaf_from_divisor(system, divisor):
         for cand in (w, word_inv(w)):
             if cand not in bucket:
                 bucket.append(cand)
-    softened, record = soften(system, extras)
+    softened, _ = soften(system, extras)
     gluing = GluingData(system=softened, scalars=scalars, words=words)
     report = check_gluing(softened, gluing)
     if not report.ok:
         raise AssertionError("constructed gluing data failed verification:\n"
                              + report.to_text())
-    return softened, record, gluing, cartier
+    return gluing, cartier
 
 
 def polytope_sections(fan, divisor):
@@ -203,7 +204,7 @@ def extend_section(system, gluing, cartier, point):
     vertex difference in each chart's generators (lifting factor-by-factor
     in generator order) and soften away the twisting factors.
 
-    Returns (softened system, record, section over the softened system).
+    Returns the section; its system is the softened system.
     """
     fan = system.fan
     if len(point) != fan.rank:
@@ -241,11 +242,10 @@ def extend_section(system, gluing, cartier, point):
         for cand in (q, word_inv(q)):
             if cand not in bucket:
                 bucket.append(cand)
-    softened, record = soften(system, extras)
+    softened, _ = soften(system, extras)
     new_gluing = GluingData(system=softened, scalars=dict(gluing.scalars),
                             words=dict(gluing.words))
-    section = TwistedSectionData(gluing=new_gluing, locals=dict(locals_))
-    return softened, record, section
+    return TwistedSectionData(gluing=new_gluing, locals=dict(locals_))
 
 
 def check_twisted_section(system, gluing, section):

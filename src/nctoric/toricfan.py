@@ -95,12 +95,12 @@ def _all_faces(max_cones):
 def _separating_functional(rank, rays_a, shared, rays_b):
     ineqs = []
     for v in rays_a:
-        ineqs.append((tuple(Fraction(x) for x in v), Fraction(1), False))
+        ineqs.append((tuple(Fraction(x) for x in v), Fraction(1)))
     for v in rays_b:
-        ineqs.append((tuple(Fraction(-x) for x in v), Fraction(1), False))
+        ineqs.append((tuple(Fraction(-x) for x in v), Fraction(1)))
     for v in shared:
-        ineqs.append((tuple(Fraction(x) for x in v), Fraction(0), False))
-        ineqs.append((tuple(Fraction(-x) for x in v), Fraction(0), False))
+        ineqs.append((tuple(Fraction(x) for x in v), Fraction(0)))
+        ineqs.append((tuple(Fraction(-x) for x in v), Fraction(0)))
     witness = linear_feasible(ineqs, rank)
     if witness is None:
         return None

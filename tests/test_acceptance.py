@@ -112,8 +112,8 @@ def test_criterion_03_chart_construction_on_four_fans():
 def test_criterion_04_divisor_sheaf_pipeline():
     base = build_system(fan_p2())
     for d in range(4):
-        softened, record, gluing, cartier = sheaf_from_divisor(
-            base, DivisorData((0, 0, d)))
+        gluing, cartier = sheaf_from_divisor(base, DivisorData((0, 0, d)))
+        softened = gluing.system
         report = check_gluing(softened, gluing)
         assert report.ok, f"degree {d}: " + report.to_text()
         for sigma in base.fan.max_cones:
@@ -125,11 +125,13 @@ def test_criterion_04_divisor_sheaf_pipeline():
 def _extend_all(fan, degree_coeffs):
     base = build_system(fan)
     divisor = DivisorData(degree_coeffs)
-    system, _, gluing, cartier = sheaf_from_divisor(base, divisor)
+    gluing, cartier = sheaf_from_divisor(base, divisor)
+    system = gluing.system
     points = polytope_sections(fan, divisor)
     sections = []
     for point in points:
-        system, _, section = extend_section(system, gluing, cartier, point)
+        section = extend_section(system, gluing, cartier, point)
+        system = section.system
         gluing = section.gluing
         sections.append((point, section))
     # rebind earlier sections onto the final (largest) system
@@ -330,7 +332,8 @@ def test_criterion_11_cubic_curve_commutative_shadow():
 def test_criterion_12_tamper_suite():
     # (a) cocycle scalar
     base = build_system(fan_p2())
-    system, _, gluing, cartier = sheaf_from_divisor(base, DivisorData((0, 0, 1)))
+    gluing, cartier = sheaf_from_divisor(base, DivisorData((0, 0, 1)))
+    system = gluing.system
     bad = GluingData(system=system, scalars=dict(gluing.scalars),
                      words=dict(gluing.words))
     bad.scalars[((0, 1), (0,))] = GaussRational(2)
@@ -357,8 +360,10 @@ def test_criterion_12_tamper_suite():
     assert "Def 4.2.9(ii)" in clauses_hit
 
     # (c) one section presentation
-    system, _, gluing, cartier = sheaf_from_divisor(base, DivisorData((0, 0, 1)))
-    system, _, section = extend_section(system, gluing, cartier, (1, 0))
+    gluing, cartier = sheaf_from_divisor(base, DivisorData((0, 0, 1)))
+    system = gluing.system
+    section = extend_section(system, gluing, cartier, (1, 0))
+    system = section.system
     locals_ = dict(section.locals)
     locals_[(0,)] = locals_[(0,)] + AlgElem.one(2)
     broken = TwistedSectionData(gluing=section.gluing, locals=locals_)

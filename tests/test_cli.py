@@ -141,6 +141,25 @@ class TestSheafAndSections:
         code, _, _ = run(capsys, "section", "check", sec_path)
         assert code == 0
 
+    def test_point_with_negative_first_coordinate(self, tmp_path, monkeypatch, capsys):
+        # argparse reads a spaced "-1,0,0" as an option; the --point= form works
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "p3.fan", {"rank": 3,
+                                   "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+                                   "max_cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]})
+        write(tmp_path, "d.div", {"coefficients": {"0": 1, "3": 1}})
+        code, _, _ = run(capsys, "sheaf", "from-divisor", "p3.fan", "--divisor", "d.div",
+                         "--out", "sheaf.json")
+        assert code == 0
+        code, _, err = run_process("section", "extend", "sheaf.json", "--divisor", "d.div",
+                                   "--point", "-1,0,0", "--out", "spaced.json")
+        assert code == 2 and "expected one argument" in err
+        code, _, _ = run(capsys, "section", "extend", "sheaf.json", "--divisor", "d.div",
+                         "--point=-1,0,0", "--out", "s.json")
+        assert code == 0
+        code, out, _ = run(capsys, "section", "check", "s.json")
+        assert code == 0 and "status: pass" in out
+
     def test_section_list(self, setup, capsys):
         _, fan_path, div_path = setup
         code, out, _ = run(capsys, "section", "list", fan_path,
@@ -458,16 +477,16 @@ class TestRoundTrips:
             "--pattern", "trivial", "--seed", "4", "--out", mor_path)
 
         sheaf_obj = load_json(sheaf_path)
-        gluing, recipe = serialize.sheaf_from_obj(sheaf_obj)
-        assert serialize.sheaf_to_obj(recipe, gluing) == sheaf_obj
+        gluing = serialize.sheaf_from_obj(sheaf_obj)
+        assert serialize.sheaf_to_obj(gluing) == sheaf_obj
 
         sec_obj = load_json(sec_path)
-        section, recipe = serialize.section_from_obj(sec_obj)
-        assert serialize.section_to_obj(recipe, section) == sec_obj
+        section = serialize.section_from_obj(sec_obj)
+        assert serialize.section_to_obj(section) == sec_obj
 
         mor_obj = load_json(mor_path)
-        morphism, recipe = serialize.morphism_from_obj(mor_obj)
-        assert serialize.morphism_to_obj(recipe, morphism) == mor_obj
+        morphism = serialize.morphism_from_obj(mor_obj)
+        assert serialize.morphism_to_obj(morphism) == mor_obj
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

@@ -222,14 +222,14 @@ class TestAugmentation:
 class TestSoftening:
     def test_identity(self):
         system = build_system(fan_single())
-        out, record = soften(system, {})
+        out, added = soften(system, {})
         assert out.equal_charts(system)
-        assert not record.touched_cones()
+        assert added == {} and out.stages == ()
 
     def test_ray_extras_grow_ray_and_zero_only(self):
         system = build_system(fan_single())
-        out, record = soften(system, {(0,): [W("z1 z2^2")]})
-        touched = set(record.touched_cones())
+        out, added = soften(system, {(0,): [W("z1 z2^2")]})
+        touched = set(added)
         assert touched <= {(0,), ()}
         assert (0,) in touched
         for sigma in system.fan.max_cones:
@@ -255,8 +255,8 @@ class TestRankThree:
         fan = self._fan()
         system = build_system(fan)
         w = parse_word("z1 z2^2", 3)
-        out, record = soften(system, {(0, 1): [w]})
-        touched = set(record.touched_cones())
+        out, added = soften(system, {(0, 1): [w]})
+        touched = set(added)
         assert touched
         assert all(set(cone) <= {0, 1} for cone in touched)
         assert check_admissible(out).ok
@@ -369,10 +369,10 @@ class TestOneLowerChartRule:
             else:
                 cones = rng.sample(lower, min(2, len(lower)))
                 extra = {c: [random_dual_word(rng, fan, c)] for c in cones}
-                out, record = soften(system, extra)
-                added = {c: [w for w in out.charts[c].generators
-                             if w not in system.charts[c].generators] for c in fan.faces}
-                assert record.added == {c: ws for c, ws in added.items() if ws}
+                out, added = soften(system, extra)
+                new = {c: [w for w in out.charts[c].generators
+                           if w not in system.charts[c].generators] for c in fan.faces}
+                assert added == {c: ws for c, ws in new.items() if ws}
             system = out
             reference = immediate_cover_descent(fan, reference, extra)
             assert ({c: set(ws) for c, ws in word_lists(system).items()}

@@ -265,17 +265,17 @@ class TestKernel:
 
 class TestFeasibility:
     def test_infeasible(self):
-        assert linear_feasible([((1,), 1, False), ((-1,), 0, False)], 1) is None
+        assert linear_feasible([((1,), 1), ((-1,), 0)], 1) is None
 
     def test_orthant(self):
-        w = linear_feasible([((1, 0), 0, False), ((0, 1), 0, False)], 2)
+        w = linear_feasible([((1, 0), 0), ((0, 1), 0)], 2)
         assert w is not None and w[0] >= 0 and w[1] >= 0
 
     def test_separating_functional(self):
         # cone(e1, e2) versus cone(-e1-e2, e2), shared ray e2
-        ineqs = [((1, 0), 1, False),       # strictly positive on ray e1
-                 ((0, 1), 0, False), ((0, -1), 0, False),   # zero on shared e2
-                 ((1, 1), 1, False)]       # strictly negative on -e1-e2
+        ineqs = [((1, 0), 1),       # strictly positive on ray e1
+                 ((0, 1), 0), ((0, -1), 0),   # zero on shared e2
+                 ((1, 1), 1)]       # strictly negative on -e1-e2
         w = linear_feasible(ineqs, 2)
         assert w is not None
         m = (w[0], w[1])
@@ -292,17 +292,11 @@ class TestFeasibility:
             for _ in range(rng.randint(1, 6)):
                 coeffs = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
                 val = sum(c * v for c, v in zip(coeffs, x))
-                ineqs.append((tuple(coeffs), val - rng.randint(0, 3), False))
+                ineqs.append((tuple(coeffs), val - rng.randint(0, 3)))
             w = linear_feasible(ineqs, n)
             assert w is not None
-            for coeffs, bound, strict in ineqs:
-                lhs = sum(c * v for c, v in zip(coeffs, w))
-                assert lhs > bound if strict else lhs >= bound
-
-    def test_strict(self):
-        w = linear_feasible([((1,), 0, True)], 1)
-        assert w is not None and w[0] > 0
-        assert linear_feasible([((1,), 0, True), ((-1,), 0, False)], 1) is None
+            for coeffs, bound in ineqs:
+                assert sum(c * v for c, v in zip(coeffs, w)) >= bound
 
 
 class TestMinimalPolynomial:

@@ -52,7 +52,8 @@ class TestCheckGluing:
     def test_divisor_sheaves(self):
         base = build_system(fan_p2())
         for d in range(4):
-            softened, record, gluing, cartier = sheaf_from_divisor(base, o_d(d))
+            gluing, cartier = sheaf_from_divisor(base, o_d(d))
+            softened = gluing.system
             report = check_gluing(softened, gluing)
             assert report.ok, f"O({d}): " + report.to_text()
             for sigma in base.fan.max_cones:
@@ -61,7 +62,8 @@ class TestCheckGluing:
 
     def test_scalar_tamper_fails_every_chain_through_pair(self):
         base = build_system(fan_p2())
-        softened, _, gluing, _ = sheaf_from_divisor(base, o_d(1))
+        gluing, _ = sheaf_from_divisor(base, o_d(1))
+        softened = gluing.system
         key = ((0, 1), (0,))
         bad = GluingData(system=softened, scalars=dict(gluing.scalars),
                          words=dict(gluing.words))
@@ -93,21 +95,23 @@ class TestCheckGluing:
             fan = validate_fan(2, raw, [(0, 1), (1, 2), (2, 3), (0, 3)])
             base = build_system(fan)
             divisor = DivisorData(coeffs)
-            system, _, gluing, cartier = sheaf_from_divisor(base, divisor)
+            gluing, cartier = sheaf_from_divisor(base, divisor)
+            system = gluing.system
             assert check_gluing(system, gluing).ok
             points = polytope_sections(fan, divisor)
             assert len(points) == count
             assert points == brute_lattice_points(fan.rays, coeffs, radius=8)
             for point in points:
-                system, _, section = extend_section(system, gluing, cartier, point)
+                section = extend_section(system, gluing, cartier, point)
+                system = section.system
                 gluing = section.gluing
                 assert check_twisted_section(system, gluing, section).ok
 
     def test_p1_transition_degrees(self):
         base = build_system(fan_p1())
         for k in (1, 2, 3):
-            softened, _, gluing, cartier = sheaf_from_divisor(
-                base, DivisorData((0, k)))
+            gluing, cartier = sheaf_from_divisor(base, DivisorData((0, k)))
+            softened = gluing.system
             assert check_gluing(softened, gluing).ok
             degrees = {abelianize(gluing.words[(sigma, ())])[0]
                        for sigma in base.fan.max_cones}
@@ -117,13 +121,13 @@ class TestCheckGluing:
 class TestIsomorphism:
     def test_identity_candidate(self):
         base = build_system(fan_p2())
-        _, _, gluing, _ = sheaf_from_divisor(base, o_d(1))
+        gluing, _ = sheaf_from_divisor(base, o_d(1))
         candidate = {c: (ONE, identity_word(2)) for c in base.fan.faces}
         assert sheaves_isomorphic(gluing, gluing, candidate)
 
     def test_rescaled_trivializations(self):
         base = build_system(fan_p2())
-        _, _, gluing, _ = sheaf_from_divisor(base, o_d(1))
+        gluing, _ = sheaf_from_divisor(base, o_d(1))
         rescaled = GluingData(
             system=gluing.system,
             scalars={k: I.inverse() * v * I for k, v in gluing.scalars.items()},
@@ -133,8 +137,8 @@ class TestIsomorphism:
 
     def test_different_degrees_never_isomorphic(self):
         base = build_system(fan_p2())
-        _, _, g1, c1 = sheaf_from_divisor(base, o_d(1))
-        _, _, g2, c2 = sheaf_from_divisor(base, o_d(2))
+        g1, c1 = sheaf_from_divisor(base, o_d(1))
+        g2, c2 = sheaf_from_divisor(base, o_d(2))
         g2 = GluingData(system=g1.system, scalars=g2.scalars, words=g2.words)
         # candidate-independent obstruction: vertex differences between two
         # maximal cones are fixed by any unit family, and they differ
@@ -155,7 +159,7 @@ class TestIsomorphism:
 
     def test_candidate_unit_validation(self):
         base = build_system(fan_p2())
-        _, _, gluing, _ = sheaf_from_divisor(base, o_d(1))
+        gluing, _ = sheaf_from_divisor(base, o_d(1))
         candidate = {c: (ONE, identity_word(2)) for c in base.fan.faces}
         candidate[(0, 1)] = (ONE, W("z1"))   # exponent vector not perp
         with pytest.raises(CandidateNotUnit):
@@ -214,18 +218,21 @@ class TestPolytope:
 class TestExtendSection:
     def test_trivial_divisor(self):
         base = build_system(fan_p2())
-        softened, _, gluing, cartier = sheaf_from_divisor(base, o_d(0))
-        system2, record, section = extend_section(softened, gluing, cartier, (0, 0))
-        assert not record.touched_cones()
+        gluing, cartier = sheaf_from_divisor(base, o_d(0))
+        section = extend_section(gluing.system, gluing, cartier, (0, 0))
+        system2 = section.system
+        assert system2.stages == gluing.system.stages == ()
         for cone in base.fan.faces:
             assert section.locals[cone] == AlgElem.one(2)
         assert check_twisted_section(system2, section.gluing, section).ok
 
     def test_p2_o1_all_points(self):
         base = build_system(fan_p2())
-        system, _, gluing, cartier = sheaf_from_divisor(base, o_d(1))
+        gluing, cartier = sheaf_from_divisor(base, o_d(1))
+        system = gluing.system
         for point in polytope_sections(base.fan, o_d(1)):
-            system2, _, section = extend_section(system, gluing, cartier, point)
+            section = extend_section(system, gluing, cartier, point)
+            system2 = section.system
             report = check_twisted_section(system2, section.gluing, section)
             assert report.ok, report.to_text()
             for cone in base.fan.faces:
@@ -235,23 +242,28 @@ class TestExtendSection:
 
     def test_p1_o2_middle_point(self):
         base = build_system(fan_p1())
-        system, _, gluing, cartier = sheaf_from_divisor(base, DivisorData((0, 2)))
-        system2, _, section = extend_section(system, gluing, cartier, (1,))
+        gluing, cartier = sheaf_from_divisor(base, DivisorData((0, 2)))
+        system = gluing.system
+        section = extend_section(system, gluing, cartier, (1,))
+        system2 = section.system
         assert check_twisted_section(system2, section.gluing, section).ok
         for cone in base.fan.faces:
             assert section.locals[cone].max_word_len() <= 2
 
     def test_point_outside_polytope(self):
         base = build_system(fan_p2())
-        system, _, gluing, cartier = sheaf_from_divisor(base, o_d(1))
+        gluing, cartier = sheaf_from_divisor(base, o_d(1))
+        system = gluing.system
         with pytest.raises(NotASection):
             extend_section(system, gluing, cartier, (2, 2))
 
     def test_survives_further_softening(self):
         from nctoric.deltasystem import soften
         base = build_system(fan_p2())
-        system, _, gluing, cartier = sheaf_from_divisor(base, o_d(1))
-        system2, _, section = extend_section(system, gluing, cartier, (1, 0))
+        gluing, cartier = sheaf_from_divisor(base, o_d(1))
+        system = gluing.system
+        section = extend_section(system, gluing, cartier, (1, 0))
+        system2 = section.system
         softer, _ = soften(system2, {(): [W("z1 z2 z1^-1 z2^-1")]})
         gluing2 = GluingData(system=softer, scalars=section.gluing.scalars,
                              words=section.gluing.words)
@@ -264,13 +276,16 @@ class TestExtendSection:
                  ((0, 2), (0, -1)): W("z1 z2^-1 z1^-1")}
         system = build_system(fan, lifts)
         assert not system.charts[(0,)].member(W("z2"))
-        softened, record, gluing, cartier = sheaf_from_divisor(system, o_d(1))
-        assert record.touched_cones()
+        gluing, cartier = sheaf_from_divisor(system, o_d(1))
+        softened = gluing.system
+        assert len(softened.stages) == 1 and all(
+            not fan.is_maximal(c) for c in softened.stages[0])
         assert check_gluing(softened, gluing).ok
         assert check_admissible(softened).ok
         current, g = softened, gluing
         for point in polytope_sections(fan, o_d(1)):
-            current, _, section = extend_section(current, g, cartier, point)
+            section = extend_section(current, g, cartier, point)
+            current = section.system
             g = section.gluing
             assert check_twisted_section(current, g, section).ok
 
@@ -278,11 +293,12 @@ class TestExtendSection:
 class TestTwistedSectionChecker:
     def _section(self):
         base = build_system(fan_p2())
-        system, _, gluing, cartier = sheaf_from_divisor(base, o_d(1))
-        return extend_section(system, gluing, cartier, (1, 0))
+        gluing, cartier = sheaf_from_divisor(base, o_d(1))
+        section = extend_section(gluing.system, gluing, cartier, (1, 0))
+        return section.system, section
 
     def test_scalar_multiple_passes(self):
-        system, _, section = self._section()
+        system, section = self._section()
         scaled = TwistedSectionData(gluing=section.gluing,
                                     locals={c: e.scale(2)
                                             for c, e in section.locals.items()})
@@ -290,14 +306,14 @@ class TestTwistedSectionChecker:
 
     def test_one_chart_scaled_passes(self):
         # units absorb chart-wise rescaling
-        system, _, section = self._section()
+        system, section = self._section()
         locals_ = dict(section.locals)
         locals_[(0,)] = locals_[(0,)].scale(GaussRational(2))
         bumped = TwistedSectionData(gluing=section.gluing, locals=locals_)
         assert check_twisted_section(system, section.gluing, bumped).ok
 
     def test_generic_perturbation_fails(self):
-        system, _, section = self._section()
+        system, section = self._section()
         locals_ = dict(section.locals)
         locals_[(0,)] = locals_[(0,)] + AlgElem.one(2)
         broken = TwistedSectionData(gluing=section.gluing, locals=locals_)
@@ -309,9 +325,12 @@ class TestTwistedSectionChecker:
 class TestSubscheme:
     def _two_sections(self):
         base = build_system(fan_p2())
-        system, _, gluing, cartier = sheaf_from_divisor(base, o_d(1))
-        system, _, s1 = extend_section(system, gluing, cartier, (1, 0))
-        system, _, s2 = extend_section(system, s1.gluing, cartier, (0, 1))
+        gluing, cartier = sheaf_from_divisor(base, o_d(1))
+        system = gluing.system
+        s1 = extend_section(system, gluing, cartier, (1, 0))
+        system = s1.system
+        s2 = extend_section(system, s1.gluing, cartier, (0, 1))
+        system = s2.system
         s1 = TwistedSectionData(gluing=s2.gluing, locals=s1.locals)
         return system, s1, s2
 
@@ -355,10 +374,12 @@ class TestSubscheme:
         # per summand, so no single unit can verify it; the checker must say
         # so rather than assume the combination is again a twisted section
         base = build_system(fan_p2())
-        system, _, gluing, cartier = sheaf_from_divisor(base, o_d(1))
+        gluing, cartier = sheaf_from_divisor(base, o_d(1))
+        system = gluing.system
         sections = []
         for point in polytope_sections(base.fan, o_d(1)):
-            system, _, section = extend_section(system, gluing, cartier, point)
+            section = extend_section(system, gluing, cartier, point)
+            system = section.system
             gluing = section.gluing
             sections.append(section)
         sections = [TwistedSectionData(gluing=gluing, locals=s.locals)
@@ -372,11 +393,15 @@ class TestSubscheme:
         # one linear and one quadratic section cut a complete intersection;
         # each chart shadow must be the dehomogenized classical generator
         base = build_system(fan_p2())
-        sys1, _, g1, cart1 = sheaf_from_divisor(base, o_d(1))
-        sys1, _, s1 = extend_section(sys1, g1, cart1, (1, 0))
-        sys2, _, g2, cart2 = sheaf_from_divisor(sys1, o_d(2))
+        g1, cart1 = sheaf_from_divisor(base, o_d(1))
+        sys1 = g1.system
+        s1 = extend_section(sys1, g1, cart1, (1, 0))
+        sys1 = s1.system
+        g2, cart2 = sheaf_from_divisor(sys1, o_d(2))
+        sys2 = g2.system
         g2 = GluingData(system=sys2, scalars=g2.scalars, words=g2.words)
-        sys2, _, s2 = extend_section(sys2, g2, cart2, (1, 1))
+        s2 = extend_section(sys2, g2, cart2, (1, 1))
+        sys2 = s2.system
         assert check_twisted_section(sys2, s2.gluing, s2).ok
         s1 = TwistedSectionData(gluing=s2.gluing, locals=s1.locals)
         charts = subscheme_from_sections([s1, s2])

@@ -28,6 +28,20 @@ def test_every_library_error_names_a_clause():
     assert len(library) >= 18 and unnamed == []
 
 
+def test_every_clause_label_is_read():
+    # a clause constant that no report or error cites is a dead label
+    from nctoric import clauses
+
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read |= {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                 and n.value.id == "clauses"}
+    labels = [k for k in vars(clauses) if k.isupper()]
+    assert len(labels) >= 30 and sorted(set(labels) - read) == []
+
+
 def test_no_test_only_imports():
     # sympy, hypothesis and pytest are test dependencies, never runtime ones
     banned = {"sympy", "hypothesis", "pytest"}

@@ -192,9 +192,9 @@ def _searched_functional(gens):
     ray sum)."""
     gens = [tuple(g) for g in gens]
     units = [g for g in gens if tuple(-x for x in g) in gens]
-    ineqs = [(g, 1, False) for g in gens if g not in units]
+    ineqs = [(g, 1) for g in gens if g not in units]
     for b in units:
-        ineqs += [(b, 0, False), (tuple(-x for x in b), 0, False)]
+        ineqs += [(b, 0), (tuple(-x for x in b), 0)]
     witness = linear_feasible(ineqs, len(gens[0]))
     denom = 1
     for w in witness:
