@@ -2,20 +2,4 @@
 free-group words over a fan, the invertible sheaves and twisted sections
 they carry, and matrix-point morphisms into them."""
 
-from .exactmath import GaussRational
-from .freeword import ReducedWord, Submonoid, abelianize, canonical_lift, parse_word
-from .toricfan import Fan, validate_fan
-from .deltasystem import ChartSystem, build_system, check_admissible
-from .ncalgebra import AlgElem, BoundedIdeal, bounded_ideal_member, parse_alg
-from .sheaves import DivisorData, GluingData, TwistedSectionData
-from .azumaya import MorphismData, QuasiHomChart, verify_morphism
-
-__all__ = [
-    "GaussRational", "ReducedWord", "Submonoid", "abelianize", "canonical_lift",
-    "parse_word", "Fan", "validate_fan", "ChartSystem", "build_system",
-    "check_admissible", "AlgElem", "BoundedIdeal", "bounded_ideal_member",
-    "parse_alg", "DivisorData", "GluingData", "TwistedSectionData",
-    "MorphismData", "QuasiHomChart", "verify_morphism",
-]
-
 __version__ = "0.1.0"

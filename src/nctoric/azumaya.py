@@ -2,6 +2,9 @@
 systems with reduced decompositions, quasi-homomorphism charts and their
 gluing, surrogate subalgebras, bounded kernels, line probes, and seeded
 random matrix models.
+
+A call that has an artifact reads its base off it and takes no second
+copy: a morphism carries its chart system, a chart system its fan.
 """
 from __future__ import annotations
 
@@ -396,14 +399,16 @@ def _block(reduced, cone, m):
     return qim_mul(qim_mul(e, m), e)
 
 
-def sample_matrix_model(fan, system, r, pattern, seed):
-    """Seeded random morphism data compatible with the idempotent pattern.
+def sample_matrix_model(system, r, pattern, seed):
+    """Seeded random morphism data on the chart system, compatible with the
+    idempotent pattern over the system's fan.
 
     Each letter gets one global random matrix; per reduced-idempotent block
     the letters act by their block compressions, with rejection sampling to
     keep blocks invertible wherever an inverse generator must be evaluated.
     The result always passes verify_morphism.
     """
+    fan = system.fan
     if pattern == "trivial":
         pattern = trivial_pattern(fan, r)
     if not set(fan.faces) <= set(pattern):
@@ -457,21 +462,15 @@ def sample_matrix_model(fan, system, r, pattern, seed):
                 break
 
     def block_value(word, cone):
-        """Image of a word on one reduced block, multiplying letter blocks."""
+        """Image of a word on one reduced block, multiplying letter blocks;
+        every inverse block it reads was solved for inverse_needed."""
         e = reduced[cone]
         if qim_is_zero(e):
             return qim_zero(r)
         acc = [row[:] for row in e]
         for l in word.letters:
-            base = letter_blocks[abs(l)][cone]
-            m = base[0] if l > 0 else base[1]
-            if m is None:
-                m = solve_corner_inverse(e, base[0])
-                if m is None:
-                    raise MorphismInvalid(
-                        "sampled block unexpectedly lost invertibility")
-                letter_blocks[abs(l)][cone] = (base[0], m)
-            acc = qim_mul(acc, m)
+            block, inverse = letter_blocks[abs(l)][cone]
+            acc = qim_mul(acc, block if l > 0 else inverse)
         return acc
 
     def chart_value(word, cone):

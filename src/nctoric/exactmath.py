@@ -96,9 +96,6 @@ class GaussRational:
     def __neg__(self):
         return _new(-self._a, -self._b, self._d)
 
-    def conjugate(self):
-        return _new(self._a, -self._b, self._d)
-
     def inverse(self):
         return ONE / self
 
@@ -226,12 +223,6 @@ def int_identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def int_transpose(a, ncols=None):
-    if not a:
-        return [[] for _ in range(ncols)] if ncols else []
-    return [list(col) for col in zip(*a)]
-
-
 def _row_op(a, u, i, j, q):
     # a[i] -= q * a[j], mirrored on the transform u
     if q == 0:
@@ -279,13 +270,6 @@ def hnf(m):
             _row_op(a, u, i, r, a[i][c] // a[r][c])
         r += 1
     return a, u
-
-
-def kernel_basis(rows, ncols):
-    """Z-basis of {x in Z^ncols : x . rows^T = 0}; the basis is saturated."""
-    t = int_transpose(rows, ncols=ncols) if rows else [[] for _ in range(ncols)]
-    h, u = hnf(t)
-    return [list(u[i]) for i, row in enumerate(h) if all(v == 0 for v in row)]
 
 
 def lattice_solver(basis_rows):
@@ -551,10 +535,6 @@ class Echelon:
 # Matrices over Q(i)
 # ---------------------------------------------------------------------------
 
-def qim_from_rows(rows):
-    return [[_coerce(v) for v in row] for row in rows]
-
-
 def qim_identity(r):
     return [[ONE if i == j else ZERO for j in range(r)] for i in range(r)]
 
@@ -621,19 +601,6 @@ def qim_rank(a):
 
 def qim_is_idempotent(a):
     return qim_eq(qim_mul(a, a), a)
-
-
-def qi_solve(columns, target):
-    """Coefficients x with sum x_j columns[j] = target over Q(i), or None."""
-    if not columns:
-        return [] if all(not v for v in target) else None
-    ech = Echelon()
-    for j, col in enumerate(columns):
-        ech.add(sparse_vector(col), j)
-    sol = ech.solve(sparse_vector(target))
-    if sol is None:
-        return None
-    return [sol.get(j, ZERO) for j in range(len(columns))]
 
 
 def qi_nullspace(columns, dim):

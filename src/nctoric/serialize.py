@@ -19,7 +19,7 @@ from .exactmath import format_gauss, parse_gauss
 from .freeword import format_word, parse_word
 from .ncalgebra import format_alg, parse_alg
 from .sheaves import DivisorData, GluingData, TwistedSectionData
-from .toricfan import validate_fan
+from .toricfan import dual_generators, validate_fan
 
 
 def load_json(path):
@@ -150,7 +150,15 @@ def system_from_obj(obj, where="system", base_dir=None):
     at = f"{where}.lifts"
     for item in _field(obj, "lifts", where, list, default=[]):
         gen = _ints(_field(item, "generator", at), f"{at}: generator")
-        lifts[(_cone(item, fan, at), gen)] = parse_word(_field(item, "word", at), fan.rank)
+        cone = _cone(item, fan, at)
+        # build_system reads a lift only at a maximal cone and a dual generator
+        if not fan.is_maximal(cone):
+            raise ParseError(f"{at}: the lift of generator {list(gen)} names cone "
+                             f"{list(cone)}, which is not maximal")
+        if gen not in dual_generators(fan, cone):
+            raise ParseError(f"{at}: generator {list(gen)} is not a dual generator "
+                             f"of cone {list(cone)}")
+        lifts[(cone, gen)] = parse_word(_field(item, "word", at), fan.rank)
     system = build_system(fan, lifts)
     for stage_obj in _field(obj, "extras", where, list, default=[]):
         system = augment_system(system, stage_from_obj(stage_obj, fan, f"{where}.extras"))

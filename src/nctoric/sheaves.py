@@ -1,6 +1,11 @@
 """Invertible sheaves as scalar-times-word gluing data, the divisor-to-sheaf
 pipeline through softening, lattice-polytope sections, twisted sections, and
 ideal data of the subschemes they cut out.
+
+Every call takes its artifact and reads the base off it: a gluing carries
+the softened system that absorbs its transitions, a section carries its
+gluing. The units a construction needs are added by one softening stage,
+built by `_soften_transitions`.
 """
 from __future__ import annotations
 
@@ -26,14 +31,6 @@ class DivisorData:
         return self.coefficients[ray_index]
 
 
-@dataclass(frozen=True)
-class CartierData:
-    """Per-cone vertex exponents of a divisor, with the recorded choice of
-    covering maximal cone for every lower cone."""
-    vertex: dict            # cone -> exponent vector in the dual lattice
-    covering: dict          # non-maximal cone -> chosen maximal cone
-
-
 @dataclass
 class GluingData:
     """Per face-incidence an invertible scalar-times-word: the transition
@@ -54,9 +51,11 @@ class TwistedSectionData:
         return self.gluing.system
 
 
-def check_gluing(system, gluing):
+def check_gluing(gluing):
     """Verify unit membership, perpendicular grading, and the full cocycle
-    over every chain of nested faces; exact equalities throughout."""
+    over every chain of nested faces of the gluing's system; exact
+    equalities throughout."""
+    system = gluing.system
     fan = system.fan
     findings = []
     pairs = set(fan.incidence_pairs())
@@ -127,10 +126,10 @@ def sheaves_isomorphic(g1, g2, candidate):
 
 
 def divisor_vertices(fan, divisor):
-    """Solve the vertex exponents of the divisor on each maximal cone and
-    extend to all faces via the first covering maximal cone in fan order."""
+    """{cone: vertex exponents of the divisor}: solved on each maximal cone
+    and extended to every lower face from its first covering maximal cone
+    in fan order."""
     vertex = {}
-    covering = {}
     for sigma in fan.max_cones:
         duals = dual_generators(fan, sigma)
         m = tuple(
@@ -139,48 +138,46 @@ def divisor_vertices(fan, divisor):
             for j in range(fan.rank))
         vertex[sigma] = m
     for tau in fan.faces:
-        if fan.is_maximal(tau):
-            continue
-        sigma = fan.covering_max_cones(tau)[0]
-        covering[tau] = sigma
-        vertex[tau] = vertex[sigma]
-    return CartierData(vertex=vertex, covering=covering)
+        if not fan.is_maximal(tau):
+            vertex[tau] = vertex[fan.covering_max_cones(tau)[0]]
+    return vertex
 
 
-def sheaf_from_divisor(system, divisor):
-    """Invertible-sheaf gluing data for a divisor, constructed by canonical
-    word lifts of the vertex differences and absorbed by a softening.
-
-    Returns (gluing data, vertex data); the gluing's system is the softened
-    system.
-    """
-    fan = system.fan
-    cartier = divisor_vertices(fan, divisor)
-    lift = {cone: canonical_lift(cartier.vertex[cone], fan.rank)
-            for cone in fan.faces}
-    words = {}
-    scalars = {}
+def _soften_transitions(system, transitions):
+    """The system softened so that each lower chart holds as units the
+    transition words into it, {(upper, lower): word} in incidence order.
+    Every word that is neither the identity nor already a unit goes, with
+    its inverse, into one softening stage."""
     extras = {}
-    for (upper, lower) in fan.incidence_pairs():
-        w = word_mul(word_inv(lift[upper]), lift[lower])
-        words[(upper, lower)] = w
-        scalars[(upper, lower)] = ONE
-        if w.is_identity():
-            continue
-        chart = system.charts[lower]
-        if is_unit_in(chart, w):
+    for (_, lower), w in transitions.items():
+        if w.is_identity() or is_unit_in(system.charts[lower], w):
             continue
         bucket = extras.setdefault(lower, [])
         for cand in (w, word_inv(w)):
             if cand not in bucket:
                 bucket.append(cand)
     softened, _ = soften(system, extras)
-    gluing = GluingData(system=softened, scalars=scalars, words=words)
-    report = check_gluing(softened, gluing)
+    return softened
+
+
+def sheaf_from_divisor(system, divisor):
+    """Invertible-sheaf gluing data for a divisor, constructed by canonical
+    word lifts of the vertex differences and absorbed by a softening; the
+    gluing's system is the softened system.
+    """
+    fan = system.fan
+    vertex = divisor_vertices(fan, divisor)
+    lift = {cone: canonical_lift(vertex[cone], fan.rank) for cone in fan.faces}
+    words = {(upper, lower): word_mul(word_inv(lift[upper]), lift[lower])
+             for (upper, lower) in fan.incidence_pairs()}
+    scalars = {pair: ONE for pair in words}
+    gluing = GluingData(system=_soften_transitions(system, words),
+                        scalars=scalars, words=words)
+    report = check_gluing(gluing)
     if not report.ok:
         raise AssertionError("constructed gluing data failed verification:\n"
                              + report.to_text())
-    return gluing, cartier
+    return gluing
 
 
 def polytope_sections(fan, divisor):
@@ -190,31 +187,34 @@ def polytope_sections(fan, divisor):
     return lattice_points(ineqs, fan.rank)
 
 
-def _in_polytope(fan, cartier, point):
+def _in_polytope(fan, vertex, point):
     for sigma in fan.max_cones:
-        m = cartier.vertex[sigma]
+        m = vertex[sigma]
         for i in sigma:
             if pairing(tuple(p - q for p, q in zip(point, m)), fan.rays[i]) < 0:
                 return False
     return True
 
 
-def extend_section(system, gluing, cartier, point):
-    """Extend one polytope lattice point to a twisted section: express the
-    vertex difference in each chart's generators (lifting factor-by-factor
-    in generator order) and soften away the twisting factors.
+def extend_section(gluing, divisor, point):
+    """Extend one lattice point of the divisor's polytope to a twisted
+    section of the gluing: express the vertex difference in each chart's
+    generators (lifting factor-by-factor in generator order) and soften
+    away the twisting factors.
 
     Returns the section; its system is the softened system.
     """
+    system = gluing.system
     fan = system.fan
     if len(point) != fan.rank:
         raise RankMismatch(f"lattice point {list(point)} does not have {fan.rank} coordinates")
-    if not _in_polytope(fan, cartier, point):
+    vertex = divisor_vertices(fan, divisor)
+    if not _in_polytope(fan, vertex, point):
         raise NotASection(
             f"lattice point {list(point)} lies outside the divisor polytope")
     locals_ = {}
     for cone in fan.faces:
-        target = tuple(p - q for p, q in zip(point, cartier.vertex[cone]))
+        target = tuple(p - q for p, q in zip(point, vertex[cone]))
         gens = list(system.charts[cone].generators)
         coeffs = comm_monoid_member(abelianized_chart(system, cone), target,
                                     ray_sum(fan, cone))
@@ -227,31 +227,26 @@ def extend_section(system, gluing, cartier, point):
             for _ in range(c):
                 word = word_mul(word, g)
         locals_[cone] = AlgElem.from_word(word)
-    extras = {}
+    twists = {}
     for (upper, lower) in fan.incidence_pairs():
         if (upper, lower) not in gluing.words:
             raise NotASection(
                 f"gluing data has no entry for {list(upper)} > {list(lower)}")
         r_upper = next(iter(locals_[upper].terms))
         r_lower = next(iter(locals_[lower].terms))
-        q = word_mul(word_mul(r_upper, gluing.words[(upper, lower)]),
-                     word_inv(r_lower))
-        if q.is_identity() or is_unit_in(system.charts[lower], q):
-            continue
-        bucket = extras.setdefault(lower, [])
-        for cand in (q, word_inv(q)):
-            if cand not in bucket:
-                bucket.append(cand)
-    softened, _ = soften(system, extras)
-    new_gluing = GluingData(system=softened, scalars=dict(gluing.scalars),
-                            words=dict(gluing.words))
+        twists[(upper, lower)] = word_mul(
+            word_mul(r_upper, gluing.words[(upper, lower)]), word_inv(r_lower))
+    new_gluing = GluingData(system=_soften_transitions(system, twists),
+                            scalars=dict(gluing.scalars), words=dict(gluing.words))
     return TwistedSectionData(gluing=new_gluing, locals=dict(locals_))
 
 
-def check_twisted_section(system, gluing, section):
+def check_twisted_section(section):
     """Verify the unit-equivalence of transported local presentations on
-    every incidence; candidate units come from monomial quotients and are
-    confirmed by exact multiplication."""
+    every incidence of the section's gluing; candidate units come from
+    monomial quotients and are confirmed by exact multiplication."""
+    gluing = section.gluing
+    system = gluing.system
     fan = system.fan
     findings = []
     for (upper, lower) in sorted(fan.incidence_pairs()):

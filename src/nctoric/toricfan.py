@@ -13,8 +13,7 @@ from math import gcd, prod
 
 from .errors import (MissingReferenceCone, NoPositivityFunctional, NonPrimitiveRay,
                      NotAFan, NotIndexOne, NotMaximal)
-from .exactmath import (hnf, int_inverse_unimodular, kernel_basis, lattice_solver,
-                        linear_feasible)
+from .exactmath import hnf, int_inverse_unimodular, lattice_solver, linear_feasible
 
 
 def pairing(m, v):
@@ -225,12 +224,6 @@ def cone_monoid_generators(fan, tau):
     tau_rays = fan.cone_rays(tau)
     flags = [all(pairing(g, v) == 0 for v in tau_rays) for g in gens]
     return gens, flags
-
-
-def perp_lattice_basis(fan, tau):
-    """Z-basis of the sublattice pairing to zero with every ray of the face."""
-    rows = [list(fan.rays[i]) for i in tau]
-    return [tuple(b) for b in kernel_basis(rows, fan.rank)]
 
 
 def _unit_pair_indices(gens):

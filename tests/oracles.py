@@ -15,8 +15,8 @@ from itertools import product as iproduct
 
 from nctoric.azumaya import check_relations, missing_corner_inverses
 from nctoric.errors import MorphismInvalid
-from nctoric.exactmath import (ONE, ZERO, GaussRational, qim_add, qim_flatten, qim_identity,
-                               qim_mul, qim_scale, qim_zero, sparse_vector)
+from nctoric.exactmath import (ONE, ZERO, Echelon, GaussRational, qim_add, qim_flatten,
+                               qim_identity, qim_mul, qim_scale, qim_zero, sparse_vector)
 from nctoric.freeword import ReducedWord, abelianize, identity_word, word_mul, words_up_to
 
 
@@ -195,6 +195,25 @@ def random_gauss(rng, span=5):
 
 def random_matrix(rng, r, span=5):
     return [[random_gauss(rng, span) for _ in range(r)] for _ in range(r)]
+
+
+def qim_from_rows(rows):
+    """A Q(i)-matrix from rows of ints, Fractions or Gaussian rationals."""
+    return [[v if isinstance(v, GaussRational) else GaussRational(v) for v in row]
+            for row in rows]
+
+
+def qi_solve(columns, target):
+    """Coefficients x with sum x_j columns[j] = target over Q(i), or None."""
+    if not columns:
+        return [] if all(not v for v in target) else None
+    ech = Echelon()
+    for j, col in enumerate(columns):
+        ech.add(sparse_vector(col), j)
+    sol = ech.solve(sparse_vector(target))
+    if sol is None:
+        return None
+    return [sol.get(j, ZERO) for j in range(len(columns))]
 
 
 def int_matmul(a, b):

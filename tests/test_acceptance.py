@@ -13,21 +13,21 @@ from nctoric.azumaya import (MorphismData, QuasiHomChart, a1_probe,
                              surrogate_basis, verify_morphism)
 from nctoric.deltasystem import augment_system, build_system, check_admissible
 from nctoric.exactmath import (GaussRational, ONE, ZERO, format_gauss,
-                               qim_add, qim_eq, qim_from_rows, qim_identity,
+                               qim_add, qim_eq, qim_identity,
                                qim_is_idempotent, qim_is_zero, qim_mul,
-                               qim_rank, qim_zero, qi_solve)
+                               qim_rank, qim_zero)
 from nctoric.freeword import (abelianize, compile_submonoid, identity_word,
                               parse_word, word_inv, word_mul, words_up_to)
 from nctoric.ncalgebra import (AlgElem, BoundedIdeal, abelianize_elem,
                                bounded_ideal_member)
 from nctoric.sheaves import (DivisorData, GluingData, TwistedSectionData,
                              check_gluing, check_twisted_section,
-                             combine_sections, extend_section,
+                             combine_sections, divisor_vertices, extend_section,
                              polytope_sections, sheaf_from_divisor,
                              subscheme_from_sections)
 from nctoric.toricfan import validate_fan
-from oracles import (brute_lattice_points, dyck_membership, random_matrix,
-                     random_reduced_word, triangle_count)
+from oracles import (brute_lattice_points, dyck_membership, qi_solve, qim_from_rows,
+                     random_matrix, random_reduced_word, triangle_count)
 
 
 def W(text, rank=2):
@@ -112,9 +112,9 @@ def test_criterion_03_chart_construction_on_four_fans():
 def test_criterion_04_divisor_sheaf_pipeline():
     base = build_system(fan_p2())
     for d in range(4):
-        gluing, cartier = sheaf_from_divisor(base, DivisorData((0, 0, d)))
+        gluing = sheaf_from_divisor(base, DivisorData((0, 0, d)))
         softened = gluing.system
-        report = check_gluing(softened, gluing)
+        report = check_gluing(gluing)
         assert report.ok, f"degree {d}: " + report.to_text()
         for sigma in base.fan.max_cones:
             assert (softened.charts[sigma].generators
@@ -125,19 +125,17 @@ def test_criterion_04_divisor_sheaf_pipeline():
 def _extend_all(fan, degree_coeffs):
     base = build_system(fan)
     divisor = DivisorData(degree_coeffs)
-    gluing, cartier = sheaf_from_divisor(base, divisor)
-    system = gluing.system
+    gluing = sheaf_from_divisor(base, divisor)
     points = polytope_sections(fan, divisor)
     sections = []
     for point in points:
-        section = extend_section(system, gluing, cartier, point)
-        system = section.system
+        section = extend_section(gluing, divisor, point)
         gluing = section.gluing
         sections.append((point, section))
     # rebind earlier sections onto the final (largest) system
     rebound = [(p, TwistedSectionData(gluing=gluing, locals=s.locals))
                for p, s in sections]
-    return system, gluing, cartier, rebound
+    return divisor_vertices(fan, divisor), rebound
 
 
 def test_criterion_05_sections_extend_and_counts_match():
@@ -151,10 +149,10 @@ def test_criterion_05_sections_extend_and_counts_match():
         brute = brute_lattice_points(fan.rays, coeffs, radius=8)
         assert points == brute
         assert len(points) == expected
-        system, gluing, cartier, sections = _extend_all(fan, coeffs)
+        _, sections = _extend_all(fan, coeffs)
         assert len(sections) == expected
         for point, section in sections:
-            report = check_twisted_section(system, gluing, section)
+            report = check_twisted_section(section)
             assert report.ok, f"{point}: " + report.to_text()
     assert triangle_count(1) == 3 and triangle_count(3) == 10
     report_line(5, "every polytope point extends; counts 3/10/2 match oracle")
@@ -163,11 +161,11 @@ def test_criterion_05_sections_extend_and_counts_match():
 def test_criterion_06_abelianized_round_trip():
     for fan, coeffs in [(fan_p2(), (0, 0, 1)), (fan_p2(), (0, 0, 3)),
                         (fan_p1(), (0, 1))]:
-        system, gluing, cartier, sections = _extend_all(fan, coeffs)
+        vertex, sections = _extend_all(fan, coeffs)
         for point, section in sections:
             for cone in fan.faces:
                 shadow = abelianize_elem(section.locals[cone])
-                monomial = tuple(p - q for p, q in zip(point, cartier.vertex[cone]))
+                monomial = tuple(p - q for p, q in zip(point, vertex[cone]))
                 assert shadow == {monomial: ONE}
     report_line(6, "sections restrict to the classical monomials exactly")
 
@@ -282,7 +280,7 @@ def test_criterion_10_matrix_models():
     fan = validate_fan(2, [(1, 0), (0, 1)], [(0, 1)])
     system = build_system(fan)
     for seed in range(100):
-        morphism = sample_matrix_model(fan, system, 2, "trivial", seed)
+        morphism = sample_matrix_model(system, 2, "trivial", seed)
         assert verify_morphism(morphism).ok
     fan1 = fan_p1()
     system1 = build_system(fan1)
@@ -306,7 +304,7 @@ def test_criterion_10_matrix_models():
 def test_criterion_11_cubic_curve_commutative_shadow():
     fan = fan_p2()
     coeffs = (0, 0, 3)
-    system, gluing, cartier, sections = _extend_all(fan, coeffs)
+    vertex, sections = _extend_all(fan, coeffs)
     weights = []
     rng = random.Random(311)
     for _ in sections:
@@ -319,7 +317,7 @@ def test_criterion_11_cubic_curve_commutative_shadow():
         shadow = abelianize_elem(charts[sigma][0])
         oracle = {}
         for w, (point, _) in zip(weights, sections):
-            vec = tuple(p - q for p, q in zip(point, cartier.vertex[sigma]))
+            vec = tuple(p - q for p, q in zip(point, vertex[sigma]))
             acc = oracle.get(vec, ZERO) + w
             if acc:
                 oracle[vec] = acc
@@ -332,12 +330,11 @@ def test_criterion_11_cubic_curve_commutative_shadow():
 def test_criterion_12_tamper_suite():
     # (a) cocycle scalar
     base = build_system(fan_p2())
-    gluing, cartier = sheaf_from_divisor(base, DivisorData((0, 0, 1)))
-    system = gluing.system
-    bad = GluingData(system=system, scalars=dict(gluing.scalars),
+    gluing = sheaf_from_divisor(base, DivisorData((0, 0, 1)))
+    bad = GluingData(system=gluing.system, scalars=dict(gluing.scalars),
                      words=dict(gluing.words))
     bad.scalars[((0, 1), (0,))] = GaussRational(2)
-    report = check_gluing(system, bad)
+    report = check_gluing(bad)
     assert not report.ok
     assert all(f.clause == "Lemma 3.4(iii)" for f in report.failures())
 
@@ -360,14 +357,12 @@ def test_criterion_12_tamper_suite():
     assert "Def 4.2.9(ii)" in clauses_hit
 
     # (c) one section presentation
-    gluing, cartier = sheaf_from_divisor(base, DivisorData((0, 0, 1)))
-    system = gluing.system
-    section = extend_section(system, gluing, cartier, (1, 0))
-    system = section.system
+    divisor = DivisorData((0, 0, 1))
+    section = extend_section(sheaf_from_divisor(base, divisor), divisor, (1, 0))
     locals_ = dict(section.locals)
     locals_[(0,)] = locals_[(0,)] + AlgElem.one(2)
     broken = TwistedSectionData(gluing=section.gluing, locals=locals_)
-    report = check_twisted_section(system, section.gluing, broken)
+    report = check_twisted_section(broken)
     assert not report.ok
     assert all(f.clause == "Def 3.6" for f in report.failures())
 
@@ -389,7 +384,7 @@ def test_criterion_12_tamper_suite():
     # (e) one generator relation on a maximal chart
     fan = validate_fan(2, [(1, 0), (0, 1)], [(0, 1)])
     system = augment_system(build_system(fan), {(0, 1): [W("z1 z2")]})
-    morphism = sample_matrix_model(fan, system, 2, "trivial", 0)
+    morphism = sample_matrix_model(system, 2, "trivial", 0)
     morphism.charts[(0, 1)].images[W("z1 z2")] = qim_identity(2)
     report = verify_morphism(morphism)
     assert not report.ok

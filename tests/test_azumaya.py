@@ -12,13 +12,14 @@ from nctoric.azumaya import (MorphismData, QuasiHomChart, a1_probe,
 from nctoric.deltasystem import build_system
 from nctoric.errors import NotIdempotent, PatternIncomplete
 from nctoric.exactmath import (GaussRational, ONE, ZERO, format_gauss,
-                               qim_from_rows, qim_identity, qim_is_zero, qim_mul,
+                               qim_identity, qim_is_zero, qim_mul,
                                qim_eq, qim_rank, qim_scale, qim_sub, qim_zero,
-                               qi_solve, qim_add)
+                               qim_add)
 from nctoric.freeword import identity_word, parse_word, word_mul
 from nctoric.ncalgebra import AlgElem
 from nctoric.toricfan import validate_fan
-from oracles import graph_of_morphism, random_matrix, surrogate_by_rounds
+from oracles import (graph_of_morphism, qi_solve, qim_from_rows, random_matrix,
+                     surrogate_by_rounds)
 
 M = qim_from_rows
 
@@ -363,7 +364,7 @@ class TestVerifyIsPure:
         fan = fan_p1()
         system = build_system(fan)
         morphism = without_witnesses(
-            sample_matrix_model(fan, system, 2, p1_block_pattern(2), 3))
+            sample_matrix_model(system, 2, p1_block_pattern(2), 3))
         before = chart_contents(morphism)
         assert verify_morphism(morphism).ok
         assert chart_contents(morphism) == before
@@ -375,7 +376,7 @@ class TestVerifyIsPure:
         fan = fan_single() if model == "one-cone" else fan_p1()
         pattern = "trivial" if model == "one-cone" else p1_block_pattern(4)
         system = build_system(fan)
-        morphism = sample_matrix_model(fan, system, 4, pattern, 0)
+        morphism = sample_matrix_model(system, 4, pattern, 0)
         basis = surrogate_basis(morphism)
         assert len(basis) == dim
         # multiplying only pairs with a new element keeps the basis and its order
@@ -399,7 +400,7 @@ class TestCopy:
     @pytest.mark.parametrize("duplicate", COPIES, ids=["copy", "deepcopy", "pickle"])
     def test_morphism_round_trips(self, duplicate):
         fan = fan_single()
-        morphism = sample_matrix_model(fan, build_system(fan), 2, "trivial", 3)
+        morphism = sample_matrix_model(build_system(fan), 2, "trivial", 3)
         twin = duplicate(morphism)
         assert twin.rank_r == morphism.rank_r
         assert chart_contents(twin) == chart_contents(morphism)
@@ -554,7 +555,7 @@ class TestSampler:
         fan = fan_single()
         system = build_system(fan)
         for seed in range(8):
-            morphism = sample_matrix_model(fan, system, 2, "trivial", seed)
+            morphism = sample_matrix_model(system, 2, "trivial", seed)
             assert verify_morphism(morphism).ok
 
     def test_p1_pattern_samples(self):
@@ -563,7 +564,7 @@ class TestSampler:
         pattern = {(0,): M([[1, 0], [0, 0]]), (1,): M([[0, 0], [0, 1]]),
                    (): qim_zero(2)}
         for seed in range(8):
-            morphism = sample_matrix_model(fan, system, 2, pattern, seed)
+            morphism = sample_matrix_model(system, 2, pattern, seed)
             assert verify_morphism(morphism).ok
 
     def test_r1_commutative_points(self):
@@ -572,7 +573,7 @@ class TestSampler:
         system = build_system(fan)
         pattern = {c: (qim_identity(1) if c == (1, 2) else qim_zero(1))
                    for c in fan.faces}
-        morphism = sample_matrix_model(fan, system, 1, pattern, 11)
+        morphism = sample_matrix_model(system, 1, pattern, 11)
         assert verify_morphism(morphism).ok
 
     def test_incomplete_pattern_rejected(self):
@@ -580,19 +581,19 @@ class TestSampler:
         system = build_system(fan)
         e = M([[1, 0], [0, 0]])
         with pytest.raises(PatternIncomplete):
-            sample_matrix_model(fan, system, 2, {(0,): e, (1,): e, (): e}, 0)
+            sample_matrix_model(system, 2, {(0,): e, (1,): e, (): e}, 0)
 
     def test_trivial_pattern_multi_cone_rejected(self):
         fan = fan_p1()
         system = build_system(fan)
         with pytest.raises(PatternIncomplete):
-            sample_matrix_model(fan, system, 2, "trivial", 0)
+            sample_matrix_model(system, 2, "trivial", 0)
 
     def test_nonzero_zero_cone_corner(self):
         fan = validate_fan(1, [(1,)], [(0,)])
         system = build_system(fan)
         pattern = {(0,): qim_identity(2), (): M([[1, 0], [0, 0]])}
-        morphism = sample_matrix_model(fan, system, 2, pattern, 7)
+        morphism = sample_matrix_model(system, 2, pattern, 7)
         assert verify_morphism(morphism).ok
 
     def test_quadric_fan_shared_generators(self):
@@ -615,5 +616,5 @@ class TestSampler:
                     acc = qim_add(acc, reduced[sub])
             pattern[cone] = acc
         for seed in (0, 1):
-            morphism = sample_matrix_model(fan, system, 3, pattern, seed)
+            morphism = sample_matrix_model(system, 3, pattern, seed)
             assert verify_morphism(morphism).ok

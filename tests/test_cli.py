@@ -101,6 +101,22 @@ class TestSystem:
         assert code == 2
         assert "3" in err
 
+    @pytest.mark.parametrize("cone, named", [
+        ([0], "cone [0], which is not maximal"),
+        ([0, 1], "generator [5, 7] is not a dual generator of cone [0, 1]"),
+    ], ids=["ray", "maximal"])
+    def test_unread_lift_refused(self, tmp_path, cone, named):
+        # build_system reads lifts only at a maximal cone and one of its dual
+        # generators; any other lift would be written back without effect
+        recipe = {"fan": P2,
+                  "lifts": [{"cone": cone, "generator": [5, 7], "word": "z1 z1 z2"}]}
+        path = write(tmp_path, "sys.json", recipe)
+        out_path = tmp_path / "out.sys"
+        code, out, err = run_process("system", "build", path, "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert "Traceback" not in err and named in err and "[5, 7]" in err
+        assert not out_path.exists()
+
     def test_soften_round_trip(self, tmp_path, capsys):
         fan_path = write(tmp_path, "p2.fan", P2)
         extras = [{"cone": [0], "words": ["z1 z2^2"]}]

@@ -73,7 +73,7 @@ def test_every_written_artifact_replays_to_the_checked_system(name, seed):
 
     top = 1 if fan.rank == 3 else 2
     divisor = DivisorData(tuple(rng.randint(0, top) for _ in fan.rays))
-    gluing, cartier = sheaf_from_divisor(system, divisor)
+    gluing = sheaf_from_divisor(system, divisor)
     back = replayed(serialize.sheaf_to_obj, serialize.sheaf_from_obj, gluing)
     assert_same_system(back.system, gluing.system)
     assert back.words == gluing.words and back.scalars == gluing.scalars
@@ -82,7 +82,7 @@ def test_every_written_artifact_replays_to_the_checked_system(name, seed):
     chain = [system, gluing.system]
     points = polytope_sections(fan, divisor)
     for point in rng.choices(points, k=2):
-        section = extend_section(back.system, back, cartier, point)
+        section = extend_section(back, divisor, point)
         written = replayed(serialize.section_to_obj, serialize.section_from_obj, section)
         assert_same_system(written.system, section.system)
         assert written.locals == section.locals
@@ -109,7 +109,7 @@ def test_morphism_over_an_augmented_system_replays(seed):
     a, b = rng.choice([1, -1]), rng.choice([2, -2])
     extra = {(): [ReducedWord((a, b, -a, -b), 2)]}   # a commutator: never a generator yet
     system = augment_system(build_system(fan, random_lifts(rng, fan)), extra)
-    morphism = sample_matrix_model(fan, system, 2, "trivial", rng.randint(0, 99))
+    morphism = sample_matrix_model(system, 2, "trivial", rng.randint(0, 99))
     back = replayed(serialize.morphism_to_obj, serialize.morphism_from_obj, morphism)
     assert_same_system(back.system, system)
     assert back.charts == morphism.charts

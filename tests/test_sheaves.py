@@ -10,7 +10,7 @@ from nctoric.ncalgebra import (AlgElem, BoundedIdeal, abelianize_elem,
                                bounded_ideal_member)
 from nctoric.sheaves import (DivisorData, GluingData, TwistedSectionData,
                              check_gluing, check_twisted_section,
-                             combine_sections, extend_section,
+                             combine_sections, divisor_vertices, extend_section,
                              polytope_sections, sheaf_from_divisor,
                              sheaves_isomorphic, subscheme_from_sections)
 from nctoric.toricfan import validate_fan
@@ -46,15 +46,15 @@ def trivial_gluing(system):
 class TestCheckGluing:
     def test_structure_sheaf(self):
         system = build_system(fan_p2())
-        report = check_gluing(system, trivial_gluing(system))
+        report = check_gluing(trivial_gluing(system))
         assert report.ok
 
     def test_divisor_sheaves(self):
         base = build_system(fan_p2())
         for d in range(4):
-            gluing, cartier = sheaf_from_divisor(base, o_d(d))
+            gluing = sheaf_from_divisor(base, o_d(d))
             softened = gluing.system
-            report = check_gluing(softened, gluing)
+            report = check_gluing(gluing)
             assert report.ok, f"O({d}): " + report.to_text()
             for sigma in base.fan.max_cones:
                 assert (softened.charts[sigma].generators
@@ -62,13 +62,12 @@ class TestCheckGluing:
 
     def test_scalar_tamper_fails_every_chain_through_pair(self):
         base = build_system(fan_p2())
-        gluing, _ = sheaf_from_divisor(base, o_d(1))
-        softened = gluing.system
+        gluing = sheaf_from_divisor(base, o_d(1))
         key = ((0, 1), (0,))
-        bad = GluingData(system=softened, scalars=dict(gluing.scalars),
+        bad = GluingData(system=gluing.system, scalars=dict(gluing.scalars),
                          words=dict(gluing.words))
         bad.scalars[key] = GaussRational(2)
-        report = check_gluing(softened, bad)
+        report = check_gluing(bad)
         assert not report.ok
         cocycle_failures = [f for f in report.failures()
                             if f.clause == "Lemma 3.4(iii)"]
@@ -82,7 +81,7 @@ class TestCheckGluing:
         # z1 pairs positively with the ray, so it is neither perpendicular
         # nor invertible on that chart
         gluing.words[((0, 1), (0,))] = W("z1")
-        report = check_gluing(system, gluing)
+        report = check_gluing(gluing)
         clauses_hit = {f.clause for f in report.failures()}
         assert "Lemma 3.4(i)" in clauses_hit
         assert "Lemma 3.4(ii)" in clauses_hit
@@ -95,24 +94,21 @@ class TestCheckGluing:
             fan = validate_fan(2, raw, [(0, 1), (1, 2), (2, 3), (0, 3)])
             base = build_system(fan)
             divisor = DivisorData(coeffs)
-            gluing, cartier = sheaf_from_divisor(base, divisor)
-            system = gluing.system
-            assert check_gluing(system, gluing).ok
+            gluing = sheaf_from_divisor(base, divisor)
+            assert check_gluing(gluing).ok
             points = polytope_sections(fan, divisor)
             assert len(points) == count
             assert points == brute_lattice_points(fan.rays, coeffs, radius=8)
             for point in points:
-                section = extend_section(system, gluing, cartier, point)
-                system = section.system
+                section = extend_section(gluing, divisor, point)
                 gluing = section.gluing
-                assert check_twisted_section(system, gluing, section).ok
+                assert check_twisted_section(section).ok
 
     def test_p1_transition_degrees(self):
         base = build_system(fan_p1())
         for k in (1, 2, 3):
-            gluing, cartier = sheaf_from_divisor(base, DivisorData((0, k)))
-            softened = gluing.system
-            assert check_gluing(softened, gluing).ok
+            gluing = sheaf_from_divisor(base, DivisorData((0, k)))
+            assert check_gluing(gluing).ok
             degrees = {abelianize(gluing.words[(sigma, ())])[0]
                        for sigma in base.fan.max_cones}
             assert degrees == {0, -k} or degrees == {0, k}
@@ -121,13 +117,13 @@ class TestCheckGluing:
 class TestIsomorphism:
     def test_identity_candidate(self):
         base = build_system(fan_p2())
-        gluing, _ = sheaf_from_divisor(base, o_d(1))
+        gluing = sheaf_from_divisor(base, o_d(1))
         candidate = {c: (ONE, identity_word(2)) for c in base.fan.faces}
         assert sheaves_isomorphic(gluing, gluing, candidate)
 
     def test_rescaled_trivializations(self):
         base = build_system(fan_p2())
-        gluing, _ = sheaf_from_divisor(base, o_d(1))
+        gluing = sheaf_from_divisor(base, o_d(1))
         rescaled = GluingData(
             system=gluing.system,
             scalars={k: I.inverse() * v * I for k, v in gluing.scalars.items()},
@@ -137,14 +133,16 @@ class TestIsomorphism:
 
     def test_different_degrees_never_isomorphic(self):
         base = build_system(fan_p2())
-        g1, c1 = sheaf_from_divisor(base, o_d(1))
-        g2, c2 = sheaf_from_divisor(base, o_d(2))
+        g1 = sheaf_from_divisor(base, o_d(1))
+        g2 = sheaf_from_divisor(base, o_d(2))
         g2 = GluingData(system=g1.system, scalars=g2.scalars, words=g2.words)
         # candidate-independent obstruction: vertex differences between two
         # maximal cones are fixed by any unit family, and they differ
         s1, s2 = (0, 1), (0, 2)
-        diff1 = tuple(a - b for a, b in zip(c1.vertex[s2], c1.vertex[s1]))
-        diff2 = tuple(a - b for a, b in zip(c2.vertex[s2], c2.vertex[s1]))
+        v1 = divisor_vertices(base.fan, o_d(1))
+        v2 = divisor_vertices(base.fan, o_d(2))
+        diff1 = tuple(a - b for a, b in zip(v1[s2], v1[s1]))
+        diff2 = tuple(a - b for a, b in zip(v2[s2], v2[s1]))
         assert diff1 != diff2
         for word_txt in ("e", "z1 z2^-1", "z2 z1^-1", "z1^-1", "z2"):
             candidate = {}
@@ -159,7 +157,7 @@ class TestIsomorphism:
 
     def test_candidate_unit_validation(self):
         base = build_system(fan_p2())
-        gluing, _ = sheaf_from_divisor(base, o_d(1))
+        gluing = sheaf_from_divisor(base, o_d(1))
         candidate = {c: (ONE, identity_word(2)) for c in base.fan.faces}
         candidate[(0, 1)] = (ONE, W("z1"))   # exponent vector not perp
         with pytest.raises(CandidateNotUnit):
@@ -218,57 +216,49 @@ class TestPolytope:
 class TestExtendSection:
     def test_trivial_divisor(self):
         base = build_system(fan_p2())
-        gluing, cartier = sheaf_from_divisor(base, o_d(0))
-        section = extend_section(gluing.system, gluing, cartier, (0, 0))
-        system2 = section.system
-        assert system2.stages == gluing.system.stages == ()
+        gluing = sheaf_from_divisor(base, o_d(0))
+        section = extend_section(gluing, o_d(0), (0, 0))
+        assert section.system.stages == gluing.system.stages == ()
         for cone in base.fan.faces:
             assert section.locals[cone] == AlgElem.one(2)
-        assert check_twisted_section(system2, section.gluing, section).ok
+        assert check_twisted_section(section).ok
 
     def test_p2_o1_all_points(self):
         base = build_system(fan_p2())
-        gluing, cartier = sheaf_from_divisor(base, o_d(1))
-        system = gluing.system
+        gluing = sheaf_from_divisor(base, o_d(1))
+        vertex = divisor_vertices(base.fan, o_d(1))
         for point in polytope_sections(base.fan, o_d(1)):
-            section = extend_section(system, gluing, cartier, point)
-            system2 = section.system
-            report = check_twisted_section(system2, section.gluing, section)
+            section = extend_section(gluing, o_d(1), point)
+            report = check_twisted_section(section)
             assert report.ok, report.to_text()
             for cone in base.fan.faces:
                 shadow = abelianize_elem(section.locals[cone])
-                diff = tuple(p - q for p, q in zip(point, cartier.vertex[cone]))
+                diff = tuple(p - q for p, q in zip(point, vertex[cone]))
                 assert shadow == {diff: ONE}
 
     def test_p1_o2_middle_point(self):
         base = build_system(fan_p1())
-        gluing, cartier = sheaf_from_divisor(base, DivisorData((0, 2)))
-        system = gluing.system
-        section = extend_section(system, gluing, cartier, (1,))
-        system2 = section.system
-        assert check_twisted_section(system2, section.gluing, section).ok
+        divisor = DivisorData((0, 2))
+        section = extend_section(sheaf_from_divisor(base, divisor), divisor, (1,))
+        assert check_twisted_section(section).ok
         for cone in base.fan.faces:
             assert section.locals[cone].max_word_len() <= 2
 
     def test_point_outside_polytope(self):
         base = build_system(fan_p2())
-        gluing, cartier = sheaf_from_divisor(base, o_d(1))
-        system = gluing.system
+        gluing = sheaf_from_divisor(base, o_d(1))
         with pytest.raises(NotASection):
-            extend_section(system, gluing, cartier, (2, 2))
+            extend_section(gluing, o_d(1), (2, 2))
 
     def test_survives_further_softening(self):
         from nctoric.deltasystem import soften
         base = build_system(fan_p2())
-        gluing, cartier = sheaf_from_divisor(base, o_d(1))
-        system = gluing.system
-        section = extend_section(system, gluing, cartier, (1, 0))
-        system2 = section.system
-        softer, _ = soften(system2, {(): [W("z1 z2 z1^-1 z2^-1")]})
+        section = extend_section(sheaf_from_divisor(base, o_d(1)), o_d(1), (1, 0))
+        softer, _ = soften(section.system, {(): [W("z1 z2 z1^-1 z2^-1")]})
         gluing2 = GluingData(system=softer, scalars=section.gluing.scalars,
                              words=section.gluing.words)
         section2 = TwistedSectionData(gluing=gluing2, locals=section.locals)
-        assert check_twisted_section(softer, gluing2, section2).ok
+        assert check_twisted_section(section2).ok
 
     def test_genuinely_noncommutative_charts_soften(self):
         fan = fan_p2()
@@ -276,48 +266,44 @@ class TestExtendSection:
                  ((0, 2), (0, -1)): W("z1 z2^-1 z1^-1")}
         system = build_system(fan, lifts)
         assert not system.charts[(0,)].member(W("z2"))
-        gluing, cartier = sheaf_from_divisor(system, o_d(1))
+        gluing = sheaf_from_divisor(system, o_d(1))
         softened = gluing.system
         assert len(softened.stages) == 1 and all(
             not fan.is_maximal(c) for c in softened.stages[0])
-        assert check_gluing(softened, gluing).ok
+        assert check_gluing(gluing).ok
         assert check_admissible(softened).ok
-        current, g = softened, gluing
         for point in polytope_sections(fan, o_d(1)):
-            section = extend_section(current, g, cartier, point)
-            current = section.system
-            g = section.gluing
-            assert check_twisted_section(current, g, section).ok
+            section = extend_section(gluing, o_d(1), point)
+            gluing = section.gluing
+            assert check_twisted_section(section).ok
 
 
 class TestTwistedSectionChecker:
     def _section(self):
         base = build_system(fan_p2())
-        gluing, cartier = sheaf_from_divisor(base, o_d(1))
-        section = extend_section(gluing.system, gluing, cartier, (1, 0))
-        return section.system, section
+        return extend_section(sheaf_from_divisor(base, o_d(1)), o_d(1), (1, 0))
 
     def test_scalar_multiple_passes(self):
-        system, section = self._section()
+        section = self._section()
         scaled = TwistedSectionData(gluing=section.gluing,
                                     locals={c: e.scale(2)
                                             for c, e in section.locals.items()})
-        assert check_twisted_section(system, section.gluing, scaled).ok
+        assert check_twisted_section(scaled).ok
 
     def test_one_chart_scaled_passes(self):
         # units absorb chart-wise rescaling
-        system, section = self._section()
+        section = self._section()
         locals_ = dict(section.locals)
         locals_[(0,)] = locals_[(0,)].scale(GaussRational(2))
         bumped = TwistedSectionData(gluing=section.gluing, locals=locals_)
-        assert check_twisted_section(system, section.gluing, bumped).ok
+        assert check_twisted_section(bumped).ok
 
     def test_generic_perturbation_fails(self):
-        system, section = self._section()
+        section = self._section()
         locals_ = dict(section.locals)
         locals_[(0,)] = locals_[(0,)] + AlgElem.one(2)
         broken = TwistedSectionData(gluing=section.gluing, locals=locals_)
-        report = check_twisted_section(system, section.gluing, broken)
+        report = check_twisted_section(broken)
         assert not report.ok
         assert all(f.clause == "Def 3.6" for f in report.failures())
 
@@ -325,14 +311,10 @@ class TestTwistedSectionChecker:
 class TestSubscheme:
     def _two_sections(self):
         base = build_system(fan_p2())
-        gluing, cartier = sheaf_from_divisor(base, o_d(1))
-        system = gluing.system
-        s1 = extend_section(system, gluing, cartier, (1, 0))
-        system = s1.system
-        s2 = extend_section(system, s1.gluing, cartier, (0, 1))
-        system = s2.system
+        s1 = extend_section(sheaf_from_divisor(base, o_d(1)), o_d(1), (1, 0))
+        s2 = extend_section(s1.gluing, o_d(1), (0, 1))
         s1 = TwistedSectionData(gluing=s2.gluing, locals=s1.locals)
-        return system, s1, s2
+        return s2.system, s1, s2
 
     def test_hypersurface_datum(self):
         system, s1, _ = self._two_sections()
@@ -374,18 +356,16 @@ class TestSubscheme:
         # per summand, so no single unit can verify it; the checker must say
         # so rather than assume the combination is again a twisted section
         base = build_system(fan_p2())
-        gluing, cartier = sheaf_from_divisor(base, o_d(1))
-        system = gluing.system
+        gluing = sheaf_from_divisor(base, o_d(1))
         sections = []
         for point in polytope_sections(base.fan, o_d(1)):
-            section = extend_section(system, gluing, cartier, point)
-            system = section.system
+            section = extend_section(gluing, o_d(1), point)
             gluing = section.gluing
             sections.append(section)
         sections = [TwistedSectionData(gluing=gluing, locals=s.locals)
                     for s in sections]
         combined = combine_sections([ONE] * len(sections), sections)
-        report = check_twisted_section(system, gluing, combined)
+        report = check_twisted_section(combined)
         assert not report.ok
         assert all(f.clause == "Def 3.6" for f in report.failures())
 
@@ -393,22 +373,17 @@ class TestSubscheme:
         # one linear and one quadratic section cut a complete intersection;
         # each chart shadow must be the dehomogenized classical generator
         base = build_system(fan_p2())
-        g1, cart1 = sheaf_from_divisor(base, o_d(1))
-        sys1 = g1.system
-        s1 = extend_section(sys1, g1, cart1, (1, 0))
-        sys1 = s1.system
-        g2, cart2 = sheaf_from_divisor(sys1, o_d(2))
-        sys2 = g2.system
-        g2 = GluingData(system=sys2, scalars=g2.scalars, words=g2.words)
-        s2 = extend_section(sys2, g2, cart2, (1, 1))
-        sys2 = s2.system
-        assert check_twisted_section(sys2, s2.gluing, s2).ok
+        s1 = extend_section(sheaf_from_divisor(base, o_d(1)), o_d(1), (1, 0))
+        s2 = extend_section(sheaf_from_divisor(s1.system, o_d(2)), o_d(2), (1, 1))
+        assert check_twisted_section(s2).ok
         s1 = TwistedSectionData(gluing=s2.gluing, locals=s1.locals)
         charts = subscheme_from_sections([s1, s2])
+        v1 = divisor_vertices(base.fan, o_d(1))
+        v2 = divisor_vertices(base.fan, o_d(2))
         for sigma in base.fan.max_cones:
             shadows = [abelianize_elem(g) for g in charts[sigma]]
             want = [
-                {tuple(p - q for p, q in zip((1, 0), cart1.vertex[sigma])): ONE},
-                {tuple(p - q for p, q in zip((1, 1), cart2.vertex[sigma])): ONE},
+                {tuple(p - q for p, q in zip((1, 0), v1[sigma])): ONE},
+                {tuple(p - q for p, q in zip((1, 1), v2[sigma])): ONE},
             ]
             assert shadows == want

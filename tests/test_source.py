@@ -1,5 +1,8 @@
 """Properties of the library source itself."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nctoric"
@@ -13,6 +16,17 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert SRC.is_dir() and found == []
+
+
+def test_package_import_loads_no_submodule():
+    # the package __init__ re-exports nothing, so `import nctoric` alone
+    # leaves each command to import the modules it uses
+    probe = ("import sys, nctoric; "
+             "print(sorted(m for m in sys.modules if m.startswith('nctoric.')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
 
 def test_every_library_error_names_a_clause():

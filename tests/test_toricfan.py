@@ -9,7 +9,7 @@ from nctoric.errors import (MissingReferenceCone, NoPositivityFunctional,
                             NonPrimitiveRay, NotAFan, NotIndexOne, NotMaximal)
 from nctoric.toricfan import (check_certificate, comm_monoid_member,
                               cone_monoid_generators, dual_generators, pairing,
-                              perp_lattice_basis, ray_sum, validate_fan)
+                              ray_sum, validate_fan)
 from nctoric import exactmath
 from nctoric.exactmath import linear_feasible
 from nctoric.freeword import canonical_lift, identity_word, word_mul
@@ -119,25 +119,6 @@ class TestConeMonoid:
             for g in gens:
                 if tau:
                     assert all(pairing(g, fan.rays[i]) >= 0 for i in tau)
-
-
-class TestPerp:
-    def test_ray(self):
-        fan = p2()
-        basis = perp_lattice_basis(fan, (1,))
-        assert [list(map(abs, b)) for b in basis] == [[1, 0]]
-
-    def test_maximal_empty(self):
-        assert perp_lattice_basis(p2(), (0, 1)) == []
-
-    def test_diagonal_ray(self):
-        basis = perp_lattice_basis(p2(), (2,))
-        assert len(basis) == 1
-        x, y = basis[0]
-        assert x + y == 0 and abs(x) == 1
-
-    def test_zero_cone_full(self):
-        assert len(perp_lattice_basis(p2(), ())) == 2
 
 
 class TestCommMonoidMember:
