@@ -5,6 +5,8 @@ random matrix models.
 
 A call that has an artifact reads its base off it and takes no second
 copy: a morphism carries its chart system, a chart system its fan.
+verify_morphism is the one verdict on a morphism; the surrogate, the
+kernel and the sampler refuse an invalid morphism through one helper.
 """
 from __future__ import annotations
 
@@ -26,9 +28,7 @@ from .reports import Finding, Report
 
 @dataclass
 class IdemSystem:
-    """Idempotents indexed by the cones of a fan, classified."""
-    fan: object
-    idempotents: dict        # cone -> matrix
+    """The classification of idempotents indexed by the cones of a fan."""
     weak: bool
     strong: bool
     reduced: dict = None     # cone -> matrix, only when strong
@@ -54,10 +54,6 @@ class MorphismData:
 
     def idempotents(self):
         return {cone: chart.identity_image for cone, chart in self.charts.items()}
-
-
-def _common_face(a, b):
-    return tuple(sorted(set(a) & set(b)))
 
 
 def check_quasi_hom(chart):
@@ -124,7 +120,9 @@ def check_gluing_pair(system, upper_chart, lower_chart):
 def idem_classify(fan, idempotents):
     """Classify a cone-indexed family of idempotents as weak/strong, compute
     the alternating-sum reduced idempotents when strong, and decide
-    completeness; all identities checked exactly."""
+    completeness; all identities checked exactly. The reduced idempotents
+    over the faces of a cone sum back to its idempotent for every input, by
+    Moebius inversion on the subsets of its rays, so that is not checked."""
     idem = {tuple(c): m for c, m in idempotents.items()}
     for cone, m in idem.items():
         if not qim_is_idempotent(m):
@@ -142,7 +140,7 @@ def idem_classify(fan, idempotents):
     faces = list(fan.faces)
     for i, a in enumerate(faces):
         for b in faces[i:]:
-            meet = _common_face(a, b)
+            meet = tuple(sorted(set(a) & set(b)))
             prod = qim_mul(idem[a], idem[b])
             if not qim_eq(prod, idem[meet]):
                 strong = False
@@ -174,21 +172,12 @@ def idem_classify(fan, idempotents):
                         clause=clauses.IDEM_REDUCED,
                         locus=f"{list(a)} , {list(b)}", ok=False,
                         detail="reduced idempotents are not orthogonal"))
-        for cone in faces:
-            acc = qim_zero(r)
-            for face in faces:
-                if set(face) <= set(cone):
-                    acc = qim_add(acc, reduced[face])
-            if not qim_eq(acc, idem[cone]):
-                witnesses.append(Finding(
-                    clause=clauses.IDEM_REDUCED, locus=f"{list(cone)}", ok=False,
-                    detail="face sum of reduced idempotents does not rebuild"))
         total = qim_zero(r)
         for cone in faces:
             total = qim_add(total, reduced[cone])
         complete = qim_eq(total, qim_identity(r))
-    return IdemSystem(fan=fan, idempotents=idem, weak=weak, strong=strong,
-                      reduced=reduced, complete=complete, witnesses=witnesses)
+    return IdemSystem(weak=weak, strong=strong, reduced=reduced,
+                      complete=complete, witnesses=witnesses)
 
 
 def check_relations(system, chart, rel_bound=4):
@@ -227,10 +216,8 @@ def check_relations(system, chart, rel_bound=4):
 def missing_corner_inverses(system, chart):
     """{unit generator: corner inverse, or None when there is none} for the
     chart's unit generators that have an image but no recorded witness, in
-    generator order. A chart on a cone outside the system has none."""
-    sub = system.charts.get(chart.cone)
-    if sub is None:
-        return {}
+    generator order."""
+    sub = system.charts[chart.cone]
     return {g: solve_corner_inverse(chart.identity_image, chart.images[g])
             for g in sub.generators
             if g in chart.images and g not in chart.witnesses and is_unit_in(sub, g)}
@@ -288,21 +275,24 @@ def verify_morphism(morphism, rel_bound=4):
     return report
 
 
-def surrogate_basis(morphism):
-    """Basis of the unital subalgebra generated by all chart images and the
-    corner inverses of unit generators, recorded or computed, by span
-    closure inside the matrix algebra."""
+def _require_valid(morphism, refusal):
+    """Raise MorphismInvalid, headed by `refusal` and followed by the
+    report, unless the morphism verifies."""
     report = verify_morphism(morphism)
     if not report.ok:
-        raise MorphismInvalid("surrogate requested for an invalid morphism:\n"
-                              + report.to_text())
-    r = morphism.rank_r
-    mats = [qim_identity(r)]
+        raise MorphismInvalid(f"{refusal}:\n" + report.to_text())
+
+
+def surrogate_basis(morphism):
+    """Basis of the unital subalgebra generated by the chart idempotents and
+    images, by span closure inside the matrix algebra. The corner inverse X
+    of a unit generator's image a needs no generator of its own: X + (I - e)
+    inverts a + (I - e), so by Cayley-Hamilton it is a polynomial in it."""
+    _require_valid(morphism, "surrogate requested for an invalid morphism")
+    mats = [qim_identity(morphism.rank_r)]
     for chart in morphism.charts.values():
         mats.append(chart.identity_image)
         mats.extend(chart.images.values())
-        mats.extend(chart.witnesses.values())
-        mats.extend(missing_corner_inverses(morphism.system, chart).values())
     span = Echelon()
     out = []
 
@@ -328,10 +318,7 @@ def surrogate_basis(morphism):
 def image_kernel_bounded(morphism, cone, bound):
     """Kernel of the chart evaluation on products of at most `bound`
     generators, as algebra elements; a truncation of the morphism kernel."""
-    report = verify_morphism(morphism)
-    if not report.ok:
-        raise MorphismInvalid("kernel requested for an invalid morphism:\n"
-                              + report.to_text())
+    _require_valid(morphism, "kernel requested for an invalid morphism")
     cone = tuple(cone)
     chart = morphism.charts[cone]
     values, findings = check_relations(morphism.system, chart, bound)
@@ -394,11 +381,6 @@ def _random_matrix(rng, r):
     return [[_random_entry(rng) for _ in range(r)] for _ in range(r)]
 
 
-def _block(reduced, cone, m):
-    e = reduced[cone]
-    return qim_mul(qim_mul(e, m), e)
-
-
 def sample_matrix_model(system, r, pattern, seed):
     """Seeded random morphism data on the chart system, compatible with the
     idempotent pattern over the system's fan.
@@ -418,6 +400,8 @@ def sample_matrix_model(system, r, pattern, seed):
         raise PatternIncomplete(
             "idempotent pattern must form a complete strong system")
     reduced = idem.reduced
+    # only the nonzero reduced blocks carry letter blocks
+    live = [cone for cone in fan.faces if not qim_is_zero(reduced[cone])]
     rng = random.Random(seed)
     # letter i needs an invertible block wherever some chart evaluation will
     # hit the inverse letter: a chart generator containing -i, or a unit
@@ -435,8 +419,8 @@ def sample_matrix_model(system, r, pattern, seed):
                 letters_seen.update(abs(l) for l in g.letters)
         if not letters_seen:
             continue
-        for block in fan.faces:
-            if set(block) <= set(cone) and not qim_is_zero(reduced[block]):
+        for block in live:
+            if set(block) <= set(cone):
                 for i in letters_seen:
                     inverse_needed[i].add(block)
     letter_blocks = {}
@@ -445,11 +429,8 @@ def sample_matrix_model(system, r, pattern, seed):
             m = _random_matrix(rng, r)
             blocks = {}
             ok = True
-            for cone in fan.faces:
-                if qim_is_zero(reduced[cone]):
-                    blocks[cone] = (qim_zero(r), qim_zero(r))
-                    continue
-                b = _block(reduced, cone, m)
+            for cone in live:
+                b = qim_mul(qim_mul(reduced[cone], m), reduced[cone])
                 inv = None
                 if cone in inverse_needed[i]:
                     inv = solve_corner_inverse(reduced[cone], b)
@@ -462,12 +443,9 @@ def sample_matrix_model(system, r, pattern, seed):
                 break
 
     def block_value(word, cone):
-        """Image of a word on one reduced block, multiplying letter blocks;
-        every inverse block it reads was solved for inverse_needed."""
-        e = reduced[cone]
-        if qim_is_zero(e):
-            return qim_zero(r)
-        acc = [row[:] for row in e]
+        """Image of a word on one nonzero reduced block, multiplying letter
+        blocks; every inverse block it reads was solved for inverse_needed."""
+        acc = [row[:] for row in reduced[cone]]
         for l in word.letters:
             block, inverse = letter_blocks[abs(l)][cone]
             acc = qim_mul(acc, block if l > 0 else inverse)
@@ -475,7 +453,7 @@ def sample_matrix_model(system, r, pattern, seed):
 
     def chart_value(word, cone):
         acc = qim_zero(r)
-        for block in fan.faces:
+        for block in live:
             if set(block) <= set(cone):
                 acc = qim_add(acc, block_value(word, block))
         return acc
@@ -492,8 +470,5 @@ def sample_matrix_model(system, r, pattern, seed):
             cone=cone, identity_image=pattern[cone], images=images,
             witnesses=witnesses)
     morphism = MorphismData(rank_r=r, system=system, charts=charts)
-    report = verify_morphism(morphism)
-    if not report.ok:
-        raise MorphismInvalid("sampled morphism failed verification:\n"
-                              + report.to_text())
+    _require_valid(morphism, "sampled morphism failed verification")
     return morphism

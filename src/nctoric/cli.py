@@ -1,13 +1,16 @@
 """Command-line surface: parse artifact files, dispatch to the library, and
 emit pass/fail reports. Exit codes: 0 every check passes, 1 a check fails or
 is undecided at the stated bound, 2 malformed input, 3 internal error (a
-fault in nctoric, printed with its traceback). `main` is the only place
-that catches; a library error is reported under its class's clause.
+fault in nctoric, printed with its traceback). Each command returns its
+report and payload; `main` is the only place that catches and the only
+place that prints them, and a library error is reported under its class's
+clause.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 
@@ -29,7 +32,7 @@ from .sheaves import (check_gluing, check_twisted_section, extend_section,
                       subscheme_from_sections)
 
 
-def _emit(report, args, payload=None):
+def _emit(report, args, payload):
     if getattr(args, "json", False):
         obj = report.to_json()
         if payload:
@@ -39,7 +42,6 @@ def _emit(report, args, payload=None):
         print(report.to_text(verbose=getattr(args, "verbose", False)))
         for line in _payload_lines(payload):
             print(line)
-    return 0 if report.status == "pass" else 1
 
 
 def _payload_lines(payload):
@@ -92,7 +94,7 @@ def cmd_fan_check(args):
                                     f"{len(fan.faces)} faces")])
     if args.out:
         serialize.dump_json(serialize.fan_to_obj(fan), args.out)
-    return _emit(report, args)
+    return report, None
 
 
 # --- system ------------------------------------------------------------------
@@ -105,12 +107,12 @@ def cmd_system_build(args):
     payload = {"charts": [f"{list(c)}: "
                           + ", ".join(format_word(g) for g in system.charts[c].generators)
                           for c in system.fan.faces]}
-    return _emit(report, args, payload)
+    return report, payload
 
 
 def cmd_system_check(args):
     system = serialize.load_system(args.file)
-    return _emit(check_admissible(system), args)
+    return check_admissible(system), None
 
 
 def cmd_system_augment(args, softening=False):
@@ -128,7 +130,7 @@ def cmd_system_augment(args, softening=False):
     if added is not None:
         payload = {"added": [f"{list(c)}: " + ", ".join(format_word(w) for w in ws)
                              for c, ws in sorted(added.items())]}
-    return _emit(report, args, payload)
+    return report, payload
 
 
 def cmd_system_soften(args):
@@ -144,12 +146,12 @@ def cmd_sheaf_from_divisor(args):
     if args.out:
         serialize.dump_json(serialize.sheaf_to_obj(gluing), args.out)
     report = check_gluing(gluing)
-    return _emit(report, args)
+    return report, None
 
 
 def cmd_sheaf_check(args):
     gluing = serialize.load(args.file, serialize.sheaf_from_obj)
-    return _emit(check_gluing(gluing), args)
+    return check_gluing(gluing), None
 
 
 def cmd_sheaf_isom(args):
@@ -159,7 +161,7 @@ def cmd_sheaf_isom(args):
     ok = sheaves_isomorphic(g1, g2, candidate)
     report = Report([Finding(clause=clauses.GLUING_ISOM, locus="candidate",
                              ok=ok, detail="candidate units identify the gluing data")])
-    return _emit(report, args)
+    return report, None
 
 
 # --- sections ------------------------------------------------------------------
@@ -170,7 +172,7 @@ def cmd_section_list(args):
     points = polytope_sections(system.fan, divisor)
     report = Report([Finding(clause=clauses.POLYTOPE, locus="divisor polytope",
                              ok=True, detail=f"{len(points)} lattice points")])
-    return _emit(report, args, {"points": [list(p) for p in points]})
+    return report, {"points": [list(p) for p in points]}
 
 
 def cmd_section_extend(args):
@@ -181,12 +183,12 @@ def cmd_section_extend(args):
     if args.out:
         serialize.dump_json(serialize.section_to_obj(section), args.out)
     report = check_twisted_section(section)
-    return _emit(report, args)
+    return report, None
 
 
 def cmd_section_check(args):
     section = serialize.load(args.file, serialize.section_from_obj)
-    return _emit(check_twisted_section(section), args)
+    return check_twisted_section(section), None
 
 
 # --- subschemes -----------------------------------------------------------------
@@ -218,7 +220,7 @@ def cmd_subscheme_build(args):
                              detail=f"{len(sections)} sections over {len(charts)} cones")])
     payload = {"charts": [f"{list(c)}: " + "; ".join(format_alg(g) for g in gens)
                           for c, gens in sorted(charts.items())]}
-    return _emit(report, args, payload)
+    return report, payload
 
 
 def cmd_subscheme_member(args):
@@ -231,21 +233,21 @@ def cmd_subscheme_member(args):
                                  ok=False, bound_relative=True,
                                  detail=f"no certificate at bound {args.bound} "
                                         "(not a proof of non-membership)")])
-        return _emit(report, args)
+        return report, None
     report = Report([Finding(clause=clauses.SUBSCHEME, locus=f"cone {list(cone)}",
                              ok=True, detail=f"certificate with "
                                              f"{len(cert.combination)} terms")])
     payload = {"certificate": [
         f"({format_gauss(c)}) * [{format_word(x)}] * g{gi} * [{format_word(y)}]"
         for c, x, gi, y in cert.combination]}
-    return _emit(report, args, payload)
+    return report, payload
 
 
 # --- morphisms --------------------------------------------------------------------
 
 def cmd_morphism_check(args):
     morphism = serialize.load(args.file, serialize.morphism_from_obj)
-    return _emit(verify_morphism(morphism, rel_bound=args.bound), args)
+    return verify_morphism(morphism, rel_bound=args.bound), None
 
 
 def cmd_morphism_sample(args):
@@ -259,7 +261,7 @@ def cmd_morphism_sample(args):
         serialize.dump_json(serialize.morphism_to_obj(morphism), args.out)
     report = Report([Finding(clause=clauses.MATRIX_MODEL, locus="sample", ok=True,
                              detail=f"rank {args.r}, seed {args.seed}")])
-    return _emit(report, args)
+    return report, None
 
 
 def cmd_morphism_surrogate(args):
@@ -268,7 +270,7 @@ def cmd_morphism_surrogate(args):
     report = Report([Finding(clause=clauses.SURROGATE, locus="surrogate", ok=True,
                              detail=f"dimension {len(basis)}")])
     payload = {"basis": [" ".join(serialize.matrix_to_entries(m)) for m in basis]}
-    return _emit(report, args, payload)
+    return report, payload
 
 
 def cmd_morphism_kernel(args):
@@ -280,7 +282,7 @@ def cmd_morphism_kernel(args):
                              detail=f"{len(ideal.generators)} kernel generators "
                                     f"at bound {args.bound}")])
     payload = {"generators": [format_alg(g) for g in ideal.generators]}
-    return _emit(report, args, payload)
+    return report, payload
 
 
 # --- probes ----------------------------------------------------------------------
@@ -299,7 +301,7 @@ def cmd_probe_a1(args):
             f"({format_gauss(c)})*t^{k}" for k, c in enumerate(result.unresolved_factor) if c)
     report = Report([Finding(clause=clauses.A1_PROBE, locus="probe", ok=True,
                              detail=f"{len(result.fibers)} rational Gaussian roots")])
-    return _emit(report, args, payload)
+    return report, payload
 
 
 # --- parser ------------------------------------------------------------------------
@@ -425,17 +427,25 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ParseError, RankMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NctoricError as exc:
-        return _emit(Report([Finding(clause=exc.clause, locus=exc.locus, ok=False,
-                                     detail=str(exc))]), args)
+        try:
+            report, payload = args.func(args)
+        except (ParseError, RankMismatch) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except NctoricError as exc:
+            report, payload = Report([Finding(clause=exc.clause, locus=exc.locus, ok=False,
+                                              detail=str(exc))]), None
+        _emit(report, args, payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early, which does not change the verdict;
+        # stdout now points at devnull so the interpreter's last flush succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
         traceback.print_exc()
         return 3
+    return 0 if report.status == "pass" else 1
 
 
 if __name__ == "__main__":

@@ -764,49 +764,31 @@ def _gauss_prime_above(p):
 
 
 def gauss_int_divisors(z):
-    """All divisors of z in Z[i], up to and including unit multiples."""
+    """All divisors of z in Z[i], up to and including unit multiples. z is
+    divided by p itself for each prime p = 3 mod 4 of its norm, and by the
+    Gaussian primes pi and conj(pi) over every other prime, each as often as
+    it divides; every factor split off multiplies the divisors found so far."""
     x, y = z
     if x == 0 and y == 0:
         return []
-    norm = x * x + y * y
+    n = x * x + y * y
     primes = []
-    n = norm
     d = 2
     while d * d <= n:
-        while n % d == 0:
+        if n % d == 0:
             primes.append(d)
-            n //= d
+            while n % d == 0:
+                n //= d
         d += 1
     if n > 1:
         primes.append(n)
-    # factor z by trial Gaussian primes derived from the norm primes;
-    # inert primes (p % 4 == 3) contribute p^2 to the norm per factor p
-    cur = (x, y)
-    gfactors = []
-    seen_inert = {}
-    for p in primes:
-        if p % 4 == 3:
-            seen_inert[p] = seen_inert.get(p, 0) + 1
-            if seen_inert[p] == 2:
-                q = _gauss_int_divide(cur, (p, 0))
-                if q is None:
-                    raise AssertionError(f"inert prime {p} does not divide {cur}")
-                cur = q
-                gfactors.append((p, 0))
-                seen_inert[p] = 0
-        else:
-            pi = _gauss_prime_above(p)
-            q = _gauss_int_divide(cur, pi)
-            if q is None:
-                pi = (pi[0], -pi[1])
-                q = _gauss_int_divide(cur, pi)
-            if q is None:
-                raise AssertionError(f"no Gaussian prime over {p} divides {cur}")
-            cur = q
-            gfactors.append(pi)
     divisors = {(1, 0)}
-    for f in gfactors:
-        divisors |= {_gauss_mul(d, f) for d in divisors}
+    for p in primes:
+        pi = (p, 0) if p % 4 == 3 else _gauss_prime_above(p)
+        for f in {pi, (pi[0], -pi[1])}:
+            while (q := _gauss_int_divide(z, f)) is not None:
+                z = q
+                divisors |= {_gauss_mul(d, f) for d in divisors}
     units = [(1, 0), (-1, 0), (0, 1), (0, -1)]
     return {_gauss_mul(d, u) for d in divisors for u in units}
 

@@ -83,6 +83,17 @@ def _ints(value, what):
     return tuple(_integer(x, what) for x in _of(value, list, what))
 
 
+def _unique(pairs, where, name=lambda cone: f"cone {list(cone)}"):
+    """A dict from the (key, value) pairs read off a JSON list. A key that
+    comes twice is malformed input: one of its entries would go unread."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"{where}: a second entry for {name(key)}")
+        out[key] = value
+    return out
+
+
 def _cone(item, fan, where, key="cone"):
     """The cone item[key] as a sorted tuple of ray indices; it must be a
     cone of fan."""
@@ -103,14 +114,18 @@ def fan_from_obj(obj, where="fan"):
     rays = [_ints(r, f"{where}: ray") for r in _field(obj, "rays", where, list)]
     cones = [_ints(c, f"{where}: maximal cone")
              for c in _field(obj, "max_cones", where, list)]
-    certificates = {}
     at = f"{where}.certificates"
-    for item in _field(obj, "certificates", where, list, default=[]):
+
+    def certificate(item):
         pair = _field(item, "pair", at, list)
         if len(pair) != 2:
             raise ParseError(f"{at}: a pair lists two cones, got {len(pair)}")
-        a, b = (tuple(sorted(_ints(c, f"{at}: pair"))) for c in pair)
-        certificates[(a, b)] = _ints(_field(item, "functional", at), f"{at}: functional")
+        key = tuple(tuple(sorted(_ints(c, f"{at}: pair"))) for c in pair)
+        return key, _ints(_field(item, "functional", at), f"{at}: functional")
+
+    certificates = _unique(map(certificate, _field(obj, "certificates", where, list,
+                                                   default=[])),
+                           at, lambda pair: f"pair {list(map(list, pair))}")
     return validate_fan(rank, rays, cones, certificates or None)
 
 
@@ -146,9 +161,9 @@ def system_from_obj(obj, where="system", base_dir=None):
         path = fan_obj if base_dir is None else os.path.join(base_dir, fan_obj)
         fan_obj = load_json(path)
     fan = fan_from_obj(fan_obj, where=f"{where}.fan")
-    lifts = {}
     at = f"{where}.lifts"
-    for item in _field(obj, "lifts", where, list, default=[]):
+
+    def lift(item):
         gen = _ints(_field(item, "generator", at), f"{at}: generator")
         cone = _cone(item, fan, at)
         # build_system reads a lift only at a maximal cone and a dual generator
@@ -158,7 +173,10 @@ def system_from_obj(obj, where="system", base_dir=None):
         if gen not in dual_generators(fan, cone):
             raise ParseError(f"{at}: generator {list(gen)} is not a dual generator "
                              f"of cone {list(cone)}")
-        lifts[(cone, gen)] = parse_word(_field(item, "word", at), fan.rank)
+        return (cone, gen), parse_word(_field(item, "word", at), fan.rank)
+
+    lifts = _unique(map(lift, _field(obj, "lifts", where, list, default=[])), at,
+                    lambda key: f"generator {list(key[1])} of cone {list(key[0])}")
     system = build_system(fan, lifts)
     for stage_obj in _field(obj, "extras", where, list, default=[]):
         system = augment_system(system, stage_from_obj(stage_obj, fan, f"{where}.extras"))
@@ -175,9 +193,9 @@ def load_system(path):
 
 def stage_from_obj(obj, fan, where="extras"):
     """One augmentation stage: the extra words for each listed cone."""
-    return {_cone(item, fan, where): [parse_word(w, fan.rank)
-                                 for w in _field(item, "words", where, list)]
-            for item in _of(obj, list, where)}
+    return _unique(((_cone(item, fan, where),
+                     [parse_word(w, fan.rank) for w in _field(item, "words", where, list)])
+                    for item in _of(obj, list, where)), where)
 
 
 # --- divisors ----------------------------------------------------------------
@@ -186,13 +204,16 @@ def divisor_from_obj(obj, fan, where="divisor"):
     coeff_map = _field(obj, "coefficients", where)
     if not isinstance(coeff_map, dict):
         raise ParseError(f"{where}: coefficients must be a map from ray index to integer")
-    coeffs = [0] * len(fan.rays)
-    for key, val in coeff_map.items():
+
+    def coefficient(key, val):
         idx = _integer(key, f"{where}: ray index")
         if idx < 0 or idx >= len(fan.rays):
             raise ParseError(f"{where}: ray index {idx} out of range")
-        coeffs[idx] = _integer(val, f"{where}: coefficient of ray {idx}")
-    return DivisorData(tuple(coeffs))
+        return idx, _integer(val, f"{where}: coefficient of ray {idx}")
+
+    coeffs = _unique((coefficient(*kv) for kv in coeff_map.items()), where,
+                     lambda idx: f"ray {idx}")
+    return DivisorData(tuple(coeffs.get(i, 0) for i in range(len(fan.rays))))
 
 
 # --- sheaves -----------------------------------------------------------------
@@ -212,18 +233,19 @@ def sheaf_to_obj(gluing):
 def sheaf_from_obj(obj, where="sheaf"):
     system = system_from_obj(_field(obj, "system", where), f"{where}.system")
     fan = system.fan
-    scalars = {}
-    words = {}
     at = f"{where}.gluing"
-    for item in _field(obj, "gluing", where, list):
+
+    def entry(item):
         upper, lower = key = (_cone(item, fan, at, "upper"), _cone(item, fan, at, "lower"))
         if not set(lower) < set(upper):
             raise ParseError(f"{at}: {list(lower)} is not a proper face of {list(upper)}")
-        if key in words:
-            raise ParseError(f"{at}: a second entry for {list(upper)} > {list(lower)}")
-        scalars[key] = parse_gauss(_field(item, "scalar", at))
-        words[key] = parse_word(_field(item, "word", at), fan.rank)
-    return GluingData(system=system, scalars=scalars, words=words)
+        return key, (parse_gauss(_field(item, "scalar", at)),
+                     parse_word(_field(item, "word", at), fan.rank))
+
+    entries = _unique(map(entry, _field(obj, "gluing", where, list)), at,
+                      lambda key: f"{list(key[0])} > {list(key[1])}")
+    return GluingData(system=system, scalars={k: s for k, (s, _) in entries.items()},
+                      words={k: w for k, (_, w) in entries.items()})
 
 
 def load_sheaf(path):
@@ -236,9 +258,10 @@ def load_sheaf(path):
 
 def candidate_from_obj(obj, fan, where="candidate"):
     """Candidate per-cone units (scalar, word) for a sheaf isomorphism."""
-    return {_cone(item, fan, where): (parse_gauss(_field(item, "scalar", where)),
-                                      parse_word(_field(item, "word", where), fan.rank))
-            for item in _of(obj, list, where)}
+    return _unique(((_cone(item, fan, where),
+                     (parse_gauss(_field(item, "scalar", where)),
+                      parse_word(_field(item, "word", where), fan.rank)))
+                    for item in _of(obj, list, where)), where)
 
 
 # --- twisted sections ---------------------------------------------------------
@@ -256,10 +279,10 @@ def section_to_obj(section):
 def section_from_obj(obj, where="section"):
     gluing = sheaf_from_obj(_field(obj, "sheaf", where), f"{where}.sheaf")
     fan = gluing.system.fan
-    locals_ = {}
     at = f"{where}.locals"
-    for item in _field(obj, "locals", where, list):
-        locals_[_cone(item, fan, at)] = parse_alg(_field(item, "element", at), fan.rank)
+    locals_ = _unique(((_cone(item, fan, at),
+                        parse_alg(_field(item, "element", at), fan.rank))
+                       for item in _field(obj, "locals", where, list)), at)
     return TwistedSectionData(gluing=gluing, locals=locals_)
 
 
@@ -278,11 +301,10 @@ def subscheme_to_obj(system, chart_gens):
 def subscheme_from_obj(obj, where="subscheme"):
     system = system_from_obj(_field(obj, "system", where), f"{where}.system")
     fan = system.fan
-    charts = {}
     at = f"{where}.charts"
-    for item in _field(obj, "charts", where, list):
-        charts[_cone(item, fan, at)] = [parse_alg(t, fan.rank)
-                                        for t in _field(item, "generators", at, list)]
+    charts = _unique(((_cone(item, fan, at),
+                       [parse_alg(t, fan.rank) for t in _field(item, "generators", at, list)])
+                      for item in _field(obj, "charts", where, list)), at)
     return system, charts
 
 
@@ -336,25 +358,28 @@ def morphism_from_obj(obj, where="morphism"):
     system = system_from_obj(_field(obj, "system", where), f"{where}.system")
 
     def word_matrices(item, key, at):
-        return {parse_word(_field(im, "word", at), system.fan.rank):
-                matrix_from_entries(_field(im, "matrix", at), r, at)
-                for im in _field(item, key, at, list, default=[])}
+        return _unique(((parse_word(_field(im, "word", at), system.fan.rank),
+                         matrix_from_entries(_field(im, "matrix", at), r, at))
+                        for im in _field(item, key, at, list, default=[])),
+                       at, lambda w: f"word {format_word(w)}")
 
-    charts = {}
-    at = f"{where}.charts"
-    for item in _field(obj, "charts", where, list):
+    def chart(item):
         cone = _cone(item, system.fan, at)
         e = matrix_from_entries(_field(item, "e", at), r, f"{where} e on {cone}")
-        charts[cone] = QuasiHomChart(
+        return cone, QuasiHomChart(
             cone=cone, identity_image=e,
             images=word_matrices(item, "images", f"{where} image on {cone}"),
             witnesses=word_matrices(item, "witnesses", f"{where} witness on {cone}"))
+
+    at = f"{where}.charts"
+    charts = _unique(map(chart, _field(obj, "charts", where, list)), at)
     return MorphismData(rank_r=r, system=system, charts=charts)
 
 
 def pattern_from_obj(obj, fan, r, where="pattern"):
-    out = {}
-    for item in _field(obj, "idempotents", where, list):
+    def idempotent(item):
         cone = _cone(item, fan, where)
-        out[cone] = matrix_from_entries(_field(item, "matrix", where), r, f"{where} on {cone}")
-    return out
+        return cone, matrix_from_entries(_field(item, "matrix", where), r,
+                                         f"{where} on {cone}")
+
+    return _unique(map(idempotent, _field(obj, "idempotents", where, list)), where)

@@ -6,12 +6,13 @@ membership, the round-based saturation the library's worklist replaced, the
 insertion-order echelon its pivot-indexed one replaced, the two lower-chart
 constructions its one lower-chart rule replaced, the round-based span
 closure of the surrogate, free-algebra arithmetic on letter tuples,
-exhaustive enumerations, brute-force lattice scans, and small helpers that
-only the tests need.
+exhaustive enumerations, brute-force lattice and divisor scans, and small
+helpers that only the tests need.
 """
 from collections import defaultdict
 from fractions import Fraction
 from itertools import product as iproduct
+from math import isqrt
 
 from nctoric.azumaya import check_relations, missing_corner_inverses
 from nctoric.errors import MorphismInvalid
@@ -337,6 +338,21 @@ def surrogate_by_rounds(morphism):
                 if try_add(qim_mul(a, b)):
                     changed = True
     return out
+
+
+def gauss_divisors_by_scan(z):
+    """Every Gaussian integer a+bi with a^2 + b^2 <= N(z) that divides z,
+    as (a, b) pairs: a divisor's norm divides N(z), so none is left out."""
+    x, y = z
+    norm = x * x + y * y
+    side = isqrt(norm)
+    found = set()
+    for a, b in iproduct(range(-side, side + 1), repeat=2):
+        n = a * a + b * b
+        # z / (a+bi) = z (a-bi) / n
+        if 0 < n <= norm and (x * a + y * b) % n == 0 and (y * a - x * b) % n == 0:
+            found.add((a, b))
+    return found
 
 
 def pair_words_by_filter(rank, budget):

@@ -9,12 +9,12 @@ from nctoric.azumaya import (MorphismData, QuasiHomChart, a1_probe,
                              check_gluing_pair, check_quasi_hom, idem_classify,
                              image_kernel_bounded, sample_matrix_model,
                              surrogate_basis, verify_morphism)
-from nctoric.deltasystem import build_system
+from nctoric.deltasystem import augment_system, build_system
 from nctoric.errors import NotIdempotent, PatternIncomplete
-from nctoric.exactmath import (GaussRational, ONE, ZERO, format_gauss,
-                               qim_identity, qim_is_zero, qim_mul,
+from nctoric.exactmath import (Echelon, GaussRational, ONE, ZERO, format_gauss,
+                               qim_flatten, qim_identity, qim_is_zero, qim_mul,
                                qim_eq, qim_rank, qim_scale, qim_sub, qim_zero,
-                               qim_add)
+                               qim_add, sparse_vector)
 from nctoric.freeword import identity_word, parse_word, word_mul
 from nctoric.ncalgebra import AlgElem
 from nctoric.toricfan import validate_fan
@@ -344,6 +344,36 @@ def chart_contents(morphism):
             for cone, c in morphism.charts.items()}
 
 
+def p2_corner_model():
+    """P^2 at r=3 with the diagonal corner E_kk on the k-th maximal cone and
+    zero on every lower cone."""
+    fan = validate_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+    pattern = {cone: qim_zero(3) for cone in fan.faces}
+    for k, cone in enumerate(fan.max_cones):
+        pattern[cone] = M([[int(i == j == k) for j in range(3)] for i in range(3)])
+    return build_system(fan), 3, pattern
+
+
+COMMUTATOR = "z1 z2 z1^-1 z2^-1"
+
+SURROGATE_MODELS = {
+    "one-cone": lambda: (build_system(fan_single()), 4, "trivial"),
+    "p1-block": lambda: (build_system(fan_p1()), 4, p1_block_pattern(4)),
+    "p2-corners": p2_corner_model,
+    "zero-cone-commutator": lambda: (
+        augment_system(build_system(fan_single()), {(): [W(COMMUTATOR, 2)]}), 4, "trivial"),
+}
+
+
+def same_span(a, b):
+    """Two lists of matrices span the same space."""
+    span = Echelon()
+    for m in a:
+        span.add(sparse_vector(qim_flatten(m)))
+    return len(a) == len(b) and not any(span.add(sparse_vector(qim_flatten(m)))[0]
+                                        for m in b)
+
+
 def without_witnesses(morphism):
     charts = {cone: QuasiHomChart(cone=cone, identity_image=c.identity_image,
                                   images=dict(c.images))
@@ -369,14 +399,16 @@ class TestVerifyIsPure:
         assert verify_morphism(morphism).ok
         assert chart_contents(morphism) == before
 
-    @pytest.mark.parametrize("model, dim", [("one-cone", 16), ("p1-block", 4)])
+    @pytest.mark.parametrize("model, dim", [("one-cone", 16), ("p1-block", 4),
+                                            ("p2-corners", 3),
+                                            ("zero-cone-commutator", 16)])
     def test_surrogate_dimension_r4(self, model, dim):
-        # the surrogate spans the same algebra whether corner inverses are
-        # recorded in the file or computed during verification
-        fan = fan_single() if model == "one-cone" else fan_p1()
-        pattern = "trivial" if model == "one-cone" else p1_block_pattern(4)
-        system = build_system(fan)
-        morphism = sample_matrix_model(system, 4, pattern, 0)
+        # the surrogate is generated by idempotents and images alone; the
+        # oracle also feeds in every corner inverse, recorded or computed,
+        # and gets the same basis whenever each unit generator's inverse is
+        # itself a generator
+        system, r, pattern = SURROGATE_MODELS[model]()
+        morphism = sample_matrix_model(system, r, pattern, 0)
         basis = surrogate_basis(morphism)
         assert len(basis) == dim
         # multiplying only pairs with a new element keeps the basis and its order
@@ -384,6 +416,20 @@ class TestVerifyIsPure:
         stripped = without_witnesses(morphism)
         assert surrogate_basis(stripped) == basis
         assert all(not c.witnesses for c in stripped.charts.values())
+
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_corner_inverses_add_nothing(self, seed):
+        # on the maximal cone, the third extra word is a unit whose inverse
+        # is only a product of generators; its corner inverse changes which
+        # products enter the basis, never the span
+        extras = [COMMUTATOR, "z2 z1^2 z2^-1 z1^-2", "z1^2 z2 z1^-1 z2^-1 z1^-1"]
+        system = augment_system(build_system(fan_single()),
+                                {(0, 1): [W(w, 2) for w in extras]})
+        morphism = sample_matrix_model(system, 3, "trivial", seed)
+        basis = surrogate_basis(morphism)
+        assert len(basis) == 9
+        assert same_span(basis, surrogate_by_rounds(morphism))
 
 
 class TestCopy:

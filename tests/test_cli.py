@@ -28,14 +28,18 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def cli_env():
+    """The environment of a fresh interpreter that imports this nctoric."""
+    src = os.path.dirname(os.path.dirname(nctoric.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_process(*argv):
     """The CLI in a fresh interpreter, so an uncaught exception shows up as a
     traceback on stderr."""
-    src = os.path.dirname(os.path.dirname(nctoric.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "nctoric.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=cli_env(), timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -458,6 +462,110 @@ class TestMalformedInput:
             assert code == 2 and out == ""
             assert "Traceback" not in err and named in err
         assert not (tmp_path / "s1.json").exists()
+
+
+    @pytest.mark.parametrize("files, edit, argv, named", [
+        ({}, ("p2c.fan", lambda o: repeat_first(o["certificates"], functional=[0, 0])),
+         ["fan", "check", "p2c.fan", "--out", "new.fan"],
+         "a second entry for pair [[0, 1], [0, 2]]"),
+        ({"sys.json": {"fan": "p2.fan", "lifts": [
+            {"cone": [0, 1], "generator": [1, 0], "word": "z1"},
+            {"cone": [0, 1], "generator": [1, 0], "word": "z2 z1 z2^-1"}]}}, None,
+         ["system", "build", "sys.json", "--out", "new.json"],
+         "a second entry for generator [1, 0] of cone [0, 1]"),
+        ({"extras.json": [{"cone": [0], "words": ["z1"]}, {"cone": [0], "words": ["z2"]}]},
+         None, ["system", "augment", "p2.fan", "--extras", "extras.json", "--out", "new.json"],
+         "a second entry for cone [0]"),
+        ({"twice.div": {"coefficients": {"2": 1, "02": 1}}}, None,
+         ["section", "list", "p2.fan", "--divisor", "twice.div"],
+         "a second entry for ray 2"),
+        ({"cand.json": [{"cone": [0, 1], "scalar": s, "word": "e"} for s in ("2", "1")]},
+         None, ["sheaf", "isom", "sheaf.json", "sheaf.json", "--candidate", "cand.json"],
+         "a second entry for cone [0, 1]"),
+        ({}, ("s1.json", lambda o: repeat_first(o["locals"], element="z1^-7")),
+         ["section", "check", "s1.json"], "a second entry for cone"),
+        ({}, ("sub.json", lambda o: repeat_first(o["charts"])),
+         ["subscheme", "member", "sub.json", "--cone", "0,1", "--element", "z2 z1"],
+         "a second entry for cone"),
+        ({}, ("mor.json", lambda o: repeat_first(o["charts"])),
+         ["morphism", "check", "mor.json"], "a second entry for cone"),
+        ({}, ("mor.json", lambda o: repeat_first(o["charts"][0]["images"])),
+         ["morphism", "surrogate", "mor.json"], "a second entry for word"),
+        ({}, ("mor.json", lambda o: repeat_first(
+            next(c for c in o["charts"] if c["witnesses"])["witnesses"])),
+         ["morphism", "kernel", "mor.json", "--cone", ""], "a second entry for word"),
+        ({"pat.json": {"idempotents": [{"cone": [], "matrix": ["0"] * 4}] * 2}}, None,
+         ["morphism", "sample", "cone.fan", "--r", "2", "--pattern", "pat.json",
+          "--out", "new.json"], "a second entry for cone []"),
+    ], ids=["fan-certificate", "system-lift", "stage-cone", "divisor-ray",
+            "candidate-cone", "section-local", "subscheme-chart", "morphism-chart",
+            "image-word", "witness-word", "pattern-cone"])
+    def test_repeated_key(self, tmp_path, monkeypatch, capsys, files, edit, argv, named):
+        # a reader keeps one entry per key, so a file that gives a key twice
+        # is refused rather than read with one of its entries dropped
+        monkeypatch.chdir(tmp_path)
+        artifacts(capsys, tmp_path)
+        for name, obj in files.items():
+            write(tmp_path, name, obj)
+        if edit is not None:
+            name, change = edit
+            obj = load_json(str(tmp_path / name))
+            change(obj)
+            write(tmp_path, name, obj)
+        code, out, err = run_process(*argv)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err and named in err
+        assert not list(tmp_path.glob("new.*"))
+
+
+def repeat_first(entries, **change):
+    """Put a copy of the list's first entry, with `change` applied, in front."""
+    entries.insert(0, dict(entries[0], **change))
+
+
+def artifacts(capsys, tmp_path):
+    """A fan with its certificates, a sheaf, two sections, their subscheme
+    and a sampled morphism, written into tmp_path."""
+    write(tmp_path, "p2.fan", P2)
+    write(tmp_path, "cone.fan", CONE_FAN)
+    write(tmp_path, "o1.div", {"coefficients": {"2": 1}})
+    for argv in (["fan", "check", "p2.fan", "--out", "p2c.fan"],
+                 ["sheaf", "from-divisor", "p2.fan", "--divisor", "o1.div",
+                  "--out", "sheaf.json"],
+                 ["section", "extend", "sheaf.json", "--divisor", "o1.div",
+                  "--point", "1,0", "--out", "s1.json"],
+                 ["section", "extend", "s1.json", "--divisor", "o1.div",
+                  "--point", "0,1", "--out", "s2.json"],
+                 ["subscheme", "build", "s1.json", "s2.json", "--out", "sub.json"],
+                 ["morphism", "sample", "cone.fan", "--r", "2", "--seed", "1",
+                  "--out", "mor.json"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, out, err)
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv, code", [
+        (["sheaf", "from-divisor", "p2.fan", "--divisor", "o1.div", "--out", "sheaf.json"],
+         0),
+        (["fan", "check", "bad.fan"], 1),
+    ], ids=["passing", "failing"])
+    def test_verdict_sets_exit_code(self, tmp_path, argv, code):
+        # a reader that stops early (`nctoric ... | head -1`) leaves stdout
+        # closed; that is not a fault of nctoric and does not change the verdict
+        write(tmp_path, "p2.fan", P2)
+        write(tmp_path, "o1.div", {"coefficients": {"2": 1}})
+        write(tmp_path, "bad.fan", {"rank": 2, "rays": [[1, 0], [0, 1], [1, 2]],
+                                    "max_cones": [[0, 1], [0, 2]]})
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "nctoric.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  cwd=tmp_path, env=cli_env(), timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == code
+        assert proc.stderr == b""
 
 
 class TestInternalError:

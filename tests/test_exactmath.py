@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from sympy import QQ, QQ_I, Matrix, linsolve, symbols
 from sympy.polys.matrices import DomainMatrix
 
-from nctoric.exactmath import (Echelon, GaussRational, ONE, ZERO, format_gauss, hnf,
+from nctoric.exactmath import (Echelon, GaussRational, ONE, ZERO, format_gauss,
+                               gauss_int_divisors, hnf,
                                int_inverse_unimodular, linear_feasible,
                                minimal_polynomial, parse_gauss,
                                qi_nullspace, qi_poly_roots, qim_add,
@@ -15,8 +16,8 @@ from nctoric.exactmath import (Echelon, GaussRational, ONE, ZERO, format_gauss, 
                                qim_is_zero, qim_mul, qim_rank, qim_zero,
                                solve_corner_inverse)
 from nctoric.errors import ParseError
-from oracles import (InsertionEchelon, int_matmul, poly_eval_matrix, qi_solve,
-                     qim_from_rows)
+from oracles import (InsertionEchelon, gauss_divisors_by_scan, int_matmul,
+                     poly_eval_matrix, qi_solve, qim_from_rows)
 
 gauss = st.builds(GaussRational,
                   st.fractions(max_denominator=12),
@@ -286,6 +287,20 @@ class TestMinimalPolynomial:
             assert p[-1] == ONE
             assert len(p) - 1 <= r * r
             assert qim_is_zero(poly_eval_matrix(p, a))
+
+
+class TestGaussDivisors:
+    @given(st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(any))
+    def test_matches_scan(self, z):
+        assert gauss_int_divisors(z) == gauss_divisors_by_scan(z)
+
+    @pytest.mark.parametrize("z", [(1, 0), (0, 1), (2, 0), (1, 1), (3, 0), (9, 0),
+                                   (5, 0), (2, 1), (8, 8), (231, 0), (0, 49)])
+    def test_units_primes_and_powers(self, z):
+        assert gauss_int_divisors(z) == gauss_divisors_by_scan(z)
+
+    def test_zero_has_no_listed_divisors(self):
+        assert gauss_int_divisors((0, 0)) == []
 
 
 class TestRoots:
