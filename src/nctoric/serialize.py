@@ -23,9 +23,18 @@ from .toricfan import dual_generators, validate_fan
 
 
 def load_json(path):
+    def one_value_per_key(pairs):
+        # the json module keeps a repeated key's last value; refuse it instead
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ParseError(f"{path}: key {key!r} repeated in one object")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=one_value_per_key)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc.msg}", line=exc.lineno, column=exc.colno) from None
     except OSError as exc:
@@ -69,8 +78,8 @@ def _of(value, kind, what):
 
 def _integer(value, what):
     """An exact integer from a JSON integer or an integer string; a float is
-    refused rather than truncated."""
-    if not isinstance(value, float):
+    refused rather than truncated, a boolean rather than read as 0 or 1."""
+    if not isinstance(value, (float, bool)):
         try:
             return int(value)
         except (TypeError, ValueError):
@@ -335,10 +344,6 @@ def morphism_to_obj(morphism):
                 {"word": format_word(w), "matrix": matrix_to_entries(m)}
                 for w, m in sorted(chart.images.items(), key=lambda kv: kv[0].sort_key())
             ],
-            "witnesses": [
-                {"word": format_word(w), "matrix": matrix_to_entries(m)}
-                for w, m in sorted(chart.witnesses.items(), key=lambda kv: kv[0].sort_key())
-            ],
         })
     return {
         "rank_r": morphism.rank_r,
@@ -354,22 +359,21 @@ def matrix_from_obj(obj, where="matrix"):
 
 
 def morphism_from_obj(obj, where="morphism"):
+    """A morphism file. A `witnesses` list, written by older versions, is
+    not read: a unit generator's corner inverse is unique and verification
+    solves for it."""
     r = _integer(_field(obj, "rank_r", where), f"{where}: rank_r")
     system = system_from_obj(_field(obj, "system", where), f"{where}.system")
-
-    def word_matrices(item, key, at):
-        return _unique(((parse_word(_field(im, "word", at), system.fan.rank),
-                         matrix_from_entries(_field(im, "matrix", at), r, at))
-                        for im in _field(item, key, at, list, default=[])),
-                       at, lambda w: f"word {format_word(w)}")
 
     def chart(item):
         cone = _cone(item, system.fan, at)
         e = matrix_from_entries(_field(item, "e", at), r, f"{where} e on {cone}")
-        return cone, QuasiHomChart(
-            cone=cone, identity_image=e,
-            images=word_matrices(item, "images", f"{where} image on {cone}"),
-            witnesses=word_matrices(item, "witnesses", f"{where} witness on {cone}"))
+        im_at = f"{where} image on {cone}"
+        images = _unique(((parse_word(_field(im, "word", im_at), system.fan.rank),
+                           matrix_from_entries(_field(im, "matrix", im_at), r, im_at))
+                          for im in _field(item, "images", im_at, list, default=[])),
+                         im_at, lambda w: f"word {format_word(w)}")
+        return cone, QuasiHomChart(cone=cone, identity_image=e, images=images)
 
     at = f"{where}.charts"
     charts = _unique(map(chart, _field(obj, "charts", where, list)), at)

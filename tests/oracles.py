@@ -14,11 +14,13 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import isqrt
 
-from nctoric.azumaya import check_relations, missing_corner_inverses
+from nctoric.azumaya import check_relations
 from nctoric.errors import MorphismInvalid
 from nctoric.exactmath import (ONE, ZERO, Echelon, GaussRational, qim_add, qim_flatten,
-                               qim_identity, qim_mul, qim_scale, qim_zero, sparse_vector)
-from nctoric.freeword import ReducedWord, abelianize, identity_word, word_mul, words_up_to
+                               qim_identity, qim_mul, qim_scale, qim_zero,
+                               solve_corner_inverse, sparse_vector)
+from nctoric.freeword import (ReducedWord, abelianize, identity_word, is_unit_in, word_mul,
+                              words_up_to)
 
 
 def dyck_membership(generators, rank):
@@ -310,14 +312,17 @@ class InsertionEchelon:
 def surrogate_by_rounds(morphism):
     """The surrogate span closure by full rounds: every round multiplies
     every pair of the basis so far, until a round adds nothing; spans are
-    kept in an InsertionEchelon. The input morphism must be valid."""
+    kept in an InsertionEchelon. Besides the idempotents and images it feeds
+    in the corner inverse of every unit generator's image. The input
+    morphism must be valid."""
     r = morphism.rank_r
     mats = [qim_identity(r)]
     for chart in morphism.charts.values():
+        sub = morphism.system.charts[chart.cone]
         mats.append(chart.identity_image)
         mats.extend(chart.images.values())
-        mats.extend(chart.witnesses.values())
-        mats.extend(missing_corner_inverses(morphism.system, chart).values())
+        mats.extend(solve_corner_inverse(chart.identity_image, a)
+                    for g, a in chart.images.items() if is_unit_in(sub, g))
     span = InsertionEchelon()
     out = []
 

@@ -55,24 +55,41 @@ def p1_brane(a=3, b=Fraction(1, 2)):
 
 class TestQuasiHom:
     def test_zero_chart_valid(self):
+        system = build_system(fan_single())
         chart = QuasiHomChart(cone=(), identity_image=qim_zero(2),
                               images={W("z1", 2): qim_zero(2)})
-        assert check_quasi_hom(chart).ok
+        report = check_quasi_hom(system, chart)
+        assert report.ok
+        # z1 is a unit on the zero cone; zero inverts zero in the zero corner
+        assert [f.detail for f in report.findings][-1] == "corner inverse of z1"
 
     def test_identity_idempotent_free_chart(self):
+        system = build_system(fan_single())
         rng = random.Random(1)
         chart = QuasiHomChart(cone=(0, 1), identity_image=qim_identity(3),
                               images={W("z1", 2): random_matrix(rng, 3),
                                       W("z2", 2): random_matrix(rng, 3)})
-        assert check_quasi_hom(chart).ok
+        assert check_quasi_hom(system, chart).ok
 
     def test_unabsorbed_image_invalid(self):
+        system = build_system(fan_single())
         e = M([[1, 0], [0, 0]])
         g = M([[0, 0], [0, 1]])
         chart = QuasiHomChart(cone=(0,), identity_image=e, images={W("z1", 2): g})
-        report = check_quasi_hom(chart)
+        report = check_quasi_hom(system, chart)
         assert not report.ok
         assert report.failures()[0].clause == "Def 4.2.1"
+
+    def test_unit_image_without_corner_inverse_invalid(self):
+        # z1 is a unit on P^1's zero cone; its image is absorbed by the
+        # identity but singular there, so it has no corner inverse
+        system = build_system(fan_p1())
+        singular = M([[1, 0], [0, 0]])
+        chart = QuasiHomChart(cone=(), identity_image=qim_identity(2),
+                              images={W("z1", 1): singular, W("z1^-1", 1): singular})
+        report = check_quasi_hom(system, chart)
+        assert [(f.clause, f.detail) for f in report.failures()] == [
+            ("Def 4.2.1", "corner inverse of z1"), ("Def 4.2.1", "corner inverse of z1^-1")]
 
 
 class TestGluingPair:
@@ -97,8 +114,7 @@ class TestGluingPair:
         z, zi = W("z1", 1), W("z1^-1", 1)
         upper = QuasiHomChart(cone=(0,), identity_image=e, images={z: a})
         lower = QuasiHomChart(cone=(), identity_image=e,
-                              images={z: a, zi: ainv},
-                              witnesses={z: ainv, zi: a})
+                              images={z: a, zi: ainv})
         assert check_gluing_pair(system, upper, lower).ok
 
     def test_noncentralizing_image_fails(self):
@@ -339,8 +355,7 @@ def chart_contents(morphism):
     def mat(m):
         return [list(row) for row in m]
     return {cone: (c.cone, mat(c.identity_image),
-                   {w: mat(m) for w, m in c.images.items()},
-                   {w: mat(m) for w, m in c.witnesses.items()})
+                   {w: mat(m) for w, m in c.images.items()})
             for cone, c in morphism.charts.items()}
 
 
@@ -374,15 +389,8 @@ def same_span(a, b):
                                         for m in b)
 
 
-def without_witnesses(morphism):
-    charts = {cone: QuasiHomChart(cone=cone, identity_image=c.identity_image,
-                                  images=dict(c.images))
-              for cone, c in morphism.charts.items()}
-    return MorphismData(rank_r=morphism.rank_r, system=morphism.system, charts=charts)
-
-
 class TestVerifyIsPure:
-    def test_missing_witnesses_stay_missing(self):
+    def test_hand_built_morphism_unchanged(self):
         morphism, _ = p1_brane()
         before = chart_contents(morphism)
         assert verify_morphism(morphism).ok
@@ -393,8 +401,7 @@ class TestVerifyIsPure:
     def test_sampled_morphism_unchanged(self):
         fan = fan_p1()
         system = build_system(fan)
-        morphism = without_witnesses(
-            sample_matrix_model(system, 2, p1_block_pattern(2), 3))
+        morphism = sample_matrix_model(system, 2, p1_block_pattern(2), 3)
         before = chart_contents(morphism)
         assert verify_morphism(morphism).ok
         assert chart_contents(morphism) == before
@@ -404,19 +411,24 @@ class TestVerifyIsPure:
                                             ("zero-cone-commutator", 16)])
     def test_surrogate_dimension_r4(self, model, dim):
         # the surrogate is generated by idempotents and images alone; the
-        # oracle also feeds in every corner inverse, recorded or computed,
-        # and gets the same basis whenever each unit generator's inverse is
-        # itself a generator
+        # oracle also feeds in every unit generator's corner inverse and gets
+        # the same basis whenever each unit generator's inverse is itself a
+        # generator
         system, r, pattern = SURROGATE_MODELS[model]()
         morphism = sample_matrix_model(system, r, pattern, 0)
         basis = surrogate_basis(morphism)
         assert len(basis) == dim
-        # multiplying only pairs with a new element keeps the basis and its order
+        # multiplying only pairs with a new element, and stopping at r^2,
+        # keeps the basis and its order
         assert basis == surrogate_by_rounds(morphism)
-        stripped = without_witnesses(morphism)
-        assert surrogate_basis(stripped) == basis
-        assert all(not c.witnesses for c in stripped.charts.values())
 
+    def test_surrogate_dimension_r5(self):
+        # the closure stops once it spans all 25 matrices; running on would
+        # add nothing, as the full-rounds oracle confirms
+        morphism = sample_matrix_model(build_system(fan_single()), 5, "trivial", 0)
+        basis = surrogate_basis(morphism)
+        assert len(basis) == 25
+        assert basis == surrogate_by_rounds(morphism)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_corner_inverses_add_nothing(self, seed):

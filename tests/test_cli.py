@@ -8,8 +8,10 @@ import sys
 import pytest
 
 import nctoric
-from nctoric import cli
+from nctoric import cli, serialize
 from nctoric.cli import main
+from nctoric.exactmath import solve_corner_inverse
+from nctoric.freeword import format_word, is_unit_in
 from nctoric.serialize import load_json
 
 P2 = {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
@@ -318,6 +320,51 @@ class TestMorphismCli:
         assert code == 1
         assert "Def 4.2" in out
 
+    def test_unit_image_without_corner_inverse(self, tmp_path, monkeypatch):
+        # identity on every cone of P^1, so z1 is a unit with a nonzero
+        # corner on the zero cone; a singular image there has no inverse
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "p1.fan", {"rank": 1, "rays": [[1], [-1]],
+                                   "max_cones": [[0], [1]]})
+        identity = ["1", "0", "0", "1"]
+        write(tmp_path, "pat.json", {"idempotents": [
+            {"cone": c, "matrix": identity} for c in ([], [0], [1])]})
+        assert run_process("morphism", "sample", "p1.fan", "--r", "2", "--pattern",
+                           "pat.json", "--seed", "1", "--out", "mor.json")[0] == 0
+        obj = load_json(str(tmp_path / "mor.json"))
+        zero_cone = next(c for c in obj["charts"] if c["cone"] == [])
+        next(im for im in zero_cone["images"] if im["word"] == "z1")["matrix"] = [
+            "1", "0", "0", "0"]
+        write(tmp_path, "bad.json", obj)
+        code, out, err = run_process("morphism", "check", "bad.json")
+        assert code == 1 and "Traceback" not in err
+        assert "Def 4.2.1" in out and "corner inverse of z1" in out
+
+    def test_recorded_witnesses_are_not_read(self, tmp_path, monkeypatch):
+        # files written before witnesses were dropped list each unit
+        # generator's corner inverse; they load and report as without them
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "cone.fan", CONE_FAN)
+        run_process("morphism", "sample", "cone.fan", "--r", "2", "--seed", "5",
+                    "--out", "mor.json")
+        obj = load_json(str(tmp_path / "mor.json"))
+        assert all("witnesses" not in c for c in obj["charts"])
+        morphism = serialize.morphism_from_obj(obj)
+        for item in obj["charts"]:
+            chart = morphism.charts[tuple(item["cone"])]
+            sub = morphism.system.charts[chart.cone]
+            item["witnesses"] = [
+                {"word": format_word(g), "matrix": serialize.matrix_to_entries(
+                    solve_corner_inverse(chart.identity_image, a))}
+                for g, a in chart.images.items() if is_unit_in(sub, g)]
+        assert any(c["witnesses"] for c in obj["charts"])
+        write(tmp_path, "old.json", obj)
+        for argv in (["check"], ["surrogate"], ["kernel", "--cone", "", "--bound", "2"]):
+            for flags in ([], ["--json", "--verbose"]):
+                new = run_process("morphism", argv[0], "mor.json", *argv[1:], *flags)
+                old = run_process("morphism", argv[0], "old.json", *argv[1:], *flags)
+                assert new[0] == 0 and old == new
+
     def test_bad_matrix_entry(self, tmp_path, capsys):
         path = write(tmp_path, "probe.json",
                      {"size": 2, "entries": ["1/0", "0", "0", "1"]})
@@ -381,9 +428,13 @@ class TestMalformedInput:
          ["system", "soften", "p2.fan", "--extras", "extras.json"]),
         ({"sys.json": 7}, ["system", "check", "sys.json"]),
         ({"p2.fan": P2}, ["fan", "check", "p2.fan", "--out", "missing/x.fan"]),
+        # JSON true is not read as the integer 1
+        ({"p1.fan": {"rank": True, "rays": [[1], [-1]], "max_cones": [[0], [1]]}},
+         ["fan", "check", "p1.fan", "--out", "new.fan"]),
+        ({"probe.json": {"size": True, "entries": ["2"]}}, ["probe", "a1", "probe.json"]),
     ], ids=["probe-size", "certificate-pair", "fan-rank", "lift-generator",
             "extras-cone", "extras-cone-outside-fan", "system-not-object",
-            "out-in-missing-directory"])
+            "out-in-missing-directory", "fan-rank-boolean", "probe-size-boolean"])
     def test_exit_2_without_traceback(self, tmp_path, monkeypatch, files, argv):
         for name, obj in files.items():
             write(tmp_path, name, obj)
@@ -491,22 +542,25 @@ class TestMalformedInput:
          ["morphism", "check", "mor.json"], "a second entry for cone"),
         ({}, ("mor.json", lambda o: repeat_first(o["charts"][0]["images"])),
          ["morphism", "surrogate", "mor.json"], "a second entry for word"),
-        ({}, ("mor.json", lambda o: repeat_first(
-            next(c for c in o["charts"] if c["witnesses"])["witnesses"])),
-         ["morphism", "kernel", "mor.json", "--cone", ""], "a second entry for word"),
         ({"pat.json": {"idempotents": [{"cone": [], "matrix": ["0"] * 4}] * 2}}, None,
          ["morphism", "sample", "cone.fan", "--r", "2", "--pattern", "pat.json",
           "--out", "new.json"], "a second entry for cone []"),
+        ({"d.div": '{"coefficients": {"2": 1, "2": 2}}'}, None,
+         ["section", "list", "p2.fan", "--divisor", "d.div"],
+         "key '2' repeated in one object"),
     ], ids=["fan-certificate", "system-lift", "stage-cone", "divisor-ray",
             "candidate-cone", "section-local", "subscheme-chart", "morphism-chart",
-            "image-word", "witness-word", "pattern-cone"])
+            "image-word", "pattern-cone", "json-object-key"])
     def test_repeated_key(self, tmp_path, monkeypatch, capsys, files, edit, argv, named):
         # a reader keeps one entry per key, so a file that gives a key twice
         # is refused rather than read with one of its entries dropped
         monkeypatch.chdir(tmp_path)
         artifacts(capsys, tmp_path)
         for name, obj in files.items():
-            write(tmp_path, name, obj)
+            if isinstance(obj, str):
+                (tmp_path / name).write_text(obj)
+            else:
+                write(tmp_path, name, obj)
         if edit is not None:
             name, change = edit
             obj = load_json(str(tmp_path / name))
