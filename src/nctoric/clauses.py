@@ -31,9 +31,7 @@ QUASI_HOM = "Def 4.2.1"
 GLUE_SUBORDINATE = "Def 4.2.3(a)"
 GLUE_CENTRALIZER = "Def 4.2.3(b)"
 GLUE_COMPATIBLE = "Def 4.2.3(c)"
-IDEM_WEAK = "Def 4.2.2"
 IDEM_STRONG = "Def 4.2.6"
-IDEM_REDUCED = "Lemma-Def 4.2.7"
 MORPHISM_GLUING = "Def 4.2.9(i)"
 MORPHISM_COMPLETE = "Def 4.2.9(ii)"
 SURROGATE = "Def 4.2.12"

@@ -75,10 +75,14 @@ def _nonnegative_int(text):
     return value
 
 
+CONE_HELP = 'comma-separated ray indices; "" names the zero cone'
+
+
 def _cone_arg(text, present, kind):
-    """The cone named by --cone, which must be one of the file's cones."""
+    """The cone named by --cone, which must be one of the file's cones: ""
+    or "()" names the zero cone, and "0" the ray [0]."""
     text = text.strip()
-    cone = () if text in ("", "0", "()") else tuple(sorted(_int_list(text, "--cone")))
+    cone = () if text in ("", "()") else tuple(sorted(_int_list(text, "--cone")))
     if cone not in present:
         raise ParseError(f"cone {list(cone)} not present in {kind} file")
     return cone
@@ -278,7 +282,7 @@ def cmd_morphism_kernel(args):
     cone = _cone_arg(args.cone, morphism.charts, "morphism")
     ideal = image_kernel_bounded(morphism, cone, args.bound)
     report = Report([Finding(clause=clauses.MORPHISM_IMAGE,
-                             locus=f"cone {args.cone}", ok=True,
+                             locus=f"cone {list(cone)}", ok=True,
                              detail=f"{len(ideal.generators)} kernel generators "
                                     f"at bound {args.bound}")])
     payload = {"generators": [format_alg(g) for g in ideal.generators]}
@@ -388,7 +392,7 @@ def build_parser():
     p.set_defaults(func=cmd_subscheme_build)
     p = subscheme.add_parser("member")
     p.add_argument("file")
-    p.add_argument("--cone", required=True)
+    p.add_argument("--cone", required=True, help=CONE_HELP)
     p.add_argument("--element", required=True)
     common(p, bound=4)
     p.set_defaults(func=cmd_subscheme_member)
@@ -411,7 +415,7 @@ def build_parser():
     p.set_defaults(func=cmd_morphism_surrogate)
     p = morphism.add_parser("kernel")
     p.add_argument("file")
-    p.add_argument("--cone", required=True)
+    p.add_argument("--cone", required=True, help=CONE_HELP)
     common(p, bound=2)
     p.set_defaults(func=cmd_morphism_kernel)
 

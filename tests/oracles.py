@@ -5,20 +5,24 @@ against the library internals: a different decision procedure for submonoid
 membership, the round-based saturation the library's worklist replaced, the
 insertion-order echelon its pivot-indexed one replaced, the two lower-chart
 constructions its one lower-chart rule replaced, the round-based span
-closure of the surrogate, free-algebra arithmetic on letter tuples,
+closure of the surrogate, the per-block matrix-model sampler, a classifier
+of idempotent families read off the definitions, free-algebra arithmetic
+on letter tuples,
 exhaustive enumerations, brute-force lattice and divisor scans, and small
 helpers that only the tests need.
 """
+import random
 from collections import defaultdict
 from fractions import Fraction
+from itertools import combinations
 from itertools import product as iproduct
 from math import isqrt
 
 from nctoric.azumaya import check_relations
 from nctoric.errors import MorphismInvalid
-from nctoric.exactmath import (ONE, ZERO, Echelon, GaussRational, qim_add, qim_flatten,
-                               qim_identity, qim_mul, qim_scale, qim_zero,
-                               solve_corner_inverse, sparse_vector)
+from nctoric.exactmath import (ONE, ZERO, Echelon, GaussRational, qim_add, qim_eq,
+                               qim_flatten, qim_identity, qim_is_zero, qim_mul,
+                               qim_scale, qim_zero, solve_corner_inverse, sparse_vector)
 from nctoric.freeword import (ReducedWord, abelianize, identity_word, is_unit_in, word_mul,
                               words_up_to)
 
@@ -343,6 +347,109 @@ def surrogate_by_rounds(morphism):
                 if try_add(qim_mul(a, b)):
                     changed = True
     return out
+
+
+def classify_by_definition(fan, idempotents):
+    """A cone-indexed family of idempotents classified from the definitions,
+    every identity checked in both orders: strong (Def 4.2.6) is
+    e_a e_b = e_(a ^ b) for every ordered pair of faces, the diagonal
+    included; weak (Def 4.2.2) is e_a e_b = e_a = e_b e_a for every face a
+    inside a face b; the reduced idempotents (Lemma-Def 4.2.7) are the
+    alternating sums over the faces of each cone, and reduced_ok says they
+    are idempotent and pairwise orthogonal in both orders; complete says
+    they sum to the identity. reduced, reduced_ok and complete are None
+    unless the family is strong."""
+    faces = list(fan.faces)
+    idem = {tuple(c): m for c, m in idempotents.items()}
+    r = len(idem[faces[0]])
+    strong = all(qim_eq(qim_mul(idem[a], idem[b]), idem[tuple(sorted(set(a) & set(b)))])
+                 for a in faces for b in faces)
+    weak = all(qim_eq(qim_mul(idem[a], idem[b]), idem[a])
+               and qim_eq(qim_mul(idem[b], idem[a]), idem[a])
+               for a in faces for b in faces if set(a) <= set(b))
+    out = {"strong": strong, "weak": weak, "reduced": None, "reduced_ok": None,
+           "complete": None}
+    if not strong:
+        return out
+    reduced = {}
+    for cone in faces:
+        acc = qim_zero(r)
+        for k in range(len(cone) + 1):
+            sign = GaussRational((-1) ** (len(cone) - k))
+            for face in combinations(cone, k):
+                acc = qim_add(acc, qim_scale(sign, idem[face]))
+        reduced[cone] = acc
+    out["reduced"] = reduced
+    out["reduced_ok"] = all(
+        qim_eq(qim_mul(reduced[a], reduced[b]), reduced[a]) if a == b
+        else qim_is_zero(qim_mul(reduced[a], reduced[b]))
+        for a in faces for b in faces)
+    total = qim_zero(r)
+    for cone in faces:
+        total = qim_add(total, reduced[cone])
+    out["complete"] = qim_eq(total, qim_identity(r))
+    return out
+
+
+def sample_by_blocks(system, r, pattern, seed):
+    """Matrix-model sampling by reduced-idempotent blocks: each letter's
+    random matrix is compressed to every nonzero reduced block, the block's
+    corner inverse is solved wherever an inverse letter must be evaluated
+    there (the draw is rejected when one is missing), and a chart sends a
+    word to the sum over the blocks inside its cone of the product of the
+    letter blocks along the word. The pattern must be a complete strong
+    family; returns cone -> (identity image, {generator: image})."""
+    fan = system.fan
+    reduced = classify_by_definition(fan, pattern)["reduced"]
+    live = [cone for cone in fan.faces if not qim_is_zero(reduced[cone])]
+    rng = random.Random(seed)
+    inverse_needed = {i: set() for i in range(1, fan.rank + 1)}
+    for cone in fan.faces:
+        chart = system.charts[cone]
+        seen = set()
+        for g in chart.generators:
+            seen.update(-l for l in g.letters if l < 0)
+            if is_unit_in(chart, g):
+                seen.update(abs(l) for l in g.letters)
+        for block in live:
+            if set(block) <= set(cone):
+                for i in seen:
+                    inverse_needed[i].add(block)
+
+    def entry():
+        return GaussRational(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                             Fraction(rng.randint(-2, 2), 1))
+
+    letter_blocks = {}
+    for i in range(1, fan.rank + 1):
+        while True:
+            m = [[entry() for _ in range(r)] for _ in range(r)]
+            blocks = {}
+            for cone in live:
+                b = qim_mul(qim_mul(reduced[cone], m), reduced[cone])
+                inv = None
+                if cone in inverse_needed[i]:
+                    inv = solve_corner_inverse(reduced[cone], b)
+                    if inv is None:
+                        break
+                blocks[cone] = (b, inv)
+            else:
+                letter_blocks[i] = blocks
+                break
+
+    def value(word, cone):
+        acc = qim_zero(r)
+        for block in live:
+            if set(block) <= set(cone):
+                part = reduced[block]
+                for l in word.letters:
+                    b, inv = letter_blocks[abs(l)][block]
+                    part = qim_mul(part, b if l > 0 else inv)
+                acc = qim_add(acc, part)
+        return acc
+
+    return {cone: (pattern[cone], {g: value(g, cone) for g in system.charts[cone].generators})
+            for cone in fan.faces}
 
 
 def gauss_divisors_by_scan(z):

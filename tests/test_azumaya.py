@@ -8,18 +8,18 @@ import pytest
 from nctoric.azumaya import (MorphismData, QuasiHomChart, a1_probe,
                              check_gluing_pair, check_quasi_hom, idem_classify,
                              image_kernel_bounded, sample_matrix_model,
-                             surrogate_basis, verify_morphism)
+                             surrogate_basis, trivial_pattern, verify_morphism)
 from nctoric.deltasystem import augment_system, build_system
 from nctoric.errors import NotIdempotent, PatternIncomplete
 from nctoric.exactmath import (Echelon, GaussRational, ONE, ZERO, format_gauss,
-                               qim_flatten, qim_identity, qim_is_zero, qim_mul,
-                               qim_eq, qim_rank, qim_scale, qim_sub, qim_zero,
+                               qim_flatten, qim_identity, qim_inverse, qim_is_zero,
+                               qim_mul, qim_eq, qim_rank, qim_scale, qim_sub, qim_zero,
                                qim_add, sparse_vector)
 from nctoric.freeword import identity_word, parse_word, word_mul
 from nctoric.ncalgebra import AlgElem
 from nctoric.toricfan import validate_fan
-from oracles import (graph_of_morphism, qi_solve, qim_from_rows, random_matrix,
-                     surrogate_by_rounds)
+from oracles import (classify_by_definition, graph_of_morphism, qi_solve, qim_from_rows,
+                     random_matrix, sample_by_blocks, surrogate_by_rounds)
 
 M = qim_from_rows
 
@@ -35,6 +35,10 @@ def fan_p1():
 def fan_single(n=2):
     rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     return validate_fan(n, rays, [tuple(range(n))])
+
+
+def fan_p2():
+    return validate_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
 
 
 def p1_brane(a=3, b=Fraction(1, 2)):
@@ -105,6 +109,25 @@ class TestGluingPair:
                                       for g in system.charts[(0,)].generators})
         assert check_gluing_pair(system, upper, lower).ok
 
+    def test_findings_in_clause_order(self):
+        # (a) once, then (b) for every upper image, then (c) for every one
+        morphism, system = p1_brane()
+        report = check_gluing_pair(system, morphism.charts[(0,)], morphism.charts[()])
+        assert report.ok
+        assert [f.clause for f in report.findings] == [
+            "Def 4.2.3(a)", "Def 4.2.3(b)", "Def 4.2.3(c)"]
+        fan = fan_single()
+        system = build_system(fan)
+        upper = QuasiHomChart(cone=(0, 1), identity_image=qim_identity(2),
+                              images={g: qim_identity(2)
+                                      for g in system.charts[(0, 1)].generators})
+        lower = QuasiHomChart(cone=(0,), identity_image=qim_zero(2),
+                              images={g: qim_zero(2)
+                                      for g in system.charts[(0,)].generators})
+        report = check_gluing_pair(system, upper, lower)
+        assert [f.clause for f in report.findings] == [
+            "Def 4.2.3(a)"] + ["Def 4.2.3(b)"] * 2 + ["Def 4.2.3(c)"] * 2
+
     def test_equal_idempotents_with_corner_extension(self):
         fan = fan_p1()
         system = build_system(fan)
@@ -144,7 +167,7 @@ class TestIdemClassify:
         idem = idem_classify(fan, {(0,): M([[1, 0], [0, 0]]),
                                    (1,): M([[0, 0], [0, 1]]),
                                    (): qim_zero(2)})
-        assert idem.strong and idem.weak and idem.complete
+        assert idem.strong and idem.complete
         assert qim_eq(idem.reduced[(0,)], M([[1, 0], [0, 0]]))
         assert qim_eq(idem.reduced[(1,)], M([[0, 0], [0, 1]]))
         assert qim_is_zero(idem.reduced[()])
@@ -205,6 +228,54 @@ class TestIdemClassify:
             complete_expected = all(a < len(faces) for a in assign)
             assert idem.complete == complete_expected
 
+    def test_strong_in_one_order_only_is_not_strong(self):
+        # every product holds with the faces in fan order, e_[0] e_[1] = e_[]
+        # among them; the reverse orders from [1] do not, and the family is
+        # not subordinate either
+        fan = fan_p1()
+        e = M([[1, 0], [1, 0]])
+        family = {(): e, (0,): e, (1,): M([[1, 0], [0, 0]])}
+        idem = idem_classify(fan, family)
+        assert not idem.strong and idem.reduced is None and idem.complete is None
+        assert [(f.clause, f.locus) for f in idem.witnesses] == [
+            ("Def 4.2.6", "[1] ^ []"), ("Def 4.2.6", "[1] ^ [0]")]
+        want = classify_by_definition(fan, family)
+        assert not want["strong"] and not want["weak"]
+
+    @pytest.mark.parametrize("fan", [fan_p1, fan_single, fan_p2],
+                             ids=["p1", "one-cone", "p2"])
+    def test_matches_definitions(self, fan):
+        # planted strong families, complete or not, and families with one
+        # idempotent e moved to e + e X (I - e) or e + (I - e) X e, which
+        # stays idempotent and often keeps a product in one order only
+        fan = fan()
+        faces = list(fan.faces)
+        rng = random.Random(len(faces))
+        one_sided = strong = 0
+        for trial in range(60):
+            r = rng.randint(1, 3)
+            family = planted_family(rng, fan, r)
+            for _ in range(trial % 3):
+                family = perturbed_family(rng, family)
+            got = idem_classify(fan, family)
+            want = classify_by_definition(fan, family)
+            assert got.strong == want["strong"] == (got.witnesses == [])
+            assert all(f.clause == "Def 4.2.6" for f in got.witnesses)
+            if want["strong"]:
+                strong += 1
+                assert want["weak"] and want["reduced_ok"]
+                assert got.complete == want["complete"]
+                assert all(qim_eq(got.reduced[c], want["reduced"][c]) for c in faces)
+            else:
+                assert got.reduced is None and got.complete is None
+                one_sided += all(
+                    qim_eq(qim_mul(family[a], family[b]),
+                           family[tuple(sorted(set(a) & set(b)))])
+                    for i, a in enumerate(faces) for b in faces[i:])
+        assert 0 < strong < 60
+        if len(faces) > 3:
+            assert one_sided > 0
+
     def test_subordination_transitive_in_matrix_algebra(self):
         rng = random.Random(55)
         for _ in range(40):
@@ -223,6 +294,36 @@ class TestIdemClassify:
             assert qim_eq(qim_mul(e1, e2), e1) and qim_eq(qim_mul(e2, e1), e1)
             assert qim_eq(qim_mul(e2, e3), e2) and qim_eq(qim_mul(e3, e2), e2)
             assert qim_eq(qim_mul(e1, e3), e1) and qim_eq(qim_mul(e3, e1), e1)
+
+
+def planted_family(rng, fan, r):
+    """A strong family: each vector of a random basis goes to one face or to
+    none, and a face's idempotent projects onto the vectors of its faces."""
+    faces = list(fan.faces)
+    p = pinv = None
+    while pinv is None:
+        p = random_matrix(rng, r, span=2)
+        pinv = qim_inverse(p)
+    assign = [rng.randrange(len(faces) + 1) for _ in range(r)]
+    family = {}
+    for face in faces:
+        diag = [[ONE if i == j and assign[i] < len(faces)
+                 and set(faces[assign[i]]) <= set(face) else ZERO
+                 for j in range(r)] for i in range(r)]
+        family[face] = qim_mul(qim_mul(p, diag), pinv)
+    return family
+
+
+def perturbed_family(rng, family):
+    """The family with one idempotent e moved to e + e X (I - e) or
+    e + (I - e) X e, again an idempotent."""
+    face = rng.choice(sorted(family))
+    e = family[face]
+    r = len(e)
+    x = random_matrix(rng, r, span=1)
+    f = qim_sub(qim_identity(r), e)
+    nil = qim_mul(qim_mul(e, x), f) if rng.random() < 0.5 else qim_mul(qim_mul(f, x), e)
+    return {**family, face: qim_add(e, nil)}
 
 
 def _matrix_inverse(p):
@@ -608,7 +709,31 @@ class TestProbe:
             assert deficiency == r
 
 
+SAMPLER_GRID = {
+    "one-cone-r4": lambda: (build_system(fan_single()), 4, trivial_pattern(fan_single(), 4)),
+    "p1-block-r3": lambda: (build_system(fan_p1()), 3, p1_block_pattern(3)),
+    "p1-block-r4": lambda: (build_system(fan_p1()), 4, p1_block_pattern(4)),
+    "p1-identity-r2": lambda: (build_system(fan_p1()), 2,
+                               {c: qim_identity(2) for c in fan_p1().faces}),
+    "p2-corners-r3": p2_corner_model,
+}
+
+
 class TestSampler:
+    @pytest.mark.parametrize("model", sorted(SAMPLER_GRID))
+    def test_matches_per_block_sampler(self, model):
+        # one image and one corner inverse per letter give the charts that
+        # letter blocks per reduced idempotent gave, from the same draws
+        system, r, pattern = SAMPLER_GRID[model]()
+        for seed in (0, 1, 2, 3, 5, 8, 13):
+            morphism = sample_matrix_model(system, r, pattern, seed)
+            want = sample_by_blocks(system, r, pattern, seed)
+            assert list(morphism.charts) == list(want)
+            for cone, chart in morphism.charts.items():
+                e, images = want[cone]
+                assert chart.identity_image == e
+                assert list(chart.images.items()) == list(images.items())
+
     def test_trivial_pattern_samples(self):
         fan = fan_single()
         system = build_system(fan)

@@ -248,6 +248,19 @@ class TestSheafAndSections:
         assert code == 0
 
 
+def sample_p1_identity(tmp_path):
+    """Write p1.fan and pat.json, the identity on every cone of P^1, sample
+    mor.json at r=2 and seed 1 in tmp_path, the working directory, and
+    return it as JSON."""
+    write(tmp_path, "p1.fan", {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]})
+    identity = ["1", "0", "0", "1"]
+    write(tmp_path, "pat.json", {"idempotents": [
+        {"cone": c, "matrix": identity} for c in ([], [0], [1])]})
+    assert run_process("morphism", "sample", "p1.fan", "--r", "2", "--pattern",
+                       "pat.json", "--seed", "1", "--out", "mor.json")[0] == 0
+    return load_json(str(tmp_path / "mor.json"))
+
+
 class TestMorphismCli:
     def test_sample_check_surrogate_kernel(self, tmp_path, capsys):
         fan_path = write(tmp_path, "cone.fan",
@@ -324,14 +337,7 @@ class TestMorphismCli:
         # identity on every cone of P^1, so z1 is a unit with a nonzero
         # corner on the zero cone; a singular image there has no inverse
         monkeypatch.chdir(tmp_path)
-        write(tmp_path, "p1.fan", {"rank": 1, "rays": [[1], [-1]],
-                                   "max_cones": [[0], [1]]})
-        identity = ["1", "0", "0", "1"]
-        write(tmp_path, "pat.json", {"idempotents": [
-            {"cone": c, "matrix": identity} for c in ([], [0], [1])]})
-        assert run_process("morphism", "sample", "p1.fan", "--r", "2", "--pattern",
-                           "pat.json", "--seed", "1", "--out", "mor.json")[0] == 0
-        obj = load_json(str(tmp_path / "mor.json"))
+        obj = sample_p1_identity(tmp_path)
         zero_cone = next(c for c in obj["charts"] if c["cone"] == [])
         next(im for im in zero_cone["images"] if im["word"] == "z1")["matrix"] = [
             "1", "0", "0", "0"]
@@ -339,6 +345,55 @@ class TestMorphismCli:
         code, out, err = run_process("morphism", "check", "bad.json")
         assert code == 1 and "Traceback" not in err
         assert "Def 4.2.1" in out and "corner inverse of z1" in out
+
+    def test_image_of_a_non_generator_refused(self, tmp_path, monkeypatch):
+        # the zero cone of P^1 is never an upper cone, so only the chart's
+        # own check sees an image of z1^2, which is not one of its generators
+        monkeypatch.chdir(tmp_path)
+        obj = sample_p1_identity(tmp_path)
+        zero_cone = next(c for c in obj["charts"] if c["cone"] == [])
+        zero_cone["images"].append({"word": "z1^2", "matrix": ["0", "1", "0", "0"]})
+        write(tmp_path, "bad.json", obj)
+        line = ("FAIL [Def 4.2.9(i)] cone []: image of z1^2, "
+                "which is not a generator of the chart")
+        for verb in ("check", "surrogate"):
+            code, out, err = run_process("morphism", verb, "bad.json")
+            assert code == 1 and "Traceback" not in err
+            assert line in out
+
+    def test_missing_chart_fails_without_classifying(self, tmp_path, monkeypatch):
+        # the idempotent family is classified only when every face has a
+        # chart, so the one failure names the missing chart
+        monkeypatch.chdir(tmp_path)
+        obj = sample_p1_identity(tmp_path)
+        obj["charts"] = [c for c in obj["charts"] if c["cone"] != [0]]
+        write(tmp_path, "missing.json", obj)
+        code, out, err = run_process("morphism", "check", "missing.json", "--json")
+        assert code == 1 and err == ""
+        failures = [f for f in json.loads(out)["findings"] if not f["ok"]]
+        assert failures == [{"clause": "Def 4.2.9(i)", "locus": "cone [0]", "ok": False,
+                             "detail": "chart missing"}]
+
+    def test_cone_zero_names_ray_zero(self, tmp_path, monkeypatch):
+        # "" and "()" name the zero cone, whose chart has a kernel generator
+        # at bound 1; "0" names the ray [0], whose chart has none; the locus
+        # is the parsed cone
+        monkeypatch.chdir(tmp_path)
+        sample_p1_identity(tmp_path)
+        for text, locus, count in (("", "cone []", 1), ("()", "cone []", 1),
+                                   ("0", "cone [0]", 0), ("1", "cone [1]", 0)):
+            code, out, _ = run_process("morphism", "kernel", "mor.json", "--cone", text,
+                                       "--bound", "1", "--json")
+            assert code == 0
+            finding = json.loads(out)["findings"][-1]
+            assert finding["locus"] == locus
+            assert finding["detail"] == f"{count} kernel generators at bound 1"
+        write(tmp_path, "cone.fan", CONE_FAN)
+        run_process("morphism", "sample", "cone.fan", "--r", "2", "--seed", "1",
+                    "--out", "cone.json")
+        code, out, _ = run_process("morphism", "kernel", "cone.json", "--cone", "1,0",
+                                   "--bound", "1", "--verbose")
+        assert code == 0 and "ok  [Def 4.2.13] cone [0, 1]: " in out
 
     def test_recorded_witnesses_are_not_read(self, tmp_path, monkeypatch):
         # files written before witnesses were dropped list each unit
