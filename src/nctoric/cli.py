@@ -4,7 +4,9 @@ is undecided at the stated bound, 2 malformed input, 3 internal error (a
 fault in nctoric, printed with its traceback). Each command returns its
 report and payload; `main` is the only place that catches and the only
 place that prints them, and a library error is reported under its class's
-clause.
+clause. Each command imports only the library layers it runs, when it
+runs: a command is one short process, and importing every layer would cost
+a bare `fan check` more than its own work.
 """
 from __future__ import annotations
 
@@ -12,24 +14,11 @@ import argparse
 import json
 import os
 import sys
-import traceback
 
-# exactmath first: without cached bytecode each command compiles its
-# modules, and compiling the largest one before the others lowers the peak
-# resident memory of every command by about 0.5 MB
-from .exactmath import format_gauss
-from . import clauses
-from .azumaya import (a1_probe, image_kernel_bounded, sample_matrix_model,
-                      surrogate_basis, verify_morphism)
-from .deltasystem import augment_system, check_admissible, soften
+from . import clauses, serialize
 from .errors import MismatchedSystems, NctoricError, ParseError, RankMismatch
-from .freeword import format_word
-from .ncalgebra import BoundedIdeal, bounded_ideal_member, format_alg, parse_alg
+from .exactmath import format_gauss
 from .reports import Finding, Report
-from . import serialize
-from .sheaves import (check_gluing, check_twisted_section, extend_section,
-                      polytope_sections, sheaf_from_divisor, sheaves_isomorphic,
-                      subscheme_from_sections)
 
 
 def _emit(report, args, payload):
@@ -104,6 +93,8 @@ def cmd_fan_check(args):
 # --- system ------------------------------------------------------------------
 
 def cmd_system_build(args):
+    from .deltasystem import check_admissible
+    from .freeword import format_word
     system = serialize.load_system(args.file)
     report = check_admissible(system)
     if args.out:
@@ -115,11 +106,14 @@ def cmd_system_build(args):
 
 
 def cmd_system_check(args):
+    from .deltasystem import check_admissible
     system = serialize.load_system(args.file)
     return check_admissible(system), None
 
 
 def cmd_system_augment(args, softening=False):
+    from .deltasystem import augment_system, check_admissible, soften
+    from .freeword import format_word
     system = serialize.load_system(args.file)
     stage = serialize.load(args.extras, serialize.stage_from_obj, system.fan)
     if softening:
@@ -144,6 +138,7 @@ def cmd_system_soften(args):
 # --- sheaf -------------------------------------------------------------------
 
 def cmd_sheaf_from_divisor(args):
+    from .sheaves import check_gluing, sheaf_from_divisor
     system = serialize.load_system(args.file)
     divisor = serialize.load(args.divisor, serialize.divisor_from_obj, system.fan)
     gluing = sheaf_from_divisor(system, divisor)
@@ -154,11 +149,13 @@ def cmd_sheaf_from_divisor(args):
 
 
 def cmd_sheaf_check(args):
+    from .sheaves import check_gluing
     gluing = serialize.load(args.file, serialize.sheaf_from_obj)
     return check_gluing(gluing), None
 
 
 def cmd_sheaf_isom(args):
+    from .sheaves import sheaves_isomorphic
     g1 = serialize.load(args.first, serialize.sheaf_from_obj)
     g2 = serialize.load(args.second, serialize.sheaf_from_obj)
     candidate = serialize.load(args.candidate, serialize.candidate_from_obj, g1.system.fan)
@@ -171,6 +168,7 @@ def cmd_sheaf_isom(args):
 # --- sections ------------------------------------------------------------------
 
 def cmd_section_list(args):
+    from .sheaves import polytope_sections
     system = serialize.load_system(args.file)
     divisor = serialize.load(args.divisor, serialize.divisor_from_obj, system.fan)
     points = polytope_sections(system.fan, divisor)
@@ -180,6 +178,7 @@ def cmd_section_list(args):
 
 
 def cmd_section_extend(args):
+    from .sheaves import check_twisted_section, extend_section
     gluing = serialize.load_sheaf(args.file)
     divisor = serialize.load(args.divisor, serialize.divisor_from_obj, gluing.system.fan)
     point = _int_list(args.point, "--point")
@@ -191,6 +190,7 @@ def cmd_section_extend(args):
 
 
 def cmd_section_check(args):
+    from .sheaves import check_twisted_section
     section = serialize.load(args.file, serialize.section_from_obj)
     return check_twisted_section(section), None
 
@@ -198,6 +198,9 @@ def cmd_section_check(args):
 # --- subschemes -----------------------------------------------------------------
 
 def cmd_subscheme_build(args):
+    from .freeword import format_word
+    from .ncalgebra import format_alg
+    from .sheaves import subscheme_from_sections
     loaded = [serialize.load(path, serialize.section_from_obj) for path in args.sections]
     # carrier: the largest system among the inputs; every presentation
     # must live inside its charts (softenings only ever grow charts)
@@ -228,6 +231,8 @@ def cmd_subscheme_build(args):
 
 
 def cmd_subscheme_member(args):
+    from .freeword import format_word
+    from .ncalgebra import BoundedIdeal, bounded_ideal_member, parse_alg
     system, charts = serialize.load(args.file, serialize.subscheme_from_obj)
     cone = _cone_arg(args.cone, charts, "subscheme")
     target = parse_alg(args.element, system.fan.rank)
@@ -250,11 +255,13 @@ def cmd_subscheme_member(args):
 # --- morphisms --------------------------------------------------------------------
 
 def cmd_morphism_check(args):
+    from .azumaya import verify_morphism
     morphism = serialize.load(args.file, serialize.morphism_from_obj)
     return verify_morphism(morphism, rel_bound=args.bound), None
 
 
 def cmd_morphism_sample(args):
+    from .azumaya import sample_matrix_model
     system = serialize.load_system(args.file)
     if args.pattern == "trivial":
         pattern = "trivial"
@@ -269,6 +276,7 @@ def cmd_morphism_sample(args):
 
 
 def cmd_morphism_surrogate(args):
+    from .azumaya import surrogate_basis
     morphism = serialize.load(args.file, serialize.morphism_from_obj)
     basis = surrogate_basis(morphism)
     report = Report([Finding(clause=clauses.SURROGATE, locus="surrogate", ok=True,
@@ -278,6 +286,8 @@ def cmd_morphism_surrogate(args):
 
 
 def cmd_morphism_kernel(args):
+    from .azumaya import image_kernel_bounded
+    from .ncalgebra import format_alg
     morphism = serialize.load(args.file, serialize.morphism_from_obj)
     cone = _cone_arg(args.cone, morphism.charts, "morphism")
     ideal = image_kernel_bounded(morphism, cone, args.bound)
@@ -292,6 +302,7 @@ def cmd_morphism_kernel(args):
 # --- probes ----------------------------------------------------------------------
 
 def cmd_probe_a1(args):
+    from .azumaya import a1_probe
     result = a1_probe(serialize.load(args.file, serialize.matrix_from_obj))
     minpoly = " + ".join(f"({format_gauss(c)})*t^{k}"
                          for k, c in enumerate(result.minpoly) if c)
@@ -446,6 +457,7 @@ def main(argv=None):
         # stdout now points at devnull so the interpreter's last flush succeeds
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except Exception as exc:
+        import traceback
         print(f"internal error: {exc!r}", file=sys.stderr)
         traceback.print_exc()
         return 3

@@ -5,20 +5,17 @@ System files store the recipe a chart system carries (its fan, its lifts and
 the extras of each augmentation stage) rather than computed charts. Loading
 repeats build_system and augment_system on the same arguments, so a written
 file rebuilds the identical charts and writes back the identical object.
-Every reader returns the artifact alone; every writer takes it alone.
+Every reader returns the artifact alone; every writer takes it alone. Each
+imports, when called, only the layer whose artifact it handles, so reading a
+fan loads no chart, sheaf or matrix code.
 """
 from __future__ import annotations
 
 import json
 import os
 
-from .azumaya import MorphismData, QuasiHomChart
-from .deltasystem import augment_system, build_system
 from .errors import ParseError
 from .exactmath import format_gauss, parse_gauss
-from .freeword import format_word, parse_word
-from .ncalgebra import format_alg, parse_alg
-from .sheaves import DivisorData, GluingData, TwistedSectionData
 from .toricfan import dual_generators, validate_fan
 
 
@@ -37,6 +34,14 @@ def load_json(path):
             return json.load(fh, object_pairs_hook=one_value_per_key)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc.msg}", line=exc.lineno, column=exc.colno) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: byte {exc.start} is "
+                         f"0x{exc.object[exc.start]:02x}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: values nested too deeply") from None
+    except ValueError:
+        # the one ValueError left: an integer past the interpreter's digit limit
+        raise ParseError(f"{path}: an integer literal has too many digits to read") from None
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
@@ -143,6 +148,7 @@ def fan_from_obj(obj, where="fan"):
 def system_to_obj(system):
     """The recipe of a system built from lifts: fan, lifts, and one list of
     extras per augmentation stage."""
+    from .freeword import format_word
     if system.lifts is None:
         raise ValueError("a chart system not built from lifts has no recipe to write")
     obj = {"fan": fan_to_obj(system.fan)}
@@ -165,6 +171,8 @@ def system_from_obj(obj, where="system", base_dir=None):
 
     The fan may be inline or a path to a fan file, resolved against base_dir.
     """
+    from .deltasystem import augment_system, build_system
+    from .freeword import parse_word
     fan_obj = _field(obj, "fan", where)
     if isinstance(fan_obj, str):
         path = fan_obj if base_dir is None else os.path.join(base_dir, fan_obj)
@@ -194,6 +202,7 @@ def system_from_obj(obj, where="system", base_dir=None):
 
 def load_system(path):
     """The system of a system recipe file, or built from a bare fan file."""
+    from .deltasystem import build_system
     obj = load_json(path)
     if isinstance(obj, dict) and "rays" in obj:
         return build_system(fan_from_obj(obj, where=path))
@@ -202,6 +211,7 @@ def load_system(path):
 
 def stage_from_obj(obj, fan, where="extras"):
     """One augmentation stage: the extra words for each listed cone."""
+    from .freeword import parse_word
     return _unique(((_cone(item, fan, where),
                      [parse_word(w, fan.rank) for w in _field(item, "words", where, list)])
                     for item in _of(obj, list, where)), where)
@@ -210,6 +220,7 @@ def stage_from_obj(obj, fan, where="extras"):
 # --- divisors ----------------------------------------------------------------
 
 def divisor_from_obj(obj, fan, where="divisor"):
+    from .sheaves import DivisorData
     coeff_map = _field(obj, "coefficients", where)
     if not isinstance(coeff_map, dict):
         raise ParseError(f"{where}: coefficients must be a map from ray index to integer")
@@ -228,6 +239,7 @@ def divisor_from_obj(obj, fan, where="divisor"):
 # --- sheaves -----------------------------------------------------------------
 
 def sheaf_to_obj(gluing):
+    from .freeword import format_word
     return {
         "system": system_to_obj(gluing.system),
         "gluing": [
@@ -240,6 +252,8 @@ def sheaf_to_obj(gluing):
 
 
 def sheaf_from_obj(obj, where="sheaf"):
+    from .freeword import parse_word
+    from .sheaves import GluingData
     system = system_from_obj(_field(obj, "system", where), f"{where}.system")
     fan = system.fan
     at = f"{where}.gluing"
@@ -267,6 +281,7 @@ def load_sheaf(path):
 
 def candidate_from_obj(obj, fan, where="candidate"):
     """Candidate per-cone units (scalar, word) for a sheaf isomorphism."""
+    from .freeword import parse_word
     return _unique(((_cone(item, fan, where),
                      (parse_gauss(_field(item, "scalar", where)),
                       parse_word(_field(item, "word", where), fan.rank)))
@@ -276,6 +291,7 @@ def candidate_from_obj(obj, fan, where="candidate"):
 # --- twisted sections ---------------------------------------------------------
 
 def section_to_obj(section):
+    from .ncalgebra import format_alg
     return {
         "sheaf": sheaf_to_obj(section.gluing),
         "locals": [
@@ -286,6 +302,8 @@ def section_to_obj(section):
 
 
 def section_from_obj(obj, where="section"):
+    from .ncalgebra import parse_alg
+    from .sheaves import TwistedSectionData
     gluing = sheaf_from_obj(_field(obj, "sheaf", where), f"{where}.sheaf")
     fan = gluing.system.fan
     at = f"{where}.locals"
@@ -298,6 +316,7 @@ def section_from_obj(obj, where="section"):
 # --- subschemes ----------------------------------------------------------------
 
 def subscheme_to_obj(system, chart_gens):
+    from .ncalgebra import format_alg
     return {
         "system": system_to_obj(system),
         "charts": [
@@ -308,6 +327,7 @@ def subscheme_to_obj(system, chart_gens):
 
 
 def subscheme_from_obj(obj, where="subscheme"):
+    from .ncalgebra import parse_alg
     system = system_from_obj(_field(obj, "system", where), f"{where}.system")
     fan = system.fan
     at = f"{where}.charts"
@@ -335,6 +355,7 @@ def matrix_from_entries(entries, size, where="matrix"):
 
 
 def morphism_to_obj(morphism):
+    from .freeword import format_word
     charts = []
     for cone, chart in sorted(morphism.charts.items()):
         charts.append({
@@ -362,6 +383,8 @@ def morphism_from_obj(obj, where="morphism"):
     """A morphism file. A `witnesses` list, written by older versions, is
     not read: a unit generator's corner inverse is unique and verification
     solves for it."""
+    from .azumaya import MorphismData, QuasiHomChart
+    from .freeword import format_word, parse_word
     r = _integer(_field(obj, "rank_r", where), f"{where}: rank_r")
     system = system_from_obj(_field(obj, "system", where), f"{where}.system")
 

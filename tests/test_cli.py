@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import nctoric
-from nctoric import cli, serialize
+from nctoric import deltasystem, serialize
 from nctoric.cli import main
 from nctoric.exactmath import solve_corner_inverse
 from nctoric.freeword import format_word, is_unit_in
@@ -498,6 +498,22 @@ class TestMalformedInput:
         assert code == 2
         assert "Traceback" not in err and "error:" in err
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe",
+        b"[" * 100_000,
+        pytest.param(b'{"rank": ' + b"7" * 5000 + b', "rays": [[1]], "max_cones": [[0]]}',
+                     marks=pytest.mark.skipif(
+                         not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                         reason="this interpreter reads integers of any length")),
+    ], ids=["not-utf8", "nested-too-deeply", "too-many-digits"])
+    def test_unreadable_json(self, tmp_path, content):
+        # the json module raises these outside JSONDecodeError
+        path = tmp_path / "bad.fan"
+        path.write_bytes(content)
+        code, _, err = run_process("fan", "check", str(path))
+        assert code == 2
+        assert "Traceback" not in err and f"error: {path}:" in err
+
     @pytest.mark.parametrize("argv", [
         ["morphism", "kernel", "mor.json", "--cone", "0,5"],
         ["morphism", "kernel", "mor.json", "--cone", "x"],
@@ -682,7 +698,7 @@ class TestInternalError:
         def fault(system):
             raise AssertionError("exact re-check failed")
 
-        monkeypatch.setattr(cli, "check_admissible", fault)
+        monkeypatch.setattr(deltasystem, "check_admissible", fault)
         path = write(tmp_path, "p2.fan", P2)
         code, out, err = run(capsys, "system", "check", path)
         assert code == 3 and out == ""

@@ -1,9 +1,14 @@
 """Properties of the library source itself."""
 import ast
+import contextlib
+import io
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nctoric"
 
@@ -90,30 +95,118 @@ def _loaded_names(node):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
 
 
+def _unused_names(tree, filename):
+    """Unused imports and unread plain local assignments of one module. A
+    module-level import is used if the module reads its name anywhere; an
+    import inside a function only if that function (or one it encloses)
+    reads it, so a stale local import is found even when another function
+    reads the same name."""
+    found = set()
+    used = _loaded_names(tree)
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"]):
+            used |= {e.value for e in node.value.elts}
+    functions = [fn for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    # ast.walk visits an enclosing function before the functions it encloses,
+    # so the last function written for an import is its innermost one
+    scope = {node: fn for fn in functions for node in ast.walk(fn)
+             if isinstance(node, (ast.Import, ast.ImportFrom))}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                getattr(node, "module", None) != "__future__"):
+            read = _loaded_names(scope[node]) if node in scope else used
+            found |= {f"{filename}:{node.lineno} import {alias.name}"
+                      for alias in node.names
+                      if (alias.asname or alias.name).split(".")[0] not in read}
+    for fn in functions:
+        read = _loaded_names(fn)
+        read |= {name for n in ast.walk(fn)
+                 if isinstance(n, (ast.Global, ast.Nonlocal)) for name in n.names}
+        found |= {f"{filename}:{n.lineno} {t.id}" for n in ast.walk(fn)
+                  if isinstance(n, ast.Assign) for t in n.targets
+                  if isinstance(t, ast.Name) and t.id != "_" and t.id not in read}
+    return found
+
+
 def test_no_unused_names():
     # no linter ships with the test dependencies: every import is used (or
     # listed in __all__) and every plain local assignment is read
     found = set()
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        used = _loaded_names(tree)
-        for node in tree.body:
-            if (isinstance(node, ast.Assign)
-                    and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"]):
-                used |= {e.value for e in node.value.elts}
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)) and (
-                    getattr(node, "module", None) != "__future__"):
-                found |= {f"{path.name}:{node.lineno} import {alias.name}"
-                          for alias in node.names
-                          if (alias.asname or alias.name).split(".")[0] not in used}
-        for fn in ast.walk(tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            read = _loaded_names(fn)
-            read |= {name for n in ast.walk(fn)
-                     if isinstance(n, (ast.Global, ast.Nonlocal)) for name in n.names}
-            found |= {f"{path.name}:{n.lineno} {t.id}" for n in ast.walk(fn)
-                      if isinstance(n, ast.Assign) for t in n.targets
-                      if isinstance(t, ast.Name) and t.id != "_" and t.id not in read}
+        found |= _unused_names(ast.parse(path.read_text(), filename=str(path)), path.name)
     assert SRC.is_dir() and sorted(found) == []
+
+
+def test_stale_local_import_is_unused():
+    # the name is read in another function, which imports it itself
+    source = """
+def cmd_check(args):
+    from .deltasystem import check_admissible
+    return check_admissible(args)
+
+
+def cmd_list(args):
+    from .deltasystem import check_admissible
+    from .sheaves import polytope_sections
+
+    def points():
+        return polytope_sections(args)
+
+    return points()
+"""
+    assert _unused_names(ast.parse(source), "cli.py") == {"cli.py:8 import check_admissible"}
+
+
+def _write(path, obj):
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """One file for each probed command: a one-cone fan, a subscheme of one
+    section on it, and a matrix model on it."""
+    from nctoric.cli import main
+
+    tmp = tmp_path_factory.mktemp("imports")
+    fan = _write(tmp / "cone.fan", {"rank": 2, "rays": [[1, 0], [0, 1]],
+                                   "max_cones": [[0, 1]]})
+    div = _write(tmp / "d.div", {"coefficients": {}})
+    steps = [["sheaf", "from-divisor", fan, "--divisor", div, "--out", str(tmp / "sh.json")],
+             ["section", "extend", str(tmp / "sh.json"), "--divisor", div,
+              "--point", "0,0", "--out", str(tmp / "sec.json")],
+             ["subscheme", "build", str(tmp / "sec.json"), "--out", str(tmp / "sub.json")],
+             ["morphism", "sample", fan, "--r", "2", "--out", str(tmp / "mor.json")]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert [main(argv) for argv in steps] == [0] * len(steps)
+    return tmp
+
+
+FAN_CHECK = {"cli", "clauses", "errors", "exactmath", "reports", "serialize", "toricfan"}
+SYSTEM_CHECK = FAN_CHECK | {"deltasystem", "freeword"}
+SUBSCHEME_MEMBER = SYSTEM_CHECK | {"ncalgebra"}
+MORPHISM_CHECK = SUBSCHEME_MEMBER | {"azumaya"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["fan", "check", "cone.fan"], FAN_CHECK),
+    (["system", "check", "cone.fan"], SYSTEM_CHECK),
+    (["subscheme", "member", "sub.json", "--cone", "", "--element", "z1"], SUBSCHEME_MEMBER),
+    (["morphism", "check", "mor.json"], MORPHISM_CHECK),
+], ids=["fan", "system", "subscheme", "morphism"])
+def test_each_command_imports_only_its_layers(artifacts, argv, modules):
+    # a command is one short process, so the layers it imports but never
+    # runs are start-up time it pays for nothing
+    probe = ("import contextlib, io, sys\n"
+             "from nctoric.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = main(sys.argv[1:])\n"
+             "print(code, *sorted(m for m in sys.modules if m.startswith('nctoric.')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                          text=True, env=env, cwd=artifacts, timeout=60)
+    code, *loaded = proc.stdout.split()
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert code == "0" and set(loaded) == {f"nctoric.{m}" for m in modules}
