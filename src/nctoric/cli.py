@@ -168,10 +168,10 @@ def cmd_sheaf_isom(args):
 # --- sections ------------------------------------------------------------------
 
 def cmd_section_list(args):
-    from .sheaves import polytope_sections
-    system = serialize.load_system(args.file)
-    divisor = serialize.load(args.divisor, serialize.divisor_from_obj, system.fan)
-    points = polytope_sections(system.fan, divisor)
+    from .toricfan import polytope_sections
+    fan = serialize.load_fan(args.file)
+    divisor = serialize.load(args.divisor, serialize.divisor_from_obj, fan)
+    points = polytope_sections(fan, divisor)
     report = Report([Finding(clause=clauses.POLYTOPE, locus="divisor polytope",
                              ok=True, detail=f"{len(points)} lattice points")])
     return report, {"points": [list(p) for p in points]}

@@ -16,7 +16,7 @@ from .errors import (BadLift, ExtraOutsideDualCone, MaximalChartTouched,
 from .freeword import (ReducedWord, abelianize, canonical_lift,
                        compile_submonoid, format_word, is_unit_in, word_inv)
 from .reports import Finding, Report
-from .toricfan import (Fan, comm_monoid_member, cone_monoid_generators,
+from .toricfan import (Fan, comm_monoid_solver, cone_monoid_generators,
                        dual_generators, pairing, ray_sum)
 
 
@@ -28,12 +28,6 @@ class ChartSystem:
     charts: dict            # cone -> Submonoid
     lifts: dict | None = None   # build_system's lifts; None when not built from lifts
     stages: tuple = ()      # the extras of each augment_system call, in order
-
-    def equal_charts(self, other):
-        if set(self.charts) != set(other.charts):
-            return False
-        return all(self.charts[c].generators == other.charts[c].generators
-                   for c in self.charts)
 
 
 def _letters(rank):
@@ -148,18 +142,16 @@ def admissible_cone_findings(system, cone):
         locus=f"cone {list(cone)}",
         ok=True,
         detail=f"{len(chart.generators)} generators")]
-    abel = [abelianize(g) for g in chart.generators]
-    functional = ray_sum(fan, cone)
     targets, perp_flags = cone_monoid_generators(fan, cone)
     try:
+        solve = comm_monoid_solver(abelianized_chart(system, cone), ray_sum(fan, cone))
         for t, perp in zip(targets, perp_flags):
             need = [t, tuple(-x for x in t)] if perp else [t]
             for vec in need:
-                got = comm_monoid_member(abel, vec, functional)
                 findings.append(Finding(
                     clause=clauses.ADMISSIBLE_SURJECTIVE,
                     locus=f"cone {list(cone)}",
-                    ok=got is not None,
+                    ok=solve(vec) is not None,
                     detail=f"dual-monoid generator {vec}"))
     except NoPositivityFunctional as exc:
         # a perpendicular generator without its inverse: no chart built by

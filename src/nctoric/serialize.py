@@ -16,7 +16,7 @@ import os
 
 from .errors import ParseError
 from .exactmath import format_gauss, parse_gauss
-from .toricfan import dual_generators, validate_fan
+from .toricfan import DivisorData, Fan, dual_generators, validate_fan
 
 
 def load_json(path):
@@ -200,13 +200,27 @@ def system_from_obj(obj, where="system", base_dir=None):
     return system
 
 
+def _fan_or_system(path):
+    """The fan of a bare fan file, or the system replayed from a recipe file."""
+    obj = load_json(path)
+    if isinstance(obj, dict) and "rays" in obj:
+        return fan_from_obj(obj, where=path)
+    return system_from_obj(obj, where=path, base_dir=os.path.dirname(path) or ".")
+
+
 def load_system(path):
     """The system of a system recipe file, or built from a bare fan file."""
     from .deltasystem import build_system
-    obj = load_json(path)
-    if isinstance(obj, dict) and "rays" in obj:
-        return build_system(fan_from_obj(obj, where=path))
-    return system_from_obj(obj, where=path, base_dir=os.path.dirname(path) or ".")
+    base = _fan_or_system(path)
+    return build_system(base) if isinstance(base, Fan) else base
+
+
+def load_fan(path):
+    """The fan of a bare fan file or of a system recipe file. A bare fan
+    builds no chart; a recipe is still replayed, so a malformed one is
+    refused as load_system refuses it."""
+    base = _fan_or_system(path)
+    return base if isinstance(base, Fan) else base.fan
 
 
 def stage_from_obj(obj, fan, where="extras"):
@@ -220,7 +234,6 @@ def stage_from_obj(obj, fan, where="extras"):
 # --- divisors ----------------------------------------------------------------
 
 def divisor_from_obj(obj, fan, where="divisor"):
-    from .sheaves import DivisorData
     coeff_map = _field(obj, "coefficients", where)
     if not isinstance(coeff_map, dict):
         raise ParseError(f"{where}: coefficients must be a map from ray index to integer")

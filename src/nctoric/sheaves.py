@@ -1,6 +1,6 @@
 """Invertible sheaves as scalar-times-word gluing data, the divisor-to-sheaf
-pipeline through softening, lattice-polytope sections, twisted sections, and
-ideal data of the subschemes they cut out.
+pipeline through softening, twisted sections extended from lattice points
+of the divisor polytope, and ideal data of the subschemes they cut out.
 
 Every call takes its artifact and reads the base off it: a gluing carries
 the softened system that absorbs its transitions, a section carries its
@@ -14,21 +14,13 @@ from dataclasses import dataclass
 from . import clauses
 from .deltasystem import abelianized_chart, soften
 from .errors import CandidateNotUnit, MismatchedSystems, NotASection, RankMismatch
-from .exactmath import ONE, lattice_points
+from .exactmath import ONE
 from .freeword import (abelianize, canonical_lift, format_word, identity_word,
                        is_unit_in, word_inv, word_mul)
 from .ncalgebra import AlgElem
 from .reports import Finding, Report
-from .toricfan import comm_monoid_member, dual_generators, pairing, ray_sum
-
-
-@dataclass(frozen=True)
-class DivisorData:
-    """One integer coefficient per ray of the fan."""
-    coefficients: tuple
-
-    def coefficient(self, ray_index):
-        return self.coefficients[ray_index]
+from .toricfan import (comm_monoid_member, divisor_vertices, in_polytope, pairing,
+                       ray_sum)
 
 
 @dataclass
@@ -125,24 +117,6 @@ def sheaves_isomorphic(g1, g2, candidate):
     return True
 
 
-def divisor_vertices(fan, divisor):
-    """{cone: vertex exponents of the divisor}: solved on each maximal cone
-    and extended to every lower face from its first covering maximal cone
-    in fan order."""
-    vertex = {}
-    for sigma in fan.max_cones:
-        duals = dual_generators(fan, sigma)
-        m = tuple(
-            sum(-divisor.coefficient(ri) * duals[k][j]
-                for k, ri in enumerate(sigma))
-            for j in range(fan.rank))
-        vertex[sigma] = m
-    for tau in fan.faces:
-        if not fan.is_maximal(tau):
-            vertex[tau] = vertex[fan.covering_max_cones(tau)[0]]
-    return vertex
-
-
 def _soften_transitions(system, transitions):
     """The system softened so that each lower chart holds as units the
     transition words into it, {(upper, lower): word} in incidence order.
@@ -180,22 +154,6 @@ def sheaf_from_divisor(system, divisor):
     return gluing
 
 
-def polytope_sections(fan, divisor):
-    """All lattice points of the divisor polytope {m : <m, v_i> >= -a_i},
-    sorted; raises when the polytope is unbounded."""
-    ineqs = [(ray, -divisor.coefficient(ri)) for ri, ray in enumerate(fan.rays)]
-    return lattice_points(ineqs, fan.rank)
-
-
-def _in_polytope(fan, vertex, point):
-    for sigma in fan.max_cones:
-        m = vertex[sigma]
-        for i in sigma:
-            if pairing(tuple(p - q for p, q in zip(point, m)), fan.rays[i]) < 0:
-                return False
-    return True
-
-
 def extend_section(gluing, divisor, point):
     """Extend one lattice point of the divisor's polytope to a twisted
     section of the gluing: express the vertex difference in each chart's
@@ -209,7 +167,7 @@ def extend_section(gluing, divisor, point):
     if len(point) != fan.rank:
         raise RankMismatch(f"lattice point {list(point)} does not have {fan.rank} coordinates")
     vertex = divisor_vertices(fan, divisor)
-    if not _in_polytope(fan, vertex, point):
+    if not in_polytope(fan, vertex, point):
         raise NotASection(
             f"lattice point {list(point)} lies outside the divisor polytope")
     locals_ = {}

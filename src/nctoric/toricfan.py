@@ -1,5 +1,6 @@
 """Lattices, simplicial index-1 cones, validated fans, dual generators,
-and commutative monoid membership with bounded search.
+torus-invariant divisors and the lattice points of their polytopes, and
+commutative monoid membership with bounded search.
 
 Cones are purely combinatorial: a face is the sorted tuple of its ray
 indices, the zero cone is the empty tuple.  Geometry is recomputed from the
@@ -13,7 +14,8 @@ from math import gcd, prod
 
 from .errors import (MissingReferenceCone, NoPositivityFunctional, NonPrimitiveRay,
                      NotAFan, NotIndexOne, NotMaximal)
-from .exactmath import hnf, int_inverse_unimodular, lattice_solver, linear_feasible
+from .exactmath import (hnf, int_inverse_unimodular, lattice_points, lattice_solver,
+                        linear_feasible)
 
 
 def pairing(m, v):
@@ -226,6 +228,55 @@ def cone_monoid_generators(fan, tau):
     return gens, flags
 
 
+class DivisorData:
+    """One integer coefficient per ray of the fan. A plain class: every
+    command imports this module, and a dataclass costs each of them its
+    generated methods at import."""
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients):
+        self.coefficients = coefficients
+
+    def coefficient(self, ray_index):
+        return self.coefficients[ray_index]
+
+
+def divisor_vertices(fan, divisor):
+    """{cone: vertex exponents of the divisor}: solved on each maximal cone
+    and extended to every lower face from its first covering maximal cone
+    in fan order."""
+    vertex = {}
+    for sigma in fan.max_cones:
+        duals = dual_generators(fan, sigma)
+        m = tuple(
+            sum(-divisor.coefficient(ri) * duals[k][j]
+                for k, ri in enumerate(sigma))
+            for j in range(fan.rank))
+        vertex[sigma] = m
+    for tau in fan.faces:
+        if not fan.is_maximal(tau):
+            vertex[tau] = vertex[fan.covering_max_cones(tau)[0]]
+    return vertex
+
+
+def polytope_sections(fan, divisor):
+    """All lattice points of the divisor polytope {m : <m, v_i> >= -a_i},
+    sorted; raises when the polytope is unbounded."""
+    ineqs = [(ray, -divisor.coefficient(ri)) for ri, ray in enumerate(fan.rays)]
+    return lattice_points(ineqs, fan.rank)
+
+
+def in_polytope(fan, vertex, point):
+    """Whether the point lies in the divisor polytope whose vertex on each
+    maximal cone is given by vertex (as divisor_vertices returns it)."""
+    for sigma in fan.max_cones:
+        m = vertex[sigma]
+        for i in sigma:
+            if pairing(tuple(p - q for p, q in zip(point, m)), fan.rays[i]) < 0:
+                return False
+    return True
+
+
 def _unit_pair_indices(gens):
     idx = set()
     gset = {g: i for i, g in enumerate(gens)}
@@ -247,17 +298,19 @@ def ray_sum(fan, cone):
     return tuple(sum(fan.rays[i][j] for i in cone) for j in range(fan.rank))
 
 
-def comm_monoid_member(gens, target, functional):
-    """Nonnegative integer coefficients expressing the target over gens.
+def comm_monoid_solver(gens, functional):
+    """Solver for nonnegative integer coefficients expressing a target over
+    gens.
 
     Generators occurring together with their exact negatives are treated as
     a group part (solved by lattice algebra); the remaining generators are
     searched exhaustively under the integer functional, which must be
     positive on each of them and zero on the group part, so it bounds every
-    coefficient.  Returns the coefficient list or None.
+    coefficient. The split, that check, the Hermite normal form of the group
+    part and the functional's values are computed once; the returned
+    function gives a target's coefficient list, or None.
     """
     gens = [tuple(g) for g in gens]
-    target = tuple(target)
     unit_idx = _unit_pair_indices(gens)
     unit_gens = [gens[i] for i in unit_idx]
     other_idx = [i for i in range(len(gens)) if i not in unit_idx]
@@ -267,8 +320,9 @@ def comm_monoid_member(gens, target, functional):
         raise NoPositivityFunctional(
             f"functional {tuple(functional)} does not bound the search: it must be "
             f"positive on the non-invertible generators and zero on the invertible ones")
-    coeffs = [0] * len(gens)
     lattice_part = lattice_solver([list(g) for g in unit_gens])
+    neg_idx = [gens.index(tuple(-x for x in g)) for g in unit_gens]
+    values = [pairing(functional, go) for go in other]
 
     def finish(partial, residual):
         sol = lattice_part(residual)
@@ -276,36 +330,43 @@ def comm_monoid_member(gens, target, functional):
             return None
         out = list(partial)
         for k, c in enumerate(sol):
-            gi = unit_idx[k]
             if c >= 0:
-                out[gi] += c
+                out[unit_idx[k]] += c
             else:
-                neg = tuple(-x for x in unit_gens[k])
-                out[gens.index(neg)] += -c
+                out[neg_idx[k]] += -c
         return out
 
-    if not other:
-        return finish(coeffs, target)
+    def solve(target):
+        target = tuple(target)
+        coeffs = [0] * len(gens)
+        if not other:
+            return finish(coeffs, target)
 
-    budget = pairing(functional, target)
-    values = [pairing(functional, go) for go in other]
+        def dfs(pos, residual, remaining):
+            if pos == len(other):
+                if remaining != 0:
+                    return None
+                return finish(coeffs, residual)
+            val = values[pos]
+            max_c = remaining // val
+            for c in range(max_c + 1):
+                coeffs[other_idx[pos]] = c
+                new_res = tuple(r - c * g for r, g in zip(residual, other[pos]))
+                got = dfs(pos + 1, new_res, remaining - c * val)
+                if got is not None:
+                    return got
+                coeffs[other_idx[pos]] = 0
+            return None
 
-    def dfs(pos, residual, remaining):
-        if pos == len(other):
-            if remaining != 0:
-                return None
-            return finish(coeffs, residual)
-        val = values[pos]
-        max_c = remaining // val
-        for c in range(max_c + 1):
-            coeffs[other_idx[pos]] = c
-            new_res = tuple(r - c * g for r, g in zip(residual, other[pos]))
-            got = dfs(pos + 1, new_res, remaining - c * val)
-            if got is not None:
-                return got
-            coeffs[other_idx[pos]] = 0
-        return None
+        budget = pairing(functional, target)
+        if budget < 0:
+            return None
+        return dfs(0, target, budget)
 
-    if budget < 0:
-        return None
-    return dfs(0, target, budget)
+    return solve
+
+
+def comm_monoid_member(gens, target, functional):
+    """The coefficients comm_monoid_solver(gens, functional) gives the
+    target, for a single query."""
+    return comm_monoid_solver(gens, functional)(target)

@@ -581,3 +581,11 @@ def immediate_cover_descent(fan, charts, extra):
                 new[tau] = _closed_chart(fan, tau, grown(tau) + [
                     w for c in covers for w in new[c]])
     return new
+
+
+def equal_charts(a, b):
+    """Whether two chart systems have the same cones and, on each cone, the
+    same generator list in the same order."""
+    if set(a.charts) != set(b.charts):
+        return False
+    return all(a.charts[c].generators == b.charts[c].generators for c in a.charts)

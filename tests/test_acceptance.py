@@ -20,12 +20,10 @@ from nctoric.freeword import (abelianize, compile_submonoid, identity_word,
                               parse_word, word_inv, word_mul, words_up_to)
 from nctoric.ncalgebra import (AlgElem, BoundedIdeal, abelianize_elem,
                                bounded_ideal_member)
-from nctoric.sheaves import (DivisorData, GluingData, TwistedSectionData,
-                             check_gluing, check_twisted_section,
-                             combine_sections, divisor_vertices, extend_section,
-                             polytope_sections, sheaf_from_divisor,
-                             subscheme_from_sections)
-from nctoric.toricfan import validate_fan
+from nctoric.sheaves import (GluingData, TwistedSectionData, check_gluing,
+                             check_twisted_section, combine_sections, extend_section,
+                             sheaf_from_divisor, subscheme_from_sections)
+from nctoric.toricfan import DivisorData, divisor_vertices, polytope_sections, validate_fan
 from oracles import (brute_lattice_points, dyck_membership, qi_solve, qim_from_rows,
                      random_matrix, random_reduced_word, triangle_count)
 

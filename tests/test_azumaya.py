@@ -18,8 +18,8 @@ from nctoric.exactmath import (Echelon, GaussRational, ONE, ZERO, format_gauss,
 from nctoric.freeword import identity_word, parse_word, word_mul
 from nctoric.ncalgebra import AlgElem
 from nctoric.toricfan import validate_fan
-from oracles import (classify_by_definition, graph_of_morphism, qi_solve, qim_from_rows,
-                     random_matrix, sample_by_blocks, surrogate_by_rounds)
+from oracles import (classify_by_definition, equal_charts, graph_of_morphism, qi_solve,
+                     qim_from_rows, random_matrix, sample_by_blocks, surrogate_by_rounds)
 
 M = qim_from_rows
 
@@ -564,7 +564,7 @@ class TestCopy:
         assert twin.rank_r == morphism.rank_r
         assert chart_contents(twin) == chart_contents(morphism)
         assert twin.system.fan == morphism.system.fan
-        assert twin.system.equal_charts(morphism.system)
+        assert equal_charts(twin.system, morphism.system)
 
 
 class TestKernel:

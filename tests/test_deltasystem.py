@@ -14,7 +14,7 @@ from nctoric.exactmath import qim_identity
 from nctoric.freeword import (ReducedWord, canonical_lift, compile_submonoid,
                               format_word, parse_word, word_inv)
 from nctoric.toricfan import cone_monoid_generators, dual_generators, validate_fan
-from oracles import immediate_cover_descent, union_of_maximal_charts
+from oracles import equal_charts, immediate_cover_descent, union_of_maximal_charts
 
 
 def W(text, rank=2):
@@ -96,7 +96,7 @@ class TestBuild:
         fan = fan_p2()
         a = build_system(fan)
         b = build_system(fan)
-        assert a.equal_charts(b)
+        assert equal_charts(a, b)
 
     def test_exotic_lift(self):
         fan = fan_single()
@@ -146,6 +146,22 @@ class TestCheckAdmissible:
         clauses_hit = {f.clause for f in report.failures()}
         assert "Def 2.2.4(1)" in clauses_hit or "Def 2.2.4(2)" in clauses_hit
 
+    def test_tampered_ray_chart_findings(self):
+        # z2 kills the ray [0] but its inverse is not in the chart, so the
+        # ray sum cannot bound the search: building the cone's solver fails
+        # once, before any surjectivity finding
+        system = build_system(fan_single())
+        bad = ChartSystem(fan=system.fan, charts=dict(system.charts))
+        bad.charts[(0,)] = compile_submonoid([W("z1"), W("z2")], 2)
+        findings = [(f.clause, f.ok, f.detail) for f in check_admissible(bad).findings
+                    if f.locus == "cone [0]"]
+        assert findings == [
+            ("Def 2.2.4(0)", True, "2 generators"),
+            ("Def 2.2.4(1)", False, "functional (1, 0) does not bound the search: it must "
+             "be positive on the non-invertible generators and zero on the invertible ones"),
+            ("Def 2.2.4(2)", False, "generator z2"),
+        ]
+
     def test_zero_cone_passes(self):
         system = build_system(fan_p2())
         report = check_admissible(system)
@@ -159,7 +175,7 @@ class TestCompletion:
         built = build_system(fan)
         partial = {s: list(built.charts[s].generators) for s in fan.max_cones}
         completed = complete_system(fan, partial)
-        assert completed.equal_charts(built)
+        assert equal_charts(completed, built)
 
     def test_redundant_generator_propagates(self):
         fan = fan_p2()
@@ -184,7 +200,7 @@ class TestAugmentation:
     def test_empty_extras_identity(self):
         system = build_system(fan_single())
         out = augment_system(system, {})
-        assert out.equal_charts(system)
+        assert equal_charts(out, system)
 
     def test_zero_cone_gains_word_and_inverse(self):
         system = build_system(fan_single())
@@ -223,7 +239,7 @@ class TestSoftening:
     def test_identity(self):
         system = build_system(fan_single())
         out, added = soften(system, {})
-        assert out.equal_charts(system)
+        assert equal_charts(out, system)
         assert added == {} and out.stages == ()
 
     def test_ray_extras_grow_ray_and_zero_only(self):

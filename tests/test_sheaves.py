@@ -8,12 +8,11 @@ from nctoric.exactmath import GaussRational, I, ONE, lattice_points
 from nctoric.freeword import abelianize, identity_word, parse_word
 from nctoric.ncalgebra import (AlgElem, BoundedIdeal, abelianize_elem,
                                bounded_ideal_member)
-from nctoric.sheaves import (DivisorData, GluingData, TwistedSectionData,
-                             check_gluing, check_twisted_section,
-                             combine_sections, divisor_vertices, extend_section,
-                             polytope_sections, sheaf_from_divisor,
-                             sheaves_isomorphic, subscheme_from_sections)
-from nctoric.toricfan import validate_fan
+from nctoric.sheaves import (GluingData, TwistedSectionData, check_gluing,
+                             check_twisted_section, combine_sections, extend_section,
+                             sheaf_from_divisor, sheaves_isomorphic,
+                             subscheme_from_sections)
+from nctoric.toricfan import DivisorData, divisor_vertices, polytope_sections, validate_fan
 from oracles import brute_lattice_points, triangle_count
 
 

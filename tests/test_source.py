@@ -166,14 +166,16 @@ def _write(path, obj):
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
-    """One file for each probed command: a one-cone fan, a subscheme of one
-    section on it, and a matrix model on it."""
+    """One file for each probed command: a one-cone fan, the fan of P^1 (whose
+    divisor polytopes are bounded), a subscheme of one section on the
+    one-cone fan, and a matrix model on it."""
     from nctoric.cli import main
 
     tmp = tmp_path_factory.mktemp("imports")
     fan = _write(tmp / "cone.fan", {"rank": 2, "rays": [[1, 0], [0, 1]],
                                    "max_cones": [[0, 1]]})
     div = _write(tmp / "d.div", {"coefficients": {}})
+    _write(tmp / "p1.fan", {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]})
     steps = [["sheaf", "from-divisor", fan, "--divisor", div, "--out", str(tmp / "sh.json")],
              ["section", "extend", str(tmp / "sh.json"), "--divisor", div,
               "--point", "0,0", "--out", str(tmp / "sec.json")],
@@ -192,10 +194,11 @@ MORPHISM_CHECK = SUBSCHEME_MEMBER | {"azumaya"}
 
 @pytest.mark.parametrize("argv, modules", [
     (["fan", "check", "cone.fan"], FAN_CHECK),
+    (["section", "list", "p1.fan", "--divisor", "d.div"], FAN_CHECK),
     (["system", "check", "cone.fan"], SYSTEM_CHECK),
     (["subscheme", "member", "sub.json", "--cone", "", "--element", "z1"], SUBSCHEME_MEMBER),
     (["morphism", "check", "mor.json"], MORPHISM_CHECK),
-], ids=["fan", "system", "subscheme", "morphism"])
+], ids=["fan", "section", "system", "subscheme", "morphism"])
 def test_each_command_imports_only_its_layers(artifacts, argv, modules):
     # a command is one short process, so the layers it imports but never
     # runs are start-up time it pays for nothing

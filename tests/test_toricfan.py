@@ -3,11 +3,12 @@ from math import lcm
 
 import pytest
 
+from nctoric import toricfan
 from nctoric.deltasystem import (abelianized_chart, augment_system, build_system,
-                                 complete_system, soften)
+                                 check_admissible, complete_system, soften)
 from nctoric.errors import (MissingReferenceCone, NoPositivityFunctional,
                             NonPrimitiveRay, NotAFan, NotIndexOne, NotMaximal)
-from nctoric.toricfan import (check_certificate, comm_monoid_member,
+from nctoric.toricfan import (check_certificate, comm_monoid_member, comm_monoid_solver,
                               cone_monoid_generators, dual_generators, pairing,
                               ray_sum, validate_fan)
 from nctoric import exactmath
@@ -16,6 +17,8 @@ from nctoric.freeword import canonical_lift, identity_word, word_mul
 
 P2 = dict(rank=2, rays=[(1, 0), (0, 1), (-1, -1)],
           max_cones=[(0, 1), (1, 2), (0, 2)])
+P3 = dict(rank=3, rays=[(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+          max_cones=[(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
 
 def p2():
@@ -164,6 +167,60 @@ class TestCommMonoidMember:
     def test_no_positivity_functional(self):
         with pytest.raises(NoPositivityFunctional):
             comm_monoid_member([(1, 0), (-2, 0)], (3, 0), (1, 0))
+
+    def test_solver_refuses_an_unbounded_search_when_built(self):
+        with pytest.raises(NoPositivityFunctional):
+            comm_monoid_solver([(1, 0), (-2, 0)], (1, 0))
+
+    @pytest.mark.parametrize("gens, functional, targets, found", [
+        # the search backtracks: (0,1,0) alone leaves (1,0,0), outside 2Z
+        ([(2, 0, 0), (-2, 0, 0), (1, 1, 0), (0, 1, 0)], (0, 1, 0),
+         [(1, 0, 0), (1, 1, 0), (0, -1, 0), (3, 2, 0), (-4, 0, 0), (1, 1, 0)],
+         [False, True, False, True, True, True]),
+        # units only: the lattice part alone answers
+        ([(2, 0), (-2, 0), (0, 1), (0, -1)], (0, 0),
+         [(1, 0), (-4, 3), (3, 0), (4, -1), (0, 0)],
+         [False, True, False, True, True]),
+        # no units: a negative budget is refused before any search
+        ([(-1, 1), (-1, 0)], (-1, 0),
+         [(1, 0), (-2, 1), (0, 1), (-3, 1), (-2, 1)],
+         [False, True, False, True, True]),
+    ], ids=["backtracking", "units-only", "negative-budget"])
+    def test_solver_answers_each_query_afresh(self, gens, functional, targets, found):
+        # one solver, many queries: no coefficient a query set, found or
+        # abandoned may reach a later query
+        solve = comm_monoid_solver(gens, functional)
+        answers = [solve(t) for t in targets]
+        assert answers == [comm_monoid_member(gens, t, functional) for t in targets]
+        assert [got is not None for got in answers] == found
+        for target, got in zip(targets, answers):
+            if got is not None:
+                assert all(c >= 0 for c in got)
+                assert tuple(sum(c * g[j] for c, g in zip(got, gens))
+                             for j in range(len(target))) == target
+
+    def test_one_lattice_solver_per_cone(self, monkeypatch):
+        # check_admissible asks one solver per cone for every dual-monoid
+        # generator, and answers as one-shot searches do
+        fan = validate_fan(**P3)
+        system = build_system(fan)
+        built = []
+        real = toricfan.lattice_solver
+        monkeypatch.setattr(toricfan, "lattice_solver",
+                            lambda rows: built.append(rows) or real(rows))
+        report = check_admissible(system)
+        assert len(built) == len(fan.faces)
+        expected = []
+        for tau in fan.faces:
+            abel = abelianized_chart(system, tau)
+            targets, flags = cone_monoid_generators(fan, tau)
+            for t, perp in zip(targets, flags):
+                for vec in ([t, tuple(-x for x in t)] if perp else [t]):
+                    got = comm_monoid_member(abel, vec, ray_sum(fan, tau))
+                    expected.append((f"cone {list(tau)}", got is not None,
+                                     f"dual-monoid generator {vec}"))
+        assert [(f.locus, f.ok, f.detail) for f in report.findings
+                if f.clause == "Def 2.2.4(1)"] == expected
 
 
 def _searched_functional(gens):
