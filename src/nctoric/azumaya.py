@@ -307,7 +307,7 @@ def image_kernel_bounded(morphism, cone, bound):
         raise MorphismInvalid("generator relations are inconsistent on the chart")
     words = sorted(values, key=lambda w: w.sort_key())
     columns = [qim_flatten(values[w]) for w in words]
-    null = qi_nullspace(columns, morphism.rank_r ** 2)
+    null = qi_nullspace(columns)
     rank = morphism.system.fan.rank
     gens = []
     for coeffs in null:

@@ -16,8 +16,8 @@ from .errors import (BadLift, ExtraOutsideDualCone, MaximalChartTouched,
 from .freeword import (ReducedWord, abelianize, canonical_lift,
                        compile_submonoid, format_word, is_unit_in, word_inv)
 from .reports import Finding, Report
-from .toricfan import (Fan, comm_monoid_solver, cone_monoid_generators,
-                       dual_generators, pairing, ray_sum)
+from .toricfan import (Fan, comm_monoid_solver, cone_monoid_generators, kills,
+                       pairing, ray_sum)
 
 
 @dataclass
@@ -36,10 +36,6 @@ def _letters(rank):
         out.append(ReducedWord((i,), rank))
         out.append(ReducedWord((-i,), rank))
     return out
-
-
-def _in_perp(vec, fan, cone):
-    return all(pairing(vec, fan.rays[i]) == 0 for i in cone)
 
 
 def _in_dual(vec, fan, cone):
@@ -69,7 +65,7 @@ def _system_from_seeds(fan, seeds, lifts=None, stages=()):
                 if set(tau) < set(upper):
                     words += seeds.get(upper, ())
             words = _dedup(words)
-            words += [word_inv(w) for w in words if _in_perp(abelianize(w), fan, tau)]
+            words += [word_inv(w) for w in words if kills(fan, tau, abelianize(w))]
             if not tau:
                 words += _letters(fan.rank)
         gen_words[tau] = _dedup(words)
@@ -91,7 +87,7 @@ def build_system(fan, lifts=None):
     seeds = {}
     for sigma in fan.max_cones:
         words = []
-        for u in dual_generators(fan, sigma):
+        for u in fan.duals[sigma]:
             w = lifts.get((sigma, u))
             if w is None:
                 w = canonical_lift(u, fan.rank)
@@ -160,7 +156,7 @@ def admissible_cone_findings(system, cone):
             clause=clauses.ADMISSIBLE_SURJECTIVE, locus=f"cone {list(cone)}",
             ok=False, detail=str(exc)))
     for g in chart.generators:
-        if _in_perp(abelianize(g), fan, cone):
+        if kills(fan, cone, abelianize(g)):
             ok = is_unit_in(chart, g)
             findings.append(Finding(
                 clause=clauses.ADMISSIBLE_UNITS,

@@ -44,11 +44,6 @@ class NotAFan(NctoricError):
     clause = clauses.FAN_SEPARATION
 
 
-class NotMaximal(NctoricError):
-    # raised by the dual basis of a maximal cone, which seeds its chart
-    clause = clauses.BUILD_SYSTEM
-
-
 class NoPositivityFunctional(NctoricError):
     clause = clauses.ADMISSIBLE_SURJECTIVE
 

@@ -303,16 +303,6 @@ def lattice_solver(basis_rows):
     return solve
 
 
-def int_inverse_unimodular(m):
-    """Inverse of an integer matrix with det +-1, as an integer matrix: the
-    Hermite normal form of a unimodular matrix is the identity, and its
-    transform is then the inverse."""
-    h, u = hnf(m)
-    if h != int_identity(len(m)):
-        raise ValueError("matrix is not unimodular")
-    return u
-
-
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin: rational feasibility and polytope lattice points
 # ---------------------------------------------------------------------------
@@ -603,7 +593,7 @@ def qim_is_idempotent(a):
     return qim_eq(qim_mul(a, a), a)
 
 
-def qi_nullspace(columns, dim):
+def qi_nullspace(columns):
     """Basis of {x : sum x_j columns[j] = 0} over Q(i).
 
     One vector per column in the span of the earlier ones, in column order:

@@ -297,26 +297,3 @@ def _word_vector(elem):
     """Word-basis vector keyed so that a longest word is the smallest key,
     and so the echelon pivot."""
     return {(-len(w), w.letters): c for w, c in elem.terms.items()}
-
-
-def l_commutative_gens(rank, level, degree_bound):
-    """Commutators of single letters against positive words of the given
-    level, the generator set of the nested commutativity ideal."""
-    if degree_bound < level + 1:
-        raise ValueError("degree bound must be at least level + 1")
-    gens = []
-    seen = set()
-    positive = [w for w in words_up_to(rank, level)
-                if len(w) == level and all(k > 0 for k in w.letters)]
-    for i in range(1, rank + 1):
-        zi = ReducedWord((i,), rank)
-        for w in positive:
-            c = AlgElem.from_word(word_mul(zi, w)) - AlgElem.from_word(word_mul(w, zi))
-            if c.is_zero():
-                continue
-            key = frozenset(c.terms)
-            if key in seen:
-                continue
-            seen.add(key)
-            gens.append(c)
-    return BoundedIdeal(tuple(gens), degree_bound)

@@ -16,7 +16,7 @@ import os
 
 from .errors import ParseError
 from .exactmath import format_gauss, parse_gauss
-from .toricfan import DivisorData, Fan, dual_generators, validate_fan
+from .toricfan import DivisorData, Fan, validate_fan
 
 
 def load_json(path):
@@ -120,7 +120,15 @@ def _cone(item, fan, where, key="cone"):
 # --- fans -------------------------------------------------------------------
 
 def fan_to_obj(fan):
-    return fan.to_raw()
+    return {
+        "rank": fan.rank,
+        "rays": [list(r) for r in fan.rays],
+        "max_cones": [list(c) for c in fan.max_cones],
+        "certificates": [
+            {"pair": [list(a), list(b)], "functional": list(f)}
+            for (a, b), f in sorted(fan.pair_certificates.items())
+        ],
+    }
 
 
 def fan_from_obj(obj, where="fan"):
@@ -187,7 +195,7 @@ def system_from_obj(obj, where="system", base_dir=None):
         if not fan.is_maximal(cone):
             raise ParseError(f"{at}: the lift of generator {list(gen)} names cone "
                              f"{list(cone)}, which is not maximal")
-        if gen not in dual_generators(fan, cone):
+        if gen not in fan.duals[cone]:
             raise ParseError(f"{at}: generator {list(gen)} is not a dual generator "
                              f"of cone {list(cone)}")
         return (cone, gen), parse_word(_field(item, "word", at), fan.rank)

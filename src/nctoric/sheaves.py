@@ -19,8 +19,7 @@ from .freeword import (abelianize, canonical_lift, format_word, identity_word,
                        is_unit_in, word_inv, word_mul)
 from .ncalgebra import AlgElem
 from .reports import Finding, Report
-from .toricfan import (comm_monoid_member, divisor_vertices, in_polytope, pairing,
-                       ray_sum)
+from .toricfan import comm_monoid_member, divisor_vertices, in_polytope, kills, ray_sum
 
 
 @dataclass
@@ -69,7 +68,7 @@ def check_gluing(gluing):
         vec = abelianize(w)
         findings.append(Finding(
             clause=clauses.GLUING_PERP, locus=locus,
-            ok=all(pairing(vec, fan.rays[i]) == 0 for i in lower),
+            ok=kills(fan, lower, vec),
             detail=f"exponent vector {vec} must kill the lower cone"))
     for (upper, mid, lower) in fan.chains():
         key_um, key_ml, key_ul = (upper, mid), (mid, lower), (upper, lower)
@@ -100,7 +99,7 @@ def sheaves_isomorphic(g1, g2, candidate):
         if not c:
             raise CandidateNotUnit(f"candidate scalar on {list(cone)} is zero")
         vec = abelianize(w)
-        if not all(pairing(vec, fan.rays[i]) == 0 for i in cone):
+        if not kills(fan, cone, vec):
             raise CandidateNotUnit(
                 f"candidate word on {list(cone)} has exponent vector {vec} "
                 "not perpendicular to the cone")
@@ -166,10 +165,10 @@ def extend_section(gluing, divisor, point):
     fan = system.fan
     if len(point) != fan.rank:
         raise RankMismatch(f"lattice point {list(point)} does not have {fan.rank} coordinates")
-    vertex = divisor_vertices(fan, divisor)
-    if not in_polytope(fan, vertex, point):
+    if not in_polytope(fan, divisor, point):
         raise NotASection(
             f"lattice point {list(point)} lies outside the divisor polytope")
+    vertex = divisor_vertices(fan, divisor)
     locals_ = {}
     for cone in fan.faces:
         target = tuple(p - q for p, q in zip(point, vertex[cone]))

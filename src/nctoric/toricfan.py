@@ -1,10 +1,11 @@
-"""Lattices, simplicial index-1 cones, validated fans, dual generators,
-torus-invariant divisors and the lattice points of their polytopes, and
-commutative monoid membership with bounded search.
+"""Lattices, simplicial index-1 cones, validated fans with the dual bases
+of their maximal cones, torus-invariant divisors and the lattice points of
+their polytopes, and commutative monoid membership with bounded search.
 
 Cones are purely combinatorial: a face is the sorted tuple of its ray
 indices, the zero cone is the empty tuple.  Geometry is recomputed from the
-ray vectors on demand.
+ray vectors on demand, except the dual basis of each maximal cone, which
+validation reads off the cone's index check and keeps on the fan.
 """
 from __future__ import annotations
 
@@ -13,9 +14,8 @@ from fractions import Fraction
 from math import gcd, prod
 
 from .errors import (MissingReferenceCone, NoPositivityFunctional, NonPrimitiveRay,
-                     NotAFan, NotIndexOne, NotMaximal)
-from .exactmath import (hnf, int_inverse_unimodular, lattice_points, lattice_solver,
-                        linear_feasible)
+                     NotAFan, NotIndexOne)
+from .exactmath import hnf, lattice_points, lattice_solver, linear_feasible
 
 
 def pairing(m, v):
@@ -37,12 +37,10 @@ class Fan:
     max_cones: tuple
     faces: tuple
     pair_certificates: dict = field(compare=False, hash=False)
+    duals: dict = field(compare=False, hash=False)   # maximal cone -> dual basis
 
     def is_maximal(self, cone):
         return cone in self.max_cones
-
-    def cone_rays(self, cone):
-        return [self.rays[i] for i in cone]
 
     def covering_max_cones(self, cone):
         s = set(cone)
@@ -67,17 +65,6 @@ class Fan:
                 if lower != mid and set(lower) < ms:
                     out.append((upper, mid, lower))
         return out
-
-    def to_raw(self):
-        return {
-            "rank": self.rank,
-            "rays": [list(r) for r in self.rays],
-            "max_cones": [list(c) for c in self.max_cones],
-            "certificates": [
-                {"pair": [list(a), list(b)], "functional": list(f)}
-                for (a, b), f in sorted(self.pair_certificates.items())
-            ],
-        }
 
 
 def _canon_cone(indices):
@@ -144,21 +131,23 @@ def validate_fan(rank, rays, max_cones, certificates=None):
         if not is_primitive(r):
             raise NonPrimitiveRay(f"ray {idx} = {list(r)} is not primitive")
     cones = tuple(_canon_cone(c) for c in max_cones)
-    seen = set()
+    duals = {}
     for cone in cones:
-        if cone in seen:
+        if cone in duals:
             raise NotAFan(f"maximal cone {list(cone)} listed twice")
-        seen.add(cone)
         if len(cone) != rank or len(set(cone)) != rank:
             raise NotIndexOne(f"maximal cone {list(cone)} does not have {rank} distinct rays")
         if any(i < 0 or i >= len(rays) for i in cone):
             raise NotAFan(f"maximal cone {list(cone)} references a missing ray")
         # |det| is the product of the Hermite normal form's diagonal, 0 when
-        # the rays are dependent
-        h, _ = hnf([list(rays[i]) for i in cone])
+        # the rays are dependent. At index 1 the form is the identity and its
+        # transform the inverse of the ray matrix V, whose columns are the
+        # dual basis: <u_j, v_i> = delta_ij.
+        h, inverse = hnf([list(rays[i]) for i in cone])
         index = prod(h[i][i] for i in range(rank))
         if index != 1:
             raise NotIndexOne(f"maximal cone {list(cone)} has index |det| = {index}")
+        duals[cone] = tuple(tuple(row[j] for row in inverse) for j in range(rank))
     basis_indices = []
     for i in range(rank):
         e = tuple(int(j == i) for j in range(rank))
@@ -192,18 +181,20 @@ def validate_fan(rank, rays, max_cones, certificates=None):
                 raise NotAFan(
                     f"cones {list(a)} and {list(b)} do not intersect in a common face")
             certs[key] = f
-    return Fan(rank=rank, rays=rays, max_cones=cones,
-               faces=_all_faces(cones), pair_certificates=certs)
+    # the rays of a fan are the rays of its cones; a ray in no maximal cone
+    # would still cut the divisor polytope, though no chart sees it
+    covered = {i for cone in cones for i in cone}
+    for idx, r in enumerate(rays):
+        if idx not in covered:
+            raise NotAFan(f"ray {idx} = {list(r)} lies in no maximal cone")
+    return Fan(rank=rank, rays=rays, max_cones=cones, faces=_all_faces(cones),
+               pair_certificates=certs, duals=duals)
 
 
-def dual_generators(fan, sigma):
-    """The dual basis of a maximal cone: u_i with <u_i, v_j> = delta_ij."""
-    if not fan.is_maximal(sigma):
-        raise NotMaximal(f"cone {list(sigma)} is not maximal")
-    v = [list(fan.rays[i]) for i in sigma]
-    vt = [[v[j][i] for j in range(len(v))] for i in range(fan.rank)]
-    inv = int_inverse_unimodular(vt)
-    return [tuple(inv[i]) for i in range(fan.rank)]
+def kills(fan, cone, vec):
+    """Whether the vector pairs to zero with every ray of the cone, that is,
+    lies in the cone's perpendicular lattice."""
+    return all(pairing(vec, fan.rays[i]) == 0 for i in cone)
 
 
 def cone_monoid_generators(fan, tau):
@@ -215,7 +206,7 @@ def cone_monoid_generators(fan, tau):
     """
     gens = []
     for sigma in fan.covering_max_cones(tau):
-        for u in dual_generators(fan, sigma):
+        for u in fan.duals[sigma]:
             if u not in gens:
                 gens.append(u)
     if not tau:
@@ -223,8 +214,7 @@ def cone_monoid_generators(fan, tau):
             e = tuple(-int(j == i) for j in range(fan.rank))
             if e not in gens:
                 gens.append(e)
-    tau_rays = fan.cone_rays(tau)
-    flags = [all(pairing(g, v) == 0 for v in tau_rays) for g in gens]
+    flags = [kills(fan, tau, g) for g in gens]
     return gens, flags
 
 
@@ -247,7 +237,7 @@ def divisor_vertices(fan, divisor):
     in fan order."""
     vertex = {}
     for sigma in fan.max_cones:
-        duals = dual_generators(fan, sigma)
+        duals = fan.duals[sigma]
         m = tuple(
             sum(-divisor.coefficient(ri) * duals[k][j]
                 for k, ri in enumerate(sigma))
@@ -259,22 +249,21 @@ def divisor_vertices(fan, divisor):
     return vertex
 
 
+def _polytope_inequalities(fan, divisor):
+    """The divisor polytope {m : <m, v_i> >= -a_i} as (v_i, -a_i) pairs."""
+    return [(ray, -divisor.coefficient(ri)) for ri, ray in enumerate(fan.rays)]
+
+
 def polytope_sections(fan, divisor):
-    """All lattice points of the divisor polytope {m : <m, v_i> >= -a_i},
-    sorted; raises when the polytope is unbounded."""
-    ineqs = [(ray, -divisor.coefficient(ri)) for ri, ray in enumerate(fan.rays)]
-    return lattice_points(ineqs, fan.rank)
+    """All lattice points of the divisor polytope, sorted; raises when the
+    polytope is unbounded."""
+    return lattice_points(_polytope_inequalities(fan, divisor), fan.rank)
 
 
-def in_polytope(fan, vertex, point):
-    """Whether the point lies in the divisor polytope whose vertex on each
-    maximal cone is given by vertex (as divisor_vertices returns it)."""
-    for sigma in fan.max_cones:
-        m = vertex[sigma]
-        for i in sigma:
-            if pairing(tuple(p - q for p, q in zip(point, m)), fan.rays[i]) < 0:
-                return False
-    return True
+def in_polytope(fan, divisor, point):
+    """Whether the point lies in the divisor polytope."""
+    return all(pairing(point, ray) >= bound
+               for ray, bound in _polytope_inequalities(fan, divisor))
 
 
 def _unit_pair_indices(gens):

@@ -7,7 +7,7 @@ insertion-order echelon its pivot-indexed one replaced, the two lower-chart
 constructions its one lower-chart rule replaced, the round-based span
 closure of the surrogate, the per-block matrix-model sampler, a classifier
 of idempotent families read off the definitions, free-algebra arithmetic
-on letter tuples,
+on letter tuples, the generators of the nested commutativity ideal,
 exhaustive enumerations, brute-force lattice and divisor scans, and small
 helpers that only the tests need.
 """
@@ -25,6 +25,7 @@ from nctoric.exactmath import (ONE, ZERO, Echelon, GaussRational, qim_add, qim_e
                                qim_scale, qim_zero, solve_corner_inverse, sparse_vector)
 from nctoric.freeword import (ReducedWord, abelianize, identity_word, is_unit_in, word_mul,
                               words_up_to)
+from nctoric.ncalgebra import AlgElem, BoundedIdeal
 
 
 def dyck_membership(generators, rank):
@@ -589,3 +590,26 @@ def equal_charts(a, b):
     if set(a.charts) != set(b.charts):
         return False
     return all(a.charts[c].generators == b.charts[c].generators for c in a.charts)
+
+
+def l_commutative_gens(rank, level, degree_bound):
+    """Commutators of single letters against positive words of the given
+    level, the generator set of the nested commutativity ideal."""
+    if degree_bound < level + 1:
+        raise ValueError("degree bound must be at least level + 1")
+    gens = []
+    seen = set()
+    positive = [w for w in words_up_to(rank, level)
+                if len(w) == level and all(k > 0 for k in w.letters)]
+    for i in range(1, rank + 1):
+        zi = ReducedWord((i,), rank)
+        for w in positive:
+            c = AlgElem.from_word(word_mul(zi, w)) - AlgElem.from_word(word_mul(w, zi))
+            if c.is_zero():
+                continue
+            key = frozenset(c.terms)
+            if key in seen:
+                continue
+            seen.add(key)
+            gens.append(c)
+    return BoundedIdeal(tuple(gens), degree_bound)

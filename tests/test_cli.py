@@ -60,6 +60,18 @@ class TestFan:
         assert code == 1
         assert "Assumption 2.2.2" in out
 
+    def test_ray_in_no_maximal_cone(self, tmp_path, capsys):
+        # (1,1) lies in no maximal cone, yet the divisor polytope would read
+        # its inequality: every command refuses the fan
+        fan = dict(P2, rays=P2["rays"] + [[1, 1]])
+        path = write(tmp_path, "stray.fan", fan)
+        div = write(tmp_path, "d.div", {"coefficients": {"2": 1, "3": -1}})
+        code, out, _ = run(capsys, "fan", "check", path)
+        assert code == 1
+        assert "FAIL [§2.2 (fan)] input: ray 3 = [1, 1] lies in no maximal cone" in out
+        code, out, _ = run(capsys, "section", "list", path, "--divisor", div)
+        assert code == 1 and "points" not in out
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.fan"
         path.write_text("{not json")

@@ -13,7 +13,7 @@ from nctoric.errors import (BadLift, ExtraOutsideDualCone, MaximalChartTouched,
 from nctoric.exactmath import qim_identity
 from nctoric.freeword import (ReducedWord, canonical_lift, compile_submonoid,
                               format_word, parse_word, word_inv)
-from nctoric.toricfan import cone_monoid_generators, dual_generators, validate_fan
+from nctoric.toricfan import cone_monoid_generators, validate_fan
 from oracles import equal_charts, immediate_cover_descent, union_of_maximal_charts
 
 
@@ -47,7 +47,7 @@ def constructed_systems(fan):
     rank = fan.rank
     z, zi = ReducedWord((rank,), rank), ReducedWord((-rank,), rank)
     sigma = fan.max_cones[0]
-    u = dual_generators(fan, sigma)[0]
+    u = fan.duals[sigma][0]
     built = build_system(fan)
     exotic = build_system(fan, {(sigma, u): z * canonical_lift(u, rank) * zi})
     partial = {s: list(exotic.charts[s].generators) for s in fan.max_cones}
@@ -361,7 +361,7 @@ class TestOneLowerChartRule:
         rank = fan.rank
         z = ReducedWord((rank,), rank)
         sigma = fan.max_cones[-1]
-        u = dual_generators(fan, sigma)[0]
+        u = fan.duals[sigma][0]
         for lifts in ({}, {(sigma, u): z * canonical_lift(u, rank) * word_inv(z)}):
             built = build_system(fan, lifts)
             maximal = {s: list(built.charts[s].generators) for s in fan.max_cones}

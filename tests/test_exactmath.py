@@ -8,8 +8,7 @@ from sympy import QQ, QQ_I, Matrix, linsolve, symbols
 from sympy.polys.matrices import DomainMatrix
 
 from nctoric.exactmath import (Echelon, GaussRational, ONE, ZERO, format_gauss,
-                               gauss_int_divisors, hnf,
-                               int_inverse_unimodular, linear_feasible,
+                               gauss_int_divisors, hnf, linear_feasible,
                                minimal_polynomial, parse_gauss,
                                qi_nullspace, qi_poly_roots, qim_add,
                                qim_eq, qim_identity, qim_inverse,
@@ -176,9 +175,10 @@ class TestHnf:
 
 
 class TestHnfAgainstSympy:
-    """The two square-matrix answers read off the Hermite normal form: |det|
-    as the product of h's diagonal (how validate_fan reads a cone's index)
-    and the inverse of a unimodular matrix as the transform u."""
+    """The two square-matrix answers validate_fan reads off the Hermite
+    normal form: |det| as the product of h's diagonal (a cone's index) and,
+    at index 1, the inverse of the ray matrix as the transform u (whose
+    columns are the cone's dual basis)."""
 
     @staticmethod
     def _random_square(rng):
@@ -206,8 +206,9 @@ class TestHnfAgainstSympy:
         assert singular >= 20
 
     def test_unimodular_inverse(self):
+        # hnf(m) is (I, m^-1) when |det m| = 1, and h is not I otherwise
+        cases = []
         rng = random.Random(43)
-        unimodular = 0
         for _ in range(200):
             m = self._random_square(rng)
             # half of the matrices are made unimodular: a random product of
@@ -219,12 +220,16 @@ class TestHnfAgainstSympy:
                     i, j = rng.randrange(n), rng.randrange(n)
                     if i != j:
                         m[i] = [x + rng.randint(-2, 2) * y for x, y in zip(m[i], m[j])]
+            cases.append(m)
+        unimodular = 0
+        for m in cases:
+            h, u = hnf(m)
+            identity = Matrix.eye(len(m))
             if abs(Matrix(m).det()) == 1:
                 unimodular += 1
-                assert Matrix(int_inverse_unimodular(m)) == Matrix(m).inv()
+                assert (Matrix(h), Matrix(u)) == (identity, Matrix(m).inv())
             else:
-                with pytest.raises(ValueError):
-                    int_inverse_unimodular(m)
+                assert Matrix(h) != identity
         assert unimodular >= 60
 
 
@@ -477,7 +482,7 @@ class TestLinearAlgebraAgainstSympy:
 
     def test_nullspace(self):
         for _, a in _random_cases(12, 60):
-            basis = qi_nullspace(_columns(a), len(a))
+            basis = qi_nullspace(_columns(a))
             ncols = len(a[0])
             assert len(basis) == ncols - _to_sympy(a).rank()
             if basis:
@@ -531,13 +536,14 @@ class TestLinearAlgebraAgainstSympy:
             assert len(p) - 1 == span
 
     def test_int_inverse_unimodular(self):
+        # a unimodular matrix's inverse is the transform u of its Hermite
+        # normal form, and h is the identity exactly when |det m| = 1
         m = [[2, 1, 0], [1, 1, 0], [0, 3, 1]]
-        inv = int_inverse_unimodular(m)
+        h, inv = hnf(m)
+        assert h == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         assert int_matmul(m, inv) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        with pytest.raises(ValueError):
-            int_inverse_unimodular([[2, 0], [0, 1]])
-        with pytest.raises(ValueError):
-            int_inverse_unimodular([[1, 2], [2, 4]])
+        assert hnf([[2, 0], [0, 1]])[0] != [[1, 0], [0, 1]]
+        assert hnf([[1, 2], [2, 4]])[0] != [[1, 0], [0, 1]]
 
 
 def _random_idempotent(rng, r, rank):

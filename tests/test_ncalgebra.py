@@ -7,9 +7,9 @@ from nctoric.exactmath import GaussRational, ONE, ZERO
 from nctoric.freeword import ReducedWord, abelianize, parse_word
 from nctoric.ncalgebra import (AlgElem, BoundedIdeal, _ideal_columns, _pair_words,
                                _word_vector, abelianize_elem, bounded_ideal_member,
-                               format_alg, l_commutative_gens, parse_alg)
-from oracles import (alg_combine, is_homogeneous, letter_dict, pair_words_by_filter,
-                     random_reduced_word, shadow)
+                               format_alg, parse_alg)
+from oracles import (alg_combine, is_homogeneous, l_commutative_gens, letter_dict,
+                     pair_words_by_filter, random_reduced_word, shadow)
 
 
 def A(text, rank=2):

@@ -12,7 +12,7 @@ from nctoric.azumaya import sample_matrix_model
 from nctoric.deltasystem import augment_system, build_system
 from nctoric.freeword import ReducedWord, canonical_lift, format_word, word_inv
 from nctoric.sheaves import extend_section, sheaf_from_divisor, subscheme_from_sections
-from nctoric.toricfan import DivisorData, dual_generators, polytope_sections, validate_fan
+from nctoric.toricfan import DivisorData, polytope_sections, validate_fan
 from oracles import equal_charts
 
 CHAIN_FANS = {
@@ -44,7 +44,7 @@ def random_lifts(rng, fan):
     if rng.randint(0, 1):
         return {}
     sigma = rng.choice(fan.max_cones)
-    u = rng.choice(dual_generators(fan, sigma))
+    u = rng.choice(fan.duals[sigma])
     z = ReducedWord((rng.choice([1, -1]) * rng.randint(1, fan.rank),), fan.rank)
     return {(sigma, u): z * canonical_lift(u, fan.rank) * word_inv(z)}
 

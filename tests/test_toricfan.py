@@ -1,16 +1,20 @@
 import random
+from itertools import combinations, product
 from math import lcm
 
 import pytest
+from sympy import Matrix
 
 from nctoric import toricfan
 from nctoric.deltasystem import (abelianized_chart, augment_system, build_system,
                                  check_admissible, complete_system, soften)
 from nctoric.errors import (MissingReferenceCone, NoPositivityFunctional,
-                            NonPrimitiveRay, NotAFan, NotIndexOne, NotMaximal)
-from nctoric.toricfan import (check_certificate, comm_monoid_member, comm_monoid_solver,
-                              cone_monoid_generators, dual_generators, pairing,
-                              ray_sum, validate_fan)
+                            NonPrimitiveRay, NotAFan, NotIndexOne)
+from nctoric.serialize import fan_to_obj
+from nctoric.toricfan import (DivisorData, check_certificate, comm_monoid_member,
+                              comm_monoid_solver, cone_monoid_generators, divisor_vertices,
+                              in_polytope, pairing, polytope_sections, ray_sum,
+                              validate_fan)
 from nctoric import exactmath
 from nctoric.exactmath import linear_feasible
 from nctoric.freeword import canonical_lift, identity_word, word_mul
@@ -23,6 +27,19 @@ P3 = dict(rank=3, rays=[(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
 
 def p2():
     return validate_fan(**P2)
+
+
+def projective(n):
+    """The fan of P^n: the standard basis and minus their sum, every n of
+    them spanning a maximal cone."""
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+    return validate_fan(n, rays, list(combinations(range(n + 1), n)))
+
+
+def hirzebruch(a):
+    """The fan of the Hirzebruch surface F_a."""
+    return validate_fan(2, [(1, 0), (0, 1), (-1, a), (0, -1)],
+                        [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
 class TestValidation:
@@ -54,6 +71,11 @@ class TestValidation:
         with pytest.raises(NotAFan):
             validate_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)])
 
+    def test_ray_in_no_maximal_cone(self):
+        # the ray (1,1) would still cut the divisor polytope, though no chart sees it
+        with pytest.raises(NotAFan, match=r"ray 3 = \[1, 1\] lies in no maximal cone"):
+            validate_fan(2, [(1, 0), (0, 1), (-1, -1), (1, 1)], P2["max_cones"])
+
     def test_supplied_certificates_checked(self):
         certs = {((0, 1), (1, 2)): (0, 1)}   # wrong: not zero on shared ray e2
         with pytest.raises(NotAFan):
@@ -61,7 +83,7 @@ class TestValidation:
 
     def test_idempotent_revalidation(self):
         fan = p2()
-        raw = fan.to_raw()
+        raw = fan_to_obj(fan)
         certs = {}
         for item in raw["certificates"]:
             a, b = item["pair"]
@@ -74,24 +96,31 @@ class TestValidation:
 class TestDualGenerators:
     def test_reference(self):
         fan = p2()
-        assert dual_generators(fan, (0, 1)) == [(1, 0), (0, 1)]
+        assert fan.duals[(0, 1)] == ((1, 0), (0, 1))
 
     def test_interior_cone(self):
         fan = p2()
-        assert dual_generators(fan, (1, 2)) == [(-1, 1), (-1, 0)]
+        assert fan.duals[(1, 2)] == ((-1, 1), (-1, 0))
 
     def test_pairing_identity(self):
-        fan = validate_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
-                           [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+        fan = validate_fan(**P3)
         for sigma in fan.max_cones:
-            duals = dual_generators(fan, sigma)
+            duals = fan.duals[sigma]
             for i, u in enumerate(duals):
                 for j, ri in enumerate(sigma):
                     assert pairing(u, fan.rays[ri]) == int(i == j)
 
-    def test_not_maximal(self):
-        with pytest.raises(NotMaximal):
-            dual_generators(p2(), (0,))
+    @pytest.mark.parametrize("fan", [projective(1), projective(2), projective(3),
+                                     projective(4), hirzebruch(3), hirzebruch(10)],
+                             ids=["p1", "p2", "p3", "p4", "f3", "f10"])
+    def test_columns_of_the_inverse_ray_matrix(self, fan):
+        # sympy inverts each cone's ray matrix V (rays as rows); the dual
+        # basis is its columns, in the cone's ray order
+        assert set(fan.duals) == set(fan.max_cones)
+        for sigma in fan.max_cones:
+            inverse = Matrix([fan.rays[i] for i in sigma]).inv()
+            assert fan.duals[sigma] == tuple(
+                tuple(int(x) for x in inverse.col(j)) for j in range(fan.rank))
 
 
 class TestConeMonoid:
@@ -122,6 +151,33 @@ class TestConeMonoid:
             for g in gens:
                 if tau:
                     assert all(pairing(g, fan.rays[i]) >= 0 for i in tau)
+
+
+class TestInPolytope:
+    @pytest.mark.parametrize("fan, radius", [(projective(2), 6), (projective(3), 3),
+                                             (hirzebruch(3), 6)], ids=["p2", "p3", "f3"])
+    def test_agrees_with_inequalities_vertices_and_sections(self, fan, radius):
+        # every ray lies in a maximal cone, so the ray inequalities, the
+        # vertex form (the point minus each maximal cone's vertex lies in
+        # that cone's dual) and the lattice points all give one polytope
+        rng = random.Random(31)
+        box = set(product(range(-radius, radius + 1), repeat=fan.rank))
+        inside = 0
+        for _ in range(30):
+            coeffs = tuple(rng.randint(-3, 3) for _ in fan.rays)
+            divisor = DivisorData(coeffs)
+            vertex = divisor_vertices(fan, divisor)
+            sections = polytope_sections(fan, divisor)
+            for point in box | set(sections):
+                got = in_polytope(fan, divisor, point)
+                assert got == all(pairing(point, ray) >= -a
+                                  for ray, a in zip(fan.rays, coeffs))
+                assert got == all(pairing([p - m for p, m in zip(point, vertex[sigma])],
+                                          fan.rays[i]) >= 0
+                                  for sigma in fan.max_cones for i in sigma)
+                assert got == (point in sections)
+                inside += got
+        assert inside > 100
 
 
 class TestCommMonoidMember:
