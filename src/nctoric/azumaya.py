@@ -11,7 +11,6 @@ kernel and the sampler refuse an invalid morphism through one helper.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import clauses
@@ -26,29 +25,35 @@ from .ncalgebra import AlgElem, BoundedIdeal
 from .reports import Finding, Report
 
 
-@dataclass
 class IdemSystem:
     """The classification of idempotents indexed by the cones of a fan."""
-    strong: bool
-    reduced: dict = None     # cone -> matrix, only when strong
-    complete: bool = None
-    witnesses: list = field(default_factory=list)
+    __slots__ = ("strong", "reduced", "complete", "witnesses")
+
+    def __init__(self, strong, reduced=None, complete=None, witnesses=None):
+        self.strong = strong
+        self.reduced = reduced                  # cone -> matrix, only when strong
+        self.complete = complete
+        self.witnesses = [] if witnesses is None else witnesses
 
 
-@dataclass
 class QuasiHomChart:
     """Generator images of one chart under a quasi-homomorphism."""
-    cone: tuple
-    identity_image: list                 # idempotent matrix
-    images: dict                         # generator word -> matrix
+    __slots__ = ("cone", "identity_image", "images")
+
+    def __init__(self, cone, identity_image, images):
+        self.cone = cone
+        self.identity_image = identity_image    # idempotent matrix
+        self.images = images                    # generator word -> matrix
 
 
-@dataclass
 class MorphismData:
     """A family of matrix quasi-homomorphism charts over a chart system."""
-    rank_r: int
-    system: object
-    charts: dict                         # cone -> QuasiHomChart
+    __slots__ = ("rank_r", "system", "charts")
+
+    def __init__(self, rank_r, system, charts):
+        self.rank_r = rank_r
+        self.system = system
+        self.charts = charts                    # cone -> QuasiHomChart
 
     def idempotents(self):
         return {cone: chart.identity_image for cone, chart in self.charts.items()}
@@ -318,11 +323,22 @@ def image_kernel_bounded(morphism, cone, bound):
     return BoundedIdeal(tuple(gens), degree)
 
 
-@dataclass(frozen=True)
 class LineProbeResult:
-    minpoly: tuple
-    fibers: tuple            # (root, fiber dimension) pairs
-    unresolved_factor: tuple  # coefficient list of the rootless cofactor
+    """A matrix point projected to the affine line: its minimal polynomial,
+    (root, fiber dimension) pairs, and the coefficient list of the rootless
+    cofactor; immutable."""
+    __slots__ = ("minpoly", "fibers", "unresolved_factor")
+
+    def __init__(self, minpoly, fibers, unresolved_factor):
+        object.__setattr__(self, "minpoly", minpoly)
+        object.__setattr__(self, "fibers", fibers)
+        object.__setattr__(self, "unresolved_factor", unresolved_factor)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LineProbeResult is immutable")
+
+    def __reduce__(self):
+        return LineProbeResult, (self.minpoly, self.fibers, self.unresolved_factor)
 
 
 def a1_probe(matrix):

@@ -8,26 +8,24 @@ then augment_system on those arguments rebuilds the identical charts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import clauses
 from .errors import (BadLift, ExtraOutsideDualCone, MaximalChartTouched,
                      NoPositivityFunctional, NotAdmissibleInput)
 from .freeword import (ReducedWord, abelianize, canonical_lift,
                        compile_submonoid, format_word, is_unit_in, word_inv)
 from .reports import Finding, Report
-from .toricfan import (Fan, comm_monoid_solver, cone_monoid_generators, kills,
-                       pairing, ray_sum)
+from .toricfan import comm_monoid_solver, cone_monoid_generators, kills, pairing, ray_sum
 
 
-@dataclass
 class ChartSystem:
     """Per-cone finitely generated submonoid charts over a validated fan."""
+    __slots__ = ("fan", "charts", "lifts", "stages")
 
-    fan: Fan
-    charts: dict            # cone -> Submonoid
-    lifts: dict | None = None   # build_system's lifts; None when not built from lifts
-    stages: tuple = ()      # the extras of each augment_system call, in order
+    def __init__(self, fan, charts, lifts=None, stages=()):
+        self.fan = fan
+        self.charts = charts        # cone -> Submonoid
+        self.lifts = lifts          # build_system's lifts; None when not built from lifts
+        self.stages = stages        # the extras of each augment_system call, in order
 
 
 def _letters(rank):

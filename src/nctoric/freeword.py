@@ -11,7 +11,10 @@ Dyck reachability with a worklist: silent closures are Python-int bitsets,
 and a closure that grows is matched against its state's incoming letter
 transitions for the new states only.  Membership reads a word through the
 letter transitions, ORing target closures, and accepts on bit 0.
-compile_submonoid memoizes one immutable Submonoid per generator tuple.
+A submonoid saturates on its first membership query, so a chart that is
+built but never queried (every chart of an intermediate stage of a replayed
+recipe, say) costs only its generator list.  compile_submonoid memoizes one
+immutable Submonoid per generator tuple.
 """
 from __future__ import annotations
 
@@ -192,8 +195,10 @@ class Submonoid:
     closures with `|` after each letter; it is a member iff bit 0 (the
     initial and accepting state) is set at the end.
 
-    Instances are immutable, so compile_submonoid shares one per generator
-    tuple.
+    The automaton is built and saturated on the first membership query, not
+    at construction, so a submonoid that is never queried never saturates.
+    Instances are immutable (the one-time compilation aside), so
+    compile_submonoid shares one per generator tuple.
     """
 
     __slots__ = ("generators", "rank", "_closure", "_moves")
@@ -205,7 +210,15 @@ class Submonoid:
                 raise RankMismatch("generator rank differs from submonoid rank")
             if g not in gens:
                 gens.append(g)
-        trans, nstates = _flower(gens)
+        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "_closure", None)
+        object.__setattr__(self, "_moves", None)
+
+    def _compile(self):
+        """Build and saturate the flower automaton, once; return the letter
+        moves {letter: ((state, closure of its targets), ...)}."""
+        trans, nstates = _flower(self.generators)
         closure = _saturated_closures(trans, nstates)
         moves = defaultdict(list)
         for (s, letter), targets in trans.items():
@@ -213,10 +226,10 @@ class Submonoid:
             for t in targets:
                 reach |= closure[t]
             moves[letter].append((s, reach))
-        object.__setattr__(self, "generators", tuple(gens))
-        object.__setattr__(self, "rank", rank)
+        moves = {k: tuple(v) for k, v in moves.items()}
         object.__setattr__(self, "_closure", tuple(closure))
-        object.__setattr__(self, "_moves", {k: tuple(v) for k, v in moves.items()})
+        object.__setattr__(self, "_moves", moves)
+        return moves
 
     def __setattr__(self, name, value):
         raise AttributeError("Submonoid is immutable")
@@ -231,10 +244,13 @@ class Submonoid:
         """Exact membership of a reduced word."""
         if word.rank != self.rank:
             raise RankMismatch("word rank differs from submonoid rank")
+        moves = self._moves
+        if moves is None:
+            moves = self._compile()
         current = self._closure[0]
         for letter in word.letters:
             nxt = 0
-            for s, reach in self._moves.get(letter, ()):
+            for s, reach in moves.get(letter, ()):
                 if current >> s & 1:
                     nxt |= reach
             if not nxt:

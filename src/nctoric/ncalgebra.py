@@ -6,7 +6,6 @@ negative answer here is explicitly relative to the degree bound.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import ParseError, RankMismatch, TargetExceedsBound
@@ -210,21 +209,39 @@ def parse_alg(text, rank):
 # Bounded two-sided ideals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class BoundedIdeal:
-    generators: tuple
-    degree_bound: int
+    """Two-sided ideal of nonzero generators, searched up to a degree bound;
+    immutable."""
+    __slots__ = ("generators", "degree_bound")
 
-    def __post_init__(self):
-        for g in self.generators:
+    def __init__(self, generators, degree_bound):
+        for g in generators:
             if g.is_zero():
                 raise ValueError("ideal generators must be nonzero")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "degree_bound", degree_bound)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BoundedIdeal is immutable")
+
+    def __reduce__(self):
+        return BoundedIdeal, (self.generators, self.degree_bound)
 
 
-@dataclass(frozen=True)
 class MemberCertificate:
-    """target = sum of coeff * (left * generator * right)."""
-    combination: tuple  # items: (coeff, left word, generator index, right word)
+    """target = sum of coeff * (left * generator * right) over the
+    combination's (coeff, left word, generator index, right word) items;
+    immutable."""
+    __slots__ = ("combination",)
+
+    def __init__(self, combination):
+        object.__setattr__(self, "combination", combination)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MemberCertificate is immutable")
+
+    def __reduce__(self):
+        return MemberCertificate, (self.combination,)
 
     def reconstruct(self, ideal, rank):
         acc = AlgElem.zero(rank)

@@ -1,25 +1,35 @@
 """Structured pass/fail reports shared by all verification operations."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 PASS = "pass"
 FAIL = "fail"
 BOUND_RELATIVE = "bound-relative"
 
 
-@dataclass
 class Finding:
-    clause: str
-    locus: str
-    ok: bool
-    detail: str = ""
-    bound_relative: bool = False
+    __slots__ = ("clause", "locus", "ok", "detail", "bound_relative")
+
+    def __init__(self, clause, locus, ok, detail="", bound_relative=False):
+        self.clause = clause
+        self.locus = locus
+        self.ok = ok
+        self.detail = detail
+        self.bound_relative = bound_relative
+
+    def _key(self):
+        return (self.clause, self.locus, self.ok, self.detail, self.bound_relative)
+
+    def __eq__(self, other):
+        if other.__class__ is not Finding:
+            return NotImplemented
+        return self._key() == other._key()
 
 
-@dataclass
 class Report:
-    findings: list = field(default_factory=list)
+    __slots__ = ("findings",)
+
+    def __init__(self, findings=None):
+        self.findings = [] if findings is None else findings
 
     @property
     def ok(self):

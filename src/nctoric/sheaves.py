@@ -9,8 +9,6 @@ built by `_soften_transitions`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import clauses
 from .deltasystem import abelianized_chart, soften
 from .errors import CandidateNotUnit, MismatchedSystems, NotASection, RankMismatch
@@ -22,20 +20,24 @@ from .reports import Finding, Report
 from .toricfan import comm_monoid_member, divisor_vertices, in_polytope, kills, ray_sum
 
 
-@dataclass
 class GluingData:
     """Per face-incidence an invertible scalar-times-word: the transition
     datum of an invertible sheaf under fixed local trivializations."""
-    system: object
-    scalars: dict           # (upper, lower) -> GaussRational
-    words: dict             # (upper, lower) -> ReducedWord
+    __slots__ = ("system", "scalars", "words")
+
+    def __init__(self, system, scalars, words):
+        self.system = system
+        self.scalars = scalars      # (upper, lower) -> GaussRational
+        self.words = words          # (upper, lower) -> ReducedWord
 
 
-@dataclass
 class TwistedSectionData:
     """Per-cone algebra presentations of one twisted section."""
-    gluing: GluingData
-    locals: dict            # cone -> AlgElem
+    __slots__ = ("gluing", "locals")
+
+    def __init__(self, gluing, locals):
+        self.gluing = gluing
+        self.locals = locals        # cone -> AlgElem
 
     @property
     def system(self):

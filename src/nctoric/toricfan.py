@@ -9,7 +9,6 @@ validation reads off the cone's index check and keeps on the fan.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
 
@@ -30,14 +29,37 @@ def is_primitive(v):
     return g == 1
 
 
-@dataclass(frozen=True)
 class Fan:
-    rank: int
-    rays: tuple
-    max_cones: tuple
-    faces: tuple
-    pair_certificates: dict = field(compare=False, hash=False)
-    duals: dict = field(compare=False, hash=False)   # maximal cone -> dual basis
+    """A validated fan; immutable. Equality and hash read the rank, rays,
+    maximal cones and faces, not the certificates or dual bases derived
+    from them."""
+    __slots__ = ("rank", "rays", "max_cones", "faces", "pair_certificates", "duals")
+
+    def __init__(self, rank, rays, max_cones, faces, pair_certificates, duals):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "max_cones", max_cones)
+        object.__setattr__(self, "faces", faces)
+        object.__setattr__(self, "pair_certificates", pair_certificates)
+        object.__setattr__(self, "duals", duals)   # maximal cone -> dual basis
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Fan is immutable")
+
+    def __reduce__(self):
+        return Fan, (self.rank, self.rays, self.max_cones, self.faces,
+                     self.pair_certificates, self.duals)
+
+    def _key(self):
+        return (self.rank, self.rays, self.max_cones, self.faces)
+
+    def __eq__(self, other):
+        if other.__class__ is not Fan:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def is_maximal(self, cone):
         return cone in self.max_cones
@@ -219,9 +241,7 @@ def cone_monoid_generators(fan, tau):
 
 
 class DivisorData:
-    """One integer coefficient per ray of the fan. A plain class: every
-    command imports this module, and a dataclass costs each of them its
-    generated methods at import."""
+    """One integer coefficient per ray of the fan."""
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients):

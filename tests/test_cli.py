@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import nctoric
-from nctoric import deltasystem, serialize
+from nctoric import deltasystem, freeword, serialize
 from nctoric.cli import main
 from nctoric.exactmath import solve_corner_inverse
 from nctoric.freeword import format_word, is_unit_in
@@ -258,6 +258,24 @@ class TestSheafAndSections:
         code, out, _ = run(capsys, "subscheme", "member", sub_path,
                            "--cone", "0,1", "--element", "z2^-2", "--bound", "5")
         assert code == 0
+
+    def test_subscheme_member_saturates_no_chart(self, setup, capsys, saturations):
+        # ideal membership reads chart generators, never chart membership
+        tmp_path, fan_path, div_path = setup
+        sheaf_path = str(tmp_path / "sheaf.json")
+        sec_path = str(tmp_path / "sec.json")
+        sub_path = str(tmp_path / "sub.json")
+        for argv in (["sheaf", "from-divisor", fan_path, "--divisor", div_path,
+                      "--out", sheaf_path],
+                     ["section", "extend", sheaf_path, "--divisor", div_path,
+                      "--point", "1,0", "--out", sec_path],
+                     ["subscheme", "build", sec_path, "--out", sub_path]):
+            assert run(capsys, *argv)[0] == 0
+        freeword._COMPILED.clear()
+        saturations.clear()
+        code = run(capsys, "subscheme", "member", sub_path,
+                   "--cone", "0,1", "--element", "z1", "--bound", "2")[0]
+        assert code == 0 and saturations == []
 
 
 def sample_p1_identity(tmp_path):

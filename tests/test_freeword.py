@@ -170,6 +170,7 @@ class TestSaturation:
     def test_matches_round_saturation(self, case):
         rank, gens, probes = case
         sub = Submonoid(gens, rank)
+        sub.member(identity_word(rank))     # saturates on the first query
         trans, closure = saturate_by_rounds(sub.generators, rank)
         assert {k: set(v) for k, v in _flower(sub.generators)[0].items()} == trans
         assert closure_sets(sub) == closure
@@ -208,3 +209,42 @@ class TestImmutable:
         assert d.generators == s.generators and d.rank == s.rank
         for w in words_up_to(2, 4):
             assert d.member(w) == s.member(w)
+
+
+class TestLazySaturation:
+    """A Submonoid saturates its automaton on its first membership query,
+    once, and not at construction."""
+
+    def test_first_query_saturates_once(self, saturations):
+        rng = random.Random(41)
+        for _ in range(20):
+            gens = [random_reduced_word(rng, 2, 4) for _ in range(rng.randint(1, 4))]
+            before = len(saturations)
+            s = Submonoid(gens, 2)
+            assert len(saturations) == before
+            oracle = dyck_membership(gens, 2)
+            for w in words_up_to(2, 4):
+                assert s.member(w) == oracle(w), (gens, w)
+            assert len(saturations) == before + 1
+
+    @pytest.mark.parametrize("duplicate", TestImmutable.COPIES,
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copy_before_first_query(self, saturations, duplicate):
+        gens = [W("z1"), W("z1^-1 z2"), W("z2^-2")]
+        fresh = Submonoid(gens, 2)
+        twin = duplicate(fresh)
+        compiled = Submonoid(gens, 2)
+        compiled.member(identity_word(2))
+        assert len(saturations) == 1
+        for w in words_up_to(2, 4):
+            assert twin.member(w) == fresh.member(w) == compiled.member(w)
+        assert len(saturations) == 3
+
+    def test_immutable_after_compile(self, saturations):
+        s = Submonoid([W("z1 z2")], 2)
+        assert s.member(W("z1 z2"))
+        for name in ("generators", "rank", "_closure", "_moves", "other"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, None)
+        assert s.member(W("z1 z2 z1 z2")) and not s.member(W("z1"))
+        assert s.generators == (W("z1 z2"),) and len(saturations) == 1

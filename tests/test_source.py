@@ -288,12 +288,14 @@ MORPHISM_CHECK = SUBSCHEME_MEMBER | {"azumaya"}
 ], ids=["fan", "section", "system", "subscheme", "morphism"])
 def test_each_command_imports_only_its_layers(artifacts, argv, modules):
     # a command is one short process, so the layers it imports but never
-    # runs are start-up time it pays for nothing
+    # runs are start-up time it pays for nothing; so is `dataclasses`, which
+    # loads `inspect` (and `ast`, `dis`, `tokenize`) for a few record classes
     probe = ("import contextlib, io, sys\n"
              "from nctoric.cli import main\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = main(sys.argv[1:])\n"
-             "print(code, *sorted(m for m in sys.modules if m.startswith('nctoric.')))")
+             "print(code, *sorted(m for m in sys.modules if m.startswith('nctoric.')\n"
+             "                    or m in ('dataclasses', 'inspect')))")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
                           text=True, env=env, cwd=artifacts, timeout=60)
