@@ -449,7 +449,8 @@ def main(argv=None):
             return 2
         except NctoricError as exc:
             report, payload = Report([Finding(clause=exc.clause, locus=exc.locus, ok=False,
-                                              detail=str(exc))]), None
+                                              detail=str(exc),
+                                              bound_relative=exc.bound_relative)]), None
         _emit(report, args, payload)
         sys.stdout.flush()
     except BrokenPipeError:

@@ -11,8 +11,8 @@ from __future__ import annotations
 from . import clauses
 from .errors import (BadLift, ExtraOutsideDualCone, MaximalChartTouched,
                      NoPositivityFunctional, NotAdmissibleInput)
-from .freeword import (ReducedWord, abelianize, canonical_lift,
-                       compile_submonoid, format_word, is_unit_in, word_inv)
+from .freeword import (Submonoid, abelianize, canonical_lift, format_word, is_unit_in,
+                       word_inv, words_up_to)
 from .reports import Finding, Report
 from .toricfan import comm_monoid_solver, cone_monoid_generators, kills, pairing, ray_sum
 
@@ -28,47 +28,32 @@ class ChartSystem:
         self.stages = stages        # the extras of each augment_system call, in order
 
 
-def _letters(rank):
-    out = []
-    for i in range(1, rank + 1):
-        out.append(ReducedWord((i,), rank))
-        out.append(ReducedWord((-i,), rank))
-    return out
-
-
 def _in_dual(vec, fan, cone):
     return all(pairing(vec, fan.rays[i]) >= 0 for i in cone)
-
-
-def _dedup(words):
-    return list(dict.fromkeys(words))
 
 
 def _system_from_seeds(fan, seeds, lifts=None, stages=()):
     """Compile the chart system grown from per-cone seed words.
 
-    A maximal chart is its own seed. A lower chart lists, each word once:
-    its own seed; the seeds of the faces above it, the lower faces in
-    fan.faces order and then the maximal cones in fan.max_cones order; the
-    inverses of those words that kill the cone; and, on the zero cone, the
-    letters. Build, completion, augmentation and softening all give a lower
-    chart this one chart.
+    A maximal chart is its own seed. A lower chart lists its own seed; the
+    seeds of the faces above it, the lower faces in fan.faces order and then
+    the maximal cones in fan.max_cones order; the inverses of those words
+    that kill the cone; and, on the zero cone, the letters. Submonoid keeps
+    the first occurrence of each word. Build, completion, augmentation and
+    softening all give a lower chart this one chart.
     """
     above = [c for c in fan.faces if not fan.is_maximal(c)] + list(fan.max_cones)
-    gen_words = {}
+    charts = {}
     for tau in fan.faces:
         words = list(seeds.get(tau, ()))
         if not fan.is_maximal(tau):
             for upper in above:
                 if set(tau) < set(upper):
                     words += seeds.get(upper, ())
-            words = _dedup(words)
             words += [word_inv(w) for w in words if kills(fan, tau, abelianize(w))]
             if not tau:
-                words += _letters(fan.rank)
-        gen_words[tau] = _dedup(words)
-    charts = {cone: compile_submonoid(words, fan.rank)
-              for cone, words in gen_words.items()}
+                words += words_up_to(fan.rank, 1)[1:]
+        charts[tau] = Submonoid(words, fan.rank)
     system = ChartSystem(fan=fan, charts=charts, lifts=lifts, stages=stages)
     _assert_inverse_system(system)
     return system
@@ -183,12 +168,12 @@ def complete_system(fan, partial):
     for sigma in fan.max_cones:
         if sigma not in partial:
             raise NotAdmissibleInput(f"no chart supplied for maximal cone {list(sigma)}")
-        words = _dedup(partial[sigma])
+        words = list(partial[sigma])
         for w in words:
             if not _in_dual(abelianize(w), fan, sigma):
                 raise NotAdmissibleInput(
                     f"generator {format_word(w)} of cone {list(sigma)} leaves the dual cone")
-        supplied = ChartSystem(fan=fan, charts={sigma: compile_submonoid(words, fan.rank)})
+        supplied = ChartSystem(fan=fan, charts={sigma: Submonoid(words, fan.rank)})
         for f in admissible_cone_findings(supplied, sigma):
             if not f.ok:
                 raise NotAdmissibleInput(f"{f.locus}: {f.clause} fails for {f.detail}")
@@ -209,8 +194,8 @@ def augment_system(system, extra):
                 raise ExtraOutsideDualCone(
                     f"extra word {format_word(w)} does not map into the dual "
                     f"cone of {list(cone)}")
-    seeds = {cone: _dedup([*system.charts[cone].generators,
-                           *(w for w in extra.get(cone, ()) if not w.is_identity())])
+    seeds = {cone: [*system.charts[cone].generators,
+                    *(w for w in extra.get(cone, ()) if not w.is_identity())]
              for cone in fan.faces}
     stages = system.stages + (extra,) if extra else system.stages
     return _system_from_seeds(fan, seeds, lifts=system.lifts, stages=stages)

@@ -1,6 +1,7 @@
 """Exception types shared across the package. Each library error declares
 the `clauses` label of the statement its check enforces and the `locus` it
 reports; the input errors `ParseError` and `RankMismatch` carry no clause.
+An error that only says a search bound was too small is `bound_relative`.
 """
 from . import clauses
 
@@ -10,6 +11,7 @@ class NctoricError(Exception):
 
     clause = None
     locus = "input"
+    bound_relative = False
 
 
 class ParseError(NctoricError):
@@ -79,6 +81,7 @@ class MismatchedSystems(NctoricError):
 class TargetExceedsBound(NctoricError):
     clause = clauses.SUBSCHEME
     locus = "target"
+    bound_relative = True
 
 
 class NotIdempotent(NctoricError):

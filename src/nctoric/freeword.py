@@ -13,8 +13,7 @@ transitions for the new states only.  Membership reads a word through the
 letter transitions, ORing target closures, and accepts on bit 0.
 A submonoid saturates on its first membership query, so a chart that is
 built but never queried (every chart of an intermediate stage of a replayed
-recipe, say) costs only its generator list.  compile_submonoid memoizes one
-immutable Submonoid per generator tuple.
+recipe, say) costs only its generator list.
 """
 from __future__ import annotations
 
@@ -73,17 +72,6 @@ class ReducedWord:
 
 def identity_word(rank):
     return ReducedWord((), rank)
-
-
-def reduce_letters(seq, rank):
-    """Freely reduce an arbitrary letter sequence."""
-    out = []
-    for k in seq:
-        if out and out[-1] == -k:
-            out.pop()
-        else:
-            out.append(k)
-    return ReducedWord(out, rank)
 
 
 def letters_mul(a, b):
@@ -156,8 +144,13 @@ def parse_word(text, rank):
             raise ParseError("letter index 0 is not allowed", column=pos)
         if idx < 0 or idx > rank:
             raise ParseError(f"letter index {idx} exceeds rank {rank}", column=pos)
-        letters.extend([idx if exp > 0 else -idx] * abs(exp))
-    return reduce_letters(letters, rank)
+        k = idx if exp > 0 else -idx
+        n = abs(exp)
+        while n and letters and letters[-1] == -k:     # freely reduced as it is read
+            letters.pop()
+            n -= 1
+        letters.extend([k] * n)
+    return ReducedWord(letters, rank)
 
 
 def format_word(w):
@@ -197,20 +190,20 @@ class Submonoid:
 
     The automaton is built and saturated on the first membership query, not
     at construction, so a submonoid that is never queried never saturates.
-    Instances are immutable (the one-time compilation aside), so
-    compile_submonoid shares one per generator tuple.
+    Instances are immutable, the one-time compilation aside.  The generators
+    keep the first occurrence of each word, in the order given: a chart's
+    `comm_monoid_member` coefficients, and so section presentations, follow
+    that order.
     """
 
     __slots__ = ("generators", "rank", "_closure", "_moves")
 
     def __init__(self, generators, rank):
-        gens = []
-        for g in generators:
+        gens = tuple(dict.fromkeys(generators))
+        for g in gens:
             if g.rank != rank:
                 raise RankMismatch("generator rank differs from submonoid rank")
-            if g not in gens:
-                gens.append(g)
-        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "_closure", None)
         object.__setattr__(self, "_moves", None)
@@ -340,21 +333,6 @@ def _saturated_closures(trans, nstates):
                     closure[u] = cu | add
                     pending[u] |= add & ~cu
     return closure
-
-
-_COMPILED = {}
-
-
-def compile_submonoid(generators, rank):
-    """The Submonoid of the generators, shared between equal generator
-    tuples.  The key keeps generator order, since `comm_monoid_member`
-    coefficients, and so section presentations, follow it."""
-    generators = tuple(generators)
-    key = (tuple(g.letters for g in generators), rank)
-    sub = _COMPILED.get(key)
-    if sub is None:
-        sub = _COMPILED[key] = Submonoid(generators, rank)
-    return sub
 
 
 def is_unit_in(submonoid, word):

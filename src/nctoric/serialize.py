@@ -26,6 +26,9 @@ def load_json(path):
         for key, value in pairs:
             if key in obj:
                 raise ParseError(f"{path}: key {key!r} repeated in one object")
+            if key == "fan" and isinstance(value, str):
+                # a fan file named by a system, at any depth, is relative to this file
+                value = os.path.join(os.path.dirname(path) or ".", value)
             obj[key] = value
         return obj
 
@@ -148,7 +151,14 @@ def fan_from_obj(obj, where="fan"):
     certificates = _unique(map(certificate, _field(obj, "certificates", where, list,
                                                    default=[])),
                            at, lambda pair: f"pair {list(map(list, pair))}")
-    return validate_fan(rank, rays, cones, certificates or None)
+    fan = validate_fan(rank, rays, cones, certificates or None)
+    for pair in certificates:
+        # validate_fan reads a certificate only under two distinct maximal
+        # cones in max_cones order; any other pair would go unchecked
+        if pair not in fan.pair_certificates:
+            raise ParseError(f"{at}: pair {list(map(list, pair))} is not an earlier "
+                             "and a later maximal cone, so it would not be read")
+    return fan
 
 
 # --- chart systems (recipes) ------------------------------------------------
@@ -174,17 +184,17 @@ def system_to_obj(system):
     return obj
 
 
-def system_from_obj(obj, where="system", base_dir=None):
+def system_from_obj(obj, where="system"):
     """Rebuild a system from its recipe object.
 
-    The fan may be inline or a path to a fan file, resolved against base_dir.
+    The fan may be inline or a path to a fan file; load_json has already
+    resolved a path read from a file against that file's directory.
     """
     from .deltasystem import augment_system, build_system
     from .freeword import parse_word
     fan_obj = _field(obj, "fan", where)
     if isinstance(fan_obj, str):
-        path = fan_obj if base_dir is None else os.path.join(base_dir, fan_obj)
-        fan_obj = load_json(path)
+        fan_obj = load_json(fan_obj)
     fan = fan_from_obj(fan_obj, where=f"{where}.fan")
     at = f"{where}.lifts"
 
@@ -213,7 +223,7 @@ def _fan_or_system(path):
     obj = load_json(path)
     if isinstance(obj, dict) and "rays" in obj:
         return fan_from_obj(obj, where=path)
-    return system_from_obj(obj, where=path, base_dir=os.path.dirname(path) or ".")
+    return system_from_obj(obj, where=path)
 
 
 def load_system(path):

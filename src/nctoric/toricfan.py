@@ -142,9 +142,10 @@ def check_certificate(fan_rays, cone_a, cone_b, functional):
 def validate_fan(rank, rays, max_cones, certificates=None):
     """Check every fan invariant and return the validated Fan.
 
-    certificates, when given, maps unordered maximal-cone pairs to candidate
-    separating functionals; they are verified and kept, with a feasibility
-    search as fallback for missing pairs.
+    certificates, when given, maps (earlier, later) pairs of maximal cones,
+    in max_cones order, to candidate separating functionals; they are
+    verified and kept, with a feasibility search as fallback for missing
+    pairs.
     """
     rays = tuple(tuple(int(x) for x in r) for r in rays)
     for idx, r in enumerate(rays):

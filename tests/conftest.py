@@ -12,10 +12,7 @@ settings.load_profile("ci")
 
 @pytest.fixture
 def saturations(monkeypatch):
-    """The state counts of the submonoid automata saturated during the test.
-    The test starts from an empty compile memo of its own, so a chart that an
-    earlier test saturated counts again; clearing freeword._COMPILED drops
-    only this test's charts."""
+    """The state counts of the submonoid automata saturated during the test."""
     from nctoric import freeword
 
     calls = []
@@ -26,5 +23,4 @@ def saturations(monkeypatch):
         return saturate(trans, nstates)
 
     monkeypatch.setattr(freeword, "_saturated_closures", counted)
-    monkeypatch.setattr(freeword, "_COMPILED", {})
     return calls

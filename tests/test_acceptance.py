@@ -16,7 +16,7 @@ from nctoric.exactmath import (GaussRational, ONE, ZERO, format_gauss,
                                qim_add, qim_eq, qim_identity,
                                qim_is_idempotent, qim_is_zero, qim_mul,
                                qim_rank, qim_zero)
-from nctoric.freeword import (abelianize, compile_submonoid, identity_word,
+from nctoric.freeword import (Submonoid, abelianize, identity_word,
                               parse_word, word_inv, word_mul, words_up_to)
 from nctoric.ncalgebra import (AlgElem, BoundedIdeal, abelianize_elem,
                                bounded_ideal_member)
@@ -69,7 +69,7 @@ def test_criterion_02_membership_oracle_equivalence():
     disagreements = 0
     for _ in range(100):
         gens = [random_reduced_word(rng, 2, 3) for _ in range(3)]
-        sub = compile_submonoid(gens, 2)
+        sub = Submonoid(gens, 2)
         oracle = dyck_membership(gens, 2)
         for w in words6:
             if sub.member(w) != oracle(w):

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import nctoric
-from nctoric import deltasystem, freeword, serialize
+from nctoric import deltasystem, serialize
 from nctoric.cli import main
 from nctoric.exactmath import solve_corner_inverse
 from nctoric.freeword import format_word, is_unit_in
@@ -90,6 +90,20 @@ class TestFan:
         assert code == 0
         assert load_json(str(tmp_path / "second.fan")) == emitted
 
+    @pytest.mark.parametrize("pair", [[[1], [0]], [[0], [7]], [[0], [0]]],
+                             ids=["reversed", "not-maximal", "repeated-cone"])
+    def test_unread_certificate_refused(self, tmp_path, pair):
+        # validate_fan reads a certificate only under an earlier and a later
+        # maximal cone; [1] > 0 > [0] would separate P^1's cones the wrong way
+        fan = {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]],
+               "certificates": [{"pair": pair, "functional": [1]}]}
+        path = write(tmp_path, "p1.fan", fan)
+        out_path = tmp_path / "out.fan"
+        code, out, err = run_process("fan", "check", path, "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert "Traceback" not in err and f"pair {pair} is not" in err
+        assert not out_path.exists()
+
 
 class TestSystem:
     def test_build_and_check(self, tmp_path, capsys):
@@ -110,6 +124,31 @@ class TestSystem:
         recipe_path = write(tmp_path, "sys.json", {"fan": "p2.fan"})
         code, _, _ = run(capsys, "system", "check", recipe_path)
         assert code == 0
+
+    @pytest.mark.parametrize("name, keys, fan, argv", [
+        ("sheaf.json", ["system"], "p2.fan", ["sheaf", "check"]),
+        ("s2.json", ["sheaf", "system"], "p2.fan", ["section", "check"]),
+        ("sub.json", ["system"], "p2.fan",
+         ["subscheme", "member", "--cone", "0,1", "--element", "z2 z1"]),
+        ("mor.json", ["system"], "cone.fan", ["morphism", "check"]),
+    ], ids=["sheaf", "section", "subscheme", "morphism"])
+    def test_nested_fan_path_is_relative_to_its_file(self, tmp_path, monkeypatch, capsys,
+                                                     name, keys, fan, argv):
+        # a fan named inside an artifact is read beside the artifact, not in
+        # the working directory, as a system file's own fan is
+        artifact_dir = tmp_path / "d"
+        artifact_dir.mkdir()
+        monkeypatch.chdir(artifact_dir)
+        artifacts(capsys, artifact_dir)
+        obj = load_json(name)
+        system = obj
+        for key in keys:
+            system = system[key]
+        system["fan"] = fan
+        write(artifact_dir, name, obj)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv[:2], f"d/{name}", *argv[2:])
+        assert (code, err) == (0, "") and "status: pass" in out
 
     def test_bad_word_literal_in_lifts(self, tmp_path, capsys):
         recipe = {"fan": P2,
@@ -271,11 +310,25 @@ class TestSheafAndSections:
                       "--point", "1,0", "--out", sec_path],
                      ["subscheme", "build", sec_path, "--out", sub_path]):
             assert run(capsys, *argv)[0] == 0
-        freeword._COMPILED.clear()
         saturations.clear()
         code = run(capsys, "subscheme", "member", sub_path,
                    "--cone", "0,1", "--element", "z1", "--bound", "2")[0]
         assert code == 0 and saturations == []
+
+    def test_member_target_longer_than_bound(self, tmp_path, capsys):
+        # at bound 3 the search cannot even hold the length-4 target, which
+        # is undecided there, not refuted; bound 4 certifies it
+        sub = write(tmp_path, "sub.json", {"system": {"fan": CONE_FAN}, "charts": [
+            {"cone": [0, 1], "generators": ["z1 z2 - z2 z1"]}]})
+        target = "z1 z2 z1 z2 - z2 z1 z1 z2"
+        code, out, _ = run(capsys, "subscheme", "member", sub, "--cone", "0,1",
+                           "--element", target, "--bound", "3", "--json")
+        report = json.loads(out)
+        assert code == 1 and report["status"] == "bound-relative"
+        assert "length 4 > bound 3" in report["findings"][0]["detail"]
+        code, out, _ = run(capsys, "subscheme", "member", sub, "--cone", "0,1",
+                           "--element", target, "--bound", "4")
+        assert code == 0 and "(1) * [e] * g0 * [z1 z2]" in out
 
 
 def sample_p1_identity(tmp_path):

@@ -11,7 +11,7 @@ from nctoric.deltasystem import (ChartSystem, _assert_inverse_system,
 from nctoric.errors import (BadLift, ExtraOutsideDualCone, MaximalChartTouched,
                             NotAdmissibleInput)
 from nctoric.exactmath import qim_identity
-from nctoric.freeword import (ReducedWord, canonical_lift, compile_submonoid,
+from nctoric.freeword import (ReducedWord, Submonoid, canonical_lift,
                               format_word, parse_word, word_inv)
 from nctoric.toricfan import cone_monoid_generators, validate_fan
 from oracles import equal_charts, immediate_cover_descent, union_of_maximal_charts
@@ -120,8 +120,8 @@ class TestBuild:
         # only a hand-assembled system has this, and (c) fails, decided
         system = build_system(fan_single())
         charts = dict(system.charts)
-        charts[(0,)] = compile_submonoid([W("z1"), W("z2^2"), W("z2^-1")], 2)
-        charts[()] = compile_submonoid(charts[()].generators + (W("z2^2"),), 2)
+        charts[(0,)] = Submonoid([W("z1"), W("z2^2"), W("z2^-1")], 2)
+        charts[()] = Submonoid(charts[()].generators + (W("z2^2"),), 2)
         hand = ChartSystem(fan=system.fan, charts=charts)
         assert hand.charts[(0,)].member(W("z2"))
         with pytest.raises(AssertionError, match=r"z2 from cone \[0, 1\]"):
@@ -140,7 +140,7 @@ class TestCheckAdmissible:
     def test_tampered_ray_chart(self):
         system = build_system(fan_single())
         bad = ChartSystem(fan=system.fan, charts=dict(system.charts))
-        bad.charts[(0,)] = compile_submonoid([W("z1"), W("z2")], 2)
+        bad.charts[(0,)] = Submonoid([W("z1"), W("z2")], 2)
         report = check_admissible(bad)
         assert not report.ok
         clauses_hit = {f.clause for f in report.failures()}
@@ -152,7 +152,7 @@ class TestCheckAdmissible:
         # once, before any surjectivity finding
         system = build_system(fan_single())
         bad = ChartSystem(fan=system.fan, charts=dict(system.charts))
-        bad.charts[(0,)] = compile_submonoid([W("z1"), W("z2")], 2)
+        bad.charts[(0,)] = Submonoid([W("z1"), W("z2")], 2)
         findings = [(f.clause, f.ok, f.detail) for f in check_admissible(bad).findings
                     if f.locus == "cone [0]"]
         assert findings == [

@@ -7,9 +7,8 @@ from hypothesis import given, strategies as st
 
 from nctoric.errors import ParseError, RankMismatch
 from nctoric.freeword import (ReducedWord, Submonoid, _flower, abelianize,
-                              canonical_lift, compile_submonoid, format_word,
-                              identity_word, is_unit_in, parse_word, word_inv,
-                              word_mul, words_up_to)
+                              canonical_lift, format_word, identity_word,
+                              is_unit_in, parse_word, word_inv, word_mul, words_up_to)
 from oracles import (dyck_membership, enumerate_products, random_reduced_word,
                      run_saturated, saturate_by_rounds)
 
@@ -115,43 +114,43 @@ class TestLiterals:
 
 class TestSubmonoids:
     def test_subgroup_of_one_letter(self):
-        s = compile_submonoid([W("z1"), W("z1^-1")], 2)
+        s = Submonoid([W("z1"), W("z1^-1")], 2)
         assert s.member(W("z1^-3"))
         assert not s.member(W("z2"))
         assert is_unit_in(s, W("z1"))
 
     def test_strict_monoid(self):
-        s = compile_submonoid([W("z1 z2")], 2)
+        s = Submonoid([W("z1 z2")], 2)
         assert not s.member(W("z1"))
         assert s.member(W("z1 z2 z1 z2"))
         assert not is_unit_in(s, W("z1 z2"))
 
     def test_hidden_member(self):
-        s = compile_submonoid([W("z1"), W("z1^-1 z2")], 2)
+        s = Submonoid([W("z1"), W("z1^-1 z2")], 2)
         assert s.member(W("z2"))
 
     def test_parity(self):
-        s = compile_submonoid([W("z1^2")], 2)
+        s = Submonoid([W("z1^2")], 2)
         assert not s.member(W("z1^3"))
         assert s.member(W("z1^4"))
 
     def test_identity_always_member(self):
         for gens in ([], [W("z1 z2")], [W("z2^-1")]):
-            assert compile_submonoid(gens, 2).member(identity_word(2))
+            assert Submonoid(gens, 2).member(identity_word(2))
 
     def test_unit_with_explicit_inverse(self):
-        s = compile_submonoid([W("z1 z2"), W("z2^-1 z1^-1")], 2)
+        s = Submonoid([W("z1 z2"), W("z2^-1 z1^-1")], 2)
         assert is_unit_in(s, W("z1 z2"))
 
     def test_cancellation_only_through_products(self):
-        s = compile_submonoid([W("z1 z2"), W("z2^-1")], 2)
+        s = Submonoid([W("z1 z2"), W("z2^-1")], 2)
         assert s.member(W("z1"))
 
     def test_oracle_agreement(self):
         rng = random.Random(97)
         for _ in range(25):
             gens = [random_reduced_word(rng, 2, 3) for _ in range(3)]
-            s = compile_submonoid(gens, 2)
+            s = Submonoid(gens, 2)
             oracle = dyck_membership(gens, 2)
             for w in words_up_to(2, 5):
                 assert s.member(w) == oracle(w), (gens, w)
@@ -160,7 +159,7 @@ class TestSubmonoids:
         rng = random.Random(13)
         for _ in range(10):
             gens = [random_reduced_word(rng, 2, 3) for _ in range(3)]
-            s = compile_submonoid(gens, 2)
+            s = Submonoid(gens, 2)
             for p in enumerate_products(gens, 2, 5):
                 assert s.member(p)
 
@@ -177,17 +176,10 @@ class TestSaturation:
         for w in probes + words_up_to(rank, 2):
             assert sub.member(w) == run_saturated(trans, closure, w), (gens, w)
 
-    def test_memo_shares_equal_tuples(self):
-        gens = [W("z1 z2"), W("z2^-1")]
-        a = compile_submonoid(gens, 2)
-        assert compile_submonoid(list(gens), 2) is a
-        assert compile_submonoid(iter(gens), 2) is a
-
     def test_memo_keeps_generator_order(self):
         gens = [W("z1 z2"), W("z2^-1"), W("z1^-1")]
-        a = compile_submonoid(gens, 2)
-        b = compile_submonoid(gens[::-1], 2)
-        assert b is not a
+        a = Submonoid(gens, 2)
+        b = Submonoid(gens[::-1], 2)
         assert a.generators == tuple(gens)
         assert b.generators == tuple(gens[::-1])
 
@@ -196,7 +188,7 @@ class TestImmutable:
     COPIES = [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))]
 
     def test_mutation_raises(self):
-        s = compile_submonoid([W("z1 z2")], 2)
+        s = Submonoid([W("z1 z2")], 2)
         for name in ("generators", "rank", "_closure", "other"):
             with pytest.raises(AttributeError):
                 setattr(s, name, None)
@@ -204,7 +196,7 @@ class TestImmutable:
 
     @pytest.mark.parametrize("duplicate", COPIES, ids=["copy", "deepcopy", "pickle"])
     def test_round_trip_keeps_membership(self, duplicate):
-        s = compile_submonoid([W("z1"), W("z1^-1 z2"), W("z2^-2")], 2)
+        s = Submonoid([W("z1"), W("z1^-1 z2"), W("z2^-2")], 2)
         d = duplicate(s)
         assert d.generators == s.generators and d.rank == s.rank
         for w in words_up_to(2, 4):

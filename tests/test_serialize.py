@@ -7,7 +7,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nctoric import freeword, serialize
+from nctoric import serialize
 from nctoric.azumaya import sample_matrix_model
 from nctoric.deltasystem import augment_system, build_system
 from nctoric.freeword import ReducedWord, canonical_lift, format_word, word_inv
@@ -130,7 +130,6 @@ def test_replay_saturates_no_chart(saturations):
         gluing = section.gluing
     assert len(section.system.stages) >= 3
     obj = json.loads(json.dumps(serialize.section_to_obj(section)))
-    freeword._COMPILED.clear()
     saturations.clear()
     back = serialize.section_from_obj(obj)
     assert saturations == []

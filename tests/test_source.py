@@ -246,6 +246,77 @@ def test_planted_unread_function_is_found():
     assert _unread_functions(modules) == {"lattice.solve"}
 
 
+def _module_state_writes(tree, filename):
+    """Writes from inside a function into a module-level binding: an item or
+    attribute assignment (or deletion) on a name the module binds and the
+    function does not, and every `global` statement."""
+    top = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            top |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            top.add(node.name)
+        else:
+            top |= {n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        local = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                 args.vararg, args.kwarg] if a}
+        local |= {n.id for n in ast.walk(fn)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Global):
+                found.add(f"{filename}:{node.lineno} global {', '.join(node.names)}")
+            elif (isinstance(node, (ast.Subscript, ast.Attribute))
+                  and isinstance(node.ctx, (ast.Store, ast.Del))):
+                base = node.value
+                while isinstance(base, (ast.Subscript, ast.Attribute)):
+                    base = base.value
+                if isinstance(base, ast.Name) and base.id in top - local:
+                    found.add(f"{filename}:{node.lineno} {base.id}")
+    return found
+
+
+def test_no_module_state_writes():
+    # a function that writes module state makes one call's result depend on
+    # the calls before it, and one test's on the tests before it
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _module_state_writes(ast.parse(path.read_text(), filename=str(path)),
+                                      path.name)
+    assert SRC.is_dir() and sorted(found) == []
+
+
+def test_planted_module_state_write_is_found():
+    # the memo and the counter are module state; the local cache shadows the
+    # module-level name and self is a parameter
+    source = """
+import os
+_MEMO = {}
+cache = []
+COUNT = 0
+
+
+def compile(key, self):
+    _MEMO[key] = key
+    os.environ["X"] = key
+    cache = {}
+    cache[key] = self.value = key
+    return cache
+
+
+def bump():
+    global COUNT
+    COUNT += 1
+"""
+    assert _module_state_writes(ast.parse(source), "freeword.py") == {
+        "freeword.py:9 _MEMO", "freeword.py:10 os", "freeword.py:17 global COUNT"}
+
+
 def _write(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
