@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from . import clauses
-from .errors import MorphismInvalid, NotIdempotent, PatternIncomplete
+from .errors import Frozen, MorphismInvalid, NotIdempotent, PatternIncomplete
 from .exactmath import (Echelon, GaussRational, minimal_polynomial,
                         poly_squarefree, qi_nullspace, qi_poly_roots, qim_add,
                         qim_eq, qim_flatten, qim_identity, qim_is_idempotent,
@@ -323,7 +323,7 @@ def image_kernel_bounded(morphism, cone, bound):
     return BoundedIdeal(tuple(gens), degree)
 
 
-class LineProbeResult:
+class LineProbeResult(Frozen):
     """A matrix point projected to the affine line: its minimal polynomial,
     (root, fiber dimension) pairs, and the coefficient list of the rootless
     cofactor; immutable."""
@@ -333,12 +333,6 @@ class LineProbeResult:
         object.__setattr__(self, "minpoly", minpoly)
         object.__setattr__(self, "fibers", fibers)
         object.__setattr__(self, "unresolved_factor", unresolved_factor)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LineProbeResult is immutable")
-
-    def __reduce__(self):
-        return LineProbeResult, (self.minpoly, self.fibers, self.unresolved_factor)
 
 
 def a1_probe(matrix):

@@ -200,7 +200,7 @@ def cmd_section_check(args):
 def cmd_subscheme_build(args):
     from .freeword import format_word
     from .ncalgebra import format_alg
-    from .sheaves import subscheme_from_sections
+    from .sheaves import check_twisted_section, subscheme_from_sections
     loaded = [serialize.load(path, serialize.section_from_obj) for path in args.sections]
     # carrier: the largest system among the inputs; every presentation
     # must live inside its charts (softenings only ever grow charts)
@@ -209,6 +209,17 @@ def cmd_subscheme_build(args):
         key=lambda i: sum(len(sm.generators)
                           for sm in loaded[i].system.charts.values()))
     carrier = loaded[carrier_idx]
+    report = Report()
+    for section, path in zip(loaded, args.sections):
+        if section.system.fan != carrier.system.fan:
+            raise MismatchedSystems(f"section {path}: its fan differs from the fan of "
+                                    f"section {args.sections[carrier_idx]}")
+        checked = check_twisted_section(section)
+        for finding in checked.findings:
+            finding.locus = f"{path}: {finding.locus}"
+        report.extend(checked)
+    if not report.ok:
+        return report, None
     sections = []
     for section, path in zip(loaded, args.sections):
         for cone, elem in section.locals.items():
@@ -223,8 +234,8 @@ def cmd_subscheme_build(args):
     charts = subscheme_from_sections(sections)
     if args.out:
         serialize.dump_json(serialize.subscheme_to_obj(carrier.system, charts), args.out)
-    report = Report([Finding(clause=clauses.SUBSCHEME, locus="charts", ok=True,
-                             detail=f"{len(sections)} sections over {len(charts)} cones")])
+    report.add(Finding(clause=clauses.SUBSCHEME, locus="charts", ok=True,
+                       detail=f"{len(sections)} sections over {len(charts)} cones"))
     payload = {"charts": [f"{list(c)}: " + "; ".join(format_alg(g) for g in gens)
                           for c, gens in sorted(charts.items())]}
     return report, payload

@@ -1,9 +1,24 @@
-"""Exception types shared across the package. Each library error declares
-the `clauses` label of the statement its check enforces and the `locus` it
-reports; the input errors `ParseError` and `RankMismatch` carry no clause.
-An error that only says a search bound was too small is `bound_relative`.
+"""Exception types shared across the package, and the base of its frozen
+value types. Each library error declares the `clauses` label of the
+statement its check enforces and the `locus` it reports; the input errors
+`ParseError` and `RankMismatch` carry no clause. An error that only says a
+search bound was too small is `bound_relative`.
 """
 from . import clauses
+
+
+class Frozen:
+    """Base of the immutable value types: assignment is refused, so each
+    constructor sets its slots with `object.__setattr__`, and copy and pickle
+    rebuild through the constructor from the slots in order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 class NctoricError(Exception):

@@ -16,14 +16,14 @@ from heapq import heapify, heappop, heappush
 from math import ceil, floor, gcd, isqrt, lcm
 from operator import mul
 
-from .errors import ParseError, UnboundedPolytope
+from .errors import Frozen, ParseError, UnboundedPolytope
 
 
 # ---------------------------------------------------------------------------
 # Gaussian rationals
 # ---------------------------------------------------------------------------
 
-class GaussRational:
+class GaussRational(Frozen):
     """An element (a + b i) / d of Q(i), kept as three ints with d > 0 and
     gcd(a, b, d) = 1, so equal values have equal fields."""
 
@@ -37,11 +37,8 @@ class GaussRational:
         _set_b(self, im.numerator * (d // im.denominator))
         _set_d(self, d)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussRational is immutable")
-
     def __reduce__(self):
-        # copy and pickle rebuild through the constructor: __setattr__ is blocked
+        # the constructor takes the value's parts, not the slots
         return GaussRational, (self.re, self.im)
 
     @property

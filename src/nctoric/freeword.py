@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from .errors import ParseError, RankMismatch
+from .errors import Frozen, ParseError, RankMismatch
 
 
-class ReducedWord:
+class ReducedWord(Frozen):
     """Freely reduced word; immutable and hashable."""
 
     __slots__ = ("letters", "rank")
@@ -37,12 +37,6 @@ class ReducedWord:
                 raise ValueError(f"word {letters} is not reduced")
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "rank", rank)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ReducedWord is immutable")
-
-    def __reduce__(self):
-        return ReducedWord, (self.letters, self.rank)
 
     def __len__(self):
         return len(self.letters)
@@ -175,7 +169,7 @@ def format_word(w):
 # Finitely generated submonoids
 # ---------------------------------------------------------------------------
 
-class Submonoid:
+class Submonoid(Frozen):
     """Submonoid of the free group generated by finitely many words.
 
     Membership is decided on the flower automaton of (g1|...|gk)*, saturated
@@ -223,9 +217,6 @@ class Submonoid:
         object.__setattr__(self, "_closure", tuple(closure))
         object.__setattr__(self, "_moves", moves)
         return moves
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Submonoid is immutable")
 
     def __reduce__(self):
         return Submonoid, (self.generators, self.rank)

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .errors import ParseError, RankMismatch, TargetExceedsBound
+from .errors import Frozen, ParseError, RankMismatch, TargetExceedsBound
 from .exactmath import Echelon, GaussRational, ONE, ZERO, format_gauss, parse_gauss
 from .freeword import (ReducedWord, abelianize, format_word, identity_word,
                        letters_mul, parse_word, word_mul, words_up_to)
 
 
-class AlgElem:
+class AlgElem(Frozen):
     """Finite Q(i)-combination of reduced words; zero terms never stored."""
 
     __slots__ = ("rank", "terms")
@@ -30,12 +30,6 @@ class AlgElem:
                 clean[w] = c
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgElem is immutable")
-
-    def __reduce__(self):
-        return AlgElem, (self.rank, self.terms)
 
     @staticmethod
     def zero(rank):
@@ -82,8 +76,6 @@ class AlgElem:
         return AlgElem(self.rank, {w: c * x for w, x in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, GaussRational)):
-            return self.scale(other)
         if isinstance(other, ReducedWord):
             other = AlgElem.from_word(other)
         if self.rank != other.rank:
@@ -94,13 +86,6 @@ class AlgElem:
                 w = word_mul(wa, wb)
                 terms[w] = terms.get(w, ZERO) + ca * cb
         return AlgElem(self.rank, terms)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, GaussRational)):
-            return self.scale(other)
-        if isinstance(other, ReducedWord):
-            return AlgElem.from_word(other) * self
-        return NotImplemented
 
     def max_word_len(self):
         return max((len(w) for w in self.terms), default=0)
@@ -209,7 +194,7 @@ def parse_alg(text, rank):
 # Bounded two-sided ideals
 # ---------------------------------------------------------------------------
 
-class BoundedIdeal:
+class BoundedIdeal(Frozen):
     """Two-sided ideal of nonzero generators, searched up to a degree bound;
     immutable."""
     __slots__ = ("generators", "degree_bound")
@@ -221,14 +206,8 @@ class BoundedIdeal:
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "degree_bound", degree_bound)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BoundedIdeal is immutable")
 
-    def __reduce__(self):
-        return BoundedIdeal, (self.generators, self.degree_bound)
-
-
-class MemberCertificate:
+class MemberCertificate(Frozen):
     """target = sum of coeff * (left * generator * right) over the
     combination's (coeff, left word, generator index, right word) items;
     immutable."""
@@ -236,12 +215,6 @@ class MemberCertificate:
 
     def __init__(self, combination):
         object.__setattr__(self, "combination", combination)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MemberCertificate is immutable")
-
-    def __reduce__(self):
-        return MemberCertificate, (self.combination,)
 
     def reconstruct(self, ideal, rank):
         acc = AlgElem.zero(rank)

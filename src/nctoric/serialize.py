@@ -16,7 +16,7 @@ import os
 
 from .errors import ParseError
 from .exactmath import format_gauss, parse_gauss
-from .toricfan import DivisorData, Fan, validate_fan
+from .toricfan import Fan, validate_fan
 
 
 def load_json(path):
@@ -34,19 +34,22 @@ def load_json(path):
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=one_value_per_key)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc.msg}", line=exc.lineno, column=exc.colno) from None
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: byte {exc.start} is "
                          f"0x{exc.object[exc.start]:02x}") from None
+    except (OSError, ValueError) as exc:
+        # open refuses a path with a null byte by ValueError
+        raise ParseError(f"cannot read {path}: {exc}") from None
+    try:
+        return json.loads(text, object_pairs_hook=one_value_per_key)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc.msg}", line=exc.lineno, column=exc.colno) from None
     except RecursionError:
         raise ParseError(f"{path}: values nested too deeply") from None
     except ValueError:
         # the one ValueError left: an integer past the interpreter's digit limit
         raise ParseError(f"{path}: an integer literal has too many digits to read") from None
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
 
 
 def load(path, from_obj, *args):
@@ -264,7 +267,7 @@ def divisor_from_obj(obj, fan, where="divisor"):
 
     coeffs = _unique((coefficient(*kv) for kv in coeff_map.items()), where,
                      lambda idx: f"ray {idx}")
-    return DivisorData(tuple(coeffs.get(i, 0) for i in range(len(fan.rays))))
+    return tuple(coeffs.get(i, 0) for i in range(len(fan.rays)))
 
 
 # --- sheaves -----------------------------------------------------------------

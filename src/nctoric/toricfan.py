@@ -12,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, prod
 
-from .errors import (MissingReferenceCone, NoPositivityFunctional, NonPrimitiveRay,
-                     NotAFan, NotIndexOne)
+from .errors import (Frozen, MissingReferenceCone, NoPositivityFunctional,
+                     NonPrimitiveRay, NotAFan, NotIndexOne)
 from .exactmath import hnf, lattice_points, lattice_solver, linear_feasible
 
 
@@ -29,7 +29,7 @@ def is_primitive(v):
     return g == 1
 
 
-class Fan:
+class Fan(Frozen):
     """A validated fan; immutable. Equality and hash read the rank, rays,
     maximal cones and faces, not the certificates or dual bases derived
     from them."""
@@ -42,13 +42,6 @@ class Fan:
         object.__setattr__(self, "faces", faces)
         object.__setattr__(self, "pair_certificates", pair_certificates)
         object.__setattr__(self, "duals", duals)   # maximal cone -> dual basis
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Fan is immutable")
-
-    def __reduce__(self):
-        return Fan, (self.rank, self.rays, self.max_cones, self.faces,
-                     self.pair_certificates, self.duals)
 
     def _key(self):
         return (self.rank, self.rays, self.max_cones, self.faces)
@@ -241,16 +234,7 @@ def cone_monoid_generators(fan, tau):
     return gens, flags
 
 
-class DivisorData:
-    """One integer coefficient per ray of the fan."""
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients):
-        self.coefficients = coefficients
-
-    def coefficient(self, ray_index):
-        return self.coefficients[ray_index]
-
+# a divisor sum a_i D_i is the tuple of its coefficients a_i, one per ray
 
 def divisor_vertices(fan, divisor):
     """{cone: vertex exponents of the divisor}: solved on each maximal cone
@@ -260,7 +244,7 @@ def divisor_vertices(fan, divisor):
     for sigma in fan.max_cones:
         duals = fan.duals[sigma]
         m = tuple(
-            sum(-divisor.coefficient(ri) * duals[k][j]
+            sum(-divisor[ri] * duals[k][j]
                 for k, ri in enumerate(sigma))
             for j in range(fan.rank))
         vertex[sigma] = m
@@ -272,7 +256,7 @@ def divisor_vertices(fan, divisor):
 
 def _polytope_inequalities(fan, divisor):
     """The divisor polytope {m : <m, v_i> >= -a_i} as (v_i, -a_i) pairs."""
-    return [(ray, -divisor.coefficient(ri)) for ri, ray in enumerate(fan.rays)]
+    return [(ray, -divisor[ri]) for ri, ray in enumerate(fan.rays)]
 
 
 def polytope_sections(fan, divisor):

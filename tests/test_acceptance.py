@@ -23,7 +23,7 @@ from nctoric.ncalgebra import (AlgElem, BoundedIdeal, abelianize_elem,
 from nctoric.sheaves import (GluingData, TwistedSectionData, check_gluing,
                              check_twisted_section, combine_sections, extend_section,
                              sheaf_from_divisor, subscheme_from_sections)
-from nctoric.toricfan import DivisorData, divisor_vertices, polytope_sections, validate_fan
+from nctoric.toricfan import divisor_vertices, polytope_sections, validate_fan
 from oracles import (brute_lattice_points, dyck_membership, qi_solve, qim_from_rows,
                      random_matrix, random_reduced_word, triangle_count)
 
@@ -110,7 +110,7 @@ def test_criterion_03_chart_construction_on_four_fans():
 def test_criterion_04_divisor_sheaf_pipeline():
     base = build_system(fan_p2())
     for d in range(4):
-        gluing = sheaf_from_divisor(base, DivisorData((0, 0, d)))
+        gluing = sheaf_from_divisor(base, (0, 0, d))
         softened = gluing.system
         report = check_gluing(gluing)
         assert report.ok, f"degree {d}: " + report.to_text()
@@ -122,7 +122,7 @@ def test_criterion_04_divisor_sheaf_pipeline():
 
 def _extend_all(fan, degree_coeffs):
     base = build_system(fan)
-    divisor = DivisorData(degree_coeffs)
+    divisor = degree_coeffs
     gluing = sheaf_from_divisor(base, divisor)
     points = polytope_sections(fan, divisor)
     sections = []
@@ -143,7 +143,7 @@ def test_criterion_05_sections_extend_and_counts_match():
         (fan_p1(), (0, 1), 2),
     ]
     for fan, coeffs, expected in cases:
-        points = polytope_sections(fan, DivisorData(coeffs))
+        points = polytope_sections(fan, coeffs)
         brute = brute_lattice_points(fan.rays, coeffs, radius=8)
         assert points == brute
         assert len(points) == expected
@@ -328,7 +328,7 @@ def test_criterion_11_cubic_curve_commutative_shadow():
 def test_criterion_12_tamper_suite():
     # (a) cocycle scalar
     base = build_system(fan_p2())
-    gluing = sheaf_from_divisor(base, DivisorData((0, 0, 1)))
+    gluing = sheaf_from_divisor(base, (0, 0, 1))
     bad = GluingData(system=gluing.system, scalars=dict(gluing.scalars),
                      words=dict(gluing.words))
     bad.scalars[((0, 1), (0,))] = GaussRational(2)
@@ -355,7 +355,7 @@ def test_criterion_12_tamper_suite():
     assert "Def 4.2.9(ii)" in clauses_hit
 
     # (c) one section presentation
-    divisor = DivisorData((0, 0, 1))
+    divisor = (0, 0, 1)
     section = extend_section(sheaf_from_divisor(base, divisor), divisor, (1, 0))
     locals_ = dict(section.locals)
     locals_[(0,)] = locals_[(0,)] + AlgElem.one(2)

@@ -270,20 +270,29 @@ class TestSheafAndSections:
         assert code == 1
         assert "Def 3.6" in out
 
-    def test_subscheme_member(self, setup, capsys):
+    @pytest.fixture
+    def sections(self, setup, capsys):
+        """s1.json and s2.json of the README walkthrough."""
         tmp_path, fan_path, div_path = setup
         sheaf_path = str(tmp_path / "sheaf.json")
-        run(capsys, "sheaf", "from-divisor", fan_path, "--divisor", div_path,
-            "--out", sheaf_path)
-        sec1 = str(tmp_path / "s1.json")
-        run(capsys, "section", "extend", sheaf_path, "--divisor", div_path,
-            "--point", "1,0", "--out", sec1)
-        sec2 = str(tmp_path / "s2.json")
-        run(capsys, "section", "extend", sec1, "--divisor", div_path,
-            "--point", "0,1", "--out", sec2)
+        sec1, sec2 = str(tmp_path / "s1.json"), str(tmp_path / "s2.json")
+        for argv in (["sheaf", "from-divisor", fan_path, "--divisor", div_path,
+                      "--out", sheaf_path],
+                     ["section", "extend", sheaf_path, "--divisor", div_path,
+                      "--point", "1,0", "--out", sec1],
+                     ["section", "extend", sec1, "--divisor", div_path,
+                      "--point", "0,1", "--out", sec2]):
+            assert run(capsys, *argv)[0] == 0
+        return sec1, sec2
+
+    @staticmethod
+    def failures(out):
+        return [(f["clause"], f["locus"], f["detail"])
+                for f in json.loads(out)["findings"] if not f["ok"]]
+
+    def test_subscheme_member(self, tmp_path, sections, capsys):
         sub_path = str(tmp_path / "sub.json")
-        code, _, _ = run(capsys, "subscheme", "build", sec1, sec2,
-                         "--out", sub_path)
+        code, _, _ = run(capsys, "subscheme", "build", *sections, "--out", sub_path)
         assert code == 0
         code, out, _ = run(capsys, "subscheme", "member", sub_path,
                            "--cone", "0,1", "--element", "z2 z1", "--bound", "4")
@@ -314,6 +323,89 @@ class TestSheafAndSections:
         code = run(capsys, "subscheme", "member", sub_path,
                    "--cone", "0,1", "--element", "z1", "--bound", "2")[0]
         assert code == 0 and saturations == []
+
+    @pytest.mark.parametrize("edit, loci, detail", [
+        (lambda obj: obj["locals"].remove({"cone": [0, 1], "element": "z1"}),
+         ["[0, 1] > []", "[0, 1] > [0]", "[0, 1] > [1]"], "missing local presentation"),
+        (lambda obj: obj["locals"][1].update(element="0"),
+         ["[0] > []", "[0, 1] > [0]", "[0, 2] > [0]"], "exactly one side vanishes"),
+        (lambda obj: obj["sheaf"]["gluing"].pop(2),
+         ["[0, 1] > [0]"], "incidence pair missing from gluing data"),
+    ], ids=["local-deleted", "local-zero", "gluing-entry-deleted"])
+    def test_section_check_failures(self, tmp_path, sections, capsys, edit, loci, detail):
+        # hand-edited copies of s1.json; the zero local is the one on [0]
+        obj = load_json(sections[0])
+        assert obj["locals"][1]["cone"] == [0] and obj["sheaf"]["gluing"][2] == {
+            "upper": [0, 1], "lower": [0], "scalar": "1", "word": "e"}
+        edit(obj)
+        bad = write(tmp_path, "bad.json", obj)
+        code, out, _ = run(capsys, "section", "check", bad, "--json")
+        assert code == 1
+        assert self.failures(out) == [("Def 3.6", locus, detail) for locus in loci]
+
+    def test_all_zero_section_passes(self, tmp_path, sections, capsys):
+        obj = load_json(sections[0])
+        for item in obj["locals"]:
+            item["element"] = "0"
+        zero = write(tmp_path, "zero.json", obj)
+        code, out, _ = run(capsys, "section", "check", zero, "--json")
+        findings = json.loads(out)["findings"]
+        assert code == 0 and len(findings) == 12
+        assert {(f["ok"], f["detail"]) for f in findings} == {(True, "both sides vanish")}
+
+    def test_sheaf_check_missing_gluing_entry(self, tmp_path, sections, capsys):
+        sheaf = load_json(sections[0])["sheaf"]
+        sheaf["gluing"].pop(2)
+        bad = write(tmp_path, "bad_sheaf.json", sheaf)
+        code, out, _ = run(capsys, "sheaf", "check", bad, "--json")
+        assert code == 1 and self.failures(out) == [
+            ("Lemma 3.4(i)", "[0, 1] > [0]", "incidence pair missing from gluing data")]
+
+    def test_subscheme_build_checks_every_section(self, sections, capsys):
+        # each input's Def 3.6 findings name its file; the Def 3.9 finding,
+        # which the cubic-sections benchmark reads, stays last
+        sec1, sec2 = sections
+        code, out, _ = run(capsys, "subscheme", "build", sec1, sec2, "--json")
+        findings = json.loads(out)["findings"]
+        assert code == 0 and len(findings) == 25 and all(f["ok"] for f in findings)
+        assert [f["locus"].split(": ")[0] for f in findings[:-1]] == [sec1] * 12 + [sec2] * 12
+        assert [f["clause"] for f in findings[:-1]] == ["Def 3.6"] * 24
+        assert (findings[-1]["clause"], findings[-1]["detail"]) == (
+            "Def 3.9", "2 sections over 7 cones")
+
+    def test_subscheme_build_refuses_a_non_section(self, tmp_path, sections, capsys):
+        # z1 + z2 is no unit multiple of the other charts' presentations
+        sec1, sec2 = sections
+        obj = load_json(sec1)
+        for item in obj["locals"]:
+            if item["cone"] == [0, 1]:
+                item["element"] = "z1 + z2"
+        bad = write(tmp_path, "bad.json", obj)
+        sub_path = str(tmp_path / "sub.json")
+        code, out, _ = run(capsys, "subscheme", "build", bad, sec2, "--out", sub_path, "--json")
+        assert code == 1 and not os.path.exists(sub_path)
+        assert self.failures(out) == [
+            ("Def 3.6", f"{bad}: [0, 1] > {lower}", "no verifying unit among monomial quotients")
+            for lower in ("[]", "[0]", "[1]")]
+
+    def test_subscheme_build_refuses_sections_on_different_fans(self, tmp_path, capsys):
+        div_path = write(tmp_path, "o1.div", {"coefficients": {"2": 1}})
+        paths = []
+        for k in (2, 3):
+            fan_path = write(tmp_path, f"f{k}.fan", {"rank": 2, "rays": [[1, 0], [0, 1], [-1, k]],
+                                                     "max_cones": [[0, 1], [1, 2]]})
+            sheaf_path, sec_path = str(tmp_path / f"h{k}.json"), str(tmp_path / f"x{k}.json")
+            for argv in (["sheaf", "from-divisor", fan_path, "--divisor", div_path,
+                          "--out", sheaf_path],
+                         ["section", "extend", sheaf_path, "--divisor", div_path,
+                          "--point", "1,0", "--out", sec_path]):
+                assert run(capsys, *argv)[0] == 0
+            paths.append(sec_path)
+        sub_path = str(tmp_path / "sub.json")
+        code, out, _ = run(capsys, "subscheme", "build", *paths, "--out", sub_path, "--json")
+        [(clause, _, detail)] = self.failures(out)
+        assert code == 1 and not os.path.exists(sub_path)
+        assert clause == "Def 3.9" and "fan differs from the fan of section" in detail
 
     def test_member_target_longer_than_bound(self, tmp_path, capsys):
         # at bound 3 the search cannot even hold the length-4 target, which
@@ -596,6 +688,14 @@ class TestMalformedInput:
         code, _, err = run_process("fan", "check", str(path))
         assert code == 2
         assert "Traceback" not in err and f"error: {path}:" in err
+
+    def test_unopenable_path(self, tmp_path, monkeypatch):
+        # open refuses a null byte with a ValueError that is not the digit limit
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "sys.json", {"fan": "p2\u0000.fan"})
+        code, _, err = run_process("system", "check", "sys.json")
+        assert code == 2 and "Traceback" not in err
+        assert err.startswith("error: cannot read ./p2") and "embedded null byte" in err
 
     @pytest.mark.parametrize("argv", [
         ["morphism", "kernel", "mor.json", "--cone", "0,5"],

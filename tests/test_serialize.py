@@ -13,7 +13,7 @@ from nctoric.deltasystem import augment_system, build_system
 from nctoric.freeword import ReducedWord, canonical_lift, format_word, word_inv
 from nctoric.sheaves import (check_twisted_section, extend_section, sheaf_from_divisor,
                              subscheme_from_sections)
-from nctoric.toricfan import DivisorData, polytope_sections, validate_fan
+from nctoric.toricfan import polytope_sections, validate_fan
 from oracles import equal_charts
 
 CHAIN_FANS = {
@@ -73,7 +73,7 @@ def test_every_written_artifact_replays_to_the_checked_system(name, seed):
                                 system), system)
 
     top = 1 if fan.rank == 3 else 2
-    divisor = DivisorData(tuple(rng.randint(0, top) for _ in fan.rays))
+    divisor = tuple(rng.randint(0, top) for _ in fan.rays)
     gluing = sheaf_from_divisor(system, divisor)
     back = replayed(serialize.sheaf_to_obj, serialize.sheaf_from_obj, gluing)
     assert_same_system(back.system, gluing.system)
@@ -123,7 +123,7 @@ def test_replay_saturates_no_chart(saturations):
     # every command replays its artifact's recipe, stage by stage, but only
     # the final system's charts are queried, and only by a check
     fan = validate_fan(*CHAIN_FANS["p2"])
-    divisor = DivisorData((0, 0, 3))
+    divisor = (0, 0, 3)
     gluing = sheaf_from_divisor(build_system(fan), divisor)
     for point in polytope_sections(fan, divisor)[:3]:
         section = extend_section(gluing, divisor, point)

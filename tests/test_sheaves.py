@@ -12,7 +12,7 @@ from nctoric.sheaves import (GluingData, TwistedSectionData, check_gluing,
                              check_twisted_section, combine_sections, extend_section,
                              sheaf_from_divisor, sheaves_isomorphic,
                              subscheme_from_sections)
-from nctoric.toricfan import DivisorData, divisor_vertices, polytope_sections, validate_fan
+from nctoric.toricfan import divisor_vertices, polytope_sections, validate_fan
 from oracles import brute_lattice_points, triangle_count
 
 
@@ -29,7 +29,7 @@ def fan_p1():
 
 
 def o_d(d):
-    return DivisorData((0, 0, d))
+    return (0, 0, d)
 
 
 def trivial_gluing(system):
@@ -92,7 +92,7 @@ class TestCheckGluing:
         ]:
             fan = validate_fan(2, raw, [(0, 1), (1, 2), (2, 3), (0, 3)])
             base = build_system(fan)
-            divisor = DivisorData(coeffs)
+            divisor = coeffs
             gluing = sheaf_from_divisor(base, divisor)
             assert check_gluing(gluing).ok
             points = polytope_sections(fan, divisor)
@@ -106,7 +106,7 @@ class TestCheckGluing:
     def test_p1_transition_degrees(self):
         base = build_system(fan_p1())
         for k in (1, 2, 3):
-            gluing = sheaf_from_divisor(base, DivisorData((0, k)))
+            gluing = sheaf_from_divisor(base, (0, k))
             assert check_gluing(gluing).ok
             degrees = {abelianize(gluing.words[(sigma, ())])[0]
                        for sigma in base.fan.max_cones}
@@ -173,15 +173,15 @@ class TestPolytope:
             assert len(pts) == triangle_count(d)
 
     def test_empty(self):
-        assert polytope_sections(fan_p2(), DivisorData((0, 0, -1))) == []
+        assert polytope_sections(fan_p2(), (0, 0, -1)) == []
 
     def test_unbounded(self):
         fan = validate_fan(2, [(1, 0), (0, 1)], [(0, 1)])
         with pytest.raises(UnboundedPolytope):
-            polytope_sections(fan, DivisorData((0, 0)))
+            polytope_sections(fan, (0, 0))
 
     def test_p1(self):
-        assert len(polytope_sections(fan_p1(), DivisorData((0, 1)))) == 2
+        assert len(polytope_sections(fan_p1(), (0, 1))) == 2
 
     def test_random_divisors_against_brute_force(self):
         rng = random.Random(29)
@@ -200,7 +200,7 @@ class TestPolytope:
                 brute = brute_lattice_points(fan.rays, coeffs, radius)
                 ineqs = [(ray, -a) for ray, a in zip(fan.rays, coeffs)]
                 assert lattice_points(ineqs, fan.rank) == brute
-                assert polytope_sections(fan, DivisorData(coeffs)) == brute
+                assert polytope_sections(fan, coeffs) == brute
                 empty += not brute
         assert empty >= 5
 
@@ -208,8 +208,8 @@ class TestPolytope:
         # the upper half plane: coordinate 1 is bounded, coordinate 2 is not
         fan = validate_fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)])
         with pytest.raises(UnboundedPolytope, match="unbounded in coordinate 2"):
-            polytope_sections(fan, DivisorData((1, 0, 1)))
-        assert polytope_sections(fan, DivisorData((-1, 0, -1))) == []
+            polytope_sections(fan, (1, 0, 1))
+        assert polytope_sections(fan, (-1, 0, -1)) == []
 
 
 class TestExtendSection:
@@ -237,7 +237,7 @@ class TestExtendSection:
 
     def test_p1_o2_middle_point(self):
         base = build_system(fan_p1())
-        divisor = DivisorData((0, 2))
+        divisor = (0, 2)
         section = extend_section(sheaf_from_divisor(base, divisor), divisor, (1,))
         assert check_twisted_section(section).ok
         for cone in base.fan.faces:

@@ -317,6 +317,61 @@ def bump():
         "freeword.py:9 _MEMO", "freeword.py:10 os", "freeword.py:17 global COUNT"}
 
 
+def _setattr_definers(tree, filename):
+    """Classes that bind __setattr__ in their body, other than the frozen
+    base `errors.Frozen`."""
+    found = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or (filename, cls.name) == ("errors.py", "Frozen"):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            if "__setattr__" in names:
+                found.add(f"{filename}:{node.lineno} {cls.name}")
+    return found
+
+
+def test_one_frozen_base():
+    # immutability is written once, in errors.Frozen; a class that refuses
+    # assignment derives from it instead of defining its own __setattr__
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _setattr_definers(ast.parse(path.read_text(), filename=str(path)), path.name)
+    assert SRC.is_dir() and sorted(found) == []
+
+
+def test_planted_setattr_is_found():
+    # Word derives from the base; Point writes its own rule, Alias binds
+    # one, and only the base in errors.py is exempt
+    source = """
+class Frozen:
+    def __setattr__(self, name, value):
+        raise AttributeError(name)
+
+
+class Word(Frozen):
+    __slots__ = ("letters",)
+
+
+class Point:
+    def __setattr__(self, name, value):
+        raise AttributeError(name)
+
+
+class Alias:
+    __setattr__ = Frozen.__setattr__
+"""
+    assert _setattr_definers(ast.parse(source), "errors.py") == {
+        "errors.py:12 Point", "errors.py:17 Alias"}
+    assert _setattr_definers(ast.parse(source), "freeword.py") == {
+        "freeword.py:3 Frozen", "freeword.py:12 Point", "freeword.py:17 Alias"}
+
+
 def _write(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)

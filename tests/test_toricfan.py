@@ -11,10 +11,9 @@ from nctoric.deltasystem import (abelianized_chart, augment_system, build_system
 from nctoric.errors import (MissingReferenceCone, NoPositivityFunctional,
                             NonPrimitiveRay, NotAFan, NotIndexOne)
 from nctoric.serialize import fan_to_obj
-from nctoric.toricfan import (DivisorData, check_certificate, comm_monoid_member,
-                              comm_monoid_solver, cone_monoid_generators, divisor_vertices,
-                              in_polytope, pairing, polytope_sections, ray_sum,
-                              validate_fan)
+from nctoric.toricfan import (check_certificate, comm_monoid_member, comm_monoid_solver,
+                              cone_monoid_generators, divisor_vertices, in_polytope,
+                              pairing, polytope_sections, ray_sum, validate_fan)
 from nctoric import exactmath
 from nctoric.exactmath import linear_feasible
 from nctoric.freeword import canonical_lift, identity_word, word_mul
@@ -165,7 +164,7 @@ class TestInPolytope:
         inside = 0
         for _ in range(30):
             coeffs = tuple(rng.randint(-3, 3) for _ in fan.rays)
-            divisor = DivisorData(coeffs)
+            divisor = coeffs
             vertex = divisor_vertices(fan, divisor)
             sections = polytope_sections(fan, divisor)
             for point in box | set(sections):
