@@ -14,7 +14,6 @@ ADMISSIBLE_FINITE = "Def 2.2.4(0)"
 ADMISSIBLE_SURJECTIVE = "Def 2.2.4(1)"
 ADMISSIBLE_UNITS = "Def 2.2.4(2)"
 BUILD_SYSTEM = "Thm 2.2.5"
-COMPLETION = "Prop 2.2.9"
 AUGMENTATION = "Prop 2.2.10"
 SOFTENING = "Def 2.2.14"
 

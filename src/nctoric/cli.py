@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import clauses, serialize
-from .errors import MismatchedSystems, NctoricError, ParseError, RankMismatch
+from .errors import NctoricError, ParseError, RankMismatch
 from .exactmath import format_gauss
 from .reports import Finding, Report
 
@@ -198,44 +198,23 @@ def cmd_section_check(args):
 # --- subschemes -----------------------------------------------------------------
 
 def cmd_subscheme_build(args):
-    from .freeword import format_word
     from .ncalgebra import format_alg
     from .sheaves import check_twisted_section, subscheme_from_sections
     loaded = [serialize.load(path, serialize.section_from_obj) for path in args.sections]
-    # carrier: the largest system among the inputs; every presentation
-    # must live inside its charts (softenings only ever grow charts)
-    carrier_idx = max(
-        range(len(loaded)),
-        key=lambda i: sum(len(sm.generators)
-                          for sm in loaded[i].system.charts.values()))
-    carrier = loaded[carrier_idx]
     report = Report()
     for section, path in zip(loaded, args.sections):
-        if section.system.fan != carrier.system.fan:
-            raise MismatchedSystems(f"section {path}: its fan differs from the fan of "
-                                    f"section {args.sections[carrier_idx]}")
         checked = check_twisted_section(section)
         for finding in checked.findings:
             finding.locus = f"{path}: {finding.locus}"
         report.extend(checked)
     if not report.ok:
         return report, None
-    sections = []
-    for section, path in zip(loaded, args.sections):
-        for cone, elem in section.locals.items():
-            chart = carrier.system.charts.get(cone)
-            for w in elem.terms:
-                if chart is None or not chart.member(w):
-                    raise MismatchedSystems(
-                        f"section {path}: word {format_word(w)} is not in "
-                        f"the carrier chart of cone {list(cone)}")
-        sections.append(type(section)(gluing=carrier.gluing,
-                                      locals=section.locals))
-    charts = subscheme_from_sections(sections)
+    system, charts = subscheme_from_sections(
+        loaded, [f"section {path}" for path in args.sections])
     if args.out:
-        serialize.dump_json(serialize.subscheme_to_obj(carrier.system, charts), args.out)
+        serialize.dump_json(serialize.subscheme_to_obj(system, charts), args.out)
     report.add(Finding(clause=clauses.SUBSCHEME, locus="charts", ok=True,
-                       detail=f"{len(sections)} sections over {len(charts)} cones"))
+                       detail=f"{len(loaded)} sections over {len(charts)} cones"))
     payload = {"charts": [f"{list(c)}: " + "; ".join(format_alg(g) for g in gens)
                           for c, gens in sorted(charts.items())]}
     return report, payload

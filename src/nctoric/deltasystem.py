@@ -1,6 +1,6 @@
 """Inverse systems of admissible submonoid charts over a fan: construction
-from lifts, completion from maximal charts, augmentation, softening, and the
-per-cone admissibility verdicts with witnesses.
+from lifts, augmentation, softening, and the per-cone admissibility verdicts
+with witnesses.
 
 A system built from lifts carries its recipe: the lifts it was built from and
 the extras of every augmentation since, in order. Replaying build_system and
@@ -9,8 +9,7 @@ then augment_system on those arguments rebuilds the identical charts.
 from __future__ import annotations
 
 from . import clauses
-from .errors import (BadLift, ExtraOutsideDualCone, MaximalChartTouched,
-                     NoPositivityFunctional, NotAdmissibleInput)
+from .errors import BadLift, ExtraOutsideDualCone, MaximalChartTouched, NoPositivityFunctional
 from .freeword import (Submonoid, abelianize, canonical_lift, format_word, is_unit_in,
                        word_inv, words_up_to)
 from .reports import Finding, Report
@@ -39,8 +38,9 @@ def _system_from_seeds(fan, seeds, lifts=None, stages=()):
     seeds of the faces above it, the lower faces in fan.faces order and then
     the maximal cones in fan.max_cones order; the inverses of those words
     that kill the cone; and, on the zero cone, the letters. Submonoid keeps
-    the first occurrence of each word. Build, completion, augmentation and
-    softening all give a lower chart this one chart.
+    the first occurrence of each word. Build, augmentation and softening all
+    give a lower chart this one chart, as does Prop 2.2.9's completion,
+    `complete_system` in tests/oracles.py.
     """
     above = [c for c in fan.faces if not fan.is_maximal(c)] + list(fan.max_cones)
     charts = {}
@@ -156,29 +156,6 @@ def check_admissible(system):
         findings.extend(admissible_cone_findings(system, cone))
     findings.extend(inverse_system_findings(system))
     return Report(findings)
-
-
-def complete_system(fan, partial):
-    """Extend admissible maximal charts downward to a full chart system.
-
-    partial maps every maximal cone to its generating words; the maximal
-    charts are kept verbatim.
-    """
-    seeds = {}
-    for sigma in fan.max_cones:
-        if sigma not in partial:
-            raise NotAdmissibleInput(f"no chart supplied for maximal cone {list(sigma)}")
-        words = list(partial[sigma])
-        for w in words:
-            if not _in_dual(abelianize(w), fan, sigma):
-                raise NotAdmissibleInput(
-                    f"generator {format_word(w)} of cone {list(sigma)} leaves the dual cone")
-        supplied = ChartSystem(fan=fan, charts={sigma: Submonoid(words, fan.rank)})
-        for f in admissible_cone_findings(supplied, sigma):
-            if not f.ok:
-                raise NotAdmissibleInput(f"{f.locus}: {f.clause} fails for {f.detail}")
-        seeds[sigma] = words
-    return _system_from_seeds(fan, seeds)
 
 
 def augment_system(system, extra):

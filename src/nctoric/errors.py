@@ -69,10 +69,6 @@ class BadLift(NctoricError):
     clause = clauses.BUILD_SYSTEM
 
 
-class NotAdmissibleInput(NctoricError):
-    clause = clauses.COMPLETION
-
-
 class ExtraOutsideDualCone(NctoricError):
     clause = clauses.AUGMENTATION
 

@@ -4,8 +4,9 @@ of the divisor polytope, and ideal data of the subschemes they cut out.
 
 Every call takes its artifact and reads the base off it: a gluing carries
 the softened system that absorbs its transitions, a section carries its
-gluing. The units a construction needs are added by one softening stage,
-built by `_soften_transitions`.
+gluing, and sections read together are read on their carrier's system. The
+units a construction needs are added by one softening stage, built by
+`_soften_transitions`.
 """
 from __future__ import annotations
 
@@ -254,36 +255,53 @@ def check_twisted_section(section):
     return Report(findings)
 
 
-def combine_sections(coeffs, sections):
-    """Pointwise Q(i)-combination of section presentations over a common
-    system; whether the result is again a twisted section is for the checker
-    to decide."""
-    base = sections[0]
-    for s in sections[1:]:
-        if s.system is not base.system:
-            raise MismatchedSystems("sections live on different systems")
-    locals_ = {}
-    for cone in base.system.fan.faces:
-        acc = AlgElem.zero(base.system.fan.rank)
-        for c, s in zip(coeffs, sections):
-            acc = acc + s.locals[cone].scale(c)
-        locals_[cone] = acc
-    return TwistedSectionData(gluing=base.gluing, locals=locals_)
-
-
-def subscheme_from_sections(sections):
-    """Per-cone two-sided ideal generators cut out by the sections."""
+def _carrier(sections, labels=None):
+    """The first section with the most chart generators: the others, which
+    may come from separate files, are read in place on its system. Each must
+    share its fan, each word of their presentations must lie in its chart of
+    the cone, and each needs a presentation on every cone. labels, by
+    default the positions, name sections in refusals."""
     if not sections:
         raise ValueError("at least one section is required")
-    base = sections[0]
-    for s in sections[1:]:
-        if s.system is not base.system:
-            raise MismatchedSystems("sections live on different systems")
-    out = {}
-    for cone in base.system.fan.faces:
+    labels = labels or [f"section {i}" for i in range(len(sections))]
+    k = max(range(len(sections)),
+            key=lambda i: sum(len(sm.generators) for sm in sections[i].system.charts.values()))
+    carrier = sections[k].system
+    for s, label in zip(sections, labels):
+        if s.system.fan != carrier.fan:
+            raise MismatchedSystems(f"{label}: its fan differs from the fan of {labels[k]}")
+    for s, label in zip(sections, labels):
+        for cone, elem in s.locals.items():
+            for w in elem.terms:
+                if not carrier.charts[cone].member(w):
+                    raise MismatchedSystems(
+                        f"{label}: word {format_word(w)} is not in the carrier "
+                        f"chart of cone {list(cone)}")
+    for cone in carrier.fan.faces:
         if any(cone not in s.locals for s in sections):
             raise MismatchedSystems(
                 f"a section has no local presentation on cone {list(cone)}")
-        gens = [s.locals[cone] for s in sections if not s.locals[cone].is_zero()]
-        out[cone] = gens
-    return out
+    return sections[k]
+
+
+def combine_sections(coeffs, sections):
+    """Pointwise Q(i)-combination of section presentations, glued onto the
+    carrier's gluing; whether the result is again a twisted section is for
+    the checker to decide."""
+    gluing = _carrier(sections).gluing
+    fan = gluing.system.fan
+    locals_ = {}
+    for cone in fan.faces:
+        acc = AlgElem.zero(fan.rank)
+        for c, s in zip(coeffs, sections):
+            acc = acc + s.locals[cone].scale(c)
+        locals_[cone] = acc
+    return TwistedSectionData(gluing=gluing, locals=locals_)
+
+
+def subscheme_from_sections(sections, labels=None):
+    """The carrier's system and the per-cone two-sided ideal generators cut
+    out by the sections, the pair `serialize.subscheme_from_obj` reads."""
+    system = _carrier(sections, labels).system
+    return system, {cone: [s.locals[cone] for s in sections if not s.locals[cone].is_zero()]
+                    for cone in system.fan.faces}

@@ -10,7 +10,7 @@ validation reads off the cone's index check and keeps on the fan.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .errors import (Frozen, MissingReferenceCone, NoPositivityFunctional,
                      NonPrimitiveRay, NotAFan, NotIndexOne)
@@ -23,10 +23,7 @@ def pairing(m, v):
 
 
 def is_primitive(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g == 1
+    return gcd(*v) == 1
 
 
 class Fan(Frozen):
@@ -95,41 +92,34 @@ def _all_faces(max_cones):
     return tuple(sorted(faces, key=lambda c: (len(c), c)))
 
 
-def _separating_functional(rank, rays_a, shared, rays_b):
+def _separation(rays, cone_a, cone_b):
+    """What a functional separating two cones must do, as (ray, sign) pairs:
+    pair to >= 1 with the rays of a alone, to <= -1 with those of b alone,
+    and to 0 with the shared rays."""
+    shared = set(cone_a) & set(cone_b)
+    return ([(rays[i], 1) for i in cone_a if i not in shared]
+            + [(rays[i], -1) for i in cone_b if i not in shared]
+            + [(rays[i], 0) for i in shared])
+
+
+def _separating_functional(rank, constraints):
     ineqs = []
-    for v in rays_a:
-        ineqs.append((tuple(Fraction(x) for x in v), Fraction(1)))
-    for v in rays_b:
-        ineqs.append((tuple(Fraction(-x) for x in v), Fraction(1)))
-    for v in shared:
-        ineqs.append((tuple(Fraction(x) for x in v), Fraction(0)))
-        ineqs.append((tuple(Fraction(-x) for x in v), Fraction(0)))
+    for v, sign in constraints:
+        if sign:
+            ineqs.append((tuple(Fraction(sign * x) for x in v), Fraction(1)))
+        else:
+            ineqs.append((tuple(Fraction(x) for x in v), Fraction(0)))
+            ineqs.append((tuple(Fraction(-x) for x in v), Fraction(0)))
     witness = linear_feasible(ineqs, rank)
     if witness is None:
         return None
-    denom = 1
-    for w in witness:
-        denom = denom * w.denominator // gcd(denom, w.denominator)
+    denom = lcm(*(w.denominator for w in witness))
     return tuple(int(w * denom) for w in witness)
 
 
 def check_certificate(fan_rays, cone_a, cone_b, functional):
-    shared = set(cone_a) & set(cone_b)
-    for i in cone_a:
-        p = pairing(functional, fan_rays[i])
-        if i in shared:
-            if p != 0:
-                return False
-        elif p <= 0:
-            return False
-    for i in cone_b:
-        p = pairing(functional, fan_rays[i])
-        if i in shared:
-            if p != 0:
-                return False
-        elif p >= 0:
-            return False
-    return True
+    return all(pairing(functional, v) * sign >= 1 if sign else pairing(functional, v) == 0
+               for v, sign in _separation(fan_rays, cone_a, cone_b))
 
 
 def validate_fan(rank, rays, max_cones, certificates=None):
@@ -179,7 +169,6 @@ def validate_fan(rank, rays, max_cones, certificates=None):
         for bi in range(ai + 1, len(cones)):
             a, b = cones[ai], cones[bi]
             key = (a, b)
-            shared = set(a) & set(b)
             if key in supplied:
                 f = tuple(int(x) for x in supplied[key])
                 if not check_certificate(rays, a, b, f):
@@ -187,12 +176,7 @@ def validate_fan(rank, rays, max_cones, certificates=None):
                         f"supplied certificate for cones {list(a)}, {list(b)} fails")
                 certs[key] = f
                 continue
-            f = _separating_functional(
-                rank,
-                [rays[i] for i in a if i not in shared],
-                [rays[i] for i in shared],
-                [rays[i] for i in b if i not in shared],
-            )
+            f = _separating_functional(rank, _separation(rays, a, b))
             if f is None:
                 raise NotAFan(
                     f"cones {list(a)} and {list(b)} do not intersect in a common face")
@@ -333,8 +317,6 @@ def comm_monoid_solver(gens, functional):
     def solve(target):
         target = tuple(target)
         coeffs = [0] * len(gens)
-        if not other:
-            return finish(coeffs, target)
 
         def dfs(pos, residual, remaining):
             if pos == len(other):

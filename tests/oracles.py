@@ -8,7 +8,9 @@ constructions its one lower-chart rule replaced, the round-based span
 closure of the surrogate, the per-block matrix-model sampler, a classifier
 of idempotent families read off the definitions, free-algebra arithmetic
 on letter tuples, the generators of the nested commutativity ideal,
-exhaustive enumerations, brute-force lattice and divisor scans, and small
+the completion of maximal charts (Prop 2.2.9), which no command runs and
+which grows its lower charts by the library's one rule, exhaustive
+enumerations, brute-force lattice and divisor scans, and small
 helpers that only the tests need.
 """
 import random
@@ -19,12 +21,14 @@ from itertools import product as iproduct
 from math import isqrt
 
 from nctoric.azumaya import check_relations
+from nctoric.deltasystem import (ChartSystem, _in_dual, _system_from_seeds,
+                                 admissible_cone_findings)
 from nctoric.errors import MorphismInvalid
 from nctoric.exactmath import (ONE, ZERO, Echelon, GaussRational, qim_add, qim_eq,
                                qim_flatten, qim_identity, qim_is_zero, qim_mul,
                                qim_scale, qim_zero, solve_corner_inverse, sparse_vector)
-from nctoric.freeword import (ReducedWord, abelianize, identity_word, is_unit_in, word_mul,
-                              words_up_to)
+from nctoric.freeword import (ReducedWord, Submonoid, abelianize, format_word, identity_word,
+                              is_unit_in, word_mul, words_up_to)
 from nctoric.ncalgebra import AlgElem, BoundedIdeal
 
 
@@ -613,3 +617,25 @@ def l_commutative_gens(rank, level, degree_bound):
             seen.add(key)
             gens.append(c)
     return BoundedIdeal(tuple(gens), degree_bound)
+
+
+def complete_system(fan, partial):
+    """Extend admissible maximal charts downward to a full chart system
+    (Prop 2.2.9). partial maps every maximal cone to its generating words;
+    the maximal charts are kept verbatim, and the lower charts grow from
+    them as seeds. Raises ValueError on inadmissible input."""
+    seeds = {}
+    for sigma in fan.max_cones:
+        if sigma not in partial:
+            raise ValueError(f"no chart supplied for maximal cone {list(sigma)}")
+        words = list(partial[sigma])
+        for w in words:
+            if not _in_dual(abelianize(w), fan, sigma):
+                raise ValueError(
+                    f"generator {format_word(w)} of cone {list(sigma)} leaves the dual cone")
+        supplied = ChartSystem(fan=fan, charts={sigma: Submonoid(words, fan.rank)})
+        for f in admissible_cone_findings(supplied, sigma):
+            if not f.ok:
+                raise ValueError(f"{f.locus}: {f.clause} fails for {f.detail}")
+        seeds[sigma] = words
+    return _system_from_seeds(fan, seeds)

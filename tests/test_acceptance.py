@@ -130,10 +130,7 @@ def _extend_all(fan, degree_coeffs):
         section = extend_section(gluing, divisor, point)
         gluing = section.gluing
         sections.append((point, section))
-    # rebind earlier sections onto the final (largest) system
-    rebound = [(p, TwistedSectionData(gluing=gluing, locals=s.locals))
-               for p, s in sections]
-    return divisor_vertices(fan, divisor), rebound
+    return divisor_vertices(fan, divisor), sections
 
 
 def test_criterion_05_sections_extend_and_counts_match():
@@ -309,7 +306,7 @@ def test_criterion_11_cubic_curve_commutative_shadow():
         weights.append(GaussRational(Fraction(rng.randint(1, 9), rng.randint(1, 3)),
                                      Fraction(rng.randint(1, 5), 1)))
     combined = combine_sections(weights, [s for _, s in sections])
-    charts = subscheme_from_sections([combined])
+    _, charts = subscheme_from_sections([combined])
     for sigma in fan.max_cones:
         assert len(charts[sigma]) == 1
         shadow = abelianize_elem(charts[sigma][0])

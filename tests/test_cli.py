@@ -10,9 +10,11 @@ import pytest
 import nctoric
 from nctoric import deltasystem, serialize
 from nctoric.cli import main
-from nctoric.exactmath import solve_corner_inverse
+from nctoric.exactmath import I, ONE, solve_corner_inverse
 from nctoric.freeword import format_word, is_unit_in
 from nctoric.serialize import load_json
+from nctoric.sheaves import (combine_sections, extend_section, sheaf_from_divisor,
+                             subscheme_from_sections)
 
 P2 = {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
       "max_cones": [[0, 1], [1, 2], [0, 2]]}
@@ -187,6 +189,19 @@ class TestSystem:
         assert code == 0
         obj = load_json(out_path)
         assert obj["extras"][0][0]["words"] == ["z1 z2^2"]
+
+    def test_augment_adds_one_stage(self, tmp_path, capsys):
+        # each augmentation appends its extras to the written recipe as a stage
+        stages = [[{"cone": [0], "words": ["z1 z2 z1^-1"]}],
+                  [{"cone": [], "words": ["z1 z2 z1^-1 z2^-1"]}]]
+        paths = [write(tmp_path, "p2.fan", P2), str(tmp_path / "a1.sys"),
+                 str(tmp_path / "a2.sys")]
+        for k, stage in enumerate(stages):
+            extras_path = write(tmp_path, f"extras{k}.json", stage)
+            code, out, _ = run(capsys, "system", "augment", paths[k],
+                               "--extras", extras_path, "--out", paths[k + 1])
+            assert code == 0 and "added" not in out
+            assert load_json(paths[k + 1])["extras"] == stages[:k + 1]
 
 
 class TestSheafAndSections:
@@ -388,7 +403,10 @@ class TestSheafAndSections:
             ("Def 3.6", f"{bad}: [0, 1] > {lower}", "no verifying unit among monomial quotients")
             for lower in ("[]", "[0]", "[1]")]
 
-    def test_subscheme_build_refuses_sections_on_different_fans(self, tmp_path, capsys):
+    @staticmethod
+    def sections_on_two_fans(tmp_path, capsys):
+        """x2.json and x3.json: the section at point 1,0 of O(D_2) on the
+        fans with rays (1,0), (0,1) and (-1,k), for k = 2 and 3."""
         div_path = write(tmp_path, "o1.div", {"coefficients": {"2": 1}})
         paths = []
         for k in (2, 3):
@@ -401,11 +419,76 @@ class TestSheafAndSections:
                           "--point", "1,0", "--out", sec_path]):
                 assert run(capsys, *argv)[0] == 0
             paths.append(sec_path)
+        return paths
+
+    def test_subscheme_build_refuses_sections_on_different_fans(self, tmp_path, capsys):
+        paths = self.sections_on_two_fans(tmp_path, capsys)
         sub_path = str(tmp_path / "sub.json")
         code, out, _ = run(capsys, "subscheme", "build", *paths, "--out", sub_path, "--json")
         [(clause, _, detail)] = self.failures(out)
         assert code == 1 and not os.path.exists(sub_path)
         assert clause == "Def 3.9" and "fan differs from the fan of section" in detail
+
+    def test_subscheme_build_checks_def_3_6_before_comparing_fans(self, tmp_path, capsys):
+        # every file passes its own Def 3.6 check before the library reads
+        # the sections together, so a non-section on another fan is refused
+        # for its Def 3.6 failures
+        paths = self.sections_on_two_fans(tmp_path, capsys)
+        obj = load_json(paths[1])
+        for item in obj["locals"]:
+            if item["cone"] == [0, 1]:
+                item["element"] = "z1 + z2"
+        write(tmp_path, "x3.json", obj)
+        sub_path = str(tmp_path / "sub.json")
+        code, out, _ = run(capsys, "subscheme", "build", *paths, "--out", sub_path, "--json")
+        assert code == 1 and not os.path.exists(sub_path)
+        assert self.failures(out) == [
+            ("Def 3.6", f"{paths[1]}: [0, 1] > {lower}",
+             "no verifying unit among monomial quotients")
+            for lower in ("[]", "[0]", "[1]")]
+
+    def test_subscheme_build_refuses_a_word_outside_the_carrier(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # a.json, an O(1) section, has the maximal chart <z2 z1 z2^-1, z2> on
+        # [0, 1]. b5.json, the fifth section of an O(3) chain on plain P^2,
+        # has more chart generators and so carries the build, but its
+        # maximal chart <z1, z2> on [0, 1] does not hold z2 z1 z2^-1
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "p2.fan", P2)
+        write(tmp_path, "o1.div", {"coefficients": {"2": 1}})
+        write(tmp_path, "o3.div", {"coefficients": {"2": 3}})
+        write(tmp_path, "sys.json", {"fan": "p2.fan", "lifts": [
+            {"cone": [0, 1], "generator": [1, 0], "word": "z2 z1 z2^-1"}]})
+        argvs = [["sheaf", "from-divisor", "sys.json", "--divisor", "o1.div", "--out", "h.json"],
+                 ["section", "extend", "h.json", "--divisor", "o1.div", "--point", "1,0",
+                  "--out", "a.json"],
+                 ["sheaf", "from-divisor", "p2.fan", "--divisor", "o3.div", "--out", "b0.json"]]
+        argvs += [["section", "extend", f"b{k}.json", "--divisor", "o3.div", "--point", point,
+                   "--out", f"b{k + 1}.json"]
+                  for k, point in enumerate(["0,0", "0,1", "0,2", "0,3", "1,0"])]
+        for argv in argvs:
+            assert run(capsys, *argv)[0] == 0
+        code, out, _ = run(capsys, "subscheme", "build", "a.json", "b5.json", "--out", "sub.json")
+        assert code == 1 and not os.path.exists("sub.json")
+        assert out == ("status: fail\n  FAIL [Def 3.9] input: section a.json: word z2 z1 z2^-1 "
+                       "is not in the carrier chart of cone [0, 1]\n")
+
+    def test_library_reads_sections_from_separate_files(self, tmp_path, sections, capsys):
+        # sections read from two files share no system object; the library
+        # reads both on the system of the larger, as `subscheme build` does
+        loaded = [serialize.load(path, serialize.section_from_obj) for path in sections]
+        divisor = (0, 0, 1)
+        s1 = extend_section(sheaf_from_divisor(deltasystem.build_system(loaded[0].system.fan),
+                                               divisor), divisor, (1, 0))
+        s2 = extend_section(s1.gluing, divisor, (0, 1))
+        combined = combine_sections([ONE, I], loaded)
+        assert combined.gluing is loaded[1].gluing
+        for cone in s1.system.fan.faces:
+            assert combined.locals[cone] == s1.locals[cone] + s2.locals[cone].scale(I)
+        system, charts = subscheme_from_sections(loaded)
+        sub_path = str(tmp_path / "sub.json")
+        assert run(capsys, "subscheme", "build", *sections, "--out", sub_path)[0] == 0
+        assert serialize.subscheme_to_obj(system, charts) == load_json(sub_path)
 
     def test_member_target_longer_than_bound(self, tmp_path, capsys):
         # at bound 3 the search cannot even hold the length-4 target, which
@@ -622,6 +705,14 @@ class TestMorphismCli:
         code, out, _ = run(capsys, "probe", "a1", str(path))
         assert code == 0
         assert "fiber dimension 2" in out
+
+    def test_probe_prints_the_unresolved_factor(self, tmp_path, capsys):
+        # t^2 - 2 has no root in Q(i), so the probe finds no fiber
+        path = write(tmp_path, "probe.json", {"size": 2, "entries": ["0", "2", "1", "0"]})
+        code, out, _ = run(capsys, "probe", "a1", str(path), "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["fibers"] == []
+        assert payload["unresolved_factor"] == "(-2)*t^0 + (1)*t^2"
 
 
 class TestMalformedDivisor:

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 from nctoric.azumaya import QuasiHomChart, check_gluing_pair
 from nctoric.deltasystem import (ChartSystem, _assert_inverse_system,
                                  abelianized_chart, augment_system, build_system,
-                                 check_admissible, complete_system, soften)
-from nctoric.errors import (BadLift, ExtraOutsideDualCone, MaximalChartTouched,
-                            NotAdmissibleInput)
+                                 check_admissible, soften)
+from nctoric.errors import BadLift, ExtraOutsideDualCone, MaximalChartTouched
 from nctoric.exactmath import qim_identity
 from nctoric.freeword import (ReducedWord, Submonoid, canonical_lift,
                               format_word, parse_word, word_inv)
 from nctoric.toricfan import cone_monoid_generators, validate_fan
-from oracles import equal_charts, immediate_cover_descent, union_of_maximal_charts
+from oracles import (complete_system, equal_charts, immediate_cover_descent,
+                     union_of_maximal_charts)
 
 
 def W(text, rank=2):
@@ -192,7 +192,7 @@ class TestCompletion:
         built = build_system(fan)
         partial = {s: list(built.charts[s].generators) for s in fan.max_cones}
         partial[(0, 1)] = [W("z1")]
-        with pytest.raises(NotAdmissibleInput):
+        with pytest.raises(ValueError, match="Def 2.2.4"):
             complete_system(fan, partial)
 
 

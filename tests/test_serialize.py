@@ -90,9 +90,9 @@ def test_every_written_artifact_replays_to_the_checked_system(name, seed):
         chain.append(section.system)
         back = written.gluing
 
-    charts = subscheme_from_sections([written])
+    system, charts = subscheme_from_sections([written])
     sub_system, sub_charts = replayed(serialize.subscheme_to_obj,
-                                      serialize.subscheme_from_obj, written.system, charts)
+                                      serialize.subscheme_from_obj, system, charts)
     assert_same_system(sub_system, written.system)
     assert sub_charts == charts
 

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from nctoric.deltasystem import build_system, check_admissible
-from nctoric.errors import CandidateNotUnit, NotASection, UnboundedPolytope
+from nctoric.errors import (CandidateNotUnit, MismatchedSystems, NotASection,
+                            UnboundedPolytope)
 from nctoric.exactmath import GaussRational, I, ONE, lattice_points
 from nctoric.freeword import abelianize, identity_word, parse_word
 from nctoric.ncalgebra import (AlgElem, BoundedIdeal, abelianize_elem,
@@ -162,6 +163,27 @@ class TestIsomorphism:
         with pytest.raises(CandidateNotUnit):
             sheaves_isomorphic(gluing, gluing, candidate)
 
+    @pytest.mark.parametrize("cone, unit, named", [
+        ((0, 1), (GaussRational(0), identity_word(2)), "is zero"),
+        ((0,), (ONE, W("z1 z2 z1^-1")), "is not a unit"),
+    ], ids=["zero-scalar", "non-unit-word"])
+    def test_candidate_must_be_a_unit(self, cone, unit, named):
+        base = build_system(fan_p2())
+        gluing = sheaf_from_divisor(base, o_d(1))
+        candidate = {c: (ONE, identity_word(2)) for c in base.fan.faces}
+        candidate[cone] = unit
+        with pytest.raises(CandidateNotUnit, match=named):
+            sheaves_isomorphic(gluing, gluing, candidate)
+
+    def test_different_incidence_sets(self):
+        base = build_system(fan_p2())
+        gluing = sheaf_from_divisor(base, o_d(1))
+        words = dict(gluing.words)
+        del words[((0, 1), (0,))]
+        fewer = GluingData(system=gluing.system, scalars=gluing.scalars, words=words)
+        candidate = {c: (ONE, identity_word(2)) for c in base.fan.faces}
+        assert not sheaves_isomorphic(gluing, fewer, candidate)
+
 
 class TestPolytope:
     def test_counts_against_brute_force(self):
@@ -312,19 +334,19 @@ class TestSubscheme:
         base = build_system(fan_p2())
         s1 = extend_section(sheaf_from_divisor(base, o_d(1)), o_d(1), (1, 0))
         s2 = extend_section(s1.gluing, o_d(1), (0, 1))
-        s1 = TwistedSectionData(gluing=s2.gluing, locals=s1.locals)
         return s2.system, s1, s2
 
     def test_hypersurface_datum(self):
         system, s1, _ = self._two_sections()
-        charts = subscheme_from_sections([s1])
+        _, charts = subscheme_from_sections([s1])
         for cone, gens in charts.items():
             assert len(gens) == 1
             assert len(gens[0].terms) == 1
 
     def test_point_pair_datum(self):
         system, s1, s2 = self._two_sections()
-        charts = subscheme_from_sections([s1, s2])
+        carrier, charts = subscheme_from_sections([s1, s2])
+        assert carrier is system
         # commutative shadow on the reference chart: the ideal (x, y)
         shadows = [abelianize_elem(g) for g in charts[(0, 1)]]
         assert {tuple(s) for s in (sorted(sh) for sh in shadows)} == \
@@ -350,6 +372,17 @@ class TestSubscheme:
         for cone in system.fan.faces:
             assert combined.locals[cone] == s1.locals[cone] + s2.locals[cone].scale(I)
 
+    def test_missing_presentation_refused(self):
+        # both calls share one carrier rule, so both refuse a section with
+        # no presentation on a cone
+        _, s1, s2 = self._two_sections()
+        partial = TwistedSectionData(gluing=s1.gluing, locals={
+            c: e for c, e in s1.locals.items() if c != (0,)})
+        with pytest.raises(MismatchedSystems, match=r"no local presentation on cone \[0\]"):
+            combine_sections([ONE, ONE], [partial, s2])
+        with pytest.raises(MismatchedSystems, match=r"no local presentation on cone \[0\]"):
+            subscheme_from_sections([partial, s2])
+
     def test_combination_judged_honestly(self):
         # a sum of monomial sections transports with different unit factors
         # per summand, so no single unit can verify it; the checker must say
@@ -361,8 +394,6 @@ class TestSubscheme:
             section = extend_section(gluing, o_d(1), point)
             gluing = section.gluing
             sections.append(section)
-        sections = [TwistedSectionData(gluing=gluing, locals=s.locals)
-                    for s in sections]
         combined = combine_sections([ONE] * len(sections), sections)
         report = check_twisted_section(combined)
         assert not report.ok
@@ -375,8 +406,7 @@ class TestSubscheme:
         s1 = extend_section(sheaf_from_divisor(base, o_d(1)), o_d(1), (1, 0))
         s2 = extend_section(sheaf_from_divisor(s1.system, o_d(2)), o_d(2), (1, 1))
         assert check_twisted_section(s2).ok
-        s1 = TwistedSectionData(gluing=s2.gluing, locals=s1.locals)
-        charts = subscheme_from_sections([s1, s2])
+        _, charts = subscheme_from_sections([s1, s2])
         v1 = divisor_vertices(base.fan, o_d(1))
         v2 = divisor_vertices(base.fan, o_d(2))
         for sigma in base.fan.max_cones:

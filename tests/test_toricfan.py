@@ -7,7 +7,7 @@ from sympy import Matrix
 
 from nctoric import toricfan
 from nctoric.deltasystem import (abelianized_chart, augment_system, build_system,
-                                 check_admissible, complete_system, soften)
+                                 check_admissible, soften)
 from nctoric.errors import (MissingReferenceCone, NoPositivityFunctional,
                             NonPrimitiveRay, NotAFan, NotIndexOne)
 from nctoric.serialize import fan_to_obj
@@ -17,6 +17,7 @@ from nctoric.toricfan import (check_certificate, comm_monoid_member, comm_monoid
 from nctoric import exactmath
 from nctoric.exactmath import linear_feasible
 from nctoric.freeword import canonical_lift, identity_word, word_mul
+from oracles import complete_system
 
 P2 = dict(rank=2, rays=[(1, 0), (0, 1), (-1, -1)],
           max_cones=[(0, 1), (1, 2), (0, 2)])
@@ -79,6 +80,16 @@ class TestValidation:
         certs = {((0, 1), (1, 2)): (0, 1)}   # wrong: not zero on shared ray e2
         with pytest.raises(NotAFan):
             validate_fan(P2["rank"], P2["rays"], P2["max_cones"], certs)
+
+    def test_certificate_must_hold_on_the_later_cone(self):
+        # (1, 1) is positive on the rays of [0, 1], and so is (4, 1); only
+        # (4, 1) is also negative on (-1, 3) and (0, -1), the rays of [2, 3]
+        rays = [(1, 0), (0, 1), (-1, 3), (0, -1)]
+        cones = [(0, 1), (1, 2), (2, 3), (0, 3)]
+        assert check_certificate(rays, (0, 1), (2, 3), (4, 1))
+        assert not check_certificate(rays, (0, 1), (2, 3), (1, 1))
+        with pytest.raises(NotAFan, match=r"cones \[0, 1\], \[2, 3\] fails"):
+            validate_fan(2, rays, cones, {((0, 1), (2, 3)): (1, 1)})
 
     def test_idempotent_revalidation(self):
         fan = p2()
