@@ -5,12 +5,14 @@ A word is a tuple of nonzero signed indices: +k is the k-th letter, -k its
 inverse.  The whole module treats words as elements of the free group on n
 letters, viewed as a monoid.
 
-A submonoid compiles to its flower automaton saturated under cancellation
-(Benois's construction for rational subsets of free groups), computed as
-Dyck reachability with a worklist: silent closures are Python-int bitsets,
-and a closure that grows is matched against its state's incoming letter
-transitions for the new states only.  Membership reads a word through the
-letter transitions, ORing target closures, and accepts on bit 0.
+A submonoid compiles to an automaton of its generators' star, saturated
+under cancellation (Benois's construction for rational subsets of free
+groups).  The automaton is a flower whose petals share their prefixes as a
+trie, without the generators that one-letter generators spell.  Saturation
+is Dyck reachability with a worklist: silent closures are Python-int
+bitsets, and a closure that grows is matched against its state's incoming
+letter transitions for the new states only.  Membership reads a word
+through the letter transitions, ORing target closures, and accepts on bit 0.
 A submonoid saturates on its first membership query, so a chart that is
 built but never queried (every chart of an intermediate stage of a replayed
 recipe, say) costs only its generator list.
@@ -172,22 +174,26 @@ def format_word(w):
 class Submonoid(Frozen):
     """Submonoid of the free group generated by finitely many words.
 
-    Membership is decided on the flower automaton of (g1|...|gk)*, saturated
-    under cancellation: every p -x-> r ~~> s -x^-1-> q pattern contributes a
-    silent edge p -> q.  The silent closure of each state is a Python-int
-    bitset (bit q set when q is silently reachable).  Saturation runs a
-    worklist over closure growth, so each (state, closure member) pair is
-    matched against the incoming transitions once.  A reduced word is read
-    letter by letter without silent moves, taking the union of the target
-    closures with `|` after each letter; it is a member iff bit 0 (the
-    initial and accepting state) is set at the end.
+    Membership is decided on an automaton of (g1|...|gk)*, saturated under
+    cancellation: every p -x-> r ~~> s -x^-1-> q pattern contributes a
+    silent edge p -> q.  The automaton (`_flower`) leaves out each generator
+    that one-letter generators spell and gives each distinct proper prefix
+    of the others one state: it accepts the same words as the plain flower
+    with fewer states, so saturation decides the same membership.  The
+    silent closure of each state is a Python-int bitset (bit q set when q is
+    silently reachable).  Saturation runs a worklist over closure growth, so
+    each (state, closure member) pair is matched against the incoming
+    transitions once.  A reduced word is read letter by letter without
+    silent moves, taking the union of the target closures with `|` after
+    each letter; it is a member iff bit 0 (the initial and accepting state)
+    is set at the end.
 
     The automaton is built and saturated on the first membership query, not
     at construction, so a submonoid that is never queried never saturates.
     Instances are immutable, the one-time compilation aside.  The generators
-    keep the first occurrence of each word, in the order given: a chart's
-    `comm_monoid_member` coefficients, and so section presentations, follow
-    that order.
+    keep the first occurrence of each word, in the order given, with the
+    words the automaton leaves out: a chart's `comm_monoid_member`
+    coefficients, and so section presentations, follow that order.
     """
 
     __slots__ = ("generators", "rank", "_closure", "_moves")
@@ -203,7 +209,7 @@ class Submonoid(Frozen):
         object.__setattr__(self, "_moves", None)
 
     def _compile(self):
-        """Build and saturate the flower automaton, once; return the letter
+        """Build and saturate the automaton, once; return the letter
         moves {letter: ((state, closure of its targets), ...)}."""
         trans, nstates = _flower(self.generators)
         closure = _saturated_closures(trans, nstates)
@@ -248,25 +254,29 @@ class Submonoid(Frozen):
 
 
 def _flower(generators):
-    """Letter transitions {(p, letter): targets} of the flower automaton of
+    """Letter transitions {(p, letter): targets} of an automaton of
     (g1|...|gk)*, and its number of states.  State 0 is both initial and
-    accepting; every nonempty generator is a loop through it."""
+    accepting; every kept generator is a path from 0 back to 0.
+
+    Two changes to the flower automaton shrink it without changing its
+    language.  A generator of two or more letters, each of which is itself a
+    one-letter generator, is their product, so it is left out; with all 2n
+    letters present the automaton has one state.  The petals form a trie:
+    each distinct proper prefix of a kept generator has one state, shared by
+    every generator that starts with it."""
+    ones = {g.letters[0] for g in generators if len(g) == 1}
     trans = defaultdict(set)
-    next_state = 1
+    child = {}                      # (state, letter) -> state of the longer prefix
     for g in generators:
         letters = g.letters
-        if not letters:
+        if len(letters) > 1 and ones.issuperset(letters):
             continue
         prev = 0
-        for i, letter in enumerate(letters):
-            if i == len(letters) - 1:
-                nxt = 0
-            else:
-                nxt = next_state
-                next_state += 1
+        for i, letter in enumerate(letters, 1):
+            nxt = 0 if i == len(letters) else child.setdefault((prev, letter), len(child) + 1)
             trans[(prev, letter)].add(nxt)
             prev = nxt
-    return {key: frozenset(targets) for key, targets in trans.items()}, next_state
+    return {key: frozenset(targets) for key, targets in trans.items()}, len(child) + 1
 
 
 def _bits(mask):

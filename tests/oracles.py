@@ -32,24 +32,34 @@ from nctoric.freeword import (ReducedWord, Submonoid, abelianize, format_word, i
 from nctoric.ncalgebra import AlgElem, BoundedIdeal
 
 
-def dyck_membership(generators, rank):
-    """Decision procedure for f.g. submonoids of the free group built on
-    cancellation reachability (CFL closure) over the plain flower automaton;
-    an independent algorithm from the library's saturation."""
+def plain_flower(generators):
+    """The flower automaton of (g1|...|gk)*, one petal per nonempty
+    generator and one state per inner letter position of each: letter
+    transitions {(p, letter): set of targets} and the number of states.
+    State 0 is both initial and accepting."""
     trans = defaultdict(set)
-    nxt = 1
+    next_state = 1
     for g in generators:
         letters = g.letters
         if not letters:
             continue
         prev = 0
-        for i, l in enumerate(letters):
-            tgt = 0 if i == len(letters) - 1 else nxt
-            if tgt != 0:
-                nxt += 1
-            trans[(prev, l)].add(tgt)
-            prev = tgt
-    n = nxt
+        for i, letter in enumerate(letters):
+            if i == len(letters) - 1:
+                nxt = 0
+            else:
+                nxt = next_state
+                next_state += 1
+            trans[(prev, letter)].add(nxt)
+            prev = nxt
+    return dict(trans), next_state
+
+
+def dyck_membership(generators, rank):
+    """Decision procedure for f.g. submonoids of the free group built on
+    cancellation reachability (CFL closure) over the plain flower automaton;
+    an independent algorithm from the library's saturation."""
+    trans, n = plain_flower(generators)
     reach = {(p, p) for p in range(n)}
     changed = True
     while changed:
@@ -89,31 +99,13 @@ def dyck_membership(generators, rank):
     return accepts
 
 
-def saturate_by_rounds(generators, rank):
-    """The flower automaton of (g1|...|gk)* saturated under cancellation by
-    rounds: every round rebuilds every silent closure and adds a silent edge
-    p -> q for each p ->x r ~~> s ->x^-1 q pattern, until a round adds none.
-
-    Returns (trans, closure): letter transitions {(p, letter): set of
-    targets} and the silent-move closure of every state as a frozenset.
-    State 0 is both initial and accepting.
+def saturate_by_rounds(trans, nstates):
+    """The silent-move closure of every state of an automaton with letter
+    transitions {(p, letter): targets} and states 0..nstates-1, saturated
+    under cancellation by rounds: every round rebuilds every silent closure
+    and adds a silent edge p -> q for each p ->x r ~~> s ->x^-1 q pattern,
+    until a round adds none.  Returns the closures as frozensets.
     """
-    trans = defaultdict(set)
-    next_state = 1
-    for g in generators:
-        letters = g.letters
-        if not letters:
-            continue
-        prev = 0
-        for i, letter in enumerate(letters):
-            if i == len(letters) - 1:
-                nxt = 0
-            else:
-                nxt = next_state
-                next_state += 1
-            trans[(prev, letter)].add(nxt)
-            prev = nxt
-    nstates = next_state
     eps = defaultdict(set)
 
     def closures():
@@ -142,8 +134,7 @@ def saturate_by_rounds(generators, rank):
                             added = True
         if not added:
             break
-    cl = closures()
-    return dict(trans), cl
+    return closures()
 
 
 def run_saturated(trans, closure, word):

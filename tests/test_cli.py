@@ -316,8 +316,11 @@ class TestSheafAndSections:
         code, out, _ = run(capsys, "subscheme", "member", sub_path,
                            "--cone", "0,1", "--element", "z2^-2",
                            "--bound", "3", "--json")
-        assert code == 1
-        assert json.loads(out)["status"] == "bound-relative"
+        report = json.loads(out)
+        assert code == 1 and report["status"] == "bound-relative"
+        assert report["findings"] == [{
+            "clause": "Def 3.9", "locus": "cone [0, 1]", "ok": False, "bound_relative": True,
+            "detail": "no certificate at bound 3 (not a proof of non-membership)"}]
         code, out, _ = run(capsys, "subscheme", "member", sub_path,
                            "--cone", "0,1", "--element", "z2^-2", "--bound", "5")
         assert code == 0
@@ -338,6 +341,27 @@ class TestSheafAndSections:
         code = run(capsys, "subscheme", "member", sub_path,
                    "--cone", "0,1", "--element", "z1", "--bound", "2")[0]
         assert code == 0 and saturations == []
+
+    def test_cubic_section_check_saturation_states(self, tmp_path, monkeypatch, capsys,
+                                                    saturations):
+        # s3 of the O(3) chain on P^2 with its maximal cones in
+        # lexicographic order, extended in listed order; checking it
+        # saturates four charts, whose automata leave out the generators
+        # that one-letter generators spell and share generator prefixes
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "p2.fan", dict(P2, max_cones=[[0, 1], [0, 2], [1, 2]]))
+        write(tmp_path, "o3.div", {"coefficients": {"2": 3}})
+        assert run(capsys, "sheaf", "from-divisor", "p2.fan", "--divisor", "o3.div",
+                   "--out", "s0.json")[0] == 0
+        code, out, _ = run(capsys, "section", "list", "p2.fan", "--divisor", "o3.div",
+                           "--json")
+        assert code == 0
+        for k, point in enumerate(json.loads(out)["points"][:3], 1):
+            assert run(capsys, "section", "extend", f"s{k - 1}.json", "--divisor", "o3.div",
+                       "--point", ",".join(map(str, point)), "--out", f"s{k}.json")[0] == 0
+        saturations.clear()
+        assert run(capsys, "section", "check", "s3.json")[0] == 0
+        assert len(saturations) == 4 and sum(saturations) == 132
 
     @pytest.mark.parametrize("edit, loci, detail", [
         (lambda obj: obj["locals"].remove({"cone": [0, 1], "element": "z1"}),
@@ -618,6 +642,23 @@ class TestMorphismCli:
             code, out, err = run_process("morphism", verb, "bad.json")
             assert code == 1 and "Traceback" not in err
             assert line in out
+
+    def test_missing_image_of_a_generator_fails(self, tmp_path, monkeypatch):
+        # a one-cone r=2 morphism without the image of z1 on [0, 1]; no
+        # other finding notices the missing image
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "cone.fan", CONE_FAN)
+        assert run_process("morphism", "sample", "cone.fan", "--r", "2", "--seed", "1",
+                           "--out", "mor.json")[0] == 0
+        obj = load_json(str(tmp_path / "mor.json"))
+        chart = next(c for c in obj["charts"] if c["cone"] == [0, 1])
+        chart["images"] = [im for im in chart["images"] if im["word"] != "z1"]
+        write(tmp_path, "bad.json", obj)
+        code, out, err = run_process("morphism", "check", "bad.json", "--json")
+        assert code == 1 and err == ""
+        failures = [f for f in json.loads(out)["findings"] if not f["ok"]]
+        assert failures == [{"clause": "Def 4.2.9(i)", "locus": "cone [0, 1]", "ok": False,
+                             "detail": "no image for generator z1"}]
 
     def test_missing_chart_fails_without_classifying(self, tmp_path, monkeypatch):
         # the idempotent family is classified only when every face has a

@@ -9,8 +9,8 @@ from nctoric.errors import ParseError, RankMismatch
 from nctoric.freeword import (ReducedWord, Submonoid, _flower, abelianize,
                               canonical_lift, format_word, identity_word,
                               is_unit_in, parse_word, word_inv, word_mul, words_up_to)
-from oracles import (dyck_membership, enumerate_products, random_reduced_word,
-                     run_saturated, saturate_by_rounds)
+from oracles import (dyck_membership, enumerate_products, plain_flower,
+                     random_reduced_word, run_saturated, saturate_by_rounds)
 
 
 def W(text, rank=2):
@@ -18,9 +18,11 @@ def W(text, rank=2):
 
 
 @st.composite
-def words(draw, rank=2, max_len=6):
-    alphabet = [s * i for i in range(1, rank + 1) for s in (1, -1)]
-    letters = []
+def words(draw, rank=2, max_len=6, prefix=(), alphabet=None):
+    """A reduced word: `prefix`, then at most `max_len` letters drawn from
+    `alphabet` (every letter and its inverse by default)."""
+    alphabet = alphabet or [s * i for i in range(1, rank + 1) for s in (1, -1)]
+    letters = list(prefix)
     for _ in range(draw(st.integers(0, max_len))):
         choices = [a for a in alphabet if not letters or a != -letters[-1]]
         letters.append(draw(st.sampled_from(choices)))
@@ -29,11 +31,22 @@ def words(draw, rank=2, max_len=6):
 
 @st.composite
 def generator_sets(draw):
-    """Rank 1-3, 1-5 generators of length 1-6, and probe words: products of
-    generators followed by one arbitrary word."""
+    """Rank 1-3 generator sets, and probe words: products of generators
+    followed by one arbitrary word.  A set has 1-5 words of length 1-6, some
+    of the 2n one-letter words, a word spelled by those, and words that
+    extend a generator, so that the automaton leaves generators out and
+    shares prefixes."""
     rank = draw(st.integers(1, 3))
     gens = draw(st.lists(words(rank, 6).filter(lambda w: len(w) > 0),
                          min_size=1, max_size=5))
+    alphabet = [s * i for i in range(1, rank + 1) for s in (1, -1)]
+    ones = draw(st.lists(st.sampled_from(alphabet), unique=True))
+    if ones:
+        gens += [ReducedWord((a,), rank) for a in ones]
+        gens.append(draw(words(rank, 5, alphabet=ones)))
+    for g in draw(st.lists(st.sampled_from(gens), max_size=2)):
+        gens.append(draw(words(rank, 3, prefix=g.letters)))
+    gens = draw(st.permutations(gens))
     probes = []
     for _ in range(8):
         w = identity_word(rank)
@@ -167,14 +180,22 @@ class TestSubmonoids:
 class TestSaturation:
     @given(generator_sets())
     def test_matches_round_saturation(self, case):
+        # the closures are the round saturation of the library's own
+        # automaton, which has one state per distinct proper prefix of a
+        # generator that one-letter generators do not spell; the answers are
+        # those of the saturated plain flower
         rank, gens, probes = case
         sub = Submonoid(gens, rank)
         sub.member(identity_word(rank))     # saturates on the first query
-        trans, closure = saturate_by_rounds(sub.generators, rank)
-        assert {k: set(v) for k, v in _flower(sub.generators)[0].items()} == trans
-        assert closure_sets(sub) == closure
+        trans, nstates = _flower(sub.generators)
+        assert closure_sets(sub) == saturate_by_rounds(trans, nstates)
+        ones = {g.letters for g in gens if len(g) == 1}
+        kept = [g for g in gens if not all((x,) in ones for x in g.letters)]
+        assert nstates == 1 + len({g.letters[:i] for g in kept for i in range(1, len(g))})
+        flower, states = plain_flower(sub.generators)
+        closure = saturate_by_rounds(flower, states)
         for w in probes + words_up_to(rank, 2):
-            assert sub.member(w) == run_saturated(trans, closure, w), (gens, w)
+            assert sub.member(w) == run_saturated(flower, closure, w), (gens, w)
 
     def test_memo_keeps_generator_order(self):
         gens = [W("z1 z2"), W("z2^-1"), W("z1^-1")]
@@ -240,3 +261,25 @@ class TestLazySaturation:
                 setattr(s, name, None)
         assert s.member(W("z1 z2 z1 z2")) and not s.member(W("z1"))
         assert s.generators == (W("z1 z2"),) and len(saturations) == 1
+
+
+class TestSmallerAutomaton:
+    """The automaton leaves out the generators that one-letter generators
+    spell and shares generator prefixes, so it saturates fewer states."""
+
+    def test_every_letter_listed_saturates_one_state(self, saturations):
+        letters = [parse_word(f"z{i}^{e}", 3) for i in (1, 2, 3) for e in (1, -1)]
+        longer = [parse_word(t, 3) for t in ("z1 z2^-1 z3", "z3^2 z1^-1 z2", "z2 z1^-1")]
+        s = Submonoid(longer + letters, 3)
+        assert s.generators == tuple(longer + letters)
+        assert all(s.member(w) for w in words_up_to(3, 4))
+        assert saturations == [1]
+
+    def test_shared_prefixes(self, saturations):
+        gens = [W("z1 z2"), W("z1 z2^-1"), W("z1 z2 z1")]
+        assert plain_flower(gens)[1] == 5
+        s = Submonoid(gens, 2)
+        oracle = dyck_membership(gens, 2)
+        for w in words_up_to(2, 4):
+            assert s.member(w) == oracle(w), w
+        assert saturations == [3]
