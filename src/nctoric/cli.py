@@ -316,13 +316,13 @@ def build_parser():
                                   description="exact toric charts, sheaves, "
                                               "and matrix-point morphisms")
 
-    def common(p, out=False, bound=None, seed=False):
+    def common(p, out=False, bound=None, seed=False, bound_help=None):
         p.add_argument("--json", action="store_true", help="machine-readable report")
         p.add_argument("--verbose", action="store_true", help="list passing checks too")
         if out:
             p.add_argument("--out", help="write the resulting artifact here")
         if bound is not None:
-            p.add_argument("--bound", type=_nonnegative_int, default=bound)
+            p.add_argument("--bound", type=_nonnegative_int, default=bound, help=bound_help)
         if seed:
             p.add_argument("--seed", type=int, default=0)
 
@@ -401,7 +401,9 @@ def build_parser():
     morphism = groups.add_parser("morphism").add_subparsers(dest="verb", required=True)
     p = morphism.add_parser("check")
     p.add_argument("file")
-    common(p, bound=4)
+    common(p, bound=4, bound_help="longest product of generators searched for relations on "
+                                  "a chart no exact rule decides, whose pass is then "
+                                  "bound-relative (default %(default)s)")
     p.set_defaults(func=cmd_morphism_check)
     p = morphism.add_parser("sample")
     p.add_argument("file")

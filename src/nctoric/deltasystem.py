@@ -183,10 +183,14 @@ def soften(system, extra):
     their exact generator lists.  Identity words and empty word lists are
     dropped; the rest go to one augment_system call and so form one stage.
     Returns the new system and a dict from each touched cone to the words
-    newly adjoined to its chart."""
+    newly adjoined to its chart. With no extras left the system is returned
+    as it is, so its charts, already saturated or not, are not rebuilt:
+    augmenting by nothing would give the same generators in the same order."""
     extra = {tuple(c): [w for w in ws if not w.is_identity()]
              for c, ws in (extra or {}).items()}
     extra = {c: ws for c, ws in extra.items() if ws}
+    if not extra:
+        return system, {}
     for cone in extra:
         if system.fan.is_maximal(cone):
             raise MaximalChartTouched(

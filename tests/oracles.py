@@ -5,7 +5,8 @@ against the library internals: a different decision procedure for submonoid
 membership, the round-based saturation the library's worklist replaced, the
 insertion-order echelon its pivot-indexed one replaced, the two lower-chart
 constructions its one lower-chart rule replaced, the round-based span
-closure of the surrogate, the per-block matrix-model sampler, a classifier
+closure of the surrogate, a relation check that multiplies out every
+sequence of chart generators, the per-block matrix-model sampler, a classifier
 of idempotent families read off the definitions, free-algebra arithmetic
 on letter tuples, the generators of the nested commutativity ideal,
 the completion of maximal charts (Prop 2.2.9), which no command runs and
@@ -20,7 +21,6 @@ from itertools import combinations
 from itertools import product as iproduct
 from math import isqrt
 
-from nctoric.azumaya import check_relations
 from nctoric.deltasystem import (ChartSystem, _in_dual, _system_from_seeds,
                                  admissible_cone_findings)
 from nctoric.errors import MorphismInvalid
@@ -244,15 +244,43 @@ def is_homogeneous(a):
     return len({abelianize(w) for w in a.terms}) <= 1
 
 
+def products_by_word(system, chart, length):
+    """Every product of at most `length` generator images of one chart,
+    valued e*rho(g1)*...*rho(gk) as the relation clause of Def 4.2.1 reads
+    it, grouped by the free reduction of g1...gk: {letter tuple: [matrix,
+    ...]}. Each sequence of generators with images is multiplied out, one
+    product per sequence, depth first."""
+    gens = [g for g in system.charts[chart.cone].generators if g in chart.images]
+    groups = defaultdict(list)
+
+    def walk(letters, value, depth):
+        groups[letters].append(value)
+        if depth < length:
+            for g in gens:
+                walk(free_reduce(letters + g.letters), qim_mul(value, chart.images[g]),
+                     depth + 1)
+
+    walk((), chart.identity_image, 0)
+    return groups
+
+
+def inconsistent_words(system, chart, length):
+    """The reduced words (letter tuples) on which two products of at most
+    `length` generators take different values."""
+    return {w for w, values in products_by_word(system, chart, length).items()
+            if any(not qim_eq(v, values[0]) for v in values[1:])}
+
+
 def graph_of_morphism(morphism, bound):
     """Per-cone word-to-matrix action maps: the module structure carried by
     the fundamental column space, truncated at the bound."""
     out = {}
+    rank = morphism.system.fan.rank
     for cone, chart in morphism.charts.items():
-        values, findings = check_relations(morphism.system, chart, bound)
-        if findings:
+        groups = products_by_word(morphism.system, chart, bound)
+        if any(not qim_eq(v, values[0]) for values in groups.values() for v in values):
             raise MorphismInvalid("generator relations are inconsistent on the chart")
-        out[cone] = values
+        out[cone] = {ReducedWord(w, rank): values[0] for w, values in groups.items()}
     return out
 
 

@@ -15,11 +15,13 @@ from nctoric.exactmath import (Echelon, GaussRational, ONE, ZERO, format_gauss,
                                qim_flatten, qim_identity, qim_inverse, qim_is_zero,
                                qim_mul, qim_eq, qim_rank, qim_scale, qim_sub, qim_zero,
                                qim_add, sparse_vector)
-from nctoric.freeword import identity_word, parse_word, word_mul
+from nctoric.freeword import ReducedWord, format_word, identity_word, parse_word, word_mul
 from nctoric.ncalgebra import AlgElem
+from nctoric.reports import Finding
 from nctoric.toricfan import validate_fan
-from oracles import (classify_by_definition, equal_charts, graph_of_morphism, qi_solve,
-                     qim_from_rows, random_matrix, sample_by_blocks, surrogate_by_rounds)
+from oracles import (classify_by_definition, equal_charts, graph_of_morphism,
+                     inconsistent_words, qi_solve, qim_from_rows, random_matrix,
+                     sample_by_blocks, surrogate_by_rounds)
 
 M = qim_from_rows
 
@@ -171,6 +173,19 @@ class TestIdemClassify:
         assert qim_eq(idem.reduced[(0,)], M([[1, 0], [0, 0]]))
         assert qim_eq(idem.reduced[(1,)], M([[0, 0], [0, 1]]))
         assert qim_is_zero(idem.reduced[()])
+
+    def test_strong_identity_witnesses(self):
+        # E11 and E22 on the rays of P^1 under the identity on the zero cone:
+        # every ordered pair of distinct faces misses the idempotent of its
+        # meet, the zero cone
+        idem = idem_classify(fan_p1(), {(0,): M([[1, 0], [0, 0]]),
+                                        (1,): M([[0, 0], [0, 1]]),
+                                        (): qim_identity(2)})
+        assert not idem.strong and idem.reduced is None
+        assert idem.witnesses == [
+            Finding(clause="Def 4.2.6", locus=f"{list(a)} ^ {list(b)}", ok=False,
+                    detail="product differs from the idempotent on []")
+            for a in ((), (0,), (1,)) for b in ((), (0,), (1,)) if a != b]
 
     def test_single_cone_full(self):
         fan = fan_single()
@@ -373,6 +388,16 @@ class TestVerifyMorphism:
         assert not report.ok
         assert any(f.clause == "Def 4.2.9(ii)" for f in report.failures())
 
+    def test_identity_image_not_idempotent_reported_once(self):
+        # check_quasi_hom reports the image; the family is not classified
+        system = build_system(fan_single())
+        morphism = sample_matrix_model(system, 2, "trivial", 2)
+        morphism.charts[()].identity_image = M([[2, 0], [0, 0]])
+        report = verify_morphism(morphism)
+        assert ("Def 4.2.1", "cone []", "identity image must be idempotent") in [
+            (f.clause, f.locus, f.detail) for f in report.failures()]
+        assert all(f.locus != "idempotents" for f in report.findings)
+
     def test_centralizer_on_words(self):
         # condition (b) on generators extends to every evaluated product
         morphism, system = p1_brane()
@@ -381,6 +406,73 @@ class TestVerifyMorphism:
         a = chart.images[W("z1", 1)]
         val = qim_mul(qim_mul(a, a), a)
         assert qim_eq(qim_mul(val, e_lo), qim_mul(e_lo, val))
+
+
+def fan_f3():
+    return validate_fan(2, [(1, 0), (0, 1), (-1, 3), (0, -1)],
+                        [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+RELATION_FANS = {"one-cone": fan_single, "p1": fan_p1, "p2": fan_p2, "f3": fan_f3}
+# the charts whose relations no rule decides, when their idempotent is
+# nonzero: their letters are not all among their generators, and they have
+# more generators than the rank
+UNDECIDED = {"p2": {(2,)}, "f3": {(2,)}}
+
+
+def star_pattern(fan, first, second):
+    """diag(e1, e2), with e1 = 1 exactly on the cones that contain `first`
+    and e2 likewise for `second`: a complete strong family."""
+    def star(tau, cone):
+        return int(set(tau) <= set(cone))
+    return {c: M([[star(first, c), 0], [0, star(second, c)]]) for c in fan.faces}
+
+
+class TestRelationClause:
+    """verify_morphism's relation verdicts against the brute force that
+    multiplies out every sequence of generators: decided charts, at a
+    length that holds every defining relation, agree at every bound;
+    undecided charts agree at the search bound and carry the bound."""
+
+    @pytest.mark.parametrize("tamper", [False, True], ids=["sampled", "tampered"])
+    @pytest.mark.parametrize("name", sorted(RELATION_FANS))
+    def test_matches_brute_force(self, name, tamper):
+        fan = RELATION_FANS[name]()
+        system = build_system(fan)
+        rng = random.Random(5)
+        seen = set()
+        # the first faces, from the zero cone up, each as the first star
+        for seed, first in enumerate(fan.faces[:fan.rank + 3]):
+            pattern = star_pattern(fan, first, rng.choice(fan.faces))
+            morphism = sample_matrix_model(system, 2, pattern, seed)
+            if tamper:
+                # double one image on the smallest chart with a nonzero
+                # idempotent
+                cone = next(c for c in fan.faces if not qim_is_zero(pattern[c]))
+                g = rng.choice(system.charts[cone].generators)
+                images = morphism.charts[cone].images
+                images[g] = qim_add(images[g], images[g])
+            report = verify_morphism(morphism)
+            for cone in fan.faces:
+                chart = morphism.charts[cone]
+                findings = [f for f in report.findings if f.locus == f"cone {list(cone)}"
+                            and f.clause == "Def 4.2.9(i)"]
+                undecided = (cone in UNDECIDED.get(name, ())
+                             and not qim_is_zero(chart.identity_image))
+                longest = max(len(g) for g in system.charts[cone].generators)
+                bad = inconsistent_words(system, chart, 4 if undecided else max(2, longest))
+                failed = {f.detail for f in findings if not f.ok}
+                assert bool(failed) == bool(bad)
+                assert failed <= {f"generator relation at {format_word(ReducedWord(w, fan.rank))} "
+                                  "evaluates inconsistently" for w in bad}
+                labels = [f for f in findings if f.bound_relative]
+                assert len(labels) == (undecided and not bad)
+                assert all(f.ok and "at most 4 generators" in f.detail for f in labels)
+                seen.add((undecided, bool(bad)))
+        # each fan reaches a failing chart under the tamper, and P^2 and F_3
+        # an undecided chart
+        assert any(bad for _, bad in seen) == tamper
+        assert any(undecided for undecided, _ in seen) == (name in UNDECIDED)
 
 
 class TestSurrogate:

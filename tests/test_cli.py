@@ -10,11 +10,12 @@ import pytest
 import nctoric
 from nctoric import deltasystem, serialize
 from nctoric.cli import main
-from nctoric.exactmath import I, ONE, solve_corner_inverse
+from nctoric.exactmath import I, ONE, format_gauss, parse_gauss, solve_corner_inverse
 from nctoric.freeword import format_word, is_unit_in
 from nctoric.serialize import load_json
 from nctoric.sheaves import (combine_sections, extend_section, sheaf_from_divisor,
                              subscheme_from_sections)
+from oracles import products_by_word
 
 P2 = {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
       "max_cones": [[0, 1], [1, 2], [0, 2]]}
@@ -342,12 +343,11 @@ class TestSheafAndSections:
                    "--cone", "0,1", "--element", "z1", "--bound", "2")[0]
         assert code == 0 and saturations == []
 
-    def test_cubic_section_check_saturation_states(self, tmp_path, monkeypatch, capsys,
-                                                    saturations):
-        # s3 of the O(3) chain on P^2 with its maximal cones in
-        # lexicographic order, extended in listed order; checking it
-        # saturates four charts, whose automata leave out the generators
-        # that one-letter generators spell and share generator prefixes
+    @staticmethod
+    def cubic_chain(tmp_path, monkeypatch, capsys, steps):
+        """s0 to s<steps> of the O(3) chain on P^2 with its maximal cones in
+        lexicographic order, extended in listed order, in tmp_path, the
+        working directory; returns the listed points."""
         monkeypatch.chdir(tmp_path)
         write(tmp_path, "p2.fan", dict(P2, max_cones=[[0, 1], [0, 2], [1, 2]]))
         write(tmp_path, "o3.div", {"coefficients": {"2": 3}})
@@ -356,12 +356,32 @@ class TestSheafAndSections:
         code, out, _ = run(capsys, "section", "list", "p2.fan", "--divisor", "o3.div",
                            "--json")
         assert code == 0
-        for k, point in enumerate(json.loads(out)["points"][:3], 1):
+        points = json.loads(out)["points"]
+        for k, point in enumerate(points[:steps], 1):
             assert run(capsys, "section", "extend", f"s{k - 1}.json", "--divisor", "o3.div",
                        "--point", ",".join(map(str, point)), "--out", f"s{k}.json")[0] == 0
+        return points
+
+    def test_cubic_section_check_saturation_states(self, tmp_path, monkeypatch, capsys,
+                                                    saturations):
+        # checking s3 saturates four charts, whose automata leave out the
+        # generators that one-letter generators spell and share generator
+        # prefixes
+        self.cubic_chain(tmp_path, monkeypatch, capsys, 3)
         saturations.clear()
         assert run(capsys, "section", "check", "s3.json")[0] == 0
         assert len(saturations) == 4 and sum(saturations) == 132
+
+    def test_extend_without_new_units_saturates_each_chart_once(
+            self, tmp_path, monkeypatch, capsys, saturations):
+        # the twisting factors of s5 -> s6 are already units, so softening
+        # adds nothing and keeps the charts it has saturated; rebuilding
+        # them saturated each of the four charts twice
+        point = self.cubic_chain(tmp_path, monkeypatch, capsys, 5)[5]
+        saturations.clear()
+        assert run(capsys, "section", "extend", "s5.json", "--divisor", "o3.div",
+                   "--point", ",".join(map(str, point)), "--out", "s6.json")[0] == 0
+        assert saturations == [1, 18, 95, 66]
 
     @pytest.mark.parametrize("edit, loci, detail", [
         (lambda obj: obj["locals"].remove({"cone": [0, 1], "element": "z1"}),
@@ -718,6 +738,65 @@ class TestMorphismCli:
                 new = run_process("morphism", argv[0], "mor.json", *argv[1:], *flags)
                 old = run_process("morphism", argv[0], "old.json", *argv[1:], *flags)
                 assert new[0] == 0 and old == new
+
+    def test_f10_relation_tamper_fails_at_the_default_bound(self, tmp_path, monkeypatch):
+        # on the Hirzebruch fan F_10 the relation z1^10 z2 = z1^10 * z2 of
+        # the ray [1] chart needs 11 factors, more than the default bound 4;
+        # the chart's letters are its basis, so the identity is checked
+        # outright and doubling the image of z1^10 z2 fails there
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "f10.fan", {"rank": 2, "rays": [[1, 0], [0, 1], [-1, 10], [0, -1]],
+                                    "max_cones": [[0, 1], [1, 2], [2, 3], [3, 0]]})
+        e11, e22, zero = ["1", "0", "0", "0"], ["0", "0", "0", "1"], ["0"] * 4
+        pattern = {(1,): e11, (0, 1): e11, (1, 2): e11, (2, 3): e22}
+        cones = [[], [0], [1], [2], [3], [0, 1], [1, 2], [2, 3], [0, 3]]
+        write(tmp_path, "pat.json", {"idempotents": [
+            {"cone": c, "matrix": pattern.get(tuple(c), zero)} for c in cones]})
+        assert run_process("morphism", "sample", "f10.fan", "--r", "2", "--pattern",
+                           "pat.json", "--seed", "0", "--out", "mor.json")[0] == 0
+        assert run_process("morphism", "check", "mor.json")[0] == 0
+        obj = load_json(str(tmp_path / "mor.json"))
+        for chart in obj["charts"]:
+            if chart["cone"] in ([1], [1, 2]):
+                image = next(im for im in chart["images"] if im["word"] == "z1^10 z2")
+                image["matrix"] = [format_gauss(parse_gauss(x) + parse_gauss(x))
+                                   for x in image["matrix"]]
+        write(tmp_path, "bad.json", obj)
+        code, out, err = run_process("morphism", "check", "bad.json", "--json")
+        assert code == 1 and err == ""
+        assert [f for f in json.loads(out)["findings"] if not f["ok"]] == [{
+            "clause": "Def 4.2.9(i)", "locus": "cone [1]", "ok": False,
+            "detail": "generator relation at z1^10 z2 evaluates inconsistently"}]
+
+    def test_bounded_relations_report_bound_relative(self, tmp_path, monkeypatch):
+        # r=1 on P^2 with e = 1 exactly on the cones that contain ray 2: no
+        # rule decides the relations of the ray [2] chart, whose letters are
+        # not among its generators, so the search's pass names its bound;
+        # the surrogate and the kernel accept the morphism
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "p2.fan", P2)
+        write(tmp_path, "pat.json", {"idempotents": [
+            {"cone": c, "matrix": ["1" if 2 in c else "0"]}
+            for c in ([], [0], [1], [2], [0, 1], [1, 2], [0, 2])]})
+        assert run_process("morphism", "sample", "p2.fan", "--r", "1", "--pattern",
+                           "pat.json", "--seed", "3", "--out", "mor.json")[0] == 0
+        # at bound 2 every sequence of at most two generators is multiplied
+        # out, and each one past the first for its reduced word is compared
+        morphism = serialize.load("mor.json", serialize.morphism_from_obj)
+        groups = products_by_word(morphism.system, morphism.charts[(2,)], 2)
+        compared = {"4": r"\d+", "2": str(sum(len(v) - 1 for v in groups.values()))}
+        for bound in ("4", "2"):
+            code, out, err = run_process("morphism", "check", "mor.json", "--bound", bound,
+                                         "--json")
+            report = json.loads(out)
+            assert code == 1 and err == "" and report["status"] == "bound-relative"
+            [finding] = [f for f in report["findings"] if f.get("bound_relative")]
+            assert (finding["locus"], finding["ok"]) == ("cone [2]", True)
+            assert re.fullmatch(f"generator relations hold among products of at most "
+                                f"{bound} generators \\({compared[bound]} products "
+                                f"compared\\)", finding["detail"])
+        assert run_process("morphism", "surrogate", "mor.json")[0] == 0
+        assert run_process("morphism", "kernel", "mor.json", "--cone", "2")[0] == 0
 
     def test_bad_matrix_entry(self, tmp_path, capsys):
         path = write(tmp_path, "probe.json",
