@@ -17,9 +17,9 @@ from . import clauses
 from .errors import Frozen, MorphismInvalid, NotIdempotent, PatternIncomplete
 from .exactmath import (Echelon, GaussRational, hnf, minimal_polynomial,
                         poly_squarefree, qi_nullspace, qi_poly_roots, qim_add,
-                        qim_eq, qim_flatten, qim_identity, qim_is_idempotent,
-                        qim_is_zero, qim_mul, qim_rank, qim_scale, qim_sub,
-                        qim_zero, solve_corner_inverse, sparse_vector)
+                        qim_flatten, qim_identity, qim_is_idempotent, qim_is_zero,
+                        qim_mul, qim_rank, qim_scale, qim_sub, qim_zero,
+                        solve_corner_inverse, sparse_vector)
 from .freeword import abelianize, format_word, identity_word, is_unit_in, word_mul
 from .ncalgebra import AlgElem, BoundedIdeal
 from .reports import Finding, Report
@@ -72,7 +72,7 @@ def check_quasi_hom(system, chart):
         ok=qim_is_idempotent(e),
         detail="identity image must be idempotent"))
     for g, a in chart.images.items():
-        ok = qim_eq(qim_mul(e, a), a) and qim_eq(qim_mul(a, e), a)
+        ok = qim_mul(e, a) == a and qim_mul(a, e) == a
         findings.append(Finding(
             clause=clauses.QUASI_HOM, locus=locus, ok=ok,
             detail=f"image of {format_word(g)} must be absorbed by the idempotent"))
@@ -96,7 +96,7 @@ def check_gluing_pair(system, upper_chart, lower_chart):
     upper, lower = upper_chart.cone, lower_chart.cone
     locus = f"{list(upper)} > {list(lower)}"
     findings = []
-    ok_a = qim_eq(qim_mul(e_lo, e_up), e_lo) and qim_eq(qim_mul(e_up, e_lo), e_lo)
+    ok_a = qim_mul(e_lo, e_up) == e_lo and qim_mul(e_up, e_lo) == e_lo
     findings.append(Finding(
         clause=clauses.GLUE_SUBORDINATE, locus=locus, ok=ok_a,
         detail="lower idempotent subordinate to upper"))
@@ -105,7 +105,7 @@ def check_gluing_pair(system, upper_chart, lower_chart):
              for g, a in upper_chart.images.items()}
     for g, (left, right) in sides.items():
         findings.append(Finding(
-            clause=clauses.GLUE_CENTRALIZER, locus=locus, ok=qim_eq(left, right),
+            clause=clauses.GLUE_CENTRALIZER, locus=locus, ok=left == right,
             detail=f"image of {format_word(g)} must centralize the lower idempotent"))
     lower_generators = system.charts[lower].generators
     for g, (left, right) in sides.items():
@@ -115,7 +115,7 @@ def check_gluing_pair(system, upper_chart, lower_chart):
                 clause=clauses.GLUE_COMPATIBLE, locus=locus, ok=False,
                 detail=f"{format_word(g)} is not a lower generator with an image"))
             continue
-        ok_c = qim_eq(left, lower_val) and qim_eq(right, lower_val)
+        ok_c = left == lower_val and right == lower_val
         findings.append(Finding(
             clause=clauses.GLUE_COMPATIBLE, locus=locus, ok=ok_c,
             detail=f"lower restriction of {format_word(g)}"))
@@ -149,7 +149,7 @@ def idem_classify(fan, idempotents):
     for a in faces:
         for b in faces:
             meet = tuple(sorted(set(a) & set(b)))
-            if a != b and not qim_eq(qim_mul(idem[a], idem[b]), idem[meet]):
+            if a != b and qim_mul(idem[a], idem[b]) != idem[meet]:
                 witnesses.append(Finding(
                     clause=clauses.IDEM_STRONG, locus=f"{list(a)} ^ {list(b)}",
                     ok=False,
@@ -168,7 +168,7 @@ def idem_classify(fan, idempotents):
     for cone in faces:
         total = qim_add(total, reduced[cone])
     return IdemSystem(strong=True, reduced=reduced,
-                      complete=qim_eq(total, qim_identity(r)))
+                      complete=total == qim_identity(r))
 
 
 def check_relations(system, chart, rel_bound=4):
@@ -196,7 +196,7 @@ def check_relations(system, chart, rel_bound=4):
                 prod = qim_mul(a, img)
                 if w2 in values:
                     compared += 1
-                    if not qim_eq(values[w2], prod):
+                    if values[w2] != prod:
                         findings.append(_relation_failure(chart, w2))
                 else:
                     values[w2] = prod
@@ -247,11 +247,11 @@ def _decide_relations(system, chart):
             acc = e
             for l in g.letters:
                 acc = qim_mul(acc, letter[l])
-            if not qim_eq(images[g], acc):
+            if images[g] != acc:
                 findings.append(_relation_failure(chart, g))
     identity = identity_word(system.fan.rank)
     for z in sorted(letter):
-        if z > 0 and -z in letter and not qim_eq(qim_mul(letter[z], letter[-z]), e):
+        if z > 0 and -z in letter and qim_mul(letter[z], letter[-z]) != e:
             findings.append(_relation_failure(chart, identity))
     return findings
 
@@ -458,20 +458,16 @@ def sample_matrix_model(system, r, pattern, seed):
     live = [cone for cone in fan.faces if not qim_is_zero(reduced[cone])]
     rng = random.Random(seed)
     # letter i needs an invertible block wherever some chart evaluation will
-    # hit the inverse letter: a chart generator containing -i, or a unit
-    # generator containing +-i (its corner inverse exists only if every
-    # letter block it reads is invertible)
+    # hit the inverse letter: a chart generator containing -i. A unit
+    # generator g, whose corner inverse reads the block of every letter of
+    # g, needs no more: g^-1 is a product of generators, and free reduction
+    # only deletes letters, so for each letter l > 0 of g, -l lies in some
+    # generator
     n = fan.rank
     inverse_needed = {i: set() for i in range(1, n + 1)}
     for cone in fan.faces:
-        chart = system.charts[cone]
-        letters_seen = set()
-        for g in chart.generators:
-            for l in g.letters:
-                if l < 0:
-                    letters_seen.add(-l)
-            if is_unit_in(chart, g):
-                letters_seen.update(abs(l) for l in g.letters)
+        letters_seen = {-l for g in system.charts[cone].generators
+                        for l in g.letters if l < 0}
         if not letters_seen:
             continue
         for block in live:

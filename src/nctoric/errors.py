@@ -103,6 +103,10 @@ class CandidateNotUnit(NctoricError):
     clause = clauses.GLUING_ISOM
 
 
+class MismatchedFans(NctoricError):
+    clause = clauses.GLUING_ISOM
+
+
 class MorphismInvalid(NctoricError):
     clause = clauses.MORPHISM_GLUING
 

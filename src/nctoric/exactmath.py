@@ -96,10 +96,6 @@ class GaussRational(Frozen):
     def inverse(self):
         return ONE / self
 
-    def norm(self):
-        """re^2 + im^2 as a Fraction."""
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
-
     # comparisons -------------------------------------------------------------
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -567,10 +563,6 @@ def qim_mul(a, b):
     return out
 
 
-def qim_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def qim_is_zero(a):
     return all(not x for row in a for x in row)
 
@@ -587,7 +579,7 @@ def qim_rank(a):
 
 
 def qim_is_idempotent(a):
-    return qim_eq(qim_mul(a, a), a)
+    return qim_mul(a, a) == a
 
 
 def qi_nullspace(columns):
@@ -637,8 +629,7 @@ def solve_corner_inverse(e, a):
     if inv is None:
         return None
     x = qim_sub(inv, f)
-    if (qim_eq(qim_mul(x, a), e) and qim_eq(qim_mul(a, x), e)
-            and qim_eq(qim_mul(qim_mul(e, x), e), x)):
+    if qim_mul(x, a) == e and qim_mul(a, x) == e and qim_mul(qim_mul(e, x), e) == x:
         return x
     return None
 
@@ -682,24 +673,24 @@ def _poly_trim(p):
     return p
 
 
+def _monic(p):
+    return [c / p[-1] for c in p]
+
+
 def poly_divmod(num, den):
-    num = _poly_trim(num)
-    den = _poly_trim(den)
+    """(quotient, remainder) of num by den by long division, one step per
+    shift of den from the highest down."""
+    num, den = _poly_trim(num), _poly_trim(den)
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     quot = [ZERO] * max(0, len(num) - len(den) + 1)
     rem = list(num)
-    while len(rem) >= len(den) and _poly_trim(rem):
-        rem = _poly_trim(rem)
-        if len(rem) < len(den):
-            break
-        shift = len(rem) - len(den)
-        f = rem[-1] / den[-1]
+    for shift in reversed(range(len(quot))):
+        f = rem[shift + len(den) - 1] / den[-1]
         quot[shift] = f
         for i, c in enumerate(den):
-            rem[shift + i] = rem[shift + i] - f * c
-        rem = rem[:-1]
-    return _poly_trim(quot), _poly_trim(rem)
+            rem[shift + i] -= f * c
+    return quot, _poly_trim(rem)
 
 
 def poly_gcd(p, q):
@@ -707,58 +698,22 @@ def poly_gcd(p, q):
     while q:
         _, r = poly_divmod(p, q)
         p, q = q, r
-    if p:
-        lead = p[-1]
-        p = [c / lead for c in p]
-    return p
+    return _monic(p) if p else p
 
 
 def poly_squarefree(p):
     """p / gcd(p, p'), monic."""
     p = _poly_trim(p)
-    d = poly_derivative(p)
-    g = poly_gcd(p, d)
-    if len(g) <= 1:
-        lead = p[-1]
-        return [c / lead for c in p]
-    q, r = poly_divmod(p, g)
+    q, r = poly_divmod(p, poly_gcd(p, poly_derivative(p)))
     if r:
         raise AssertionError("gcd(p, p') does not divide p")
-    lead = q[-1]
-    return [c / lead for c in q]
+    return _monic(q)
 
 
 # --- Gaussian-integer divisor enumeration, for exact root finding ----------
 
-def _gauss_int_divide(a, b):
-    """(a / b) in Z[i] if exact, else None; inputs as (x, y) int pairs."""
-    bx, by = b
-    n = bx * bx + by * by
-    ax, ay = a
-    rx, ry = ax * bx + ay * by, ay * bx - ax * by
-    if rx % n or ry % n:
-        return None
-    return (rx // n, ry // n)
-
-
-def _gauss_prime_above(p):
-    """A Gaussian prime over the rational prime p (p = 2 or p % 4 == 1)."""
-    for a in range(1, isqrt(p) + 1):
-        b = isqrt(p - a * a)
-        if a * a + b * b == p:
-            return (a, b)
-    raise ValueError(f"no two-square decomposition for {p}")
-
-
-def gauss_int_divisors(z):
-    """All divisors of z in Z[i], up to and including unit multiples. z is
-    divided by p itself for each prime p = 3 mod 4 of its norm, and by the
-    Gaussian primes pi and conj(pi) over every other prime, each as often as
-    it divides; every factor split off multiplies the divisors found so far."""
-    x, y = z
-    if x == 0 and y == 0:
-        return []
-    n = x * x + y * y
+def _primes(n):
+    """The prime factors of the positive int n, by trial division to sqrt(n)."""
     primes = []
     d = 2
     while d * d <= n:
@@ -769,30 +724,51 @@ def gauss_int_divisors(z):
         d += 1
     if n > 1:
         primes.append(n)
-    divisors = {(1, 0)}
-    for p in primes:
-        pi = (p, 0) if p % 4 == 3 else _gauss_prime_above(p)
-        for f in {pi, (pi[0], -pi[1])}:
-            while (q := _gauss_int_divide(z, f)) is not None:
+    return primes
+
+
+def _gauss_primes_over(p):
+    """The Gaussian primes over the rational prime p, up to units: p itself
+    when p = 3 mod 4, else a + bi and a - bi with a^2 + b^2 = p."""
+    if p % 4 == 3:
+        return {GaussRational(p)}
+    for a in range(1, isqrt(p) + 1):
+        b = isqrt(p - a * a)
+        if a * a + b * b == p:
+            return {GaussRational(a, b), GaussRational(a, -b)}
+    raise ValueError(f"no two-square decomposition for {p}")
+
+
+def gauss_int_divisors(z):
+    """All divisors in Z[i] of the Gaussian integer z (a GaussRational with
+    denominator 1), unit multiples included. A rational prime under a
+    Gaussian prime factor of z divides its content g = gcd(re, im) or the
+    norm of its primitive part z / g, so trial division runs to sqrt(g) and
+    to |z / g|, not to |z|. z is divided by each Gaussian prime over those
+    primes as often as it divides; every factor split off multiplies the
+    divisors found so far."""
+    if not z:
+        return []
+    g = gcd(z._a, z._b)
+    primitive_norm = (z._a ** 2 + z._b ** 2) // g ** 2
+    divisors = {ONE}
+    for p in {*_primes(g), *_primes(primitive_norm)}:
+        for f in _gauss_primes_over(p):
+            while (q := z / f)._d == 1:
                 z = q
-                divisors |= {_gauss_mul(d, f) for d in divisors}
-    units = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    return {_gauss_mul(d, u) for d in divisors for u in units}
-
-
-def _gauss_mul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+                divisors |= {d * f for d in divisors}
+    return {d * u for d in divisors for u in (ONE, -ONE, I, -I)}
 
 
 def qi_poly_roots(poly):
     """All Q(i) roots of the polynomial, plus the rootless cofactor.
 
     Returns (roots, remainder) where remainder is the monic factor with no
-    Q(i) root (empty list when the polynomial splits completely).
+    Q(i) root (empty list when the polynomial splits completely). A root
+    u / w has u dividing the constant and w the leading coefficient, once
+    both are cleared to Gaussian integers.
     """
-    p = _poly_trim(list(poly))
-    if len(p) <= 1:
-        return [], []
+    p = _poly_trim(poly)
     roots = []
     while len(p) > 1:
         # strip roots at zero
@@ -800,29 +776,14 @@ def qi_poly_roots(poly):
             roots.append(ZERO)
             p = p[1:]
             continue
-        # clear denominators -> Z[i] coefficients
         denom = lcm(*(c._d for c in p))
-        lead, const = ((c._a * (denom // c._d), c._b * (denom // c._d))
-                       for c in (p[-1], p[0]))
-        found = None
-        for u in gauss_int_divisors(const):
-            for w in gauss_int_divisors(lead):
-                wx, wy = w
-                cand = _make(u[0] * wx + u[1] * wy, u[1] * wx - u[0] * wy,
-                             wx * wx + wy * wy)
-                if not poly_eval(p, cand):
-                    found = cand
-                    break
-            if found is not None:
-                break
+        leads = gauss_int_divisors(p[-1] * denom)
+        candidates = (u / w for u in gauss_int_divisors(p[0] * denom) for w in leads)
+        found = next((c for c in candidates if not poly_eval(p, c)), None)
         if found is None:
             break
         roots.append(found)
         p, r = poly_divmod(p, [-found, ONE])
         if r:
             raise AssertionError(f"root {found} leaves a remainder")
-    if len(p) > 1:
-        lead = p[-1]
-        p = [c / lead for c in p]
-        return roots, p
-    return roots, []
+    return roots, _monic(p) if len(p) > 1 else []

@@ -36,10 +36,6 @@ class AlgElem(Frozen):
         return AlgElem(rank)
 
     @staticmethod
-    def one(rank):
-        return AlgElem(rank, {identity_word(rank): ONE})
-
-    @staticmethod
     def from_word(w, coeff=ONE):
         return AlgElem(w.rank, {w: coeff})
 

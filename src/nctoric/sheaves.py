@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from . import clauses
 from .deltasystem import abelianized_chart, soften
-from .errors import CandidateNotUnit, MismatchedSystems, NotASection, RankMismatch
+from .errors import (CandidateNotUnit, MismatchedFans, MismatchedSystems, NotASection,
+                     RankMismatch)
 from .exactmath import ONE
 from .freeword import (abelianize, canonical_lift, format_word, identity_word,
                        is_unit_in, word_inv, word_mul)
@@ -90,11 +91,14 @@ def check_gluing(gluing):
 
 def sheaves_isomorphic(g1, g2, candidate):
     """Decide whether the candidate per-cone units turn one gluing datum
-    into the other: c' = c_u^-1 c c_l and w' = w_u^-1 w w_l on every pair."""
+    into the other: c' = c_u^-1 c c_l and w' = w_u^-1 w w_l on every pair.
+    Sheaves on different fans are refused, not compared."""
     system = g1.system
+    fan = system.fan
+    if g2.system.fan != fan:
+        raise MismatchedFans("the two sheaves lie on different fans")
     if set(g1.words) != set(g2.words):
         return False
-    fan = system.fan
     for cone in fan.faces:
         if cone not in candidate:
             raise CandidateNotUnit(f"candidate missing cone {list(cone)}")
@@ -204,7 +208,13 @@ def extend_section(gluing, divisor, point):
 def check_twisted_section(section):
     """Verify the unit-equivalence of transported local presentations on
     every incidence of the section's gluing; candidate units come from
-    monomial quotients and are confirmed by exact multiplication."""
+    monomial quotients and are confirmed by exact multiplication.
+
+    A unit u with u s = t, for s the lower presentation and t the
+    transported one, is unique, since Q(i)[F_n] has no zero divisors. Left
+    multiplication by a word permutes the word basis, so u's word times the
+    first word of s is a word of t: the quotients of the words of t by that
+    one word find u whenever it exists."""
     gluing = section.gluing
     system = gluing.system
     fan = system.fan
@@ -236,17 +246,14 @@ def check_twisted_section(section):
                 detail="exactly one side vanishes"))
             continue
         chart = system.charts[lower]
+        ws, cs = s_lower.monomials()[0]
         unit = None
         for (wt, ct) in transported.monomials():
-            for (ws, cs) in s_lower.monomials():
-                cand_w = word_mul(wt, word_inv(ws))
-                cand_c = ct / cs
-                if not is_unit_in(chart, cand_w):
-                    continue
-                if AlgElem.from_word(cand_w).scale(cand_c) * s_lower == transported:
-                    unit = (cand_c, cand_w)
-                    break
-            if unit:
+            cand_w = word_mul(wt, word_inv(ws))
+            cand_c = ct / cs
+            if (is_unit_in(chart, cand_w)
+                    and AlgElem.from_word(cand_w, cand_c) * s_lower == transported):
+                unit = (cand_c, cand_w)
                 break
         findings.append(Finding(
             clause=clauses.TWISTED_SECTION, locus=locus, ok=unit is not None,

@@ -6,7 +6,8 @@ membership, the round-based saturation the library's worklist replaced, the
 insertion-order echelon its pivot-indexed one replaced, the two lower-chart
 constructions its one lower-chart rule replaced, the round-based span
 closure of the surrogate, a relation check that multiplies out every
-sequence of chart generators, the per-block matrix-model sampler, a classifier
+sequence of chart generators, the twisted-section unit search over every
+pair of monomials, the per-block matrix-model sampler, a classifier
 of idempotent families read off the definitions, free-algebra arithmetic
 on letter tuples, the generators of the nested commutativity ideal,
 the completion of maximal charts (Prop 2.2.9), which no command runs and
@@ -24,11 +25,11 @@ from math import isqrt
 from nctoric.deltasystem import (ChartSystem, _in_dual, _system_from_seeds,
                                  admissible_cone_findings)
 from nctoric.errors import MorphismInvalid
-from nctoric.exactmath import (ONE, ZERO, Echelon, GaussRational, qim_add, qim_eq,
+from nctoric.exactmath import (ONE, ZERO, Echelon, GaussRational, qim_add,
                                qim_flatten, qim_identity, qim_is_zero, qim_mul,
                                qim_scale, qim_zero, solve_corner_inverse, sparse_vector)
 from nctoric.freeword import (ReducedWord, Submonoid, abelianize, format_word, identity_word,
-                              is_unit_in, word_mul, words_up_to)
+                              is_unit_in, word_inv, word_mul, words_up_to)
 from nctoric.ncalgebra import AlgElem, BoundedIdeal
 
 
@@ -268,7 +269,7 @@ def inconsistent_words(system, chart, length):
     """The reduced words (letter tuples) on which two products of at most
     `length` generators take different values."""
     return {w for w, values in products_by_word(system, chart, length).items()
-            if any(not qim_eq(v, values[0]) for v in values[1:])}
+            if any(v != values[0] for v in values[1:])}
 
 
 def graph_of_morphism(morphism, bound):
@@ -278,7 +279,7 @@ def graph_of_morphism(morphism, bound):
     rank = morphism.system.fan.rank
     for cone, chart in morphism.charts.items():
         groups = products_by_word(morphism.system, chart, bound)
-        if any(not qim_eq(v, values[0]) for values in groups.values() for v in values):
+        if any(v != values[0] for values in groups.values() for v in values):
             raise MorphismInvalid("generator relations are inconsistent on the chart")
         out[cone] = {ReducedWord(w, rank): values[0] for w, values in groups.items()}
     return out
@@ -386,10 +387,10 @@ def classify_by_definition(fan, idempotents):
     faces = list(fan.faces)
     idem = {tuple(c): m for c, m in idempotents.items()}
     r = len(idem[faces[0]])
-    strong = all(qim_eq(qim_mul(idem[a], idem[b]), idem[tuple(sorted(set(a) & set(b)))])
+    strong = all(qim_mul(idem[a], idem[b]) == idem[tuple(sorted(set(a) & set(b)))]
                  for a in faces for b in faces)
-    weak = all(qim_eq(qim_mul(idem[a], idem[b]), idem[a])
-               and qim_eq(qim_mul(idem[b], idem[a]), idem[a])
+    weak = all(qim_mul(idem[a], idem[b]) == idem[a]
+               and qim_mul(idem[b], idem[a]) == idem[a]
                for a in faces for b in faces if set(a) <= set(b))
     out = {"strong": strong, "weak": weak, "reduced": None, "reduced_ok": None,
            "complete": None}
@@ -405,13 +406,13 @@ def classify_by_definition(fan, idempotents):
         reduced[cone] = acc
     out["reduced"] = reduced
     out["reduced_ok"] = all(
-        qim_eq(qim_mul(reduced[a], reduced[b]), reduced[a]) if a == b
+        qim_mul(reduced[a], reduced[b]) == reduced[a] if a == b
         else qim_is_zero(qim_mul(reduced[a], reduced[b]))
         for a in faces for b in faces)
     total = qim_zero(r)
     for cone in faces:
         total = qim_add(total, reduced[cone])
-    out["complete"] = qim_eq(total, qim_identity(r))
+    out["complete"] = total == qim_identity(r)
     return out
 
 
@@ -489,6 +490,28 @@ def gauss_divisors_by_scan(z):
         if 0 < n <= norm and (x * a + y * b) % n == 0 and (y * a - x * b) % n == 0:
             found.add((a, b))
     return found
+
+
+def section_units_by_all_pairs(section):
+    """{(upper, lower): unit} on each incidence where neither presentation
+    vanishes: the first quotient c*w of a transported monomial by a lower
+    monomial, over every pair, with w a unit of the lower chart and c*w
+    times the lower presentation equal to the transported one; None when no
+    pair gives one."""
+    gluing = section.gluing
+    out = {}
+    for pair in sorted(gluing.system.fan.incidence_pairs()):
+        upper, lower = pair
+        transported = (section.locals[upper] * gluing.words[pair]).scale(gluing.scalars[pair])
+        s_lower = section.locals[lower]
+        if transported.is_zero() or s_lower.is_zero():
+            continue
+        chart = gluing.system.charts[lower]
+        out[pair] = next(((ct / cs, w) for wt, ct in transported.terms.items()
+                          for ws, cs in s_lower.terms.items()
+                          if is_unit_in(chart, w := word_mul(wt, word_inv(ws)))
+                          and AlgElem(w.rank, {w: ct / cs}) * s_lower == transported), None)
+    return out
 
 
 def pair_words_by_filter(rank, budget):

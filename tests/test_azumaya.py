@@ -13,7 +13,7 @@ from nctoric.deltasystem import augment_system, build_system
 from nctoric.errors import NotIdempotent, PatternIncomplete
 from nctoric.exactmath import (Echelon, GaussRational, ONE, ZERO, format_gauss,
                                qim_flatten, qim_identity, qim_inverse, qim_is_zero,
-                               qim_mul, qim_eq, qim_rank, qim_scale, qim_sub, qim_zero,
+                               qim_mul, qim_rank, qim_scale, qim_sub, qim_zero,
                                qim_add, sparse_vector)
 from nctoric.freeword import ReducedWord, format_word, identity_word, parse_word, word_mul
 from nctoric.ncalgebra import AlgElem
@@ -150,7 +150,7 @@ class TestGluingPair:
         found = False
         for _ in range(30):
             a = random_matrix(rng, 3)
-            if not qim_eq(qim_mul(a, e_lo), qim_mul(e_lo, a)):
+            if qim_mul(a, e_lo) != qim_mul(e_lo, a):
                 found = True
                 break
         assert found
@@ -170,8 +170,8 @@ class TestIdemClassify:
                                    (1,): M([[0, 0], [0, 1]]),
                                    (): qim_zero(2)})
         assert idem.strong and idem.complete
-        assert qim_eq(idem.reduced[(0,)], M([[1, 0], [0, 0]]))
-        assert qim_eq(idem.reduced[(1,)], M([[0, 0], [0, 1]]))
+        assert idem.reduced[(0,)] == M([[1, 0], [0, 0]])
+        assert idem.reduced[(1,)] == M([[0, 0], [0, 1]])
         assert qim_is_zero(idem.reduced[()])
 
     def test_strong_identity_witnesses(self):
@@ -193,7 +193,7 @@ class TestIdemClassify:
                    for c in fan.faces}
         idem = idem_classify(fan, pattern)
         assert idem.strong and idem.complete
-        assert qim_eq(idem.reduced[(0, 1)], qim_identity(2))
+        assert idem.reduced[(0, 1)] == qim_identity(2)
 
     def test_shared_corner_not_complete(self):
         fan = fan_p1()
@@ -203,7 +203,7 @@ class TestIdemClassify:
         assert not idem.complete
         assert qim_is_zero(idem.reduced[(0,)])
         assert qim_is_zero(idem.reduced[(1,)])
-        assert qim_eq(idem.reduced[()], e)
+        assert idem.reduced[()] == e
 
     def test_not_idempotent(self):
         fan = fan_p1()
@@ -239,7 +239,7 @@ class TestIdemClassify:
             idem = idem_classify(fan, idem_input)
             assert idem.strong
             for face in faces:
-                assert qim_eq(idem.reduced[face], planted[face])
+                assert idem.reduced[face] == planted[face]
             complete_expected = all(a < len(faces) for a in assign)
             assert idem.complete == complete_expected
 
@@ -280,12 +280,11 @@ class TestIdemClassify:
                 strong += 1
                 assert want["weak"] and want["reduced_ok"]
                 assert got.complete == want["complete"]
-                assert all(qim_eq(got.reduced[c], want["reduced"][c]) for c in faces)
+                assert all(got.reduced[c] == want["reduced"][c] for c in faces)
             else:
                 assert got.reduced is None and got.complete is None
                 one_sided += all(
-                    qim_eq(qim_mul(family[a], family[b]),
-                           family[tuple(sorted(set(a) & set(b)))])
+                    qim_mul(family[a], family[b]) == family[tuple(sorted(set(a) & set(b)))]
                     for i, a in enumerate(faces) for b in faces[i:])
         assert 0 < strong < 60
         if len(faces) > 3:
@@ -306,9 +305,9 @@ class TestIdemClassify:
                         for i in range(3)]
                 es.append(qim_mul(qim_mul(p, diag), pinv))
             e1, e2, e3 = es
-            assert qim_eq(qim_mul(e1, e2), e1) and qim_eq(qim_mul(e2, e1), e1)
-            assert qim_eq(qim_mul(e2, e3), e2) and qim_eq(qim_mul(e3, e2), e2)
-            assert qim_eq(qim_mul(e1, e3), e1) and qim_eq(qim_mul(e3, e1), e1)
+            assert qim_mul(e1, e2) == e1 and qim_mul(e2, e1) == e1
+            assert qim_mul(e2, e3) == e2 and qim_mul(e3, e2) == e2
+            assert qim_mul(e1, e3) == e1 and qim_mul(e3, e1) == e1
 
 
 def planted_family(rng, fan, r):
@@ -405,7 +404,7 @@ class TestVerifyMorphism:
         e_lo = morphism.charts[()].identity_image
         a = chart.images[W("z1", 1)]
         val = qim_mul(qim_mul(a, a), a)
-        assert qim_eq(qim_mul(val, e_lo), qim_mul(e_lo, val))
+        assert qim_mul(val, e_lo) == qim_mul(e_lo, val)
 
 
 def fan_f3():
@@ -749,7 +748,7 @@ class TestKernel:
         morphism, _ = p1_brane()
         graph = graph_of_morphism(morphism, 2)
         z = W("z1", 1)
-        assert qim_eq(graph[(0,)][z], morphism.charts[(0,)].images[z])
+        assert graph[(0,)][z] == morphism.charts[(0,)].images[z]
 
 
 class TestProbe:
@@ -783,6 +782,17 @@ class TestProbe:
         b = M([[Fraction(1, 2), 0], [0, Fraction(2, 3)]])
         result = a1_probe(b)
         assert {format_gauss(root) for root, _ in result.fibers} == {"1/2", "2/3"}
+
+    def test_large_prime_constants(self):
+        # the root search factors the constant's content, to sqrt(1000000007)
+        # and sqrt(1000000000039), not its norm: t^2 + 1000000007 has no root
+        # in Q(i), and 1000000000039 is a root of its own minimal polynomial
+        result = a1_probe(M([[0, 1], [-1000000007, 0]]))
+        assert result.fibers == ()
+        assert result.unresolved_factor == (GaussRational(1000000007), ZERO, ONE)
+        result = a1_probe(M([[1000000000039]]))
+        assert result.fibers == ((GaussRational(1000000000039), 1),)
+        assert result.unresolved_factor == ()
 
     def test_rank_deficiency_sums_on_diagonal_samples(self):
         rng = random.Random(21)

@@ -619,6 +619,30 @@ class TestMorphismCli:
         assert code == 1
         assert "Lemma 3.4" in out
 
+    def test_sheaf_isom_refuses_sheaves_on_different_fans(self, tmp_path, capsys):
+        # the zero-divisor sheaves on F_0 and F_1 have the same cones and
+        # incidences, so only the fans tell them apart
+        cones = [[0, 1], [1, 2], [2, 3], [0, 3]]
+        div_path = write(tmp_path, "zero.div", {"coefficients": {}})
+        sheaves = []
+        for name, ray2 in (("f0", [-1, 0]), ("f1", [-1, 1])):
+            fan_path = write(tmp_path, f"{name}.fan", {
+                "rank": 2, "rays": [[1, 0], [0, 1], ray2, [0, -1]], "max_cones": cones})
+            sheaves.append(str(tmp_path / f"{name}.sheaf.json"))
+            assert run(capsys, "sheaf", "from-divisor", fan_path, "--divisor", div_path,
+                       "--out", sheaves[-1])[0] == 0
+        faces = [[], [0], [1], [2], [3]] + cones
+        cand_path = write(tmp_path, "cand.json",
+                          [{"cone": c, "scalar": "1", "word": "e"} for c in faces])
+        assert run(capsys, "sheaf", "isom", sheaves[0], sheaves[0],
+                   "--candidate", cand_path)[0] == 0
+        code, out, _ = run(capsys, "sheaf", "isom", sheaves[0], sheaves[1],
+                           "--candidate", cand_path, "--json")
+        assert code == 1
+        finding, = json.loads(out)["findings"]
+        assert finding["clause"] == "Lemma 3.4 (isomorphism)"
+        assert "different fans" in finding["detail"]
+
     def test_idempotent_tamper_detected(self, tmp_path, capsys):
         fan_path = write(tmp_path, "cone.fan",
                          {"rank": 2, "rays": [[1, 0], [0, 1]],

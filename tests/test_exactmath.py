@@ -4,14 +4,14 @@ from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
-from sympy import QQ, QQ_I, Matrix, linsolve, symbols
+from sympy import QQ, QQ_I, Matrix, Poly, linsolve, symbols
 from sympy.polys.matrices import DomainMatrix
 
-from nctoric.exactmath import (Echelon, GaussRational, ONE, ZERO, format_gauss,
+from nctoric.exactmath import (Echelon, GaussRational, I, ONE, ZERO, format_gauss,
                                gauss_int_divisors, hnf, linear_feasible,
                                minimal_polynomial, parse_gauss,
-                               qi_nullspace, qi_poly_roots, qim_add,
-                               qim_eq, qim_identity, qim_inverse,
+                               poly_divmod, qi_nullspace, qi_poly_roots, qim_add,
+                               qim_identity, qim_inverse,
                                qim_is_zero, qim_mul, qim_rank, qim_zero,
                                solve_corner_inverse)
 from nctoric.errors import ParseError
@@ -89,7 +89,7 @@ class TestScalarAgainstPairs:
         assert _agrees(g - h, (r1 - r2, i1 - i2))
         assert _agrees(g * h, (r1 * r2 - i1 * i2, r1 * i2 + i1 * r2))
         assert _agrees(-g, (-r1, -i1))
-        assert g.norm() == r1 * r1 + i1 * i1
+        assert g * GaussRational(r1, -i1) == r1 * r1 + i1 * i1
         n = r2 * r2 + i2 * i2
         if n:
             assert _agrees(g / h, ((r1 * r2 + i1 * i2) / n, (i1 * r2 - r1 * i2) / n))
@@ -294,18 +294,28 @@ class TestMinimalPolynomial:
             assert qim_is_zero(poly_eval_matrix(p, a))
 
 
+def _divisors_by_scan(z):
+    return {GaussRational(a, b) for a, b in gauss_divisors_by_scan(z)}
+
+
 class TestGaussDivisors:
     @given(st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(any))
     def test_matches_scan(self, z):
-        assert gauss_int_divisors(z) == gauss_divisors_by_scan(z)
+        assert gauss_int_divisors(GaussRational(*z)) == _divisors_by_scan(z)
 
     @pytest.mark.parametrize("z", [(1, 0), (0, 1), (2, 0), (1, 1), (3, 0), (9, 0),
                                    (5, 0), (2, 1), (8, 8), (231, 0), (0, 49)])
     def test_units_primes_and_powers(self, z):
-        assert gauss_int_divisors(z) == gauss_divisors_by_scan(z)
+        assert gauss_int_divisors(GaussRational(*z)) == _divisors_by_scan(z)
 
     def test_zero_has_no_listed_divisors(self):
-        assert gauss_int_divisors((0, 0)) == []
+        assert gauss_int_divisors(ZERO) == []
+
+    def test_large_rational_prime(self):
+        # 1000000007 = 3 mod 4 stays prime in Z[i]: its divisors are the
+        # units and its associates; trial division to its norm would not end
+        p = GaussRational(1000000007)
+        assert gauss_int_divisors(p) == {u * d for u in (ONE, -ONE, I, -I) for d in (ONE, p)}
 
 
 class TestRoots:
@@ -343,6 +353,80 @@ class TestRoots:
         roots, rem = qi_poly_roots(inert)
         assert [format_gauss(r) for r in roots] == ["2"]
         assert len(rem) == 3
+
+
+# ---------------------------------------------------------------------------
+# Polynomial division and roots against sympy's QQ_I polynomials
+# ---------------------------------------------------------------------------
+
+T = symbols("t")
+
+
+def _poly_to_sympy(coeffs):
+    """A low-degree-first coefficient list as a QQ_I polynomial in t."""
+    return Poly([_qqi(c) for c in reversed(coeffs)], T, domain=QQ_I)
+
+
+def _poly_from_sympy(p):
+    return [GaussRational(Fraction(c.x.numerator, c.x.denominator),
+                          Fraction(c.y.numerator, c.y.denominator))
+            for c in reversed(p.rep.to_list())]
+
+
+def _random_nonzero_gauss(rng):
+    while not (g := _random_gauss(rng)):
+        pass
+    return g
+
+
+def _irreducible_quadratic(rng):
+    """A random monic quadratic with no root in Q(i)."""
+    while True:
+        q = _poly_to_sympy([_random_gauss(rng), _random_gauss(rng), ONE])
+        if len(q.factor_list()[1]) == 1:
+            return q
+
+
+def _in_order(values):
+    return sorted(values, key=lambda g: (g.re, g.im))
+
+
+class TestPolynomialsAgainstSympy:
+    def test_divmod(self):
+        rng = random.Random(11)
+        for _ in range(80):
+            num = [_random_gauss(rng) for _ in range(rng.randint(0, 7))]
+            den = [_random_gauss(rng) for _ in range(rng.randint(0, 3))]
+            den += [_random_nonzero_gauss(rng)] + [ZERO] * rng.randint(0, 1)
+            quot, rem = poly_divmod(num, den)
+            want_quot, want_rem = _poly_to_sympy(num).div(_poly_to_sympy(den))
+            assert quot == _poly_from_sympy(want_quot)
+            assert rem == _poly_from_sympy(want_rem)
+
+    def test_divmod_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            poly_divmod([ONE], [ZERO])
+
+    def test_roots_of_planted_factors(self):
+        # products of linear factors t - c (c may be 0 or repeat) and
+        # quadratics irreducible over Q(i), under a random leading coefficient
+        rng = random.Random(5)
+        for _ in range(25):
+            roots = [_random_gauss(rng) for _ in range(rng.randint(0, 4))]
+            quadratics = [_irreducible_quadratic(rng) for _ in range(rng.randint(0, 2))]
+            poly = _poly_to_sympy([_random_nonzero_gauss(rng)])
+            for c in roots:
+                poly *= _poly_to_sympy([-c, ONE])
+            for q in quadratics:
+                poly *= q
+            got, rest = qi_poly_roots(_poly_from_sympy(poly))
+            want = [-_poly_from_sympy(f)[0] for f, m in poly.factor_list()[1]
+                    if f.degree() == 1 for _ in range(m)]
+            assert _in_order(got) == _in_order(want) == _in_order(roots)
+            unresolved = _poly_to_sympy([ONE])
+            for q in quadratics:
+                unresolved *= q
+            assert rest == (_poly_from_sympy(unresolved.monic()) if quadratics else [])
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +663,8 @@ class TestCornerInverse:
             a = qim_mul(qim_mul(e, _random_qim(rng, r, r)), e)
             x = solve_corner_inverse(e, a)
             assert x is not None
-            assert qim_eq(qim_mul(x, a), e) and qim_eq(qim_mul(a, x), e)
-            assert qim_eq(qim_mul(qim_mul(e, x), e), x)
+            assert qim_mul(x, a) == e and qim_mul(a, x) == e
+            assert qim_mul(qim_mul(e, x), e) == x
             assert _corner_inverse_oracle(e, a) == _to_sympy_matrix(x)
 
     def test_singular_compression(self):
@@ -599,6 +683,6 @@ class TestCornerInverse:
         for _ in range(5):
             e = _random_idempotent(rng, 3, 2)
             a = _random_qim(rng, 3, 3)
-            assert not qim_eq(qim_mul(e, a), qim_mul(a, e))
+            assert qim_mul(e, a) != qim_mul(a, e)
             assert solve_corner_inverse(e, a) is None
             assert _corner_inverse_oracle(e, a) is None

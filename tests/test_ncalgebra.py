@@ -4,7 +4,7 @@ import pytest
 
 from nctoric.errors import ParseError, RankMismatch, TargetExceedsBound
 from nctoric.exactmath import GaussRational, ONE, ZERO
-from nctoric.freeword import ReducedWord, abelianize, parse_word
+from nctoric.freeword import ReducedWord, abelianize, identity_word, parse_word
 from nctoric.ncalgebra import (AlgElem, BoundedIdeal, _ideal_columns, _pair_words,
                                _word_vector, abelianize_elem, bounded_ideal_member,
                                format_alg, parse_alg)
@@ -31,7 +31,7 @@ class TestArithmetic:
 
     def test_identity(self):
         a = A("(1+i)*z1 z2 + 2")
-        assert a * AlgElem.one(2) == a
+        assert a * AlgElem.from_word(identity_word(2)) == a
 
     def test_noncommutativity_witness(self):
         lhs = A("z1 z2") * A("z2^-1 z1")

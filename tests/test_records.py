@@ -7,12 +7,13 @@ import pytest
 
 from nctoric.azumaya import IdemSystem, LineProbeResult, MorphismData, QuasiHomChart
 from nctoric.deltasystem import ChartSystem
+from nctoric.freeword import identity_word
 from nctoric.ncalgebra import AlgElem, BoundedIdeal, MemberCertificate
 from nctoric.reports import Finding, Report
 from nctoric.sheaves import GluingData, TwistedSectionData
 from nctoric.toricfan import Fan
 
-ONE = AlgElem.one(1)
+ONE = AlgElem.from_word(identity_word(1))
 FAN_FIELDS = (2, ((1, 0), (0, 1)), ((0, 1),), ((), (0,), (1,), (0, 1)))
 
 # class -> the values of its fields, in signature order

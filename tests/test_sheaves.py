@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -6,7 +7,7 @@ from nctoric.deltasystem import build_system, check_admissible
 from nctoric.errors import (CandidateNotUnit, MismatchedSystems, NotASection,
                             UnboundedPolytope)
 from nctoric.exactmath import GaussRational, I, ONE, lattice_points
-from nctoric.freeword import abelianize, identity_word, parse_word
+from nctoric.freeword import abelianize, format_word, identity_word, parse_word
 from nctoric.ncalgebra import (AlgElem, BoundedIdeal, abelianize_elem,
                                bounded_ideal_member)
 from nctoric.sheaves import (GluingData, TwistedSectionData, check_gluing,
@@ -14,7 +15,7 @@ from nctoric.sheaves import (GluingData, TwistedSectionData, check_gluing,
                              sheaf_from_divisor, sheaves_isomorphic,
                              subscheme_from_sections)
 from nctoric.toricfan import divisor_vertices, polytope_sections, validate_fan
-from oracles import brute_lattice_points, triangle_count
+from oracles import brute_lattice_points, section_units_by_all_pairs, triangle_count
 
 
 def W(text, rank=2):
@@ -241,7 +242,7 @@ class TestExtendSection:
         section = extend_section(gluing, o_d(0), (0, 0))
         assert section.system.stages == gluing.system.stages == ()
         for cone in base.fan.faces:
-            assert section.locals[cone] == AlgElem.one(2)
+            assert section.locals[cone] == AlgElem.from_word(identity_word(2))
         assert check_twisted_section(section).ok
 
     def test_p2_o1_all_points(self):
@@ -322,11 +323,57 @@ class TestTwistedSectionChecker:
     def test_generic_perturbation_fails(self):
         section = self._section()
         locals_ = dict(section.locals)
-        locals_[(0,)] = locals_[(0,)] + AlgElem.one(2)
+        locals_[(0,)] = locals_[(0,)] + AlgElem.from_word(identity_word(2))
         broken = TwistedSectionData(gluing=section.gluing, locals=locals_)
         report = check_twisted_section(broken)
         assert not report.ok
         assert all(f.clause == "Def 3.6" for f in report.failures())
+
+
+def fan_f1():
+    return validate_fan(2, [(1, 0), (0, 1), (-1, 1), (0, -1)],
+                        [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+def sections_on_one_gluing(fan, divisor):
+    """A section for every lattice point of the divisor's polytope, each
+    extended from the gluing of the one before."""
+    gluing = sheaf_from_divisor(build_system(fan), divisor)
+    sections = []
+    for point in polytope_sections(fan, divisor):
+        sections.append(extend_section(gluing, divisor, point))
+        gluing = sections[-1].gluing
+    return sections
+
+
+class TestTwistedSectionUnits:
+    # the checker takes quotients by the first lower monomial only; the
+    # oracle tries every pair of monomials
+    @pytest.mark.parametrize("fan, divisor", [(fan_p1, (1, 2)), (fan_p2, o_d(2)),
+                                              (fan_f1, (0, 0, 1, 1))])
+    def test_combined_sections_match_all_pairs(self, fan, divisor):
+        sections = sections_on_one_gluing(fan(), divisor)
+        rng = random.Random(len(sections))
+        verdicts = set()   # of single incidences
+        for k in (2, 3):
+            for chosen in combinations(sections, k):
+                weights = [GaussRational(rng.randint(1, 4), rng.randint(-2, 2)) for _ in chosen]
+                combined = combine_sections(weights, list(chosen))
+                # one more term on one cone breaks its incidences
+                cone = rng.choice(sorted(combined.locals))
+                bumped = dict(combined.locals)
+                bumped[cone] = bumped[cone] + AlgElem.from_word(identity_word(fan().rank), I)
+                for section in (combined,
+                                TwistedSectionData(gluing=combined.gluing, locals=bumped)):
+                    units = section_units_by_all_pairs(section)
+                    want = [(f"{list(u)} > {list(l)}", unit is not None,
+                             f"verifying unit {unit[0]}*{format_word(unit[1])}" if unit
+                             else "no verifying unit among monomial quotients")
+                            for (u, l), unit in units.items()]
+                    report = check_twisted_section(section)
+                    assert [(f.locus, f.ok, f.detail) for f in report.findings] == want
+                    verdicts |= {f.ok for f in report.findings}
+        assert verdicts == {True, False}
 
 
 class TestSubscheme:

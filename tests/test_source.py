@@ -211,13 +211,21 @@ def _read_names(node):
 
 
 def _unread_functions(modules):
-    """Public top-level functions of {module name: tree} that no module reads
-    outside the function's own body; the CLI's entry points are exempt."""
+    """Public top-level functions, and methods other than dunders, of
+    {module name: tree} whose name no module reads outside the definition's
+    own body; the CLI's entry points are exempt."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     read = sum((_read_names(tree) for tree in modules.values()), Counter())
-    return {f"{module}.{fn.name}" for module, tree in modules.items() for fn in tree.body
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and not fn.name.startswith(("_", "cmd_")) and fn.name not in ("main", "build_parser")
-            and read[fn.name] == _read_names(fn)[fn.name]}
+    defs = {}
+    for module, tree in modules.items():
+        for node in tree.body:
+            if (isinstance(node, functions) and not node.name.startswith(("_", "cmd_"))
+                    and node.name not in ("main", "build_parser")):
+                defs[f"{module}.{node.name}"] = node
+            elif isinstance(node, ast.ClassDef):
+                defs.update((f"{module}.{node.name}.{fn.name}", fn) for fn in node.body
+                            if isinstance(fn, functions) and not fn.name.startswith("__"))
+    return {name for name, fn in defs.items() if read[fn.name] == _read_names(fn)[fn.name]}
 
 
 # public functions that no command reaches yet, each kept for an open item
@@ -230,19 +238,24 @@ UNREAD_KEPT = {
 
 
 def test_every_public_function_is_read():
-    # a library function that nothing in the library reads is test-only code
-    # (tests/oracles.py) or dead code
+    # a library function or method that nothing in the library reads is
+    # test-only code (tests/oracles.py) or dead code
     modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
                for path in sorted(SRC.glob("*.py"))}
     assert len(modules) >= 12 and _unread_functions(modules) == set(UNREAD_KEPT)
 
 
 def test_planted_unread_function_is_found():
-    # solve reads only itself, cli reads lift, and cmd_run is an entry point
+    # solve reads only itself, cli reads lift and Point.norm, cmd_run is an
+    # entry point, and dunders are exempt; Point.one is read nowhere
     modules = {"lattice": ast.parse("def solve(n):\n    return solve(n - 1)\n\n\n"
-                                    "def lift(u):\n    return u\n"),
-               "cli": ast.parse("def cmd_run(args):\n    return lattice.lift(args)\n")}
-    assert _unread_functions(modules) == {"lattice.solve"}
+                                    "def lift(u):\n    return u\n\n\n"
+                                    "class Point:\n"
+                                    "    def __eq__(self, other):\n        return True\n\n"
+                                    "    def norm(self):\n        return 0\n\n"
+                                    "    def one(self):\n        return 1\n"),
+               "cli": ast.parse("def cmd_run(args):\n    return lattice.lift(args).norm()\n")}
+    assert _unread_functions(modules) == {"lattice.solve", "lattice.Point.one"}
 
 
 def _module_state_writes(tree, filename):
