@@ -31,17 +31,18 @@ def _in_dual(vec, fan, cone):
     return all(pairing(vec, fan.rays[i]) >= 0 for i in cone)
 
 
-def _system_from_seeds(fan, seeds, lifts=None, stages=()):
-    """Compile the chart system grown from per-cone seed words.
-
-    A maximal chart is its own seed. A lower chart lists its own seed; the
-    seeds of the faces above it, the lower faces in fan.faces order and then
-    the maximal cones in fan.max_cones order; the inverses of those words
-    that kill the cone; and, on the zero cone, the letters. Submonoid keeps
-    the first occurrence of each word. Build, augmentation and softening all
-    give a lower chart this one chart, as does Prop 2.2.9's completion,
-    `complete_system` in tests/oracles.py.
-    """
+def _system_from_seeds(fan, seeds, base=None, lifts=None, stages=()):
+    """Append one stage of per-cone seed words to base's charts, or build
+    them when base is None. A chart lists base's generators, then its own
+    seed; on a lower chart, the seeds of the faces above it (the lower faces
+    in fan.faces order, then fan.max_cones), the inverses of those words
+    that kill the cone and, on the zero cone, the letters; each word once.
+    Only the stage's words are scanned; a chart that gains none stays base's
+    own Submonoid, saturated if it was. Regrowing from all the generators
+    gives the same lists, as base's upper generators and the inverses of its
+    killing words are in its lower charts (`_assert_inverse_system`). Build,
+    augmentation, softening and Prop 2.2.9's completion (`complete_system`
+    in tests/oracles.py) all use this one rule."""
     above = [c for c in fan.faces if not fan.is_maximal(c)] + list(fan.max_cones)
     charts = {}
     for tau in fan.faces:
@@ -53,7 +54,10 @@ def _system_from_seeds(fan, seeds, lifts=None, stages=()):
             words += [word_inv(w) for w in words if kills(fan, tau, abelianize(w))]
             if not tau:
                 words += words_up_to(fan.rank, 1)[1:]
-        charts[tau] = Submonoid(words, fan.rank)
+        chart = base.charts[tau] if base else Submonoid((), fan.rank)
+        if not set(words) <= set(chart.generators):
+            chart = Submonoid([*chart.generators, *words], fan.rank)
+        charts[tau] = chart
     system = ChartSystem(fan=fan, charts=charts, lifts=lifts, stages=stages)
     _assert_inverse_system(system)
     return system
@@ -159,10 +163,9 @@ def check_admissible(system):
 
 
 def augment_system(system, extra):
-    """Enlarge charts so each cone's chart contains the given extra words:
-    every chart is reseeded with its generators and extras, and each lower
-    chart regrows from the seeds above it. Nonempty extras become the
-    result's last stage."""
+    """Enlarge charts so each cone's chart contains the given extra words,
+    appended by `_system_from_seeds`, which keeps every chart they do not
+    reach. Nonempty extras become the result's last stage."""
     fan = system.fan
     extra = {tuple(c): list(ws) for c, ws in (extra or {}).items()}
     for cone, words in extra.items():
@@ -171,37 +174,28 @@ def augment_system(system, extra):
                 raise ExtraOutsideDualCone(
                     f"extra word {format_word(w)} does not map into the dual "
                     f"cone of {list(cone)}")
-    seeds = {cone: [*system.charts[cone].generators,
-                    *(w for w in extra.get(cone, ()) if not w.is_identity())]
-             for cone in fan.faces}
+    seeds = {cone: [w for w in words if not w.is_identity()] for cone, words in extra.items()}
     stages = system.stages + (extra,) if extra else system.stages
-    return _system_from_seeds(fan, seeds, lifts=system.lifts, stages=stages)
+    return _system_from_seeds(fan, seeds, base=system, lifts=system.lifts, stages=stages)
 
 
 def soften(system, extra):
     """Augment with extras on non-maximal cones only; maximal charts keep
     their exact generator lists.  Identity words and empty word lists are
     dropped; the rest go to one augment_system call and so form one stage.
-    Returns the new system and a dict from each touched cone to the words
-    newly adjoined to its chart. With no extras left the system is returned
-    as it is, so its charts, already saturated or not, are not rebuilt:
-    augmenting by nothing would give the same generators in the same order."""
+    Returns the new system and a dict from each cone whose chart grew to
+    the words appended to it. Every other chart is the input's own
+    Submonoid, already saturated or not, as with no extras at all."""
     extra = {tuple(c): [w for w in ws if not w.is_identity()]
              for c, ws in (extra or {}).items()}
     extra = {c: ws for c, ws in extra.items() if ws}
-    if not extra:
-        return system, {}
     for cone in extra:
         if system.fan.is_maximal(cone):
             raise MaximalChartTouched(
                 f"softening may not touch maximal cone {list(cone)}")
     out = augment_system(system, extra)
-    added = {}
-    for cone in system.fan.faces:
-        old = set(system.charts[cone].generators)
-        new = [w for w in out.charts[cone].generators if w not in old]
-        if new:
-            added[cone] = new
+    added = {c: list(out.charts[c].generators[len(system.charts[c].generators):])
+             for c in system.fan.faces if out.charts[c] is not system.charts[c]}
     return out, added
 
 

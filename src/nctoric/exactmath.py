@@ -776,9 +776,12 @@ def qi_poly_roots(poly):
             roots.append(ZERO)
             p = p[1:]
             continue
-        denom = lcm(*(c._d for c in p))
-        leads = gauss_int_divisors(p[-1] * denom)
-        candidates = (u / w for u in gauss_int_divisors(p[0] * denom) for w in leads)
+        if len(p) == 2:     # a linear factor's root needs no divisor search
+            candidates = [-p[0] / p[1]]
+        else:
+            denom = lcm(*(c._d for c in p))
+            leads = gauss_int_divisors(p[-1] * denom)
+            candidates = (u / w for u in gauss_int_divisors(p[0] * denom) for w in leads)
         found = next((c for c in candidates if not poly_eval(p, c)), None)
         if found is None:
             break

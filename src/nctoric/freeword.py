@@ -189,11 +189,12 @@ class Submonoid(Frozen):
     is set at the end.
 
     The automaton is built and saturated on the first membership query, not
-    at construction, so a submonoid that is never queried never saturates.
-    Instances are immutable, the one-time compilation aside.  The generators
-    keep the first occurrence of each word, in the order given, with the
-    words the automaton leaves out: a chart's `comm_monoid_member`
-    coefficients, and so section presentations, follow that order.
+    at construction, so a submonoid that is never queried never saturates,
+    and a chart kept by a growth stage stays saturated.  Instances are
+    immutable, the one-time compilation aside.  The generators keep the
+    first occurrence of each word, in the order given, with the words the
+    automaton leaves out: a chart's `comm_monoid_member` coefficients, and
+    so section presentations, follow that order; growth only appends.
     """
 
     __slots__ = ("generators", "rank", "_closure", "_moves")

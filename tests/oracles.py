@@ -11,7 +11,8 @@ pair of monomials, the per-block matrix-model sampler, a classifier
 of idempotent families read off the definitions, free-algebra arithmetic
 on letter tuples, the generators of the nested commutativity ideal,
 the completion of maximal charts (Prop 2.2.9), which no command runs and
-which grows its lower charts by the library's one rule, exhaustive
+which grows its lower charts by the library's one rule, augmentation by
+regrowing every chart instead of appending to it, exhaustive
 enumerations, brute-force lattice and divisor scans, and small
 helpers that only the tests need.
 """
@@ -681,3 +682,14 @@ def complete_system(fan, partial):
                 raise ValueError(f"{f.locus}: {f.clause} fails for {f.detail}")
         seeds[sigma] = words
     return _system_from_seeds(fan, seeds)
+
+
+def regrown_system(system, extra):
+    """The system augmented by extra with every chart regrown from all of
+    its generators and its extras, identities dropped, instead of grown by
+    appending: the charts `augment_system` and `soften` must give, in the
+    same order."""
+    seeds = {cone: [*system.charts[cone].generators,
+                    *(w for w in extra.get(cone, ()) if not w.is_identity())]
+             for cone in system.fan.faces}
+    return _system_from_seeds(system.fan, seeds)

@@ -794,6 +794,14 @@ class TestProbe:
         assert result.fibers == ((GaussRational(1000000000039), 1),)
         assert result.unresolved_factor == ()
 
+    def test_linear_factor_needs_no_divisor_search(self):
+        # the norm 10^18 + 9 of 1000000000+3i is prime, so a divisor search
+        # would trial-divide to 10^9; a linear factor's root is read off it
+        root = GaussRational(1000000000, 3)
+        result = a1_probe(M([[root]]))
+        assert result.fibers == ((root, 1),)
+        assert result.unresolved_factor == ()
+
     def test_rank_deficiency_sums_on_diagonal_samples(self):
         rng = random.Random(21)
         for _ in range(20):

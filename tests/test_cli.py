@@ -383,6 +383,17 @@ class TestSheafAndSections:
                    "--point", ",".join(map(str, point)), "--out", "s6.json")[0] == 0
         assert saturations == [1, 18, 95, 66]
 
+    def test_extend_with_new_units_saturates_only_the_charts_that_grow(
+            self, tmp_path, monkeypatch, capsys, saturations):
+        # s3 -> s4 softens new units into the charts of [] and [1] alone:
+        # extending saturates four charts of s3, then only those two again;
+        # the charts of [0] and [2] gain no word and stay saturated
+        point = self.cubic_chain(tmp_path, monkeypatch, capsys, 3)[3]
+        saturations.clear()
+        assert run(capsys, "section", "extend", "s3.json", "--divisor", "o3.div",
+                   "--point", ",".join(map(str, point)), "--out", "s4.json")[0] == 0
+        assert saturations == [1, 35, 1, 95, 1, 66]
+
     @pytest.mark.parametrize("edit, loci, detail", [
         (lambda obj: obj["locals"].remove({"cone": [0, 1], "element": "z1"}),
          ["[0, 1] > []", "[0, 1] > [0]", "[0, 1] > [1]"], "missing local presentation"),

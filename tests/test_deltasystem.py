@@ -13,7 +13,7 @@ from nctoric.exactmath import qim_identity
 from nctoric.freeword import (ReducedWord, Submonoid, canonical_lift,
                               format_word, parse_word, word_inv)
 from nctoric.toricfan import cone_monoid_generators, validate_fan
-from oracles import (complete_system, equal_charts, immediate_cover_descent,
+from oracles import (complete_system, equal_charts, immediate_cover_descent, regrown_system,
                      union_of_maximal_charts)
 
 
@@ -241,6 +241,7 @@ class TestSoftening:
         out, added = soften(system, {})
         assert equal_charts(out, system)
         assert added == {} and out.stages == ()
+        assert all(out.charts[c] is system.charts[c] for c in system.fan.faces)
 
     def test_ray_extras_grow_ray_and_zero_only(self):
         system = build_system(fan_single())
@@ -411,3 +412,93 @@ class TestOneLowerChartRule:
                 system, _ = soften(system, extra)
                 reference = immediate_cover_descent(fan, reference, extra)
                 assert word_lists(system) == reference
+
+
+GROWTH_FANS = ("p2", "p3", "f3")
+WORD_KINDS = ("dual", "perp", "identity", "generator")
+
+
+@st.composite
+def growth_stages(draw):
+    """A fan name, a seed, and up to three stages, each a flag for soften
+    (else augment_system) and its extras as (cone index, word kind, copies)
+    triples. A cone index picks from every face for augment_system, maximal
+    cones included, and from the lower faces for soften. A stage with no
+    triples is empty."""
+    name = draw(st.sampled_from(GROWTH_FANS))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    extras = st.lists(st.tuples(st.integers(0, 14), st.sampled_from(WORD_KINDS),
+                                st.integers(1, 2)), max_size=3)
+    return name, seed, draw(st.lists(st.tuples(st.booleans(), extras), min_size=1, max_size=3))
+
+
+def stage_extra(rng, system, softening, triples):
+    """The extras of one stage: a random word in the cone's dual cone (or in
+    its perpendicular lattice), the identity, or one of the chart's own
+    generators, each listed as often as its triple says."""
+    fan = system.fan
+    cones = [c for c in fan.faces if not (softening and fan.is_maximal(c))]
+    extra = {}
+    for index, kind, copies in triples:
+        cone = cones[index % len(cones)]
+        if kind == "generator":
+            w = rng.choice(system.charts[cone].generators)
+        elif kind == "identity":
+            w = ReducedWord((), fan.rank)
+        else:
+            w = random_dual_word(rng, fan, cone, perp=kind == "perp")
+        extra.setdefault(cone, []).extend([w] * copies)
+    return extra
+
+
+class TestAppendOnlyGrowth:
+    """augment_system and soften append each stage's words to the charts
+    they reach and keep every other chart as it is."""
+
+    @given(growth_stages())
+    def test_appending_equals_regrowing(self, case):
+        name, seed, stages = case
+        fan = validate_fan(*RULE_FANS[name])
+        rng = random.Random(seed)
+        system = build_system(fan)
+        for softening, triples in stages:
+            extra = stage_extra(rng, system, softening, triples)
+            if softening:
+                out, added = soften(system, extra)
+            else:
+                out = augment_system(system, extra)
+            reference = regrown_system(system, extra)
+            for cone in fan.faces:
+                old, new = system.charts[cone], out.charts[cone]
+                assert new.generators == reference.charts[cone].generators, (name, cone)
+                tail = list(new.generators[len(old.generators):])
+                assert (new is old) == (not tail)
+                if softening:
+                    assert added.get(cone, []) == tail
+            system = out
+
+    def test_soften_keeps_the_charts_it_does_not_reach(self, saturations):
+        system = build_system(fan_p3())
+        for chart in system.charts.values():
+            chart.member(chart.generators[0])
+        w = parse_word("z1 z3 z1^-1", 3)
+        out, added = soften(system, {(0, 1): [w, word_inv(w)]})
+        assert set(added) == {(0, 1), (0,), (1,), ()}
+        saturations.clear()
+        for cone, chart in out.charts.items():
+            old = system.charts[cone]
+            if cone in added:
+                assert chart.generators == old.generators + tuple(added[cone])
+            else:
+                assert chart is old
+                chart.member(w)
+        assert saturations == []
+
+    @pytest.mark.parametrize("extra", [
+        {(0,): []}, {(0,): [W("")]}, {(0,): [W("z1")], (): [W("z2^-1"), W("z1 z2^-1")]}])
+    def test_soften_by_nothing_new_keeps_every_chart(self, extra):
+        # an empty list, the identity, and words already generators
+        system = build_system(fan_p2())
+        out, added = soften(system, extra)
+        assert added == {}
+        assert all(out.charts[c] is system.charts[c] for c in system.fan.faces)
