@@ -7,12 +7,11 @@ letters, viewed as a monoid.
 
 A submonoid compiles to an automaton of its generators' star, saturated
 under cancellation (Benois's construction for rational subsets of free
-groups).  The automaton is a flower whose petals share their prefixes as a
-trie, without the generators that one-letter generators spell.  Saturation
-is Dyck reachability with a worklist: silent closures are Python-int
-bitsets, and a closure that grows is matched against its state's incoming
-letter transitions for the new states only.  Membership reads a word
-through the letter transitions, ORing target closures, and accepts on bit 0.
+groups).  The automaton is a flower without the generators that one-letter
+generators spell, whose unit edges are folded as in a Stallings graph.
+Saturation runs by rounds over silent closures kept as Python-int bitsets.
+Membership reads a word through the letter transitions, ORing target
+closures, and accepts on bit 0.
 A submonoid saturates on its first membership query, so a chart that is
 built but never queried (every chart of an intermediate stage of a replayed
 recipe, say) costs only its generator list.
@@ -177,13 +176,11 @@ class Submonoid(Frozen):
     Membership is decided on an automaton of (g1|...|gk)*, saturated under
     cancellation: every p -x-> r ~~> s -x^-1-> q pattern contributes a
     silent edge p -> q.  The automaton (`_flower`) leaves out each generator
-    that one-letter generators spell and gives each distinct proper prefix
-    of the others one state: it accepts the same words as the plain flower
-    with fewer states, so saturation decides the same membership.  The
-    silent closure of each state is a Python-int bitset (bit q set when q is
-    silently reachable).  Saturation runs a worklist over closure growth, so
-    each (state, closure member) pair is matched against the incoming
-    transitions once.  A reduced word is read letter by letter without
+    that one-letter generators spell and folds the unit edges of the others:
+    it has fewer states than the plain flower, and saturated it decides the
+    same membership.  The silent closure of each state is a Python-int
+    bitset (bit q set when q is silently reachable), saturated by rounds
+    (`_saturated_closures`).  A reduced word is read letter by letter without
     silent moves, taking the union of the target closures with `|` after
     each letter; it is a member iff bit 0 (the initial and accepting state)
     is set at the end.
@@ -228,9 +225,6 @@ class Submonoid(Frozen):
     def __reduce__(self):
         return Submonoid, (self.generators, self.rank)
 
-    def __contains__(self, word):
-        return self.member(word)
-
     def member(self, word):
         """Exact membership of a reduced word."""
         if word.rank != self.rank:
@@ -255,85 +249,90 @@ class Submonoid(Frozen):
 
 
 def _flower(generators):
-    """Letter transitions {(p, letter): targets} of an automaton of
-    (g1|...|gk)*, and its number of states.  State 0 is both initial and
-    accepting; every kept generator is a path from 0 back to 0.
+    """Letter transitions {(p, letter): targets} of the flower automaton of
+    (g1|...|gk)* with its unit edges folded, and its number of states.
+    State 0 is both initial and accepting.
 
-    Two changes to the flower automaton shrink it without changing its
-    language.  A generator of two or more letters, each of which is itself a
-    one-letter generator, is their product, so it is left out; with all 2n
-    letters present the automaton has one state.  The petals form a trie:
-    each distinct proper prefix of a kept generator has one state, shared by
-    every generator that starts with it."""
+    Each generator is a petal from 0 back to 0, except that a generator of
+    two or more letters that are all one-letter generators is their product
+    and is left out (with all 2n letters present one state remains).  Every
+    petal edge is a unit edge, stored with its inverse edge, except the
+    closing edge of a generator whose inverse is not a generator.  As
+    Stallings folds a subgroup graph, two unit edges with one letter out of
+    one state end in one state; the smaller state id is kept, so 0 stays 0.
+
+    The fold is sound.  Label each state with the word its petal reads to
+    it.  Across a unit edge p -x-> q, label(p)·x·label(q)^-1 is a unit of the
+    submonoid: 1 inside a petal, and g on the closing edge of a generator g
+    whose inverse is also a generator.  Across any other closing edge it is
+    a generator.  A fold therefore joins states whose labels differ by a
+    unit, and every walk from 0 to 0 reads a product of members.  Folding a
+    closing edge that is not a unit would be unsound: with generators z1
+    and z1 z2 it would accept z2.
+    """
     ones = {g.letters[0] for g in generators if len(g) == 1}
-    trans = defaultdict(set)
-    child = {}                      # (state, letter) -> state of the longer prefix
+    units, others = [], []
+    nstates = 1
     for g in generators:
         letters = g.letters
-        if len(letters) > 1 and ones.issuperset(letters):
+        if len(letters) != 1 and ones.issuperset(letters):
             continue
         prev = 0
-        for i, letter in enumerate(letters, 1):
-            nxt = 0 if i == len(letters) else child.setdefault((prev, letter), len(child) + 1)
-            trans[(prev, letter)].add(nxt)
+        for i, x in enumerate(letters, 1):
+            nxt = 0 if i == len(letters) else nstates
+            nstates += nxt != 0
+            if nxt or word_inv(g) in generators:
+                units += [(prev, x, nxt), (nxt, -x, prev)]
+            else:
+                others.append((prev, x, nxt))
             prev = nxt
-    return {key: frozenset(targets) for key, targets in trans.items()}, len(child) + 1
+    root = list(range(nstates))
 
+    def find(s):
+        while root[s] != s:
+            root[s] = root[root[s]]
+            s = root[s]
+        return s
 
-def _bits(mask):
-    """Indices of the set bits of a nonnegative int, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    out = [{} for _ in range(nstates)]     # root -> {letter: a unit edge's target}
+    merge = [(out[p].setdefault(x, q), q) for p, x, q in units]
+    while merge:
+        a, b = sorted(map(find, merge.pop()))
+        if a != b:
+            root[b] = a
+            for x, q in out[b].items():
+                merge.append((out[a].setdefault(x, q), q))
+    ids = {r: i for i, r in enumerate(dict.fromkeys(map(find, range(nstates))))}
+    trans = defaultdict(set)
+    for p, x, q in units + others:
+        trans[(ids[find(p)], x)].add(ids[find(q)])
+    return dict(trans), len(ids)
 
 
 def _saturated_closures(trans, nstates):
-    """Silent closures of the flower automaton saturated under cancellation,
-    as bitsets: bit q of closure[p] is set iff p reaches q by silent edges.
+    """Silent closures of the automaton saturated under cancellation, as
+    bitsets: bit q of closure[p] is set iff p reaches q by silent edges.
 
-    Benois's saturation read as Dyck reachability, solved with a worklist.
-    pending[r] holds the states that joined closure[r] but were not yet
-    matched: for each incoming p -x-> r and each such s, every s -x^-1-> q
-    gives a silent edge p -> q.  The new edges out of p OR the closures of
-    their targets into every closure that contains p; each closure that
-    grows goes back on the worklist.  Closures stay transitively closed
-    (q in closure[u] implies closure[q] within closure[u]), so an edge whose
-    target is already in closure[p] changes nothing, and the closures that
-    contain p are the same before and after its new edges.
+    Benois's saturation, by rounds.  A round ORs closure[q] into closure[p]
+    for every p -x-> r ~~> s -x^-1-> q pattern, then ORs into each closure
+    the closures of its members; the rounds stop when one changes nothing.
     """
-    incoming = [[] for _ in range(nstates)]
-    sources = defaultdict(int)      # letter -> states with a transition on it
-    targets = {}                    # (state, letter) -> bitset of targets
-    for (p, x), qs in trans.items():
-        mask = 0
-        for r in qs:
-            incoming[r].append((p, x))
-            mask |= 1 << r
-        sources[x] |= 1 << p
-        targets[(p, x)] = mask
     closure = [1 << s for s in range(nstates)]
-    pending = list(closure)
-    work = list(range(nstates))
-    while work:
-        r = work.pop()
-        gained = pending[r]
-        pending[r] = 0
-        for p, x in incoming[r]:
-            hit = 0
-            for s in _bits(gained & sources[-x]):
-                hit |= targets[(s, -x)]
-            add = 0
-            for q in _bits(hit & ~closure[p]):
-                add |= closure[q]
-            if not add:
-                continue
-            for u, cu in enumerate(closure):
-                if cu >> p & 1 and add & ~cu:
-                    if not pending[u]:
-                        work.append(u)
-                    closure[u] = cu | add
-                    pending[u] |= add & ~cu
+    before = None
+    while closure != before:
+        before = list(closure)
+        for (p, x), rs in trans.items():
+            reach = 0
+            for r in rs:
+                reach |= closure[r]
+            for s in range(nstates):
+                if reach >> s & 1:
+                    for q in trans.get((s, -x), ()):
+                        closure[p] |= closure[q]
+        for p in range(nstates):
+            for q in range(nstates):
+                if closure[p] >> q & 1:
+                    closure[p] |= closure[q]
     return closure
 
 

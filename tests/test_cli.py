@@ -365,12 +365,12 @@ class TestSheafAndSections:
     def test_cubic_section_check_saturation_states(self, tmp_path, monkeypatch, capsys,
                                                     saturations):
         # checking s3 saturates four charts, whose automata leave out the
-        # generators that one-letter generators spell and share generator
-        # prefixes
+        # generators that one-letter generators spell and fold their unit
+        # edges
         self.cubic_chain(tmp_path, monkeypatch, capsys, 3)
         saturations.clear()
         assert run(capsys, "section", "check", "s3.json")[0] == 0
-        assert len(saturations) == 4 and sum(saturations) == 132
+        assert len(saturations) == 4 and sum(saturations) == 16
 
     def test_extend_without_new_units_saturates_each_chart_once(
             self, tmp_path, monkeypatch, capsys, saturations):
@@ -381,7 +381,7 @@ class TestSheafAndSections:
         saturations.clear()
         assert run(capsys, "section", "extend", "s5.json", "--divisor", "o3.div",
                    "--point", ",".join(map(str, point)), "--out", "s6.json")[0] == 0
-        assert saturations == [1, 18, 95, 66]
+        assert saturations == [1, 2, 8, 6]
 
     def test_extend_with_new_units_saturates_only_the_charts_that_grow(
             self, tmp_path, monkeypatch, capsys, saturations):
@@ -392,7 +392,7 @@ class TestSheafAndSections:
         saturations.clear()
         assert run(capsys, "section", "extend", "s3.json", "--divisor", "o3.div",
                    "--point", ",".join(map(str, point)), "--out", "s4.json")[0] == 0
-        assert saturations == [1, 35, 1, 95, 1, 66]
+        assert saturations == [1, 6, 1, 8, 1, 6]
 
     @pytest.mark.parametrize("edit, loci, detail", [
         (lambda obj: obj["locals"].remove({"cone": [0, 1], "element": "z1"}),

@@ -33,9 +33,10 @@ def words(draw, rank=2, max_len=6, prefix=(), alphabet=None):
 def generator_sets(draw):
     """Rank 1-3 generator sets, and probe words: products of generators
     followed by one arbitrary word.  A set has 1-5 words of length 1-6, some
-    of the 2n one-letter words, a word spelled by those, and words that
-    extend a generator, so that the automaton leaves generators out and
-    shares prefixes."""
+    of the 2n one-letter words, a word spelled by those, words that extend a
+    generator, inverse pairs g, g^-1, and products of paired generators, some
+    listed with their inverses and some without, so that the automaton leaves
+    generators out, shares prefixes and folds unit edges."""
     rank = draw(st.integers(1, 3))
     gens = draw(st.lists(words(rank, 6).filter(lambda w: len(w) > 0),
                          min_size=1, max_size=5))
@@ -46,6 +47,14 @@ def generator_sets(draw):
         gens.append(draw(words(rank, 5, alphabet=ones)))
     for g in draw(st.lists(st.sampled_from(gens), max_size=2)):
         gens.append(draw(words(rank, 3, prefix=g.letters)))
+    paired = draw(st.lists(words(rank, 4).filter(lambda w: len(w) > 0), max_size=3))
+    gens += paired + [word_inv(g) for g in paired]
+    if paired:
+        for _ in range(draw(st.integers(0, 2))):
+            w = identity_word(rank)
+            for g in draw(st.lists(st.sampled_from(paired), min_size=1, max_size=3)):
+                w = word_mul(w, draw(st.sampled_from([g, word_inv(g)])))
+            gens += [w, word_inv(w)] if draw(st.booleans()) else [w]
     gens = draw(st.permutations(gens))
     probes = []
     for _ in range(8):
@@ -181,9 +190,11 @@ class TestSaturation:
     @given(generator_sets())
     def test_matches_round_saturation(self, case):
         # the closures are the round saturation of the library's own
-        # automaton, which has one state per distinct proper prefix of a
-        # generator that one-letter generators do not spell; the answers are
-        # those of the saturated plain flower
+        # automaton, which has at most one state per distinct proper prefix
+        # of a generator that one-letter generators do not spell; on the
+        # generators whose inverses are generators every edge is a unit edge,
+        # so the fold leaves no state with two edges on one letter; the
+        # answers are those of the saturated plain flower
         rank, gens, probes = case
         sub = Submonoid(gens, rank)
         sub.member(identity_word(rank))     # saturates on the first query
@@ -191,11 +202,30 @@ class TestSaturation:
         assert closure_sets(sub) == saturate_by_rounds(trans, nstates)
         ones = {g.letters for g in gens if len(g) == 1}
         kept = [g for g in gens if not all((x,) in ones for x in g.letters)]
-        assert nstates == 1 + len({g.letters[:i] for g in kept for i in range(1, len(g))})
+        assert nstates <= 1 + len({g.letters[:i] for g in kept for i in range(1, len(g))})
+        paired, _ = _flower([g for g in sub.generators if word_inv(g) in sub.generators])
+        for (p, x), targets in paired.items():
+            (q,) = targets
+            assert paired[(q, -x)] == {p}
         flower, states = plain_flower(sub.generators)
         closure = saturate_by_rounds(flower, states)
         for w in probes + words_up_to(rank, 2):
             assert sub.member(w) == run_saturated(flower, closure, w), (gens, w)
+
+    @pytest.mark.parametrize("gens, members, others", [
+        # folding the closing edge of z1, which is not a unit, into the
+        # first edge of z1 z2 would accept z2
+        (["z1", "z1 z2"], ["z1^2 z2", "z1 z2 z1"], ["z2", "z2 z1", "z1^-1"]),
+        # the closing edges of z1 z2 and z3 z2 would fold and accept z1 z3^-1
+        (["z1 z2", "z3 z2"], ["z1 z2 z3 z2"], ["z1 z3^-1", "z3 z1^-1", "z2"]),
+        (["z1 z2", "z2^-1 z1^-1"], ["z1 z2 z1 z2", "z2^-1 z1^-1 z2^-1 z1^-1", "e"],
+         ["z1", "z2", "z1 z2 z1", "z1^2 z2^2"]),
+    ])
+    def test_fold_keeps_non_units_apart(self, gens, members, others):
+        s = Submonoid([W(t, 3) for t in gens], 3)
+        oracle = dyck_membership(s.generators, 3)
+        for text in members + others:
+            assert s.member(W(text, 3)) == (text in members) == oracle(W(text, 3)), text
 
     def test_memo_keeps_generator_order(self):
         gens = [W("z1 z2"), W("z2^-1"), W("z1^-1")]
