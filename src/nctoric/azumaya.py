@@ -77,7 +77,7 @@ def check_quasi_hom(system, chart):
             clause=clauses.QUASI_HOM, locus=locus, ok=ok,
             detail=f"image of {format_word(g)} must be absorbed by the idempotent"))
     for g, a in chart.images.items():
-        if g in sub.generators and is_unit_in(sub, g):
+        if g in sub.generator_set and is_unit_in(sub, g):
             findings.append(Finding(
                 clause=clauses.QUASI_HOM, locus=locus,
                 ok=solve_corner_inverse(e, a) is not None,
@@ -107,7 +107,7 @@ def check_gluing_pair(system, upper_chart, lower_chart):
         findings.append(Finding(
             clause=clauses.GLUE_CENTRALIZER, locus=locus, ok=left == right,
             detail=f"image of {format_word(g)} must centralize the lower idempotent"))
-    lower_generators = system.charts[lower].generators
+    lower_generators = system.charts[lower].generator_set
     for g, (left, right) in sides.items():
         lower_val = lower_chart.images.get(g)
         if g not in lower_generators or lower_val is None:
@@ -273,14 +273,14 @@ def verify_morphism(morphism, rel_bound=4):
                 clause=clauses.MORPHISM_GLUING, locus=f"cone {list(cone)}",
                 ok=False, detail="chart missing"))
             continue
-        generators = system.charts[cone].generators
-        for g in generators:
+        sub = system.charts[cone]
+        for g in sub.generators:
             if g not in chart.images:
                 report.add(Finding(
                     clause=clauses.MORPHISM_GLUING, locus=f"cone {list(cone)}",
                     ok=False, detail=f"no image for generator {format_word(g)}"))
         for g in chart.images:
-            if g not in generators:
+            if g not in sub.generator_set:
                 report.add(Finding(
                     clause=clauses.MORPHISM_GLUING, locus=f"cone {list(cone)}",
                     ok=False, detail=f"image of {format_word(g)}, "

@@ -55,7 +55,7 @@ def _system_from_seeds(fan, seeds, base=None, lifts=None, stages=()):
             if not tau:
                 words += words_up_to(fan.rank, 1)[1:]
         chart = base.charts[tau] if base else Submonoid((), fan.rank)
-        if not set(words) <= set(chart.generators):
+        if not set(words) <= chart.generator_set:
             chart = Submonoid([*chart.generators, *words], fan.rank)
         charts[tau] = chart
     system = ChartSystem(fan=fan, charts=charts, lifts=lifts, stages=stages)
@@ -71,6 +71,10 @@ def build_system(fan, lifts=None):
     canonical lift.
     """
     lifts = dict(lifts or {})
+    for sigma, u in lifts:
+        if u not in fan.duals.get(sigma, ()):
+            raise BadLift(f"lift at {u} on cone {list(sigma)}, which is not a dual "
+                          f"generator of a maximal cone")
     seeds = {}
     for sigma in fan.max_cones:
         words = []
@@ -93,7 +97,7 @@ def _assert_inverse_system(system):
     azumaya.check_gluing_pair reads the lower image of each upper generator
     by it."""
     for (upper, lower) in system.fan.incidence_pairs():
-        lower_generators = set(system.charts[lower].generators)
+        lower_generators = system.charts[lower].generator_set
         for g in system.charts[upper].generators:
             if g not in lower_generators:
                 raise AssertionError(
@@ -169,6 +173,8 @@ def augment_system(system, extra):
     fan = system.fan
     extra = {tuple(c): list(ws) for c, ws in (extra or {}).items()}
     for cone, words in extra.items():
+        if cone not in fan.faces:
+            raise ExtraOutsideDualCone(f"extra words on {list(cone)}, not a cone of the fan")
         for w in words:
             if not _in_dual(abelianize(w), fan, cone):
                 raise ExtraOutsideDualCone(

@@ -55,9 +55,6 @@ class ReducedWord(Frozen):
     def __mul__(self, other):
         return word_mul(self, other)
 
-    def inverse(self):
-        return word_inv(self)
-
     def is_identity(self):
         return not self.letters
 
@@ -192,16 +189,18 @@ class Submonoid(Frozen):
     first occurrence of each word, in the order given, with the words the
     automaton leaves out: a chart's `comm_monoid_member` coefficients, and
     so section presentations, follow that order; growth only appends.
+    `generator_set` is a set view of the same words, for membership tests.
     """
 
-    __slots__ = ("generators", "rank", "_closure", "_moves")
+    __slots__ = ("generators", "generator_set", "rank", "_closure", "_moves")
 
     def __init__(self, generators, rank):
-        gens = tuple(dict.fromkeys(generators))
-        for g in gens:
+        index = dict.fromkeys(generators)
+        for g in index:
             if g.rank != rank:
                 raise RankMismatch("generator rank differs from submonoid rank")
-        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "generators", tuple(index))
+        object.__setattr__(self, "generator_set", index.keys())
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "_closure", None)
         object.__setattr__(self, "_moves", None)
@@ -270,7 +269,8 @@ def _flower(generators):
     closing edge that is not a unit would be unsound: with generators z1
     and z1 z2 it would accept z2.
     """
-    ones = {g.letters[0] for g in generators if len(g) == 1}
+    members = set(generators)
+    ones = {g.letters[0] for g in members if len(g) == 1}
     units, others = [], []
     nstates = 1
     for g in generators:
@@ -281,7 +281,7 @@ def _flower(generators):
         for i, x in enumerate(letters, 1):
             nxt = 0 if i == len(letters) else nstates
             nstates += nxt != 0
-            if nxt or word_inv(g) in generators:
+            if nxt or word_inv(g) in members:
                 units += [(prev, x, nxt), (nxt, -x, prev)]
             else:
                 others.append((prev, x, nxt))

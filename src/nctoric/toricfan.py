@@ -255,16 +255,6 @@ def in_polytope(fan, divisor, point):
                for ray, bound in _polytope_inequalities(fan, divisor))
 
 
-def _unit_pair_indices(gens):
-    idx = set()
-    gset = {g: i for i, g in enumerate(gens)}
-    for i, g in enumerate(gens):
-        neg = tuple(-x for x in g)
-        if neg in gset:
-            idx.add(i)
-    return sorted(idx)
-
-
 def ray_sum(fan, cone):
     """The sum of the cone's rays (the zero vector for the zero cone).
 
@@ -281,17 +271,20 @@ def comm_monoid_solver(gens, functional):
     gens.
 
     Generators occurring together with their exact negatives are treated as
-    a group part (solved by lattice algebra); the remaining generators are
-    searched exhaustively under the integer functional, which must be
+    a group part (solved by lattice algebra; a negative coefficient goes to
+    the first generator with the negated vector); the remaining generators
+    are searched exhaustively under the integer functional, which must be
     positive on each of them and zero on the group part, so it bounds every
     coefficient. The split, that check, the Hermite normal form of the group
     part and the functional's values are computed once; the returned
     function gives a target's coefficient list, or None.
     """
     gens = [tuple(g) for g in gens]
-    unit_idx = _unit_pair_indices(gens)
+    first = {g: i for i, g in reversed(list(enumerate(gens)))}    # vector -> its first index
+    neg_of = [first.get(tuple(-x for x in g)) for g in gens]
+    unit_idx = [i for i, j in enumerate(neg_of) if j is not None]
     unit_gens = [gens[i] for i in unit_idx]
-    other_idx = [i for i in range(len(gens)) if i not in unit_idx]
+    other_idx = [i for i, j in enumerate(neg_of) if j is None]
     other = [gens[i] for i in other_idx]
     if not (all(pairing(functional, g) > 0 for g in other)
             and all(pairing(functional, b) == 0 for b in unit_gens)):
@@ -299,7 +292,6 @@ def comm_monoid_solver(gens, functional):
             f"functional {tuple(functional)} does not bound the search: it must be "
             f"positive on the non-invertible generators and zero on the invertible ones")
     lattice_part = lattice_solver([list(g) for g in unit_gens])
-    neg_idx = [gens.index(tuple(-x for x in g)) for g in unit_gens]
     values = [pairing(functional, go) for go in other]
 
     def finish(partial, residual):
@@ -307,11 +299,11 @@ def comm_monoid_solver(gens, functional):
         if sol is None:
             return None
         out = list(partial)
-        for k, c in enumerate(sol):
+        for i, c in zip(unit_idx, sol):
             if c >= 0:
-                out[unit_idx[k]] += c
+                out[i] += c
             else:
-                out[neg_idx[k]] += -c
+                out[neg_of[i]] -= c
         return out
 
     def solve(target):

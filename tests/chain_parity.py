@@ -1,18 +1,19 @@
 """Run the section chain of the divisor d·D_n on P^n in two source trees and
 compare what they write.
 
-    python tests/chain_parity.py OLD_SRC NEW_SRC DEGREE N
+    python tests/chain_parity.py OLD_SRC NEW_SRC DEGREE N [COUNT]
 
 Each tree runs in its own interpreter, with that tree first on `sys.path`,
 in a fresh temporary directory.  There the chain runs in process through
 `nctoric.cli.main`: `sheaf from-divisor` on P^N (maximal cones in
 lexicographic order) with the divisor DEGREE·D_N, `section extend` on every
 point of `section list`, in that order, and `section check` of the last
-section.  Its known answers are checked in each tree: `section list` gives
-C(DEGREE + N, N) points and every command exits 0.  The script prints each
-tree's time per extend and for the check, and the digest of every written
-file and of the commands' output.  It exits 1 when a known answer fails or
-a digest differs between the trees.
+section.  With COUNT, only the first COUNT points are extended and the check
+reads s_COUNT.  Its known answers are checked in each tree: `section list`
+gives C(DEGREE + N, N) points and every command exits 0.  The script prints
+each tree's time per extend and for the check, and the digest of every
+written file and of the commands' output.  It exits 1 when a known answer
+fails or a digest differs between the trees.
 """
 import contextlib
 import hashlib
@@ -29,9 +30,9 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
-def run_chain(degree, n):
-    """Run the chain in the working directory; print one JSON line with its
-    exit codes, point count, times and digests."""
+def run_chain(degree, n, count=None):
+    """Run the chain, up to `count` extends, in the working directory; print
+    one JSON line with its exit codes, point count, times and digests."""
     from nctoric.cli import main
 
     output = hashlib.sha256()
@@ -56,12 +57,12 @@ def run_chain(degree, n):
     codes.append(code)
     points = json.loads(out)["points"]
     extends = []
-    for k, point in enumerate(points, 1):
+    for k, point in enumerate(points[:count], 1):
         code, _, seconds = run("section", "extend", f"s{k - 1}.json", "--divisor", "d.div",
                                f"--point={','.join(map(str, point))}", "--out", f"s{k}.json")
         codes.append(code)
         extends.append(seconds)
-    code, _, check = run("section", "check", f"s{len(points)}.json")
+    code, _, check = run("section", "check", f"s{len(extends)}.json")
     codes.append(code)
     digests = {}
     for name in sorted(os.listdir(".")):
@@ -72,9 +73,9 @@ def run_chain(degree, n):
                       "check": check, "digests": digests}))
 
 
-def run_tree(src, degree, n):
+def run_tree(src, degree, n, count):
     code = (f"import sys; sys.path[:0] = [{os.path.abspath(src)!r}, {HERE!r}]; "
-            f"import chain_parity; chain_parity.run_chain({degree}, {n})")
+            f"import chain_parity; chain_parity.run_chain({degree}, {n}, {count})")
     with tempfile.TemporaryDirectory() as work:
         done = subprocess.run([sys.executable, "-c", code], cwd=work, check=True,
                               capture_output=True, text=True)
@@ -84,11 +85,12 @@ def run_tree(src, degree, n):
 def main(argv):
     old_src, new_src = argv[:2]
     degree, n = int(argv[2]), int(argv[3])
+    count = int(argv[4]) if len(argv) > 4 else None
     expected = math.comb(degree + n, n)
     failed = False
     runs = {}
     for label, src in (("old", old_src), ("new", new_src)):
-        runs[label] = result = run_tree(src, degree, n)
+        runs[label] = result = run_tree(src, degree, n, count)
         times = " ".join(f"{t:.2f}" for t in result["extends"])
         print(f"{label}: {len(result['extends'])} extends in {sum(result['extends']):.2f} s, "
               f"check {result['check']:.2f} s\n  per extend: {times}")

@@ -583,8 +583,8 @@ def _closed_chart(fan, cone, words):
     for w in list(out):
         vec = abelianize(w)
         kills = all(sum(a * b for a, b in zip(vec, fan.rays[i])) == 0 for i in cone)
-        if kills and w.inverse() not in out:
-            out.append(w.inverse())
+        if kills and word_inv(w) not in out:
+            out.append(word_inv(w))
     if not cone:
         for i in range(1, fan.rank + 1):
             for letter in (ReducedWord((i,), fan.rank), ReducedWord((-i,), fan.rank)):

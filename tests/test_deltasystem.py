@@ -92,6 +92,13 @@ class TestBuild:
         with pytest.raises(BadLift):
             build_system(fan, {((0, 1), (1, 0)): W("z2")})
 
+    def test_lift_off_a_maximal_dual_generator(self):
+        fan = fan_p2()
+        with pytest.raises(BadLift):
+            build_system(fan, {((0,), (1, 0)): W("z1")})
+        with pytest.raises(BadLift):
+            build_system(fan, {((0, 1), (1, 1)): W("z1 z2")})
+
     def test_deterministic(self):
         fan = fan_p2()
         a = build_system(fan)
@@ -234,8 +241,18 @@ class TestAugmentation:
         with pytest.raises(ExtraOutsideDualCone):
             augment_system(system, {(0, 1): [W("z1^-1")]})
 
+    def test_cone_outside_the_fan_rejected(self):
+        system = build_system(fan_p2())
+        with pytest.raises(ExtraOutsideDualCone):
+            augment_system(system, {(5,): [W("z1")]})
+
 
 class TestSoftening:
+    def test_unsorted_cone_rejected(self):
+        # (1, 0) names no cone of the fan, though its rays span the maximal (0, 1)
+        with pytest.raises(ExtraOutsideDualCone):
+            soften(build_system(fan_p2()), {(1, 0): [W("z1 z2")]})
+
     def test_identity(self):
         system = build_system(fan_single())
         out, added = soften(system, {})

@@ -209,6 +209,15 @@ class TestCommMonoidMember:
             total = [t + c * x for t, x in zip(total, g)]
         assert tuple(total) == (-4, 2)
 
+    @pytest.mark.parametrize("gens, target, functional, coeffs", [
+        # a unit's negative lattice coefficient goes to the first (-1,0), index 1
+        ([(1, 0), (-1, 0), (-1, 0), (0, 1)], (-2, 1), (0, 1), [0, 2, 0, 1]),
+        # each copy of a repeated non-unit vector is searched on its own
+        ([(1, 0), (0, 1), (1, 0), (1, 1)], (2, 1), (1, 1), [0, 0, 1, 1]),
+    ])
+    def test_repeated_vectors(self, gens, target, functional, coeffs):
+        assert comm_monoid_member(gens, target, functional) == coeffs
+
     def test_random_reconstruction(self):
         rng = random.Random(23)
         gens = [(1, 0), (0, 1), (1, 1), (2, 1)]
