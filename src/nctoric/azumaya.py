@@ -171,7 +171,7 @@ def idem_classify(fan, idempotents):
                       complete=total == qim_identity(r))
 
 
-def check_relations(system, chart, rel_bound=4):
+def check_relations(system, chart, rel_bound):
     """Consistency of generator images on all monoid relations discoverable
     among generator products of bounded length; bound-relative by nature.
     A product g1...gk of generators with images is valued
@@ -379,7 +379,7 @@ def image_kernel_bounded(morphism, cone, bound):
     gens = []
     for coeffs in null:
         elem = AlgElem(rank, {w: c for w, c in zip(words, coeffs) if c})
-        if not elem.is_zero():
+        if elem:
             gens.append(elem)
     degree = max([bound] + [g.max_word_len() for g in gens])
     return BoundedIdeal(tuple(gens), degree)

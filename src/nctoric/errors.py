@@ -9,16 +9,12 @@ from . import clauses
 
 class Frozen:
     """Base of the immutable value types: assignment is refused, so each
-    constructor sets its slots with `object.__setattr__`, and copy and pickle
-    rebuild through the constructor from the slots in order."""
+    constructor sets its slots with `object.__setattr__`."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 class NctoricError(Exception):
@@ -30,15 +26,7 @@ class NctoricError(Exception):
 
 
 class ParseError(NctoricError):
-    """Malformed input file or literal; carries a best-effort location."""
-
-    def __init__(self, message, line=None, column=None):
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + loc)
-        self.line = line
-        self.column = column
+    """Malformed input file or literal."""
 
 
 class RankMismatch(NctoricError):

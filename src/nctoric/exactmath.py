@@ -37,10 +37,6 @@ class GaussRational(Frozen):
         _set_b(self, im.numerator * (d // im.denominator))
         _set_d(self, d)
 
-    def __reduce__(self):
-        # the constructor takes the value's parts, not the slots
-        return GaussRational, (self.re, self.im)
-
     @property
     def re(self):
         return Fraction(self._a, self._d)
@@ -58,8 +54,6 @@ class GaussRational(Frozen):
         return _make(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1,
                      d1 * d2)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = _coerce(other)
         d1, d2 = self._d, other._d
@@ -68,15 +62,10 @@ class GaussRational(Frozen):
         return _make(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1,
                      d1 * d2)
 
-    def __rsub__(self, other):
-        return _coerce(other) - self
-
     def __mul__(self, other):
         other = _coerce(other)
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
         return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -86,9 +75,6 @@ class GaussRational(Frozen):
             raise ZeroDivisionError("division by zero in Q(i)")
         # (a1 + b1 i)/d1 * d2 (a2 - b2 i) / (a2^2 + b2^2)
         return _make((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * n)
-
-    def __rtruediv__(self, other):
-        return _coerce(other) / self
 
     def __neg__(self):
         return _new(-self._a, -self._b, self._d)

@@ -52,9 +52,6 @@ class ReducedWord(Frozen):
     def __repr__(self):
         return f"ReducedWord({format_word(self)!r}, rank={self.rank})"
 
-    def __mul__(self, other):
-        return word_mul(self, other)
-
     def is_identity(self):
         return not self.letters
 
@@ -96,9 +93,8 @@ def abelianize(a):
     return tuple(v)
 
 
-def canonical_lift(vec, rank=None):
+def canonical_lift(vec, rank):
     """The sorted word z1^a1 ... zn^an with the given exponent vector."""
-    rank = len(vec) if rank is None else rank
     letters = []
     for i, a in enumerate(vec):
         letters.extend([i + 1 if a > 0 else -(i + 1)] * abs(a))
@@ -117,11 +113,11 @@ def parse_word(text, rank):
     if s in ("", "e", "1"):
         return identity_word(rank)
     letters = []
-    for pos, tok in enumerate(s.split()):
+    for tok in s.split():
         if tok in ("e", "1"):
             continue
         if not tok.startswith("z"):
-            raise ParseError(f"bad word factor {tok!r} (expected zK or zK^E)", column=pos)
+            raise ParseError(f"bad word factor {tok!r} (expected zK or zK^E)")
         body = tok[1:]
         if "^" in body:
             idx_txt, _, exp_txt = body.partition("^")
@@ -131,11 +127,11 @@ def parse_word(text, rank):
             idx = int(idx_txt)
             exp = int(exp_txt)
         except ValueError:
-            raise ParseError(f"bad word factor {tok!r}", column=pos) from None
+            raise ParseError(f"bad word factor {tok!r}") from None
         if idx == 0:
-            raise ParseError("letter index 0 is not allowed", column=pos)
+            raise ParseError("letter index 0 is not allowed")
         if idx < 0 or idx > rank:
-            raise ParseError(f"letter index {idx} exceeds rank {rank}", column=pos)
+            raise ParseError(f"letter index {idx} exceeds rank {rank}")
         k = idx if exp > 0 else -idx
         n = abs(exp)
         while n and letters and letters[-1] == -k:     # freely reduced as it is read
@@ -220,9 +216,6 @@ class Submonoid(Frozen):
         object.__setattr__(self, "_closure", tuple(closure))
         object.__setattr__(self, "_moves", moves)
         return moves
-
-    def __reduce__(self):
-        return Submonoid, (self.generators, self.rank)
 
     def member(self, word):
         """Exact membership of a reduced word."""

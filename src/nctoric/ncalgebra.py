@@ -15,7 +15,8 @@ from .freeword import (ReducedWord, abelianize, format_word, identity_word,
 
 
 class AlgElem(Frozen):
-    """Finite Q(i)-combination of reduced words; zero terms never stored."""
+    """Finite Q(i)-combination of reduced words; zero terms never stored.
+    Its truth value is its zero test, as a GaussRational's is."""
 
     __slots__ = ("rank", "terms")
 
@@ -39,18 +40,12 @@ class AlgElem(Frozen):
     def from_word(w, coeff=ONE):
         return AlgElem(w.rank, {w: coeff})
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
         return (isinstance(other, AlgElem) and self.rank == other.rank
                 and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
 
     def __add__(self, other):
         if self.rank != other.rank:
@@ -59,12 +54,6 @@ class AlgElem(Frozen):
         for w, c in other.terms.items():
             terms[w] = terms.get(w, ZERO) + c
         return AlgElem(self.rank, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return AlgElem(self.rank, {w: -c for w, c in self.terms.items()})
 
     def scale(self, c):
         if not isinstance(c, GaussRational):
@@ -113,7 +102,7 @@ def abelianize_elem(a):
 # ---------------------------------------------------------------------------
 
 def format_alg(a):
-    if a.is_zero():
+    if not a:
         return "0"
     parts = []
     for w, c in a.monomials():
@@ -130,7 +119,7 @@ def format_alg(a):
     return " + ".join(parts)
 
 
-def _split_top_level(s, seps="+-"):
+def _split_top_level(s):
     parts = []
     depth = 0
     cur = ""
@@ -142,7 +131,7 @@ def _split_top_level(s, seps="+-"):
         elif ch == ")":
             depth -= 1
         # '^-3' style exponents are not term separators
-        if depth == 0 and ch in seps and cur.strip() and prev != "^":
+        if depth == 0 and ch in "+-" and cur.strip() and prev != "^":
             parts.append((sign, cur))
             cur = ""
             sign = ch
@@ -197,7 +186,7 @@ class BoundedIdeal(Frozen):
 
     def __init__(self, generators, degree_bound):
         for g in generators:
-            if g.is_zero():
+            if not g:
                 raise ValueError("ideal generators must be nonzero")
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "degree_bound", degree_bound)

@@ -16,14 +16,6 @@ class Finding:
         self.detail = detail
         self.bound_relative = bound_relative
 
-    def _key(self):
-        return (self.clause, self.locus, self.ok, self.detail, self.bound_relative)
-
-    def __eq__(self, other):
-        if other.__class__ is not Finding:
-            return NotImplemented
-        return self._key() == other._key()
-
 
 class Report:
     __slots__ = ("findings",)

@@ -44,7 +44,7 @@ def load_json(path):
     try:
         return json.loads(text, object_pairs_hook=one_value_per_key)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc.msg}", line=exc.lineno, column=exc.colno) from None
+        raise ParseError(f"{path}: {exc.msg} (line {exc.lineno}, column {exc.colno})") from None
     except RecursionError:
         raise ParseError(f"{path}: values nested too deeply") from None
     except ValueError:
@@ -365,10 +365,16 @@ def subscheme_from_obj(obj, where="subscheme"):
     system = system_from_obj(_field(obj, "system", where), f"{where}.system")
     fan = system.fan
     at = f"{where}.charts"
-    charts = _unique(((_cone(item, fan, at),
-                       [parse_alg(t, fan.rank) for t in _field(item, "generators", at, list)])
-                      for item in _field(obj, "charts", where, list)), at)
-    return system, charts
+
+    def chart(item):
+        cone = _cone(item, fan, at)
+        gens = [parse_alg(t, fan.rank) for t in _field(item, "generators", at, list)]
+        if not all(gens):
+            # an ideal is cut out by nonzero generators, as subscheme build writes them
+            raise ParseError(f"{at}: cone {list(cone)} lists the generator 0")
+        return cone, gens
+
+    return system, _unique(map(chart, _field(obj, "charts", where, list)), at)
 
 
 # --- matrices and morphisms ----------------------------------------------------

@@ -235,12 +235,12 @@ def check_twisted_section(section):
             continue
         transported = (s_upper * gluing.words[(upper, lower)]).scale(
             gluing.scalars[(upper, lower)])
-        if transported.is_zero() and s_lower.is_zero():
+        if not transported and not s_lower:
             findings.append(Finding(
                 clause=clauses.TWISTED_SECTION, locus=locus, ok=True,
                 detail="both sides vanish"))
             continue
-        if transported.is_zero() != s_lower.is_zero():
+        if bool(transported) != bool(s_lower):
             findings.append(Finding(
                 clause=clauses.TWISTED_SECTION, locus=locus, ok=False,
                 detail="exactly one side vanishes"))
@@ -310,5 +310,5 @@ def subscheme_from_sections(sections, labels=None):
     """The carrier's system and the per-cone two-sided ideal generators cut
     out by the sections, the pair `serialize.subscheme_from_obj` reads."""
     system = _carrier(sections, labels).system
-    return system, {cone: [s.locals[cone] for s in sections if not s.locals[cone].is_zero()]
+    return system, {cone: [s.locals[cone] for s in sections if s.locals[cone]]
                     for cone in system.fan.faces}

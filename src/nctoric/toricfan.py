@@ -27,9 +27,8 @@ def is_primitive(v):
 
 
 class Fan(Frozen):
-    """A validated fan; immutable. Equality and hash read the rank, rays,
-    maximal cones and faces, not the certificates or dual bases derived
-    from them."""
+    """A validated fan; immutable. Equality reads the rank, rays, maximal
+    cones and faces, not the certificates or dual bases derived from them."""
     __slots__ = ("rank", "rays", "max_cones", "faces", "pair_certificates", "duals")
 
     def __init__(self, rank, rays, max_cones, faces, pair_certificates, duals):
@@ -40,16 +39,11 @@ class Fan(Frozen):
         object.__setattr__(self, "pair_certificates", pair_certificates)
         object.__setattr__(self, "duals", duals)   # maximal cone -> dual basis
 
-    def _key(self):
-        return (self.rank, self.rays, self.max_cones, self.faces)
-
     def __eq__(self, other):
         if other.__class__ is not Fan:
             return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        return ((self.rank, self.rays, self.max_cones, self.faces)
+                == (other.rank, other.rays, other.max_cones, other.faces))
 
     def is_maximal(self, cone):
         return cone in self.max_cones

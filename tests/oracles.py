@@ -505,7 +505,7 @@ def section_units_by_all_pairs(section):
         upper, lower = pair
         transported = (section.locals[upper] * gluing.words[pair]).scale(gluing.scalars[pair])
         s_lower = section.locals[lower]
-        if transported.is_zero() or s_lower.is_zero():
+        if not transported or not s_lower:
             continue
         chart = gluing.system.charts[lower]
         out[pair] = next(((ct / cs, w) for wt, ct in transported.terms.items()
@@ -651,8 +651,8 @@ def l_commutative_gens(rank, level, degree_bound):
     for i in range(1, rank + 1):
         zi = ReducedWord((i,), rank)
         for w in positive:
-            c = AlgElem.from_word(word_mul(zi, w)) - AlgElem.from_word(word_mul(w, zi))
-            if c.is_zero():
+            c = AlgElem.from_word(word_mul(zi, w)) + AlgElem.from_word(word_mul(w, zi), -ONE)
+            if not c:
                 continue
             key = frozenset(c.terms)
             if key in seen:

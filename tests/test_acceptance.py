@@ -257,13 +257,13 @@ def test_criterion_09_matrix_point_unit_certificate():
                 for jp in (1, 2):
                     elem = AlgElem.from_word(word_mul(letter(i, j), letter(ip, jp)))
                     if j == ip:
-                        elem = elem - AlgElem.from_word(letter(i, jp))
+                        elem = elem + AlgElem.from_word(letter(i, jp), -ONE)
                     gens.append(elem)
     for a in range(1, rank + 1):
         for b in range(a + 1, rank + 1):
             wa, wb = parse_word(f"z{a}", rank), parse_word(f"z{b}", rank)
             gens.append(AlgElem.from_word(word_mul(wa, wb))
-                        - AlgElem.from_word(word_mul(wb, wa)))
+                        + AlgElem.from_word(word_mul(wb, wa), -ONE))
     ideal = BoundedIdeal(tuple(gens), 3)
     cert = bounded_ideal_member(ideal, AlgElem.from_word(identity_word(rank)))
     assert cert is not None

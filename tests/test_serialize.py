@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from nctoric import serialize
 from nctoric.azumaya import sample_matrix_model
 from nctoric.deltasystem import augment_system, build_system
-from nctoric.freeword import ReducedWord, canonical_lift, format_word, word_inv
+from nctoric.freeword import ReducedWord, canonical_lift, format_word, word_inv, word_mul
 from nctoric.sheaves import (check_twisted_section, extend_section, sheaf_from_divisor,
                              subscheme_from_sections)
 from nctoric.toricfan import polytope_sections, validate_fan
@@ -47,7 +47,7 @@ def random_lifts(rng, fan):
     sigma = rng.choice(fan.max_cones)
     u = rng.choice(fan.duals[sigma])
     z = ReducedWord((rng.choice([1, -1]) * rng.randint(1, fan.rank),), fan.rank)
-    return {(sigma, u): z * canonical_lift(u, fan.rank) * word_inv(z)}
+    return {(sigma, u): word_mul(word_mul(z, canonical_lift(u, fan.rank)), word_inv(z))}
 
 
 def adjoined_stages(chain):
