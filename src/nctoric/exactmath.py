@@ -698,31 +698,85 @@ def poly_squarefree(p):
 
 # --- Gaussian-integer divisor enumeration, for exact root finding ----------
 
+# Miller-Rabin on the first 13 prime bases decides primality exactly below
+# this bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Whether n, which must lie below _MR_BOUND, is prime."""
+    if n < 2:
+        return False
+    if any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+def _prime_base(n):
+    """q when n is a prime q or its square, else None; a number at or above
+    _MR_BOUND counts as undecided."""
+    if n < _MR_BOUND and _is_prime(n):
+        return n
+    q = isqrt(n)
+    return q if q * q == n and q < _MR_BOUND and _is_prime(q) else None
+
+
 def _primes(n):
-    """The prime factors of the positive int n, by trial division to sqrt(n)."""
+    """The prime factors of the positive int n, ascending, by trial division
+    that stops once the cofactor left is a prime or a prime's square."""
     primes = []
     d = 2
-    while d * d <= n:
+    q = _prime_base(n)
+    while q is None and d * d <= n:
         if n % d == 0:
             primes.append(d)
             while n % d == 0:
                 n //= d
+            q = _prime_base(n)
         d += 1
-    if n > 1:
+    if q is not None:
+        primes.append(q)
+    elif n > 1:
         primes.append(n)
     return primes
 
 
 def _gauss_primes_over(p):
     """The Gaussian primes over the rational prime p, up to units: p itself
-    when p = 3 mod 4, else a + bi and a - bi with a^2 + b^2 = p."""
+    when p = 3 mod 4, else a + bi and a - bi with a^2 + b^2 = p and a <= b.
+
+    The Euclidean algorithm on p and a square root of -1 mod p gives one of
+    a and b as its first remainder below sqrt(p) (Hermite-Serret)."""
     if p % 4 == 3:
         return {GaussRational(p)}
-    for a in range(1, isqrt(p) + 1):
-        b = isqrt(p - a * a)
-        if a * a + b * b == p:
-            return {GaussRational(a, b), GaussRational(a, -b)}
-    raise ValueError(f"no two-square decomposition for {p}")
+    root = 1            # the square root of -1 mod 2
+    if p > 2:
+        c = 2           # c^((p-1)/4) for the first quadratic non-residue c
+        while pow(c, (p - 1) // 2, p) != p - 1:
+            c += 1
+        root = pow(c, (p - 1) // 4, p)
+    r0, r1 = p, root
+    while r1 * r1 > p:
+        r0, r1 = r1, r0 % r1
+    a, b = sorted((r1, isqrt(p - r1 * r1)))
+    if a * a + b * b != p:
+        raise ValueError(f"no two-square decomposition for {p}")
+    return {GaussRational(a, b), GaussRational(a, -b)}
 
 
 def gauss_int_divisors(z):

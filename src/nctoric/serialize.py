@@ -139,6 +139,8 @@ def fan_to_obj(fan):
 
 def fan_from_obj(obj, where="fan"):
     rank = _integer(_field(obj, "rank", where), f"{where}: rank")
+    if rank < 0:
+        raise ParseError(f"{where}: rank {rank} is negative")
     rays = [_ints(r, f"{where}: ray") for r in _field(obj, "rays", where, list)]
     cones = [_ints(c, f"{where}: maximal cone")
              for c in _field(obj, "max_cones", where, list)]

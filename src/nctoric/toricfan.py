@@ -288,42 +288,35 @@ def comm_monoid_solver(gens, functional):
     lattice_part = lattice_solver([list(g) for g in unit_gens])
     values = [pairing(functional, go) for go in other]
 
-    def finish(partial, residual):
-        sol = lattice_part(residual)
-        if sol is None:
-            return None
-        out = list(partial)
-        for i, c in zip(unit_idx, sol):
-            if c >= 0:
-                out[i] += c
-            else:
-                out[neg_of[i]] -= c
-        return out
-
     def solve(target):
-        target = tuple(target)
-        coeffs = [0] * len(gens)
-
-        def dfs(pos, residual, remaining):
-            if pos == len(other):
-                if remaining != 0:
-                    return None
-                return finish(coeffs, residual)
-            val = values[pos]
-            max_c = remaining // val
-            for c in range(max_c + 1):
-                coeffs[other_idx[pos]] = c
-                new_res = tuple(r - c * g for r, g in zip(residual, other[pos]))
-                got = dfs(pos + 1, new_res, remaining - c * val)
-                if got is not None:
-                    return got
-                coeffs[other_idx[pos]] = 0
+        remaining = pairing(functional, target)
+        if remaining < 0:
             return None
-
-        budget = pairing(functional, target)
-        if budget < 0:
-            return None
-        return dfs(0, target, budget)
+        # depth first over the non-unit coefficients, with no recursion: the
+        # first generator varies slowest and each coefficient counts up from 0
+        coeffs = []
+        while True:
+            coeffs += [0] * (len(other) - len(coeffs))
+            if remaining == 0:
+                residual = [t - sum(c * g[j] for c, g in zip(coeffs, other))
+                             for j, t in enumerate(target)]
+                sol = lattice_part(residual)
+                if sol is not None:
+                    out = [0] * len(gens)
+                    for i, c in zip(other_idx, coeffs):
+                        out[i] = c
+                    for i, c in zip(unit_idx, sol):
+                        if c >= 0:
+                            out[i] += c
+                        else:
+                            out[neg_of[i]] -= c
+                    return out
+            while coeffs and values[len(coeffs) - 1] > remaining:
+                remaining += coeffs.pop() * values[len(coeffs)]
+            if not coeffs:
+                return None
+            coeffs[-1] += 1
+            remaining -= values[len(coeffs) - 1]
 
     return solve
 

@@ -12,7 +12,8 @@ of idempotent families read off the definitions, free-algebra arithmetic
 on letter tuples, the generators of the nested commutativity ideal,
 the completion of maximal charts (Prop 2.2.9), which no command runs and
 which grows its lower charts by the library's one rule, augmentation by
-regrowing every chart instead of appending to it, exhaustive
+regrowing every chart instead of appending to it, the commutative-monoid
+search as a lexicographic scan with a minor-gcd lattice test, exhaustive
 enumerations, brute-force lattice and divisor scans, and small
 helpers that only the tests need.
 """
@@ -21,7 +22,7 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 from itertools import product as iproduct
-from math import isqrt
+from math import gcd, isqrt
 
 from nctoric.deltasystem import (ChartSystem, _in_dual, _system_from_seeds,
                                  admissible_cone_findings)
@@ -491,6 +492,60 @@ def gauss_divisors_by_scan(z):
         if 0 < n <= norm and (x * a + y * b) % n == 0 and (y * a - x * b) % n == 0:
             found.add((a, b))
     return found
+
+
+def _det(rows):
+    """Determinant by cofactor expansion along the first row; 1 for 0x0."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+def _rank_and_minor_gcd(rows, n):
+    """(k, d) for integer rows of length n: k is the rank, the largest size
+    of a nonzero minor, and d the gcd of the k x k minors."""
+    def minor_gcd(k):
+        return gcd(*(_det([[row[c] for c in cols] for row in sub])
+                     for sub in combinations(rows, k) for cols in combinations(range(n), k)))
+
+    k = max(k for k in range(min(len(rows), n) + 1) if minor_gcd(k))
+    return k, minor_gcd(k)
+
+
+def in_row_lattice(rows, target):
+    """Whether target is an integer combination of rows. Adding target to
+    the rows spans a lattice L' over the rows' lattice L; when both have
+    rank k, [L' : L] is the ratio of their gcds of k x k minors, so target
+    lies in L exactly when the rank and that gcd stay the same."""
+    rows = [list(r) for r in rows]
+    n = len(target)
+    return _rank_and_minor_gcd(rows, n) == _rank_and_minor_gcd(rows + [list(target)], n)
+
+
+def monoid_search_by_product(gens, target, functional):
+    """The non-unit coefficients of the first answer of the bounded
+    commutative-monoid search, or None. A generator whose negative is also
+    listed is a unit; every other one must pair positively with the
+    functional. The non-unit coefficient vectors are listed in lexicographic
+    order, each coefficient up to budget // value; the first that uses the
+    whole budget and leaves a residual in the units' lattice is the
+    answer."""
+    negatives = {tuple(-x for x in g) for g in gens}
+    units = [g for g in gens if tuple(g) in negatives]
+    other = [g for g in gens if tuple(g) not in negatives]
+    budget = sum(f * t for f, t in zip(functional, target))
+    values = [sum(f * x for f, x in zip(functional, g)) for g in other]
+    if budget < 0:
+        return None
+    for coeffs in iproduct(*(range(budget // v + 1) for v in values)):
+        if sum(c * v for c, v in zip(coeffs, values)) != budget:
+            continue
+        residual = [t - sum(c * g[j] for c, g in zip(coeffs, other))
+                    for j, t in enumerate(target)]
+        if in_row_lattice(units, residual):
+            return list(coeffs)
+    return None
 
 
 def section_units_by_all_pairs(section):

@@ -204,6 +204,17 @@ class TestSystem:
             assert code == 0 and "added" not in out
             assert load_json(paths[k + 1])["extras"] == stages[:k + 1]
 
+    def test_augment_deeper_than_the_recursion_limit(self, tmp_path):
+        # 1,100 distinct words z1^a z2^b on the one cone: the chart's monoid
+        # search keeps a coefficient per word, and no recursion
+        words = [" ".join(f"z{k}^{e}" for k, e in ((1, a), (2, s - a)) if e)
+                 for s in range(1, 47) for a in range(s + 1)][:1100]
+        fan_path = write(tmp_path, "cone.fan", CONE_FAN)
+        extras_path = write(tmp_path, "extras.json", [{"cone": [0, 1], "words": words}])
+        code, out, err = run_process("system", "augment", fan_path, "--extras", extras_path)
+        assert code == 0 and "status: pass" in out
+        assert "Traceback" not in err
+
 
 class TestSheafAndSections:
     @pytest.fixture
@@ -869,6 +880,27 @@ class TestMorphismCli:
         assert code == 0 and payload["fibers"] == []
         assert payload["unresolved_factor"] == "(-2)*t^0 + (1)*t^2"
 
+    @pytest.mark.parametrize("entries, fibers, unresolved", [
+        # t^2 - a^2 for a = 1000000000+3i: the primitive norm (10^18+9)^2 is
+        # a prime's square, so trial division stops before it starts
+        (["0", "999999999999999991+6000000000i", "1", "0"],
+         ["root -1000000000-3i: fiber dimension 2", "root 1000000000+3i: fiber dimension 2"],
+         None),
+        # t^2 - p for the prime p = 10^18+9 = 1 mod 4: its Gaussian primes
+        # come from a square root of -1 mod p, not from a scan to sqrt(p)
+        (["0", "1000000000000000009", "1", "0"], [],
+         "(-1000000000000000009)*t^0 + (1)*t^2"),
+    ], ids=["prime-square-norm", "large-split-prime"])
+    def test_probe_with_a_large_prime_norm(self, tmp_path, entries, fibers, unresolved):
+        # a fresh interpreter with a timeout, so a runaway search fails
+        path = write(tmp_path, "probe.json", {"size": 2, "entries": entries})
+        proc = subprocess.run([sys.executable, "-m", "nctoric.cli", "probe", "a1", path,
+                               "--json"], capture_output=True, text=True, env=cli_env(),
+                              timeout=30)
+        payload = json.loads(proc.stdout)
+        assert proc.returncode == 0 and payload["fibers"] == fibers
+        assert payload.get("unresolved_factor") == unresolved
+
 
 class TestMalformedDivisor:
     @pytest.mark.parametrize("coefficients", [{"x": 1}, {"2": 0.5}, [1, 2]])
@@ -934,6 +966,13 @@ class TestMalformedInput:
         code, _, err = run_process("fan", "check", str(path))
         assert code == 2
         assert "Traceback" not in err and f"error: {path}:" in err
+
+    def test_negative_fan_rank(self, tmp_path, capsys):
+        # refused as a matrix's negative size is, not failed as a fan
+        path = write(tmp_path, "neg.fan", {"rank": -1, "rays": [], "max_cones": []})
+        code, out, err = run(capsys, "fan", "check", path)
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: rank -1 is negative\n"
 
     def test_json_decode_error_location(self, tmp_path):
         path = tmp_path / "open.fan"

@@ -1,10 +1,10 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, strategies as st
-from sympy import QQ, QQ_I, Matrix, Poly, linsolve, symbols
+from sympy import QQ, QQ_I, Matrix, Poly, factorint, isprime, linsolve, symbols
 from sympy.polys.matrices import DomainMatrix
 
 from nctoric.exactmath import (Echelon, GaussRational, I, ONE, ZERO, format_gauss,
@@ -14,6 +14,7 @@ from nctoric.exactmath import (Echelon, GaussRational, I, ONE, ZERO, format_gaus
                                qim_identity, qim_inverse,
                                qim_is_zero, qim_mul, qim_rank, qim_zero,
                                solve_corner_inverse)
+from nctoric import exactmath
 from nctoric.errors import ParseError
 from oracles import (InsertionEchelon, gauss_divisors_by_scan, int_matmul,
                      poly_eval_matrix, qi_solve, qim_from_rows)
@@ -314,6 +315,39 @@ class TestGaussDivisors:
         p = GaussRational(1000000007)
         assert gauss_int_divisors(p) == {u * d for u in (ONE, -ONE, I, -I) for d in (ONE, p)}
 
+
+class TestRationalPrimes:
+    """The rational and Gaussian primes under a divisor search, against
+    sympy and against a scan for the smallest two-square decomposition."""
+
+    @given(st.integers(1, 10**4), st.sampled_from([1, 999961, 999983]), st.integers(0, 2))
+    def test_prime_factors(self, small, big, power):
+        # a large prime cofactor or its square ends the trial division
+        n = small * big ** power
+        assert exactmath._primes(n) == sorted(factorint(n))
+
+    @pytest.mark.parametrize("n", [
+        1, 2, 41, 43, 561, 3215031751, 3825123056546413051, 318665857834031151167461,
+        10**18 + 9, (10**9 + 7) * (10**9 + 9), 3317044064679887385961979])
+    def test_miller_rabin_below_its_bound(self, n):
+        # 3825123056546413051 and 318665857834031151167461 are strong
+        # pseudoprimes to every prime base up to 23 and 37
+        assert exactmath._is_prime(n) == isprime(n)
+
+    def test_strong_pseudoprime_at_the_bound_is_left_to_trial_division(self):
+        # 3317044064679887385961981 passes all 13 bases, so it is never tested
+        assert exactmath._prime_base(exactmath._MR_BOUND) is None
+        assert exactmath._prime_base(exactmath._MR_BOUND ** 2) is None
+        assert exactmath._prime_base((10**18 + 9) ** 2) == 10**18 + 9
+
+    @given(st.one_of(st.integers(2, 10**5).filter(isprime), st.just(1000000000061)))
+    def test_two_squares_match_the_scan(self, p):
+        if p % 4 == 3:
+            assert exactmath._gauss_primes_over(p) == {GaussRational(p)}
+            return
+        a = next(a for a in range(1, isqrt(p) + 1) if isqrt(p - a * a) ** 2 == p - a * a)
+        b = isqrt(p - a * a)
+        assert exactmath._gauss_primes_over(p) == {GaussRational(a, b), GaussRational(a, -b)}
 
 class TestRoots:
     def test_gaussian_roots(self):

@@ -3,6 +3,7 @@ from itertools import combinations, product
 from math import lcm
 
 import pytest
+from hypothesis import given, strategies as st
 from sympy import Matrix
 
 from nctoric import toricfan
@@ -17,7 +18,7 @@ from nctoric.toricfan import (check_certificate, comm_monoid_member, comm_monoid
 from nctoric import exactmath
 from nctoric.exactmath import linear_feasible
 from nctoric.freeword import canonical_lift, identity_word, word_mul
-from oracles import complete_system
+from oracles import complete_system, in_row_lattice, monoid_search_by_product
 
 P2 = dict(rank=2, rays=[(1, 0), (0, 1), (-1, -1)],
           max_cones=[(0, 1), (1, 2), (0, 2)])
@@ -274,6 +275,64 @@ class TestCommMonoidMember:
                 assert tuple(sum(c * g[j] for c, g in zip(got, gens))
                              for j in range(len(target))) == target
 
+    def test_search_deeper_than_the_recursion_limit(self):
+        # 1,100 distinct non-unit vectors: the search keeps one coefficient
+        # per vector, so its depth is not bounded by the interpreter's stack
+        gens = [(a, s - a) for s in range(1, 47) for a in range(s + 1)][:1100]
+        assert len(set(gens)) == 1100
+        assert comm_monoid_solver(gens, (1, 1))((1, 0)) == [0, 1] + [0] * 1098
+
+    @given(st.data())
+    def test_solver_matches_the_lexicographic_scan(self, data):
+        rank = data.draw(st.integers(1, 3))
+        functional = data.draw(st.tuples(*[st.integers(-1, 1)] * rank))
+        other = [g for g in data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank),
+                                               max_size=5))
+                 if pairing(functional, g) > 0]
+        if len(other) > 1 and data.draw(st.booleans()):
+            # a repeated vector and a sum of two: ties the search order breaks
+            other += [other[0], tuple(a + b for a, b in zip(other[0], other[1]))]
+        # units among the vectors the functional kills: f_j e_i - f_i e_j,
+        # and e_i where f_i = 0, some doubled so their lattice is not all
+        axes = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
+        killed = [tuple(functional[j] * a - functional[i] * b for a, b in zip(axes[i], axes[j]))
+                  for i in range(rank) for j in range(i + 1, rank)]
+        killed = [u for u in killed + [axes[i] for i in range(rank) if not functional[i]]
+                  if any(u)]
+        units = [tuple(m * x for x in u) for u, m in data.draw(st.lists(
+            st.tuples(st.sampled_from(killed), st.integers(1, 2)), max_size=2))] if killed else []
+        gens = data.draw(st.permutations(other + units + [tuple(-x for x in u) for u in units]))
+        if data.draw(st.booleans()):
+            coeffs = data.draw(st.lists(st.integers(0, 1), min_size=len(gens),
+                                        max_size=len(gens)))
+            target = tuple(sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(rank))
+        else:
+            target = data.draw(st.tuples(*[st.integers(-3, 3)] * rank))
+        got = comm_monoid_solver(gens, functional)(target)
+        non_unit = [i for i, g in enumerate(gens) if tuple(-x for x in g) not in gens]
+        expected = monoid_search_by_product(gens, target, functional)
+        assert (None if got is None else [got[i] for i in non_unit]) == expected
+        if got is not None:
+            assert all(c >= 0 for c in got)
+            assert tuple(sum(c * g[j] for c, g in zip(got, gens))
+                         for j in range(rank)) == target
+
+    @pytest.mark.parametrize("gens, functional", [
+        ([(1, 0), (0, 1), (1, 1), (1, 0), (2, 1)], (1, 1)),
+        ([(1, 0), (-1, 0), (0, 1), (1, 1), (0, 1), (-1, 0)], (0, 1)),
+        ([(2, 0, 0), (0, 1, 0), (-2, 0, 0), (1, 1, 0), (1, 1, 1), (0, 0, 1), (1, 1, 0)],
+         (0, 1, 1)),
+    ], ids=["repeats-and-sums", "unit-pair", "index-2-units"])
+    def test_solver_matches_the_scan_on_a_box(self, gens, functional):
+        # every target in a box, over generators with ties: repeated vectors
+        # and sums of others, so only the search order picks the answer
+        solve = comm_monoid_solver(gens, functional)
+        non_unit = [i for i, g in enumerate(gens) if tuple(-x for x in g) not in gens]
+        for target in product(range(-3, 4), repeat=len(functional)):
+            got = solve(target)
+            assert ((None if got is None else [got[i] for i in non_unit])
+                    == monoid_search_by_product(gens, target, functional))
+
     def test_one_lattice_solver_per_cone(self, monkeypatch):
         # check_admissible asks one solver per cone for every dual-monoid
         # generator, and answers as one-shot searches do
@@ -296,6 +355,41 @@ class TestCommMonoidMember:
                                      f"dual-monoid generator {vec}"))
         assert [(f.locus, f.ok, f.detail) for f in report.findings
                 if f.clause == "Def 2.2.4(1)"] == expected
+
+
+class TestMonoidSearchOracle:
+    def test_row_lattice_on_small_boxes(self):
+        # every combination with coefficients in [-3, 3] is a member; with
+        # no rows only 0 is, and with a square basis a rational solve decides
+        rng = random.Random(31)
+        for _ in range(150):
+            n = rng.randint(1, 3)
+            rows = [tuple(rng.randint(-2, 2) for _ in range(n))
+                    for _ in range(rng.randint(0, 3))]
+            box = {tuple(sum(c * r[j] for c, r in zip(cs, rows)) for j in range(n))
+                   for cs in product(range(-3, 4), repeat=len(rows))}
+            square = len(rows) == n and Matrix(rows).det() != 0
+            for target in product(range(-2, 3), repeat=n):
+                got = in_row_lattice(rows, target)
+                if target in box:
+                    assert got
+                if not rows:
+                    assert got == (not any(target))
+                elif square:
+                    coeffs = Matrix([target]) * Matrix(rows).inv()
+                    assert got == all(c.is_integer for c in coeffs)
+
+    @pytest.mark.parametrize("gens, target, functional, expected", [
+        ([(1, 0), (-1, 0), (-1, 0), (0, 1)], (-2, 1), (0, 1), [1]),
+        ([(1, 0), (0, 1), (1, 0), (1, 1)], (2, 1), (1, 1), [0, 0, 1, 1]),
+        ([(-1, 1), (-1, 0)], (-2, 1), (-1, 0), [1, 1]),
+        # (0,1,0) alone comes first and leaves (1,0,0), outside 2Z
+        ([(2, 0, 0), (-2, 0, 0), (1, 1, 0), (0, 1, 0)], (1, 1, 0), (0, 1, 0), [1, 0]),
+        ([(2, 0, 0), (-2, 0, 0), (1, 1, 0), (0, 1, 0)], (1, 0, 0), (0, 1, 0), None),
+        ([(1, 0), (0, 1)], (-1, 0), (1, 1), None),
+    ])
+    def test_scan_on_small_boxes(self, gens, target, functional, expected):
+        assert monoid_search_by_product(gens, target, functional) == expected
 
 
 def _searched_functional(gens):
