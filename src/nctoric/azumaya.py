@@ -15,13 +15,13 @@ from fractions import Fraction
 
 from . import clauses
 from .errors import Frozen, MorphismInvalid, NotIdempotent, PatternIncomplete
-from .exactmath import (Echelon, GaussRational, hnf, minimal_polynomial,
-                        poly_squarefree, qi_nullspace, qi_poly_roots, qim_add,
-                        qim_flatten, qim_identity, qim_is_idempotent, qim_is_zero,
-                        qim_mul, qim_rank, qim_scale, qim_sub, qim_zero,
-                        solve_corner_inverse, sparse_vector)
+from .exactmath import Echelon, GaussRational, hnf
 from .freeword import abelianize, format_word, identity_word, is_unit_in, word_mul
 from .ncalgebra import AlgElem, BoundedIdeal
+from .qimatrix import (minimal_polynomial, poly_squarefree, qi_nullspace, qi_poly_roots,
+                       qim_add, qim_flatten, qim_identity, qim_is_idempotent, qim_is_zero,
+                       qim_mul, qim_rank, qim_scale, qim_sub, qim_zero, solve_corner_inverse,
+                       sparse_vector)
 from .reports import Finding, Report
 
 

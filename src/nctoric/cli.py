@@ -5,8 +5,9 @@ fault in nctoric, printed with its traceback). Each command returns its
 report and payload; `main` is the only place that catches and the only
 place that prints them, and a library error is reported under its class's
 clause. Each command imports only the library layers it runs, when it
-runs: a command is one short process, and importing every layer would cost
-a bare `fan check` more than its own work.
+runs, and `main` builds only the invoked group's verb parsers: a command is
+one short process, and importing every layer would cost a bare `fan check`
+more than its own work.
 """
 from __future__ import annotations
 
@@ -311,128 +312,150 @@ def cmd_probe_a1(args):
 
 # --- parser ------------------------------------------------------------------------
 
-def build_parser():
-    top = argparse.ArgumentParser(prog="nctoric",
-                                  description="exact toric charts, sheaves, "
-                                              "and matrix-point morphisms")
+def _common(p, out=False, bound=None, seed=False, bound_help=None):
+    p.add_argument("--json", action="store_true", help="machine-readable report")
+    p.add_argument("--verbose", action="store_true", help="list passing checks too")
+    if out:
+        p.add_argument("--out", help="write the resulting artifact here")
+    if bound is not None:
+        p.add_argument("--bound", type=_nonnegative_int, default=bound, help=bound_help)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
 
-    def common(p, out=False, bound=None, seed=False, bound_help=None):
-        p.add_argument("--json", action="store_true", help="machine-readable report")
-        p.add_argument("--verbose", action="store_true", help="list passing checks too")
-        if out:
-            p.add_argument("--out", help="write the resulting artifact here")
-        if bound is not None:
-            p.add_argument("--bound", type=_nonnegative_int, default=bound, help=bound_help)
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
 
-    groups = top.add_subparsers(dest="group", required=True)
-
-    fan = groups.add_parser("fan").add_subparsers(dest="verb", required=True)
-    p = fan.add_parser("check")
+def _fan_verbs(verbs):
+    p = verbs.add_parser("check")
     p.add_argument("file")
-    common(p, out=True)
+    _common(p, out=True)
     p.set_defaults(func=cmd_fan_check)
 
-    system = groups.add_parser("system").add_subparsers(dest="verb", required=True)
-    p = system.add_parser("build")
+
+def _system_verbs(verbs):
+    p = verbs.add_parser("build")
     p.add_argument("file")
-    common(p, out=True)
+    _common(p, out=True)
     p.set_defaults(func=cmd_system_build)
-    p = system.add_parser("check")
+    p = verbs.add_parser("check")
     p.add_argument("file")
-    common(p)
+    _common(p)
     p.set_defaults(func=cmd_system_check)
     for verb, fn in (("augment", cmd_system_augment), ("soften", cmd_system_soften)):
-        p = system.add_parser(verb)
+        p = verbs.add_parser(verb)
         p.add_argument("file")
         p.add_argument("--extras", required=True)
-        common(p, out=True)
+        _common(p, out=True)
         p.set_defaults(func=fn)
 
-    sheaf = groups.add_parser("sheaf").add_subparsers(dest="verb", required=True)
-    p = sheaf.add_parser("from-divisor")
+
+def _sheaf_verbs(verbs):
+    p = verbs.add_parser("from-divisor")
     p.add_argument("file")
     p.add_argument("--divisor", required=True)
-    common(p, out=True)
+    _common(p, out=True)
     p.set_defaults(func=cmd_sheaf_from_divisor)
-    p = sheaf.add_parser("check")
+    p = verbs.add_parser("check")
     p.add_argument("file")
-    common(p)
+    _common(p)
     p.set_defaults(func=cmd_sheaf_check)
-    p = sheaf.add_parser("isom")
+    p = verbs.add_parser("isom")
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--candidate", required=True)
-    common(p)
+    _common(p)
     p.set_defaults(func=cmd_sheaf_isom)
 
-    section = groups.add_parser("section").add_subparsers(dest="verb", required=True)
-    p = section.add_parser("list")
+
+def _section_verbs(verbs):
+    p = verbs.add_parser("list")
     p.add_argument("file")
     p.add_argument("--divisor", required=True)
-    common(p)
+    _common(p)
     p.set_defaults(func=cmd_section_list)
-    p = section.add_parser("extend")
+    p = verbs.add_parser("extend")
     p.add_argument("file")
     p.add_argument("--divisor", required=True)
     p.add_argument("--point", required=True,
                    help="comma-separated lattice point; write --point=-1,0 when "
                         "the first coordinate is negative")
-    common(p, out=True)
+    _common(p, out=True)
     p.set_defaults(func=cmd_section_extend)
-    p = section.add_parser("check")
+    p = verbs.add_parser("check")
     p.add_argument("file")
-    common(p)
+    _common(p)
     p.set_defaults(func=cmd_section_check)
 
-    subscheme = groups.add_parser("subscheme").add_subparsers(dest="verb", required=True)
-    p = subscheme.add_parser("build")
+
+def _subscheme_verbs(verbs):
+    p = verbs.add_parser("build")
     p.add_argument("sections", nargs="+")
-    common(p, out=True)
+    _common(p, out=True)
     p.set_defaults(func=cmd_subscheme_build)
-    p = subscheme.add_parser("member")
+    p = verbs.add_parser("member")
     p.add_argument("file")
     p.add_argument("--cone", required=True, help=CONE_HELP)
     p.add_argument("--element", required=True)
-    common(p, bound=4)
+    _common(p, bound=4)
     p.set_defaults(func=cmd_subscheme_member)
 
-    morphism = groups.add_parser("morphism").add_subparsers(dest="verb", required=True)
-    p = morphism.add_parser("check")
+
+def _morphism_verbs(verbs):
+    p = verbs.add_parser("check")
     p.add_argument("file")
-    common(p, bound=4, bound_help="longest product of generators searched for relations on "
-                                  "a chart no exact rule decides, whose pass is then "
-                                  "bound-relative (default %(default)s)")
+    _common(p, bound=4, bound_help="longest product of generators searched for relations on "
+                                   "a chart no exact rule decides, whose pass is then "
+                                   "bound-relative (default %(default)s)")
     p.set_defaults(func=cmd_morphism_check)
-    p = morphism.add_parser("sample")
+    p = verbs.add_parser("sample")
     p.add_argument("file")
     p.add_argument("--r", type=_nonnegative_int, required=True)
     p.add_argument("--pattern", default="trivial",
                    help="'trivial' or a pattern file path")
-    common(p, out=True, seed=True)
+    _common(p, out=True, seed=True)
     p.set_defaults(func=cmd_morphism_sample)
-    p = morphism.add_parser("surrogate")
+    p = verbs.add_parser("surrogate")
     p.add_argument("file")
-    common(p)
+    _common(p)
     p.set_defaults(func=cmd_morphism_surrogate)
-    p = morphism.add_parser("kernel")
+    p = verbs.add_parser("kernel")
     p.add_argument("file")
     p.add_argument("--cone", required=True, help=CONE_HELP)
-    common(p, bound=2)
+    _common(p, bound=2)
     p.set_defaults(func=cmd_morphism_kernel)
 
-    probe = groups.add_parser("probe").add_subparsers(dest="verb", required=True)
-    p = probe.add_parser("a1")
+
+def _probe_verbs(verbs):
+    p = verbs.add_parser("a1")
     p.add_argument("file", help="matrix file with size and row-major entries")
-    common(p)
+    _common(p)
     p.set_defaults(func=cmd_probe_a1)
 
+
+GROUPS = {"fan": _fan_verbs, "system": _system_verbs, "sheaf": _sheaf_verbs,
+          "section": _section_verbs, "subscheme": _subscheme_verbs,
+          "morphism": _morphism_verbs, "probe": _probe_verbs}
+
+
+def build_parser(group=None):
+    """The `nctoric` parser. Every group is listed, but only the named group
+    gets its verbs, or every group when `group` names none: a command is one
+    short process that parses one group's verbs, and building the others'
+    is start-up time it never uses. Help and usage errors read the same
+    either way, since each names only the parsers on its path."""
+    top = argparse.ArgumentParser(prog="nctoric",
+                                  description="exact toric charts, sheaves, "
+                                              "and matrix-point morphisms")
+    groups = top.add_subparsers(dest="group", required=True)
+    for name, add_verbs in GROUPS.items():
+        verbs = groups.add_parser(name).add_subparsers(dest="verb", required=True)
+        if group == name or group not in GROUPS:
+            add_verbs(verbs)
     return top
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         try:
             report, payload = args.func(args)

@@ -27,12 +27,12 @@ from math import gcd, isqrt
 from nctoric.deltasystem import (ChartSystem, _in_dual, _system_from_seeds,
                                  admissible_cone_findings)
 from nctoric.errors import MorphismInvalid
-from nctoric.exactmath import (ONE, ZERO, Echelon, GaussRational, qim_add,
-                               qim_flatten, qim_identity, qim_is_zero, qim_mul,
-                               qim_scale, qim_zero, solve_corner_inverse, sparse_vector)
+from nctoric.exactmath import ONE, ZERO, Echelon, GaussRational
 from nctoric.freeword import (ReducedWord, Submonoid, abelianize, format_word, identity_word,
                               is_unit_in, word_inv, word_mul, words_up_to)
 from nctoric.ncalgebra import AlgElem, BoundedIdeal
+from nctoric.qimatrix import (qim_add, qim_flatten, qim_identity, qim_is_zero, qim_mul,
+                              qim_scale, qim_zero, solve_corner_inverse, sparse_vector)
 
 
 def plain_flower(generators):

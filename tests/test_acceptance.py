@@ -12,14 +12,13 @@ from nctoric.azumaya import (MorphismData, QuasiHomChart, a1_probe,
                              idem_classify, sample_matrix_model,
                              surrogate_basis, verify_morphism)
 from nctoric.deltasystem import augment_system, build_system, check_admissible
-from nctoric.exactmath import (GaussRational, ONE, ZERO, format_gauss,
-                               qim_add, qim_identity,
-                               qim_is_idempotent, qim_is_zero, qim_mul,
-                               qim_rank, qim_zero)
+from nctoric.exactmath import GaussRational, ONE, ZERO, format_gauss
 from nctoric.freeword import (Submonoid, abelianize, identity_word,
                               parse_word, word_inv, word_mul, words_up_to)
 from nctoric.ncalgebra import (AlgElem, BoundedIdeal, abelianize_elem,
                                bounded_ideal_member)
+from nctoric.qimatrix import (qim_add, qim_identity, qim_is_idempotent, qim_is_zero, qim_mul,
+                              qim_rank, qim_zero)
 from nctoric.sheaves import (GluingData, TwistedSectionData, check_gluing,
                              check_twisted_section, combine_sections, extend_section,
                              sheaf_from_divisor, subscheme_from_sections)

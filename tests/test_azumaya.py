@@ -10,12 +10,11 @@ from nctoric.azumaya import (MorphismData, QuasiHomChart, a1_probe,
                              surrogate_basis, trivial_pattern, verify_morphism)
 from nctoric.deltasystem import augment_system, build_system
 from nctoric.errors import NotIdempotent, PatternIncomplete
-from nctoric.exactmath import (Echelon, GaussRational, ONE, ZERO, format_gauss,
-                               qim_flatten, qim_identity, qim_inverse, qim_is_zero,
-                               qim_mul, qim_rank, qim_scale, qim_sub, qim_zero,
-                               qim_add, sparse_vector)
+from nctoric.exactmath import Echelon, GaussRational, ONE, ZERO, format_gauss
 from nctoric.freeword import ReducedWord, format_word, identity_word, parse_word, word_mul
 from nctoric.ncalgebra import AlgElem
+from nctoric.qimatrix import (qim_add, qim_flatten, qim_identity, qim_inverse, qim_is_zero,
+                              qim_mul, qim_rank, qim_scale, qim_sub, qim_zero, sparse_vector)
 from nctoric.toricfan import validate_fan
 from oracles import (classify_by_definition, equal_charts, graph_of_morphism,
                      inconsistent_words, qi_solve, qim_from_rows, random_matrix,

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,9 +12,10 @@ import pytest
 
 import nctoric
 from nctoric import deltasystem, serialize
-from nctoric.cli import main
-from nctoric.exactmath import I, ONE, format_gauss, parse_gauss, solve_corner_inverse
+from nctoric.cli import GROUPS, build_parser, main
+from nctoric.exactmath import I, ONE, format_gauss, parse_gauss
 from nctoric.freeword import format_word, is_unit_in
+from nctoric.qimatrix import solve_corner_inverse
 from nctoric.serialize import load_json
 from nctoric.sheaves import (combine_sections, extend_section, sheaf_from_divisor,
                              subscheme_from_sections)
@@ -890,7 +894,13 @@ class TestMorphismCli:
         # come from a square root of -1 mod p, not from a scan to sqrt(p)
         (["0", "1000000000000000009", "1", "0"], [],
          "(-1000000000000000009)*t^0 + (1)*t^2"),
-    ], ids=["prime-square-norm", "large-split-prime"])
+        # t^2 - p q for two primes near 10^8 and 10^9: Pollard-Brent rho
+        # splits the norm; trial division to the smaller prime would not end
+        # within the timeout
+        (["0", "20000010700001221", "1", "0"], [], "(-20000010700001221)*t^0 + (1)*t^2"),
+        (["0", "1000000030000000189", "1", "0"], [],
+         "(-1000000030000000189)*t^0 + (1)*t^2"),
+    ], ids=["prime-square-norm", "large-split-prime", "two-primes-1e8", "two-primes-1e9"])
     def test_probe_with_a_large_prime_norm(self, tmp_path, entries, fibers, unresolved):
         # a fresh interpreter with a timeout, so a runaway search fails
         path = write(tmp_path, "probe.json", {"size": 2, "entries": entries})
@@ -1249,3 +1259,78 @@ class TestReadmeWalkthrough:
                 assert code == 0, (line, out, err)
                 commands += 1
         assert commands
+
+
+# the fewest arguments each verb parses with: a verb's row followed by an
+# unknown option reaches the top-level parser, whose usage lists every group
+VERB_ARGS = {
+    ("fan", "check"): ["f"],
+    ("system", "build"): ["f"],
+    ("system", "check"): ["f"],
+    ("system", "augment"): ["f", "--extras", "x"],
+    ("system", "soften"): ["f", "--extras", "x"],
+    ("sheaf", "from-divisor"): ["f", "--divisor", "d"],
+    ("sheaf", "check"): ["f"],
+    ("sheaf", "isom"): ["f", "g", "--candidate", "c"],
+    ("section", "list"): ["f", "--divisor", "d"],
+    ("section", "extend"): ["f", "--divisor", "d", "--point", "0,0"],
+    ("section", "check"): ["f"],
+    ("subscheme", "build"): ["f"],
+    ("subscheme", "member"): ["f", "--cone", "", "--element", "z1"],
+    ("morphism", "check"): ["f"],
+    ("morphism", "sample"): ["f", "--r", "2"],
+    ("morphism", "surrogate"): ["f"],
+    ("morphism", "kernel"): ["f", "--cone", ""],
+    ("probe", "a1"): ["f"],
+}
+
+
+def _subcommands(parser):
+    """{name: parser} of the parser's subcommands."""
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _parse_outcome(parse, argv):
+    """(stdout, stderr, exit code) of a parse that ends the program: a help
+    request or a usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as stop:
+            parse(argv)
+    return out.getvalue(), err.getvalue(), stop.value.code
+
+
+class TestHelpAndUsage:
+    """main builds only the invoked group's verbs; every help text and usage
+    error must read as it does from the parser with every verb."""
+
+    def test_the_verb_table_lists_every_verb(self):
+        full = {(group, verb) for group, verbs in _subcommands(build_parser()).items()
+                for verb in _subcommands(verbs)}
+        assert set(GROUPS) == {group for group, _ in full}
+        assert set(VERB_ARGS) == full and len(full) == 18
+
+    @pytest.mark.parametrize("group", sorted(GROUPS))
+    def test_only_the_named_group_gets_verbs(self, group):
+        built = {name: sorted(_subcommands(verbs))
+                 for name, verbs in _subcommands(build_parser(group)).items()}
+        assert list(built) == list(GROUPS)
+        assert {name for name, verbs in built.items() if verbs} == {group}
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], [], ["bogus"], ["fan"], ["--json"],
+        *([group, "--help"] for group in GROUPS),
+        *([group, verb, "--help"] for group, verb in VERB_ARGS),
+        *([group, verb, *args, "--no-such-option"] for (group, verb), args in VERB_ARGS.items()),
+        *([group, verb] for group, verb in VERB_ARGS),
+    ], ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_output_matches_the_full_parser(self, argv):
+        want = _parse_outcome(build_parser().parse_args, argv)
+        assert _parse_outcome(main, argv) == want
+        assert want[2] == (0 if "--help" in argv else 2)
+
+    def test_console_script_reads_sys_argv(self, monkeypatch):
+        want = _parse_outcome(build_parser().parse_args, ["section", "extend", "--help"])
+        monkeypatch.setattr(sys, "argv", ["nctoric", "section", "extend", "--help"])
+        assert _parse_outcome(lambda argv: main(), None) == want

@@ -9,9 +9,9 @@ from nctoric.deltasystem import (ChartSystem, _assert_inverse_system,
                                  abelianized_chart, augment_system, build_system,
                                  check_admissible, soften)
 from nctoric.errors import BadLift, ExtraOutsideDualCone, MaximalChartTouched
-from nctoric.exactmath import qim_identity
 from nctoric.freeword import (ReducedWord, Submonoid, canonical_lift,
                               format_word, parse_word, word_inv, word_mul)
+from nctoric.qimatrix import qim_identity
 from nctoric.toricfan import cone_monoid_generators, validate_fan
 from oracles import (complete_system, equal_charts, immediate_cover_descent, regrown_system,
                      union_of_maximal_charts)

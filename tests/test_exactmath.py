@@ -1,21 +1,19 @@
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, strategies as st
-from sympy import QQ, QQ_I, Matrix, Poly, factorint, isprime, linsolve, symbols
+from sympy import QQ, QQ_I, Matrix, Poly, factorint, isprime, linsolve, nextprime, symbols
 from sympy.polys.matrices import DomainMatrix
 
-from nctoric.exactmath import (Echelon, GaussRational, I, ONE, ZERO, format_gauss,
-                               gauss_int_divisors, hnf, linear_feasible,
-                               minimal_polynomial, parse_gauss,
-                               poly_divmod, qi_nullspace, qi_poly_roots, qim_add,
-                               qim_identity, qim_inverse,
-                               qim_is_zero, qim_mul, qim_rank, qim_zero,
-                               solve_corner_inverse)
-from nctoric import exactmath
+from nctoric.exactmath import (Echelon, GaussRational, I, ONE, ZERO, format_gauss, hnf,
+                               linear_feasible, parse_gauss)
+from nctoric import qimatrix
 from nctoric.errors import ParseError
+from nctoric.qimatrix import (gauss_int_divisors, minimal_polynomial, poly_divmod,
+                              qi_nullspace, qi_poly_roots, qim_add, qim_identity, qim_inverse,
+                              qim_is_zero, qim_mul, qim_rank, qim_zero, solve_corner_inverse)
 from oracles import (InsertionEchelon, gauss_divisors_by_scan, int_matmul,
                      poly_eval_matrix, qi_solve, qim_from_rows)
 
@@ -324,7 +322,22 @@ class TestRationalPrimes:
     def test_prime_factors(self, small, big, power):
         # a large prime cofactor or its square ends the trial division
         n = small * big ** power
-        assert exactmath._primes(n) == sorted(factorint(n))
+        assert qimatrix._primes(n) == sorted(factorint(n))
+
+    @given(st.lists(st.integers(10**3, 10**8).map(nextprime), min_size=1, max_size=3),
+           st.integers(1, 10**4))
+    def test_rho_splits_what_trial_division_leaves(self, big, small):
+        # up to three primes, repeats included, above where trial division stops
+        n = small * prod(big)
+        assert qimatrix._primes(n) == sorted(factorint(n))
+
+    @pytest.mark.parametrize("n", [
+        100000037 * 200000033, 1000000009 * 1000000021, 1000003 ** 3,
+        1009 * 1013 * (10**9 + 7),
+        # above the bound trial division strips 2^90; rho splits the rest
+        2**90 * 1000000009 * 1000000021])
+    def test_two_large_primes(self, n):
+        assert qimatrix._primes(n) == sorted(factorint(n))
 
     @pytest.mark.parametrize("n", [
         1, 2, 41, 43, 561, 3215031751, 3825123056546413051, 318665857834031151167461,
@@ -332,22 +345,22 @@ class TestRationalPrimes:
     def test_miller_rabin_below_its_bound(self, n):
         # 3825123056546413051 and 318665857834031151167461 are strong
         # pseudoprimes to every prime base up to 23 and 37
-        assert exactmath._is_prime(n) == isprime(n)
+        assert qimatrix._is_prime(n) == isprime(n)
 
     def test_strong_pseudoprime_at_the_bound_is_left_to_trial_division(self):
         # 3317044064679887385961981 passes all 13 bases, so it is never tested
-        assert exactmath._prime_base(exactmath._MR_BOUND) is None
-        assert exactmath._prime_base(exactmath._MR_BOUND ** 2) is None
-        assert exactmath._prime_base((10**18 + 9) ** 2) == 10**18 + 9
+        assert qimatrix._prime_base(qimatrix._MR_BOUND) is None
+        assert qimatrix._prime_base(qimatrix._MR_BOUND ** 2) is None
+        assert qimatrix._prime_base((10**18 + 9) ** 2) == 10**18 + 9
 
     @given(st.one_of(st.integers(2, 10**5).filter(isprime), st.just(1000000000061)))
     def test_two_squares_match_the_scan(self, p):
         if p % 4 == 3:
-            assert exactmath._gauss_primes_over(p) == {GaussRational(p)}
+            assert qimatrix._gauss_primes_over(p) == {GaussRational(p)}
             return
         a = next(a for a in range(1, isqrt(p) + 1) if isqrt(p - a * a) ** 2 == p - a * a)
         b = isqrt(p - a * a)
-        assert exactmath._gauss_primes_over(p) == {GaussRational(a, b), GaussRational(a, -b)}
+        assert qimatrix._gauss_primes_over(p) == {GaussRational(a, b), GaussRational(a, -b)}
 
 class TestRoots:
     def test_gaussian_roots(self):

@@ -396,8 +396,8 @@ def _write(path, obj):
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
     """One file for each probed command: a one-cone fan, the fan of P^1 (whose
-    divisor polytopes are bounded), a subscheme of one section on the
-    one-cone fan, and a matrix model on it."""
+    divisor polytopes are bounded), a sheaf, a section and a subscheme of it
+    on the one-cone fan, a matrix model on that fan, and a 2 x 2 matrix."""
     from nctoric.cli import main
 
     tmp = tmp_path_factory.mktemp("imports")
@@ -405,6 +405,7 @@ def artifacts(tmp_path_factory):
                                    "max_cones": [[0, 1]]})
     div = _write(tmp / "d.div", {"coefficients": {}})
     _write(tmp / "p1.fan", {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]})
+    _write(tmp / "m.json", {"size": 2, "entries": ["0", "2", "1", "0"]})
     steps = [["sheaf", "from-divisor", fan, "--divisor", div, "--out", str(tmp / "sh.json")],
              ["section", "extend", str(tmp / "sh.json"), "--divisor", div,
               "--point", "0,0", "--out", str(tmp / "sec.json")],
@@ -418,7 +419,10 @@ def artifacts(tmp_path_factory):
 FAN_CHECK = {"cli", "clauses", "errors", "exactmath", "reports", "serialize", "toricfan"}
 SYSTEM_CHECK = FAN_CHECK | {"deltasystem", "freeword"}
 SUBSCHEME_MEMBER = SYSTEM_CHECK | {"ncalgebra"}
-MORPHISM_CHECK = SUBSCHEME_MEMBER | {"azumaya"}
+SECTION_EXTEND = SUBSCHEME_MEMBER | {"sheaves"}
+MORPHISM_CHECK = SUBSCHEME_MEMBER | {"azumaya", "qimatrix"}
+# a bare matrix needs no chart system
+PROBE_A1 = MORPHISM_CHECK - {"deltasystem"}
 
 
 @pytest.mark.parametrize("argv, modules", [
@@ -427,7 +431,9 @@ MORPHISM_CHECK = SUBSCHEME_MEMBER | {"azumaya"}
     (["system", "check", "cone.fan"], SYSTEM_CHECK),
     (["subscheme", "member", "sub.json", "--cone", "", "--element", "z1"], SUBSCHEME_MEMBER),
     (["morphism", "check", "mor.json"], MORPHISM_CHECK),
-], ids=["fan", "section", "system", "subscheme", "morphism"])
+    (["section", "extend", "sh.json", "--divisor", "d.div", "--point", "0,0"], SECTION_EXTEND),
+    (["probe", "a1", "m.json"], PROBE_A1),
+], ids=["fan", "section", "system", "subscheme", "morphism", "section-extend", "probe"])
 def test_each_command_imports_only_its_layers(artifacts, argv, modules):
     # a command is one short process, so the layers it imports but never
     # runs are start-up time it pays for nothing; so is `dataclasses`, which
