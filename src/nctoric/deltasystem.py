@@ -3,8 +3,8 @@ from lifts, augmentation, softening, and the per-cone admissibility verdicts
 with witnesses.
 
 A system built from lifts carries its recipe: the lifts it was built from and
-the extras of every augmentation since, in order. Replaying build_system and
-then augment_system on those arguments rebuilds the identical charts.
+the extras of every augmentation since, in order. build_system on those
+arguments rebuilds the identical charts in one pass.
 """
 from __future__ import annotations
 
@@ -31,40 +31,60 @@ def _in_dual(vec, fan, cone):
     return all(pairing(vec, fan.rays[i]) >= 0 for i in cone)
 
 
-def _system_from_seeds(fan, seeds, base=None, lifts=None, stages=()):
-    """Append one stage of per-cone seed words to base's charts, or build
-    them when base is None. A chart lists base's generators, then its own
-    seed; on a lower chart, the seeds of the faces above it (the lower faces
-    in fan.faces order, then fan.max_cones), the inverses of those words
-    that kill the cone and, on the zero cone, the letters; each word once.
-    Only the stage's words are scanned; a chart that gains none stays base's
-    own Submonoid, saturated if it was. Regrowing from all the generators
-    gives the same lists, as base's upper generators and the inverses of its
-    killing words are in its lower charts (`_assert_inverse_system`). Build,
-    augmentation, softening and Prop 2.2.9's completion (`complete_system`
-    in tests/oracles.py) all use this one rule."""
+def _system_from_seeds(fan, seeds, extras=(), base=None, lifts=None):
+    """Grow base's charts (empty ones when base is None) by the per-cone
+    seed words, then by each stage of extras, and record the nonempty
+    stages. A stage appends to a chart its own words; on a lower chart, those
+    of the faces above it (the lower faces in fan.faces order, then
+    fan.max_cones), the inverses of those words that kill the cone and, on
+    the zero cone, the letters; each word once. Each grown chart's Submonoid
+    is built once, at the end; a chart that gains no word stays base's own.
+    Regrowing from all the generators gives the same lists, as base's upper
+    generators and the inverses of its killing words are in its lower charts
+    (`_assert_inverse_system`). Build, replay, augmentation, softening and
+    Prop 2.2.9's completion (`complete_system` in tests/oracles.py) all use
+    this one rule."""
+    stages = [seeds]  # the seeds, then each stage of extras without identities
+    extras = [{tuple(c): list(ws) for c, ws in (extra or {}).items()} for extra in extras]
+    for extra in extras:
+        for cone, words in extra.items():
+            if cone not in fan.faces:
+                raise ExtraOutsideDualCone(f"extra words on {list(cone)}, not a cone of the fan")
+            for w in words:
+                if not _in_dual(abelianize(w), fan, cone):
+                    raise ExtraOutsideDualCone(
+                        f"extra word {format_word(w)} does not map into the dual "
+                        f"cone of {list(cone)}")
+        stages.append({cone: [w for w in words if not w.is_identity()]
+                       for cone, words in extra.items()})
     above = [c for c in fan.faces if not fan.is_maximal(c)] + list(fan.max_cones)
-    charts = {}
-    for tau in fan.faces:
-        words = list(seeds.get(tau, ()))
-        if not fan.is_maximal(tau):
-            for upper in above:
-                if set(tau) < set(upper):
-                    words += seeds.get(upper, ())
-            words += [word_inv(w) for w in words if kills(fan, tau, abelianize(w))]
-            if not tau:
-                words += words_up_to(fan.rank, 1)[1:]
-        chart = base.charts[tau] if base else Submonoid((), fan.rank)
-        if not set(words) <= chart.generator_set:
-            chart = Submonoid([*chart.generators, *words], fan.rank)
-        charts[tau] = chart
-    system = ChartSystem(fan=fan, charts=charts, lifts=lifts, stages=stages)
+    grown = {}  # cone -> its generators, in order, once it gains a word
+    for stage in stages:
+        for tau in fan.faces:
+            words = list(stage.get(tau, ()))
+            if not fan.is_maximal(tau):
+                for upper in above:
+                    if set(tau) < set(upper):
+                        words += stage.get(upper, ())
+                words += [word_inv(w) for w in words if kills(fan, tau, abelianize(w))]
+                if not tau:
+                    words += words_up_to(fan.rank, 1)[1:]
+            if tau not in grown:
+                if base and set(words) <= base.charts[tau].generator_set:
+                    continue
+                grown[tau] = dict.fromkeys(base.charts[tau].generators if base else ())
+            grown[tau].update(dict.fromkeys(words))
+    charts = {tau: Submonoid(grown[tau], fan.rank) if tau in grown else base.charts[tau]
+              for tau in fan.faces}
+    system = ChartSystem(fan=fan, charts=charts, lifts=base.lifts if base else lifts,
+                         stages=(base.stages if base else ()) + tuple(e for e in extras if e))
     _assert_inverse_system(system)
     return system
 
 
-def build_system(fan, lifts=None):
-    """Construct the canonical chart system from per-generator word lifts.
+def build_system(fan, lifts=None, stages=()):
+    """Construct the chart system of a recipe: per-generator word lifts,
+    then stages of extras, each as augment_system reads it.
 
     lifts maps (maximal cone, dual generator) to a word whose exponent
     vector must equal that dual generator; missing entries use the sorted
@@ -88,7 +108,7 @@ def build_system(fan, lifts=None):
                     f"expected {u} on cone {list(sigma)}")
             words.append(w)
         seeds[sigma] = words
-    return _system_from_seeds(fan, seeds, lifts=lifts)
+    return _system_from_seeds(fan, seeds, stages, lifts=lifts)
 
 
 def _assert_inverse_system(system):
@@ -167,22 +187,10 @@ def check_admissible(system):
 
 
 def augment_system(system, extra):
-    """Enlarge charts so each cone's chart contains the given extra words,
-    appended by `_system_from_seeds`, which keeps every chart they do not
+    """Enlarge charts so each cone's chart contains the given extra words:
+    one stage of `_system_from_seeds`, which keeps every chart they do not
     reach. Nonempty extras become the result's last stage."""
-    fan = system.fan
-    extra = {tuple(c): list(ws) for c, ws in (extra or {}).items()}
-    for cone, words in extra.items():
-        if cone not in fan.faces:
-            raise ExtraOutsideDualCone(f"extra words on {list(cone)}, not a cone of the fan")
-        for w in words:
-            if not _in_dual(abelianize(w), fan, cone):
-                raise ExtraOutsideDualCone(
-                    f"extra word {format_word(w)} does not map into the dual "
-                    f"cone of {list(cone)}")
-    seeds = {cone: [w for w in words if not w.is_identity()] for cone, words in extra.items()}
-    stages = system.stages + (extra,) if extra else system.stages
-    return _system_from_seeds(fan, seeds, base=system, lifts=system.lifts, stages=stages)
+    return _system_from_seeds(system.fan, {}, [extra], base=system)
 
 
 def soften(system, extra):

@@ -13,8 +13,8 @@ Saturation runs by rounds over silent closures kept as Python-int bitsets.
 Membership reads a word through the letter transitions, ORing target
 closures, and accepts on bit 0.
 A submonoid saturates on its first membership query, so a chart that is
-built but never queried (every chart of an intermediate stage of a replayed
-recipe, say) costs only its generator list.
+built but never queried (a chart of a loaded system that the command does
+not check, say) costs only its generator list.
 """
 from __future__ import annotations
 

@@ -3,8 +3,9 @@ and Gaussian rationals as literals, never a float.
 
 System files store the recipe a chart system carries (its fan, its lifts and
 the extras of each augmentation stage) rather than computed charts. Loading
-repeats build_system and augment_system on the same arguments, so a written
+reads the whole recipe, then builds it in one build_system call, so a written
 file rebuilds the identical charts and writes back the identical object.
+Every reader parses all of its file before it builds a chart.
 Every reader returns the artifact alone; every writer takes it alone. Each
 imports, when called, only the layer whose artifact it handles, so reading a
 fan loads no chart, sheaf or matrix code.
@@ -189,13 +190,13 @@ def system_to_obj(system):
     return obj
 
 
-def system_from_obj(obj, where="system"):
-    """Rebuild a system from its recipe object.
+def _recipe_from_obj(obj, where):
+    """The fan, lifts and stages of a recipe object; the fan first, as
+    every cone is read against it.
 
     The fan may be inline or a path to a fan file; load_json has already
     resolved a path read from a file against that file's directory.
     """
-    from .deltasystem import augment_system, build_system
     from .freeword import parse_word
     fan_obj = _field(obj, "fan", where)
     if isinstance(fan_obj, str):
@@ -217,10 +218,15 @@ def system_from_obj(obj, where="system"):
 
     lifts = _unique(map(lift, _field(obj, "lifts", where, list, default=[])), at,
                     lambda key: f"generator {list(key[1])} of cone {list(key[0])}")
-    system = build_system(fan, lifts)
-    for stage_obj in _field(obj, "extras", where, list, default=[]):
-        system = augment_system(system, stage_from_obj(stage_obj, fan, f"{where}.extras"))
-    return system
+    stages = [stage_from_obj(stage_obj, fan, f"{where}.extras")
+              for stage_obj in _field(obj, "extras", where, list, default=[])]
+    return fan, lifts, stages
+
+
+def system_from_obj(obj, where="system"):
+    """Rebuild a system from its recipe object, in one build_system call."""
+    from .deltasystem import build_system
+    return build_system(*_recipe_from_obj(obj, where))
 
 
 def _fan_or_system(path):
@@ -287,11 +293,11 @@ def sheaf_to_obj(gluing):
     }
 
 
-def sheaf_from_obj(obj, where="sheaf"):
+def _sheaf_parts(obj, where):
+    """The recipe of a sheaf object's system and its gluing entries."""
     from .freeword import parse_word
-    from .sheaves import GluingData
-    system = system_from_obj(_field(obj, "system", where), f"{where}.system")
-    fan = system.fan
+    recipe = _recipe_from_obj(_field(obj, "system", where), f"{where}.system")
+    fan = recipe[0]
     at = f"{where}.gluing"
 
     def entry(item):
@@ -303,8 +309,19 @@ def sheaf_from_obj(obj, where="sheaf"):
 
     entries = _unique(map(entry, _field(obj, "gluing", where, list)), at,
                       lambda key: f"{list(key[0])} > {list(key[1])}")
-    return GluingData(system=system, scalars={k: s for k, (s, _) in entries.items()},
+    return recipe, entries
+
+
+def _gluing(recipe, entries):
+    from .deltasystem import build_system
+    from .sheaves import GluingData
+    return GluingData(system=build_system(*recipe),
+                      scalars={k: s for k, (s, _) in entries.items()},
                       words={k: w for k, (_, w) in entries.items()})
+
+
+def sheaf_from_obj(obj, where="sheaf"):
+    return _gluing(*_sheaf_parts(obj, where))
 
 
 def load_sheaf(path):
@@ -340,13 +357,13 @@ def section_to_obj(section):
 def section_from_obj(obj, where="section"):
     from .ncalgebra import parse_alg
     from .sheaves import TwistedSectionData
-    gluing = sheaf_from_obj(_field(obj, "sheaf", where), f"{where}.sheaf")
-    fan = gluing.system.fan
+    recipe, entries = _sheaf_parts(_field(obj, "sheaf", where), f"{where}.sheaf")
+    fan = recipe[0]
     at = f"{where}.locals"
     locals_ = _unique(((_cone(item, fan, at),
                         parse_alg(_field(item, "element", at), fan.rank))
                        for item in _field(obj, "locals", where, list)), at)
-    return TwistedSectionData(gluing=gluing, locals=locals_)
+    return TwistedSectionData(gluing=_gluing(recipe, entries), locals=locals_)
 
 
 # --- subschemes ----------------------------------------------------------------
@@ -363,9 +380,10 @@ def subscheme_to_obj(system, chart_gens):
 
 
 def subscheme_from_obj(obj, where="subscheme"):
+    from .deltasystem import build_system
     from .ncalgebra import parse_alg
-    system = system_from_obj(_field(obj, "system", where), f"{where}.system")
-    fan = system.fan
+    recipe = _recipe_from_obj(_field(obj, "system", where), f"{where}.system")
+    fan = recipe[0]
     at = f"{where}.charts"
 
     def chart(item):
@@ -376,7 +394,8 @@ def subscheme_from_obj(obj, where="subscheme"):
             raise ParseError(f"{at}: cone {list(cone)} lists the generator 0")
         return cone, gens
 
-    return system, _unique(map(chart, _field(obj, "charts", where, list)), at)
+    charts = _unique(map(chart, _field(obj, "charts", where, list)), at)
+    return build_system(*recipe), charts
 
 
 # --- matrices and morphisms ----------------------------------------------------
@@ -426,15 +445,17 @@ def morphism_from_obj(obj, where="morphism"):
     not read: a unit generator's corner inverse is unique and verification
     solves for it."""
     from .azumaya import MorphismData, QuasiHomChart
+    from .deltasystem import build_system
     from .freeword import format_word, parse_word
     r = _integer(_field(obj, "rank_r", where), f"{where}: rank_r")
-    system = system_from_obj(_field(obj, "system", where), f"{where}.system")
+    recipe = _recipe_from_obj(_field(obj, "system", where), f"{where}.system")
+    fan = recipe[0]
 
     def chart(item):
-        cone = _cone(item, system.fan, at)
+        cone = _cone(item, fan, at)
         e = matrix_from_entries(_field(item, "e", at), r, f"{where} e on {cone}")
         im_at = f"{where} image on {cone}"
-        images = _unique(((parse_word(_field(im, "word", im_at), system.fan.rank),
+        images = _unique(((parse_word(_field(im, "word", im_at), fan.rank),
                            matrix_from_entries(_field(im, "matrix", im_at), r, im_at))
                           for im in _field(item, "images", im_at, list, default=[])),
                          im_at, lambda w: f"word {format_word(w)}")
@@ -442,7 +463,7 @@ def morphism_from_obj(obj, where="morphism"):
 
     at = f"{where}.charts"
     charts = _unique(map(chart, _field(obj, "charts", where, list)), at)
-    return MorphismData(rank_r=r, system=system, charts=charts)
+    return MorphismData(rank_r=r, system=build_system(*recipe), charts=charts)
 
 
 def pattern_from_obj(obj, fan, r, where="pattern"):

@@ -11,7 +11,9 @@ point of `section list`, in that order, and `section check` of the last
 section.  With COUNT, only the first COUNT points are extended and the check
 reads s_COUNT.  Its known answers are checked in each tree: `section list`
 gives C(DEGREE + N, N) points and every command exits 0.  The script prints
-each tree's time per extend and for the check, and the digest of every
+each tree's time per extend, for the check, and for one in-process
+`serialize.load_sheaf` of the last section, which is what replaying that
+file's recipe costs every command that reads it; and the digest of every
 written file and of the commands' output.  It exits 1 when a known answer
 fails or a digest differs between the trees.
 """
@@ -33,6 +35,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 def run_chain(degree, n, count=None):
     """Run the chain, up to `count` extends, in the working directory; print
     one JSON line with its exit codes, point count, times and digests."""
+    from nctoric import serialize
     from nctoric.cli import main
 
     output = hashlib.sha256()
@@ -64,13 +67,16 @@ def run_chain(degree, n, count=None):
         extends.append(seconds)
     code, _, check = run("section", "check", f"s{len(extends)}.json")
     codes.append(code)
+    start = time.perf_counter()
+    serialize.load_sheaf(f"s{len(extends)}.json")
+    load = time.perf_counter() - start
     digests = {}
     for name in sorted(os.listdir(".")):
         with open(name, "rb") as f:
             digests[name] = hashlib.sha256(f.read()).hexdigest()
     digests["(output)"] = output.hexdigest()
     print(json.dumps({"codes": codes, "points": len(points), "extends": extends,
-                      "check": check, "digests": digests}))
+                      "check": check, "load": load, "digests": digests}))
 
 
 def run_tree(src, degree, n, count):
@@ -93,7 +99,8 @@ def main(argv):
         runs[label] = result = run_tree(src, degree, n, count)
         times = " ".join(f"{t:.2f}" for t in result["extends"])
         print(f"{label}: {len(result['extends'])} extends in {sum(result['extends']):.2f} s, "
-              f"check {result['check']:.2f} s\n  per extend: {times}")
+              f"check {result['check']:.2f} s, load {result['load']:.3f} s\n"
+              f"  per extend: {times}")
         if result["points"] != expected:
             print(f"{label}: {result['points']} points, expected C({degree + n}, {n}) = {expected}")
             failed = True

@@ -926,6 +926,8 @@ class TestMalformedDivisor:
 P2_BAD_CERT = dict(P2, certificates=[{"functional": [1, 0]}])
 P2_TEXT_RANK = dict(P2, rank="two")
 CONE_FAN = {"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]}
+# z2 abelianizes to [0, 1], not to the generator [1, 0]: only a build fails it (Thm 2.2.5)
+BAD_LIFT = {"cone": [0, 1], "generator": [1, 0], "word": "z2"}
 
 
 class TestMalformedInput:
@@ -960,6 +962,39 @@ class TestMalformedInput:
         code, _, err = run_process(*argv)
         assert code == 2
         assert "Traceback" not in err and "error:" in err
+
+    @pytest.mark.parametrize("recipe", [
+        {"fan": "p2.fan", "lifts": [BAD_LIFT]}, {"fan": "p2.fan"}], ids=["bad-lift", "no-lift"])
+    def test_every_stage_is_read_before_any_is_built(self, tmp_path, monkeypatch, capsys,
+                                                     recipe):
+        # the first stage fails Prop 2.2.10 and the second is malformed: a
+        # recipe that is read in full before it is built exits 2
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "p2.fan", P2)
+        write(tmp_path, "sys.json",
+              dict(recipe, extras=[[{"cone": [0], "words": ["z1^-1"]}], 5]))
+        code, out, err = run(capsys, "system", "check", "sys.json")
+        assert code == 2 and out == ""
+        assert err == "error: sys.json.extras must be a list, got int\n"
+
+    @pytest.mark.parametrize("wrap, argv", [
+        (lambda system: {"system": system, "gluing": 7}, ["sheaf", "check", "f.json"]),
+        (lambda system: {"sheaf": {"system": system, "gluing": []}, "locals": 7},
+         ["section", "check", "f.json"]),
+        (lambda system: {"system": system, "charts": 7},
+         ["subscheme", "member", "f.json", "--cone", "", "--element", "z1"]),
+        (lambda system: {"rank_r": 2, "system": system, "charts": 7},
+         ["morphism", "check", "f.json"]),
+    ], ids=["sheaf", "section", "subscheme", "morphism"])
+    def test_readers_read_every_field_before_building(self, tmp_path, monkeypatch, capsys,
+                                                      wrap, argv):
+        # the recipe's lift fails a clause, and a field after it is malformed
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "p2.fan", P2)
+        write(tmp_path, "f.json", wrap({"fan": "p2.fan", "lifts": [BAD_LIFT]}))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: f.json") and err.endswith("must be a list, got int\n")
 
     @pytest.mark.parametrize("content", [
         b"\xff\xfe",

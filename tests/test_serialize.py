@@ -1,13 +1,13 @@
 """Replay of written artifacts. A chart system carries its recipe (lifts and
-augmentation stages), so every file rebuilds, by the same build_system and
-augment_system calls, the system the writing command checked."""
+augmentation stages), so every file rebuilds, by one build_system call on
+that recipe, the system the writing command checked."""
 import json
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nctoric import serialize
+from nctoric import deltasystem, serialize
 from nctoric.azumaya import sample_matrix_model
 from nctoric.deltasystem import augment_system, build_system
 from nctoric.freeword import ReducedWord, canonical_lift, format_word, word_inv, word_mul
@@ -120,8 +120,8 @@ def test_morphism_over_an_augmented_system_replays(seed):
 
 
 def test_replay_saturates_no_chart(saturations):
-    # every command replays its artifact's recipe, stage by stage, but only
-    # the final system's charts are queried, and only by a check
+    # every command replays its artifact's recipe, but only the final
+    # system's charts are queried, and only by a check
     fan = validate_fan(*CHAIN_FANS["p2"])
     divisor = (0, 0, 3)
     gluing = sheaf_from_divisor(build_system(fan), divisor)
@@ -135,3 +135,24 @@ def test_replay_saturates_no_chart(saturations):
     assert saturations == []
     assert check_twisted_section(back).ok
     assert 0 < len(saturations) <= len(set(map(id, back.system.charts.values())))
+
+
+def test_a_recipe_loads_in_one_pass(monkeypatch):
+    # each chart is built once and the inverse-system property checked once,
+    # however many stages the recipe lists
+    fan = validate_fan(*CHAIN_FANS["p2"])
+    divisor = (0, 0, 3)
+    gluing = sheaf_from_divisor(build_system(fan), divisor)
+    for point in polytope_sections(fan, divisor)[:3]:
+        gluing = extend_section(gluing, divisor, point).gluing
+    obj = serialize.system_to_obj(gluing.system)
+    assert len(obj["extras"]) >= 3
+    built, checked = [], []
+    submonoid, check = deltasystem.Submonoid, deltasystem._assert_inverse_system
+    monkeypatch.setattr(deltasystem, "Submonoid",
+                        lambda *args: built.append(submonoid(*args)) or built[-1])
+    monkeypatch.setattr(deltasystem, "_assert_inverse_system",
+                        lambda system: checked.append(check(system)))
+    back = serialize.system_from_obj(obj)
+    assert equal_charts(back, gluing.system)
+    assert len(built) <= len(fan.faces) and len(checked) == 1
