@@ -44,10 +44,11 @@ def _system_from_seeds(fan, seeds, extras=(), base=None, lifts=None):
     (`_assert_inverse_system`). Build, replay, augmentation, softening and
     Prop 2.2.9's completion (`complete_system` in tests/oracles.py) all use
     this one rule."""
-    stages = [seeds]  # the seeds, then each stage of extras without identities
-    extras = [{tuple(c): list(ws) for c, ws in (extra or {}).items()} for extra in extras]
+    rounds = [seeds]  # the seeds, then each stage's words without identities
+    given = []  # each stage as recorded, its cones as tuples
     for extra in extras:
-        for cone, words in extra.items():
+        stage = {tuple(c): list(ws) for c, ws in (extra or {}).items()}
+        for cone, words in stage.items():
             if cone not in fan.faces:
                 raise ExtraOutsideDualCone(f"extra words on {list(cone)}, not a cone of the fan")
             for w in words:
@@ -55,17 +56,18 @@ def _system_from_seeds(fan, seeds, extras=(), base=None, lifts=None):
                     raise ExtraOutsideDualCone(
                         f"extra word {format_word(w)} does not map into the dual "
                         f"cone of {list(cone)}")
-        stages.append({cone: [w for w in words if not w.is_identity()]
-                       for cone, words in extra.items()})
+        given.append(stage)
+        rounds.append({cone: [w for w in words if not w.is_identity()]
+                       for cone, words in stage.items()})
     above = [c for c in fan.faces if not fan.is_maximal(c)] + list(fan.max_cones)
     grown = {}  # cone -> its generators, in order, once it gains a word
-    for stage in stages:
+    for step in rounds:
         for tau in fan.faces:
-            words = list(stage.get(tau, ()))
+            words = list(step.get(tau, ()))
             if not fan.is_maximal(tau):
                 for upper in above:
                     if set(tau) < set(upper):
-                        words += stage.get(upper, ())
+                        words += step.get(upper, ())
                 words += [word_inv(w) for w in words if kills(fan, tau, abelianize(w))]
                 if not tau:
                     words += words_up_to(fan.rank, 1)[1:]
@@ -77,7 +79,7 @@ def _system_from_seeds(fan, seeds, extras=(), base=None, lifts=None):
     charts = {tau: Submonoid(grown[tau], fan.rank) if tau in grown else base.charts[tau]
               for tau in fan.faces}
     system = ChartSystem(fan=fan, charts=charts, lifts=base.lifts if base else lifts,
-                         stages=(base.stages if base else ()) + tuple(e for e in extras if e))
+                         stages=(base.stages if base else ()) + tuple(s for s in given if s))
     _assert_inverse_system(system)
     return system
 

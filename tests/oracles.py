@@ -12,8 +12,7 @@ of idempotent families read off the definitions, free-algebra arithmetic
 on letter tuples, the generators of the nested commutativity ideal,
 the completion of maximal charts (Prop 2.2.9), which no command runs and
 which grows its lower charts by the library's one rule, augmentation by
-regrowing every chart instead of appending to it, recipe replay by one
-augmentation per stage instead of one pass, the commutative-monoid
+regrowing every chart instead of appending to it, the commutative-monoid
 search as a lexicographic scan with a minor-gcd lattice test, exhaustive
 enumerations, brute-force lattice and divisor scans, and small
 helpers that only the tests need.
@@ -26,7 +25,7 @@ from itertools import product as iproduct
 from math import gcd, isqrt
 
 from nctoric.deltasystem import (ChartSystem, _in_dual, _system_from_seeds,
-                                 admissible_cone_findings, augment_system, build_system)
+                                 admissible_cone_findings)
 from nctoric.errors import MorphismInvalid
 from nctoric.exactmath import ONE, ZERO, Echelon, GaussRational
 from nctoric.freeword import (ReducedWord, Submonoid, abelianize, format_word, identity_word,
@@ -749,14 +748,3 @@ def regrown_system(system, extra):
                     *(w for w in extra.get(cone, ()) if not w.is_identity())]
              for cone in system.fan.faces}
     return _system_from_seeds(system.fan, seeds)
-
-
-def replay_by_stages(fan, lifts, stages):
-    """A recipe replayed stage by stage: build_system on the lifts, then one
-    augment_system call per stage, each building the charts that stage
-    grows. build_system(fan, lifts, stages) must give the same system in
-    one pass."""
-    system = build_system(fan, lifts)
-    for extra in stages:
-        system = augment_system(system, extra)
-    return system

@@ -14,7 +14,7 @@ from nctoric.freeword import (ReducedWord, Submonoid, canonical_lift,
 from nctoric.qimatrix import qim_identity
 from nctoric.toricfan import cone_monoid_generators, validate_fan
 from oracles import (complete_system, equal_charts, immediate_cover_descent, regrown_system,
-                     replay_by_stages, union_of_maximal_charts)
+                     union_of_maximal_charts)
 
 
 def W(text, rank=2):
@@ -478,7 +478,13 @@ class TestAppendOnlyGrowth:
         name, seed, stages = case
         fan = validate_fan(*RULE_FANS[name])
         rng = random.Random(seed)
-        system = build_system(fan)
+        lifts = {}
+        if rng.randint(0, 1):
+            sigma = rng.choice(fan.max_cones)
+            u = rng.choice(fan.duals[sigma])
+            z = ReducedWord((rng.choice([1, -1]) * rng.randint(1, fan.rank),), fan.rank)
+            lifts[(sigma, u)] = word_mul(word_mul(z, canonical_lift(u, fan.rank)), word_inv(z))
+        system = build_system(fan, lifts)
         for softening, triples in stages:
             extra = stage_extra(rng, system, softening, triples)
             if softening:
@@ -494,32 +500,10 @@ class TestAppendOnlyGrowth:
                 if softening:
                     assert added.get(cone, []) == tail
             system = out
-
-    @given(growth_stages())
-    def test_one_pass_equals_the_stage_by_stage_replay(self, case):
-        name, seed, stages = case
-        fan = validate_fan(*RULE_FANS[name])
-        rng = random.Random(seed)
-        lifts = {}
-        if rng.randint(0, 1):
-            sigma = rng.choice(fan.max_cones)
-            u = rng.choice(fan.duals[sigma])
-            z = ReducedWord((rng.choice([1, -1]) * rng.randint(1, fan.rank),), fan.rank)
-            lifts[(sigma, u)] = word_mul(word_mul(z, canonical_lift(u, fan.rank)), word_inv(z))
-        system = build_system(fan, lifts)
-        extras = []
-        for softening, triples in stages:
-            extras.append(stage_extra(rng, system, softening, triples))
-            out = augment_system(system, extras[-1])
-            for cone in fan.faces:
-                old, new = system.charts[cone], out.charts[cone]
-                assert (new is old) == (new.generators == old.generators)
-            system = out
-        one_pass = build_system(fan, lifts, extras)
-        reference = replay_by_stages(fan, lifts, extras)
+        replayed = build_system(fan, system.lifts, system.stages)
         for cone in fan.faces:
-            assert one_pass.charts[cone].generators == reference.charts[cone].generators
-        assert one_pass.lifts == reference.lifts and one_pass.stages == reference.stages
+            assert replayed.charts[cone].generators == system.charts[cone].generators
+        assert replayed.lifts == system.lifts and replayed.stages == system.stages
 
     def test_soften_keeps_the_charts_it_does_not_reach(self, saturations):
         system = build_system(fan_p3())
