@@ -137,7 +137,11 @@ def parse_word(text, rank):
         while n and letters and letters[-1] == -k:     # freely reduced as it is read
             letters.pop()
             n -= 1
-        letters.extend([k] * n)
+        try:
+            letters.extend([k] * n)
+        except (MemoryError, OverflowError):
+            # a repeat count no list can hold, refused before allocating
+            raise ParseError(f"exponent of word factor {tok!r} is too large") from None
     return ReducedWord(letters, rank)
 
 

@@ -227,13 +227,18 @@ def _pair_words(rank, budget):
 
 def _ideal_columns(rank, g, budget):
     """((x, y), _word_vector(x * g * y)) for each pair of _pair_words(rank,
-    budget), built from letter tuples. Distinct words of g stay distinct
-    after multiplying by x and y, so no coefficients collect."""
+    budget), built from letter tuples; x * g is formed once for each x.
+    Distinct words of g stay distinct after multiplying by x and y, so no
+    coefficients collect."""
     terms = [(w.letters, c) for w, c in g.terms.items()]
+    left_of = None
     for x, y in _pair_words(rank, budget):
+        if x is not left_of:
+            left_of = x
+            left = [(letters_mul(x.letters, letters), c) for letters, c in terms]
         col = {}
-        for letters, c in terms:
-            w = letters_mul(letters_mul(x.letters, letters), y.letters)
+        for letters, c in left:
+            w = letters_mul(letters, y.letters)
             col[(-len(w), w)] = c
         yield (x, y), col
 
@@ -244,6 +249,20 @@ def bounded_ideal_member(ideal, target):
 
     Returns a MemberCertificate, or None meaning not-found-at-bound (which
     is *not* a proof of non-membership).
+
+    The columns x*g*y are numbered in the order _ideal_columns builds them,
+    generator by generator, and two columns are joined when they share a
+    word. Only the block of columns joined to a word of the target goes into
+    the echelon, in increasing number, each tagged with its number. This
+    gives the certificate the whole echelon would give, term for term: by
+    induction over the columns, every row of the whole echelon has all its
+    words and tags inside the block or all outside it, since reducing a
+    vector visits only rows pivoted on words it holds, and such a row adds
+    only words of the same side. So the rows from the block are the rows
+    the block alone builds, and the target, whose words are all in the
+    block, reduces against those rows only, to the same residual and
+    combination. A column outside the block never changes which block
+    columns join, and "not found" stays "not found".
     """
     rank = target.rank
     d = ideal.degree_bound
@@ -253,19 +272,53 @@ def bounded_ideal_member(ideal, target):
     for g in ideal.generators:
         if g.rank != rank:
             raise RankMismatch(f"generator of rank {g.rank} against a target of rank {rank}")
-    ech = Echelon()
+    # every column is kept until the block is known, as the ids of its words
+    # in the order of g.terms, so a word that many columns share is stored once
+    columns = []
     keys = []
+    ids = {}       # word key -> id, in order of first appearance
+    holders = []   # id -> numbers of the columns holding that word
     for gi, g in enumerate(ideal.generators):
         for (x, y), col in _ideal_columns(rank, g, d - g.max_word_len()):
-            ech.add(col, len(keys))
+            col_ids = []
+            for k in col:
+                i = ids.setdefault(k, len(ids))
+                if i == len(holders):
+                    holders.append([])
+                holders[i].append(len(columns))
+                col_ids.append(i)
+            columns.append(tuple(col_ids))
             keys.append((x, gi, y))
-    combo = ech.solve(_word_vector(target))
+    vec = _word_vector(target)
+    words = list(ids)
+    coeffs = [tuple(g.terms.values()) for g in ideal.generators]
+    ech = Echelon()
+    for j in _joined_columns(columns, holders, [ids[k] for k in vec if k in ids]):
+        ech.add({words[i]: c for i, c in zip(columns[j], coeffs[keys[j][1]])}, j)
+    combo = ech.solve(vec)
     if combo is None:
         return None
     cert = MemberCertificate(tuple((c, *keys[j]) for j, c in sorted(combo.items())))
     if cert.reconstruct(ideal, rank) != target:
         raise AssertionError("membership certificate does not rebuild the target")
     return cert
+
+
+def _joined_columns(columns, holders, ids):
+    """Numbers, in increasing order, of the columns joined to any of the
+    word ids through a chain of columns that share a word."""
+    seen = set(ids)
+    todo = list(seen)
+    block = set()
+    while todo:
+        for j in holders[todo.pop()]:
+            if j not in block:
+                block.add(j)
+                for i in columns[j]:
+                    if i not in seen:
+                        seen.add(i)
+                        todo.append(i)
+    return sorted(block)
 
 
 def _word_vector(elem):

@@ -10,6 +10,8 @@ sequence of chart generators, the twisted-section unit search over every
 pair of monomials, the per-block matrix-model sampler, a classifier
 of idempotent families read off the definitions, free-algebra arithmetic
 on letter tuples, the generators of the nested commutativity ideal,
+bounded ideal membership on one echelon of every product x*g*y, where
+the library adds only the block of products joined to the target,
 the completion of maximal charts (Prop 2.2.9), which no command runs and
 which grows its lower charts by the library's one rule, augmentation by
 regrowing every chart instead of appending to it, the commutative-monoid
@@ -30,7 +32,8 @@ from nctoric.errors import MorphismInvalid
 from nctoric.exactmath import ONE, ZERO, Echelon, GaussRational
 from nctoric.freeword import (ReducedWord, Submonoid, abelianize, format_word, identity_word,
                               is_unit_in, word_inv, word_mul, words_up_to)
-from nctoric.ncalgebra import AlgElem, BoundedIdeal
+from nctoric.ncalgebra import (AlgElem, BoundedIdeal, MemberCertificate, _ideal_columns,
+                               _word_vector)
 from nctoric.qimatrix import (qim_add, qim_flatten, qim_identity, qim_is_zero, qim_mul,
                               qim_scale, qim_zero, solve_corner_inverse, sparse_vector)
 
@@ -715,6 +718,23 @@ def l_commutative_gens(rank, level, degree_bound):
             seen.add(key)
             gens.append(c)
     return BoundedIdeal(tuple(gens), degree_bound)
+
+
+def whole_echelon_member(ideal, target):
+    """Bounded ideal membership with every product x*g*y within the bound
+    in one tagged echelon, numbered as the library numbers them: the
+    library's certificate must equal this one term for term, and None
+    must meet None. The caller keeps the target within the bound."""
+    ech = Echelon()
+    keys = []
+    for gi, g in enumerate(ideal.generators):
+        for (x, y), col in _ideal_columns(target.rank, g, ideal.degree_bound - g.max_word_len()):
+            ech.add(col, len(keys))
+            keys.append((x, gi, y))
+    combo = ech.solve(_word_vector(target))
+    if combo is None:
+        return None
+    return MemberCertificate(tuple((c, *keys[j]) for j, c in sorted(combo.items())))
 
 
 def complete_system(fan, partial):

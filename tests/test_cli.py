@@ -1038,6 +1038,23 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         assert err == "error: sub.json.charts: cone [] lists the generator 0\n"
 
+    @pytest.mark.parametrize("exponent", ["2305843009213693952", "99999999999999999999"],
+                             ids=["memory-error", "overflow-error"])
+    def test_huge_word_exponent(self, tmp_path, monkeypatch, capsys, exponent):
+        # a factor's letters are a repeat of its exponent, and these repeat
+        # counts are refused before anything is allocated
+        monkeypatch.chdir(tmp_path)
+        word = f"z1 z2^{exponent}"
+        write(tmp_path, "cone.fan", CONE_FAN)
+        write(tmp_path, "sub.json", {"system": {"fan": "cone.fan"}, "charts": [
+            {"cone": [], "generators": ["z1 z2 - z2 z1"]}]})
+        write(tmp_path, "sys.json", {"fan": "cone.fan", "lifts": [
+            {"cone": [0, 1], "generator": [1, 0], "word": word}]})
+        err = f"error: exponent of word factor 'z2^{exponent}' is too large\n"
+        for argv in (["subscheme", "member", "sub.json", "--cone", "", "--element", word,
+                      "--bound", "4"], ["system", "check", "sys.json"]):
+            assert run(capsys, *argv) == (2, "", err)
+
     def test_unopenable_path(self, tmp_path, monkeypatch):
         # open refuses a null byte with a ValueError that is not the digit limit
         monkeypatch.chdir(tmp_path)

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from nctoric import exactmath
 from nctoric.errors import ParseError, RankMismatch, TargetExceedsBound
 from nctoric.exactmath import GaussRational, ONE, ZERO
 from nctoric.freeword import ReducedWord, abelianize, identity_word, parse_word
@@ -9,7 +11,7 @@ from nctoric.ncalgebra import (AlgElem, BoundedIdeal, _ideal_columns, _pair_word
                                _word_vector, abelianize_elem, bounded_ideal_member,
                                format_alg, parse_alg)
 from oracles import (alg_combine, is_homogeneous, l_commutative_gens, letter_dict,
-                     pair_words_by_filter, random_reduced_word, shadow)
+                     pair_words_by_filter, random_reduced_word, shadow, whole_echelon_member)
 
 
 def A(text, rank=2):
@@ -237,6 +239,87 @@ class TestLargeBounds:
                                 for _ in range(2))
         ideal = l_commutative_gens(rank, 1, bound)
         assert bounded_ideal_member(ideal, elem_of(terms, rank)) is None
+
+
+def _ideal_for(kind, rng):
+    """An ideal and a target of the given kind, both within the bound."""
+    rank = rng.choice((2, 3))
+    level = 1 if rank == 3 else rng.choice((1, 2))
+    gens = l_commutative_gens(rank, level, level + 1).generators
+    bound = level + 1 + rng.randint(0, 2 if rank == 3 else 3)
+    if kind == "identity term":
+        rank, bound = 2, rng.randint(2, 4)
+        # z1 and z2 beside the identity join every column into one block
+        g = A("z1 + z2") + random_elem(rng, max_len=2) + AlgElem.from_word(
+            identity_word(2), GaussRational(rng.randint(1, 3), rng.randint(-1, 1)))
+        gens = (g or AlgElem.from_word(identity_word(2)),)
+    ideal = BoundedIdeal(gens, bound)
+    if kind == "zero":
+        return ideal, AlgElem.zero(rank)
+    target = elem_of(random_member(rng, ideal), rank)
+    if kind == "commutator" and rng.random() < 0.5:
+        target = target + random_elem(rng, rank, max_len=bound)
+    if kind == "untouched word":
+        # z1^bound is no word of any x*g*y: one as long as the bound has no
+        # cancellation, so it contains a word of g, and every word of a
+        # commutator holds two distinct letters
+        target = target + AlgElem.from_word(ReducedWord((1,) * bound, rank))
+    if kind == "long generator":
+        long_word = random_reduced_word(rng, rank, bound + 3)
+        while len(long_word) <= bound:
+            long_word = random_reduced_word(rng, rank, bound + 3)
+        g = AlgElem.from_word(long_word) + AlgElem.from_word(identity_word(rank), -ONE)
+        ideal = BoundedIdeal((*gens[:1], g, *gens[1:]), bound)
+    return ideal, target
+
+
+@pytest.fixture
+def echelon_tags(monkeypatch):
+    """The tags of the vectors added to any Echelon during the test, in
+    order."""
+    tags = []
+    add = exactmath.Echelon.add
+
+    def counted(self, vec, tag=None):
+        tags.append(tag)
+        return add(self, vec, tag)
+
+    monkeypatch.setattr(exactmath.Echelon, "add", counted)
+    return tags
+
+
+class TestBlockMembership:
+    """The library adds to its echelon only the columns joined to the
+    target; the oracle adds every column."""
+
+    @given(st.sampled_from(["commutator", "identity term", "untouched word", "zero",
+                            "long generator"]),
+           st.integers(0, 2**32))
+    def test_certificate_equals_whole_echelon(self, kind, seed):
+        ideal, target = _ideal_for(kind, random.Random(seed))
+        cert = bounded_ideal_member(ideal, target)
+        want = whole_echelon_member(ideal, target)
+        assert (cert and cert.combination) == (want and want.combination)
+        if kind == "untouched word":
+            assert cert is None
+
+    def test_echelon_takes_the_block_only(self, echelon_tags):
+        # the L(3,1) member query of the ideal-membership benchmark, seed 3
+        target = A("(1+1i)*z1 z1 z2 z2 z1 + (-1-1i)*z1 z2 z1 z2 z1"
+                   " + (1/3+1i)*z2 z1 z2 z1^-1 z2 + (-1-2i)*z2 z2 z3^-1 z2 z3"
+                   " + (2/3+1i)*z2 z2 z2", 3)
+        ideal = l_commutative_gens(3, 1, 5)
+        total = sum(1 for g in ideal.generators for _ in _ideal_columns(3, g, 3))
+        cert = bounded_ideal_member(ideal, target)
+        assert cert is not None and cert.reconstruct(ideal, 3) == target
+        assert (len(echelon_tags), total) == (36, 2307)
+        assert echelon_tags == sorted(echelon_tags)
+
+    def test_identity_term_joins_every_column(self, echelon_tags):
+        ideal = BoundedIdeal((A("z1 + z2^-1 + -1"),), 4)
+        total = sum(1 for _ in _ideal_columns(2, ideal.generators[0], 3))
+        assert bounded_ideal_member(ideal, A("z2 z1 + 1 + -1*z2")) is not None
+        assert echelon_tags == list(range(total))
 
 
 class TestLCommutative:
